@@ -49,7 +49,6 @@ from .mixture import (
     align_frequency_tables,
     best_reflection_error,
     estimate_mixture,
-    make_noisy_comparator,
     noisy_sort,
     orders_match_up_to_reflection,
     recover_mixed,

@@ -13,7 +13,6 @@ import os
 import sys
 
 from .harness import MODES, ExperimentConfig, emit, run
-from .oracles import feasible_gamma
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,13 +94,6 @@ def main(argv=None) -> int:
 
     try:
         pi = _parse_pi(merged["pi"]) if merged.get("pi") is not None else None
-        if pi is not None and merged.get("gamma") is not None:
-            limit = feasible_gamma(pi)
-            if merged["gamma"] >= limit:
-                parser.error(
-                    f"pi is not separated at gamma={merged['gamma']}; "
-                    f"largest feasible gamma is {limit:.6g} (exclusive)"
-                )
         config = ExperimentConfig(
             mode=args.mode,
             n=merged.get("n"),

@@ -103,14 +103,18 @@ class ExperimentConfig:
         if self.pi is not None:
             if self.gamma is None:
                 raise ValueError("pi requires gamma")
-            from .oracles import feasible_gamma
-
-            limit = feasible_gamma(self.pi)
-            if self.gamma >= limit:
-                raise ValueError(
-                    f"pi is not gamma-separated at gamma={self.gamma}; largest "
-                    f"feasible gamma is {limit:.6g} (exclusive)"
-                )
+            MixtureDistribution(self.pi, self.gamma)  # raises on any bad pi or gamma
+        if self.mode in ("estimate-mixture", "recover-mixed"):
+            k = len(self.pi)
+            if not 0 < self.epsilon < 1:
+                raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+            if self.mode == "recover-mixed" and self.n < 2 * k:
+                raise ValueError(f"need n >= 2k, got n={self.n}, k={k}")
+            if self.mode == "estimate-mixture":
+                if not 0 < self.delta <= self.gamma / 2:
+                    raise ValueError(f"delta must lie in (0, gamma/2], got {self.delta}")
+                if self.n is not None and self.n < k + 1:
+                    raise ValueError(f"need n >= k+1, got n={self.n}, k={k}")
 
 
 @dataclass(frozen=True)
@@ -232,7 +236,10 @@ def _run_estimate_mixture(cfg, rng):
     n = cfg.n if cfg.n is not None else mix.k + 1
     order = LatentOrder.random(n, rng)
     oracle = MixedOracle(order, mix, rng)
-    est = mixture.estimate_mixture(oracle, cfg.gamma, cfg.delta, cfg.epsilon)
+    try:
+        est = mixture.estimate_mixture(oracle, cfg.gamma, cfg.delta, cfg.epsilon)
+    except mixture.AlignmentFailureError:
+        return oracle.query_count, False, None, None
     err = mixture.best_reflection_error(est.probs_hat, mix.probs)
     return oracle.query_count, err <= cfg.delta, None, None
 
@@ -241,7 +248,10 @@ def _run_recover_mixed(cfg, rng):
     mix = _mixture_from_config(cfg)
     order = LatentOrder.random(cfg.n, rng)
     oracle = MixedOracle(order, mix, rng)
-    recovered, _ = mixture.recover_mixed(oracle, cfg.gamma, cfg.epsilon)
+    try:
+        recovered, _ = mixture.recover_mixed(oracle, cfg.gamma, cfg.epsilon)
+    except mixture.AlignmentFailureError:
+        return oracle.query_count, False, None, None
     ok = mixture.orders_match_up_to_reflection(recovered, order)
     return oracle.query_count, ok, None, None
 

@@ -26,8 +26,8 @@ __all__ = [
     "AlignmentFailureError",
     "MixtureEstimate",
     "NoisyComparator",
-    "make_noisy_comparator",
     "repetition_count",
+    "answer_frequencies",
     "align_frequency_tables",
     "estimate_mixture",
     "majority_repetitions",
@@ -79,6 +79,14 @@ def repetition_count(delta: float, epsilon: float, k: int) -> int:
     if delta <= 0 or epsilon <= 0 or epsilon >= 1:
         raise ValueError("need delta > 0 and epsilon in (0, 1)")
     return math.ceil((2 + delta) / delta**2 * math.log(2 * k * (k + 1) / epsilon))
+
+
+def answer_frequencies(oracle: MixedOracle, s, reps: int) -> dict:
+    """Query the k-set s reps times; map each member to its answer frequency."""
+    members = kset(s)
+    outcomes = oracle.query_repeated(members, reps)
+    counts = np.bincount(np.searchsorted(members, outcomes), minlength=len(members))
+    return dict(zip(members, (counts / reps).tolist()))
 
 
 def align_frequency_tables(tables) -> tuple:
@@ -153,12 +161,10 @@ def estimate_mixture(
         raise ValueError("need at least k+1 alternatives")
     reps = repetition_count(delta, epsilon, k)
     base = tuple(range(k + 1))
-    tables = []
-    for excluded in base:
-        subset = kset(x for x in base if x != excluded)
-        outcomes = oracle.query_repeated(subset, reps)
-        counts = Counter(int(x) for x in outcomes)
-        tables.append({member: counts.get(member, 0) / reps for member in subset})
+    tables = [
+        answer_frequencies(oracle, (x for x in base if x != excluded), reps)
+        for excluded in base
+    ]
     probs = align_frequency_tables(tables)
     return MixtureEstimate(
         probs_hat=probs, delta=delta, epsilon=epsilon, queries=reps * (k + 1)
@@ -212,10 +218,6 @@ class NoisyComparator:
         probs = self.oracle.mixture.probs
         hi, lo = max(pu, pv), min(pu, pv)
         return probs[hi - 1] / (probs[hi - 1] + probs[lo - 1])
-
-
-def make_noisy_comparator(oracle: MixedOracle, anchors) -> NoisyComparator:
-    return NoisyComparator(oracle, anchors)
 
 
 def majority_repetitions(m: int, gamma: float, epsilon_sort: float) -> int:
@@ -302,11 +304,7 @@ def recover_mixed(oracle: MixedOracle, gamma: float, epsilon: float):
     current = list(range(k))
     winner = None
     for fresh in range(k, n + 1):
-        s = kset(current)
-        outcomes = oracle.query_repeated(s, reps)
-        counts = Counter(int(x) for x in outcomes)
-        freqs = {member: counts.get(member, 0) / reps for member in s}
-        winner = pick_round_winner(freqs, tracked)
+        winner = pick_round_winner(answer_frequencies(oracle, current, reps), tracked)
         if fresh < n:
             current.remove(winner)
             current.append(fresh)

@@ -5,7 +5,9 @@ seedable numpy PCG64 generator and a query counter; rejected queries are
 not counted. Batched entry points (query_many, query_repeated,
 query_until) draw the same distributions as the equivalent sequential
 query() loops with exact query accounting, which keeps the Monte Carlo
-acceptance runs in the minutes range.
+acceptance runs in the minutes range. query_until draws its raw query
+total, the sum of count geometric retry lengths, as one negative-binomial
+variate.
 """
 
 from __future__ import annotations
@@ -94,12 +96,11 @@ class MixtureDistribution:
             raise ValueError("every position probability must be strictly positive")
         if not 0 < gamma < 1:
             raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-        gaps = np.abs(p[:, None] - p[None, :])
-        off = ~np.eye(p.size, dtype=bool)
-        if not (gaps[off] > gamma).all():
+        limit = feasible_gamma(p)
+        if not gamma < limit:
             raise ValueError(
-                f"probabilities are not gamma-separated: min gap "
-                f"{gaps[off].min():.6g} <= gamma {gamma}"
+                f"pi is not gamma-separated at gamma={gamma}; largest "
+                f"feasible gamma is {limit:.6g} (exclusive)"
             )
         self.probs = tuple(float(x) for x in p)
         self.gamma = float(gamma)
@@ -174,7 +175,9 @@ class MixedOracle:
 
         Returns (informative answers, raw queries issued). Distribution and
         accounting match the sequential repeat-until loop: retry lengths are
-        geometric in the probability mass of the pair's positions.
+        geometric in the probability mass p of the pair's positions, so the
+        raw total is count plus one negative-binomial(count, p) draw of
+        uninformative answers.
         """
         members = self._members_by_rank(s)
         u, v = pair
@@ -184,7 +187,9 @@ class MixedOracle:
         pv = self._probs[members.index(v)]
         informative = pu + pv
         count = int(count)
-        raw = int(self._rng.geometric(informative, size=count).sum())
+        if count == 0:
+            return np.empty(0, dtype=np.int64), 0
+        raw = count + int(self._rng.negative_binomial(count, informative))
         wins_u = self._rng.random(count) < pu / informative
         self._count += raw
         return np.where(wins_u, u, v), raw

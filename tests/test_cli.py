@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 BASE = [sys.executable, "-m", "choicelab"]
 
 
@@ -40,6 +42,34 @@ def test_gamma_separation_usage_error():
     )
     assert proc.returncode == 2
     assert "largest feasible gamma" in proc.stderr
+
+
+MIXED = ["--pi", "0.2,0.3,0.5", "--gamma", "0.09"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["recover-mixed", "--n", "5", *MIXED, "--epsilon", "0.1"], "n >= 2k"),
+        (["estimate-mixture", *MIXED, "--delta", "0.09", "--epsilon", "0.1"],
+         "delta must lie in (0, gamma/2]"),
+        (["estimate-mixture", *MIXED, "--delta", "0.04", "--epsilon", "1.5"],
+         "epsilon must lie in (0, 1)"),
+        (["recover-mixed", "--n", "20", *MIXED, "--epsilon", "0"],
+         "epsilon must lie in (0, 1)"),
+        (["estimate-mixture", "--n", "3", *MIXED, "--delta", "0.04",
+          "--epsilon", "0.1"], "n >= k+1"),
+        (["recover-mixed", "--n", "20", "--pi", "0.2,0.3,0.6", "--gamma", "0.09",
+          "--epsilon", "0.1"], "not 1 within"),
+        (["estimate-mixture", "--pi", "1.0", "--gamma", "0.09", "--delta", "0.04",
+          "--epsilon", "0.1"], "need at least two position probabilities"),
+    ],
+)
+def test_mixture_precondition_usage_error(args, message):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_io_error_exit_three(tmp_path):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from choicelab import mixture
 from choicelab.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -80,6 +81,30 @@ class TestRunners:
         assert all(r.success for r in med.rows)
         srt = run(cfg(mode="distance-sort", n=10, dim=1, trials=3, seed=7))
         assert all(r.success for r in srt.rows)
+
+
+@pytest.mark.parametrize(
+    "mode, entry, extra",
+    [
+        ("recover-mixed", "recover_mixed", {"n": 8}),
+        ("estimate-mixture", "estimate_mixture", {"delta": 0.04}),
+    ],
+    ids=["recover-mixed", "estimate-mixture"],
+)
+def test_alignment_failure_fails_one_trial_only(monkeypatch, mode, entry, extra):
+    real = getattr(mixture, entry)
+    calls = []
+
+    def fail_second(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise mixture.AlignmentFailureError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(mixture, entry, fail_second)
+    report = run(cfg(mode=mode, pi=(0.2, 0.3, 0.5), gamma=0.09, epsilon=0.1,
+                     trials=3, seed=16, **extra))
+    assert [r.success for r in report.rows] == [True, False, True]
 
 
 class TestReports:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from choicelab.mixture import (
     AlignmentFailureError,
     NoisyComparator,
     align_frequency_tables,
+    answer_frequencies,
     best_reflection_error,
     discard_round_repetitions,
     estimate_mixture,
     majority_repetitions,
-    make_noisy_comparator,
     noisy_sort,
     orders_match_up_to_reflection,
     pick_round_winner,
@@ -119,11 +120,45 @@ class TestEstimateMixture:
             MixtureDistribution((1.0, 0.0), 0.1)
 
 
+def counter_frequencies(oracle, s, reps):
+    """Reference: per-answer Counter over query_repeated's answers."""
+    counts = Counter(int(x) for x in oracle.query_repeated(s, reps))
+    return {member: counts.get(member, 0) / reps for member in s}
+
+
+class TestCountingExactness:
+    # two oracles on one seed see the same answers, so the vectorized counts
+    # must equal the Counter reference exactly, not within a tolerance
+
+    def oracles(self, seed):
+        mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)
+        order = LatentOrder.random(12, np.random.default_rng(seed))
+        return MixedOracle(order, mix, seed), MixedOracle(order, mix, seed)
+
+    def test_estimate_matches_counter_reference(self):
+        oracle, ref = self.oracles(17)
+        est = estimate_mixture(oracle, 0.09, 0.045, 0.02)
+        reps = repetition_count(0.045, 0.02, 3)
+        tables = [counter_frequencies(ref, tuple(x for x in range(4) if x != j), reps)
+                  for j in range(4)]
+        assert est.probs_hat == align_frequency_tables(tables)
+        assert oracle.query_count == ref.query_count
+
+    def test_discard_round_matches_counter_reference(self):
+        oracle, ref = self.oracles(18)
+        reps = discard_round_repetitions(0.09, 0.1, 12)
+        for s in [(0, 1, 2), (3, 7, 11), (2, 5, 9)]:
+            freqs = answer_frequencies(oracle, s, reps)
+            want = counter_frequencies(ref, s, reps)
+            assert freqs == want
+            assert pick_round_winner(freqs, 0.5) == pick_round_winner(want, 0.5)
+
+
 class TestNoisyComparator:
     def setup_method(self):
         self.mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)
         self.oracle = MixedOracle(LatentOrder.identity(6), self.mix, 2024)
-        self.comp = make_noisy_comparator(self.oracle, anchors=(0,))
+        self.comp = NoisyComparator(self.oracle, anchors=(0,))
 
     def test_true_probabilities(self):
         assert self.comp.true_fail_prob(3, 4) == pytest.approx(0.2)

@@ -115,6 +115,45 @@ class TestMixedOracle:
         assert raw >= 1000
         assert oracle.query_count == raw
 
+    @pytest.mark.parametrize("count", [1, 7])
+    @pytest.mark.parametrize("pair, mass", [((0, 1), 0.5), ((1, 2), 0.8)])
+    def test_query_until_raw_matches_geometric_sum(self, count, pair, mass):
+        # reference: the raw total as a sum of count geometric retry lengths
+        mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)
+        oracle = MixedOracle(LatentOrder.identity(3), mix, 21)
+        ref_rng = np.random.default_rng(22)
+        calls = 20_000
+        got = np.array([oracle.query_until((0, 1, 2), pair, count)[1]
+                        for _ in range(calls)])
+        want = np.array([int(ref_rng.geometric(mass, size=count).sum())
+                         for _ in range(calls)])
+        assert got.min() >= count
+        assert oracle.query_count == got.sum()
+        # chi-square on the 2 x m table of raw totals, the sparse tail pooled
+        cap = int(np.quantile(np.concatenate([got, want]), 0.995))
+        table = np.array([np.bincount(np.minimum(x, cap) - count,
+                                      minlength=cap - count + 1)
+                          for x in (got, want)])
+        _, pvalue, _, _ = st.chi2_contingency(table)
+        assert pvalue > 0.001
+
+    def test_query_until_zero_count(self):
+        mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)
+        oracle = MixedOracle(LatentOrder.identity(3), mix, 0)
+        outcomes, raw = oracle.query_until((0, 1, 2), (0, 1), 0)
+        assert outcomes.shape == (0,)
+        assert raw == 0
+        assert oracle.query_count == 0
+
+    def test_query_until_k2_every_answer_informative(self):
+        mix = MixtureDistribution((0.7, 0.3), 0.3)
+        oracle = MixedOracle(LatentOrder.identity(4), mix, 5)
+        for count in (1, 7, 1000):
+            outcomes, raw = oracle.query_until((1, 3), (1, 3), count)
+            assert outcomes.shape == (count,)
+            assert raw == count
+        assert oracle.query_count == 1008
+
     def test_wrong_size_rejected_uncounted(self):
         mix = MixtureDistribution((0.7, 0.3), 0.3)
         oracle = MixedOracle(LatentOrder.identity(4), mix, 0)
