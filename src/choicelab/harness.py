@@ -8,7 +8,6 @@ informational only and never part of acceptance).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import time
@@ -20,14 +19,17 @@ from . import active, distance, mixture, passive
 from .core import (
     LatentOrder,
     PositionSelector,
+    all_ksets,
     canonical_position,
     evaluate_many,
 )
 from .oracles import (
+    INT64_MAX,
     DeterministicOracle,
     MixedOracle,
     MixtureDistribution,
     StreamConfig,
+    largest_binomial,
     sample_phase,
     unrank_combinations,
 )
@@ -100,6 +102,32 @@ class ExperimentConfig:
         missing = [name for name in need if getattr(self, name) is None]
         if missing:
             raise ValueError(f"mode {self.mode} requires parameters: {missing}")
+        if self.mode in ("recover-active", "classify", "recover-passive"):
+            PositionSelector(self.k, self.position)  # raises on bad k or position
+        if self.mode == "recover-passive":
+            if self.n < self.k:
+                raise ValueError(f"need n >= k, got n={self.n}, k={self.k}")
+            if not 2 <= self.position <= self.k - 1:
+                raise ValueError(f"position must lie in [2, k-1], got {self.position}")
+            _stream_config(self)  # raises on bad stream parameters
+        if self.mode == "recover-active" and self.n - self.k + 1 < self.k:
+            raise ValueError(
+                f"need n - k + 1 >= k eligible alternatives for the position "
+                f"query, got n={self.n}, k={self.k}"
+            )
+        if self.mode in ("recover-active", "recover-passive"):
+            largest = largest_binomial(self.n, self.k)  # C(n, k) unless k > n/2
+            if largest > INT64_MAX:
+                raise ValueError(
+                    f"C({self.n}, {min(self.k, self.n // 2)}) = {largest:.3e} exceeds "
+                    f"the int64 limit {INT64_MAX} of colex ranks and unranking"
+                )
+        if self.mode == "classify" and self.n is not None and self.n < self.k + 1:
+            raise ValueError(f"need n >= k+1, got n={self.n}, k={self.k}")
+        if self.mode == "distance-median" and (self.k < 1 or self.k % 2 == 0):
+            raise ValueError(f"distance-median needs odd k >= 1, got k={self.k}")
+        if self.mode == "feasibility" and self.n < 3:
+            raise ValueError("need n >= 3")
         if self.pi is not None:
             if self.gamma is None:
                 raise ValueError("pi requires gamma")
@@ -198,11 +226,7 @@ def _check_predictions(model, selector, order, rng, sample_limit=10_000):
     n, k = order.n, selector.k
     total = math.comb(n, k)
     if total <= 200_000:
-        sets = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-            dtype=np.int64,
-            count=total * k,
-        ).reshape(total, k)
+        sets = all_ksets(n, k)
     else:
         sets = unrank_combinations(rng.integers(0, total, size=sample_limit), n, k)
     return bool(
@@ -302,8 +326,6 @@ def _random_points(count, dim, rng):
 
 
 def _run_distance_median(cfg, rng):
-    if cfg.k % 2 == 0:
-        raise ValueError("distance-median needs odd k")
     points = _random_points(cfg.k, cfg.dim, rng)
     s = tuple(points.ids)
     got = distance.median_choice(points, s)

@@ -26,6 +26,7 @@ from choicelab.active import (
 from choicelab.core import (
     LatentOrder,
     PositionSelector,
+    all_ksets,
     canonical_position,
     evaluate_many,
     ineligible_set,
@@ -72,15 +73,6 @@ def _report(num, label, ok, detail=""):
     print(f"[acceptance] criterion {num:>2} ({label}): {status}{tail}")
 
 
-def _all_sets(n, k):
-    total = math.comb(n, k)
-    return np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-        dtype=np.int64,
-        count=total * k,
-    ).reshape(total, k)
-
-
 def test_criterion_01_active_exhaustive_correctness():
     """Every recovered model predicts every k-set exactly, over the full sweep."""
     rng = np.random.default_rng(101)
@@ -88,7 +80,7 @@ def test_criterion_01_active_exhaustive_correctness():
     runs = 0
     for k in range(2, 6):
         for n in range(max(k + 1, 2 * k - 1), 13):
-            sets = _all_sets(n, k)
+            sets = all_ksets(n, k)
             for position in range(1, k + 1):
                 selector = PositionSelector(k, position)
                 for _ in range(50):

@@ -66,7 +66,45 @@ MIXED = ["--pi", "0.2,0.3,0.5", "--gamma", "0.09"]
     ],
 )
 def test_mixture_precondition_usage_error(args, message):
-    proc = run_cli(*args)
+    assert_usage_error(run_cli(*args), message)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["recover-passive", "--n", "30", "--k", "3", "--ell", "1"],
+         "position must lie in [2, k-1]"),
+        (["recover-active", "--n", "10", "--k", "3", "--ell", "4"],
+         "position must lie in [1, 3]"),
+        (["classify", "--k", "1", "--ell", "1"], "set size k must be >= 2"),
+        (["distance-median", "--k", "4"], "distance-median needs odd k"),
+        (["recover-active", "--n", "70", "--k", "60", "--ell", "30"],
+         "need n - k + 1 >= k eligible alternatives"),
+        (["recover-passive", "--n", "3000", "--k", "8", "--ell", "2"], "int64 limit"),
+        (["recover-active", "--n", "400", "--k", "12", "--ell", "3"], "int64 limit"),
+        (["recover-passive", "--n", "100", "--k", "90", "--ell", "2", "--p1", "1e-9",
+          "--p2", "1e-9"], "C(100, 50) = "),
+        (["classify", "--n", "3", "--k", "3", "--ell", "2"], "need n >= k+1"),
+        (["recover-passive", "--n", "5", "--k", "6", "--ell", "3", "--p1", "0.5",
+          "--p2", "0.5"], "need n >= k"),
+        (["recover-passive", "--n", "3", "--k", "3", "--ell", "2"],
+         "need n >= 4 for the coverage formulas"),
+        (["recover-passive", "--n", "30", "--k", "3", "--ell", "2", "--p1", "0.5"],
+         "p1 and p2 must be given together"),
+        (["feasibility", "--n", "2"], "need n >= 3"),
+    ],
+    ids=[
+        "passive-ell-1", "active-ell-4", "classify-k-1", "median-even-k",
+        "active-too-few-eligibles", "passive-rank-overflow", "active-rank-overflow", "passive-table-overflow",
+        "classify-small-n", "passive-n-below-k", "passive-coverage-small-n",
+        "passive-p1-alone", "feasibility-small-n",
+    ],
+)
+def test_precondition_usage_error(args, message):
+    assert_usage_error(run_cli(*args), message)
+
+
+def assert_usage_error(proc, message):
     assert proc.returncode == 2
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr

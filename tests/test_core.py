@@ -9,6 +9,7 @@ from choicelab.core import (
     InvalidQueryError,
     LatentOrder,
     PositionSelector,
+    all_ksets,
     canonical_position,
     evaluate,
     evaluate_many,
@@ -187,3 +188,10 @@ class TestKSet:
             PositionSelector(3, 0)
         with pytest.raises(ValueError):
             PositionSelector(3, 4)
+
+
+@pytest.mark.parametrize("n, k", [(6, 1), (7, 3), (9, 4), (5, 5)])
+def test_all_ksets_lexicographic(n, k):
+    sets = all_ksets(n, k)
+    assert sets.dtype == np.int64 and sets.shape == (len(sets), k)
+    assert [tuple(r) for r in sets.tolist()] == list(itertools.combinations(range(n), k))

@@ -161,6 +161,24 @@ class TestDeterminism:
         b = run(cfg(mode="recover-active", n=10, k=3, position=2, trials=5, seed=10))
         assert a.canonical_bytes() != b.canonical_bytes()
 
+    @pytest.mark.parametrize(
+        "b, want",
+        [
+            (8.0, b"0,8668861027912758289,61273,true,0.95,0.05\n"
+                  b"1,4881901421217228719,61106,true,0.95,0.05\n"
+                  b"2,16452687389592421897,61095,true,0.95,0.05\n"),
+            (2.0, b"0,8668861027912758289,23689,false,0.8008766803039158,0.19912331969608416\n"
+                  b"1,4881901421217228719,23999,false,0.7963763880771478,0.20362361192285214\n"
+                  b"2,16452687389592421897,24081,false,0.8028638223261251,0.19713617767387492\n"),
+        ],
+    )
+    def test_recover_passive_rows_pinned(self, b, want):
+        # recorded before sample_phase sorted its ranks: sorting reorders the
+        # sampled rows but must not change any record, count or score
+        report = run(cfg(mode="recover-passive", n=60, k=3, position=2, b=b, trials=3, seed=0))
+        header = b"trial,seed,queries,success,frac_correct,frac_unresolved\n"
+        assert report.canonical_bytes() == header + want
+
     def test_trial_seeds_pairwise_distinct(self):
         report = run(cfg(mode="classify", k=3, position=1, trials=50, seed=11))
         seeds = [r.seed for r in report.rows]

@@ -247,6 +247,15 @@ class TestObservationBatch:
         with pytest.raises(ValueError):
             ObservationBatch(np.array([[0, 1, 2]]), np.array([5]))
 
+    def test_non_member_in_later_row_rejected(self):
+        sets = np.array([[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5]])
+        with pytest.raises(ValueError, match="member of its set"):
+            ObservationBatch(sets, np.array([1, 3, 5, 4]))  # row 3 of 4 is bad
+
+    def test_empty_batch_accepted(self):
+        batch = ObservationBatch(np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64))
+        assert len(batch) == 0 and batch.k == 3
+
     def test_jsonl_roundtrip(self):
         batch = ObservationBatch(
             np.array([[0, 1, 2], [1, 3, 4]]), np.array([1, 3])
@@ -260,7 +269,114 @@ class TestObservationBatch:
         assert np.array_equal(back.choices, batch.choices)
 
 
+def colex_rank(row) -> int:
+    """Exact colex rank of a sorted k-subset: sum of C(row[j], j+1)."""
+    return sum(math.comb(int(c), j + 1) for j, c in enumerate(row))
+
+
+def reference_sample_distinct_indices(total, m, rng):
+    """The unsorted rank sampler that sample_phase used before it sorted its
+    ranks; the same rng calls in the same order."""
+    if m >= total:
+        return np.arange(total, dtype=np.int64)
+    if m == 0:
+        return np.empty(0, dtype=np.int64)
+    if total <= 1 << 22 or m / total > 0.01:
+        return rng.choice(total, size=m, replace=False).astype(np.int64)
+    picked = np.unique(rng.integers(0, total, size=int(m * 1.1) + 16))
+    while picked.size < m:
+        extra = rng.integers(0, total, size=m)
+        picked = np.unique(np.concatenate([picked, extra]))
+    return rng.permutation(picked)[:m].astype(np.int64)
+
+
+def reference_unrank(indices, n, k):
+    """Colex unranking with one searchsorted per level, j = k..1, over an
+    exact math.comb table."""
+    table = np.array([[math.comb(c, j) for c in range(n + 1)] for j in range(k + 1)])
+    remaining = np.asarray(indices, dtype=np.int64).copy()
+    out = np.empty((remaining.size, k), dtype=np.int64)
+    for j in range(k, 0, -1):
+        c = np.searchsorted(table[j], remaining, side="right") - 1
+        out[:, j - 1] = c
+        remaining = remaining - table[j, c]
+    return out
+
+
+def reference_sample_phase(p, n, k, oracle, rng):
+    total = math.comb(n, k)
+    m = total if p >= 1.0 else int(rng.binomial(total, p))
+    sets = reference_unrank(reference_sample_distinct_indices(total, m, rng), n, k)
+    return sets, oracle.query_many(sets)
+
+
+def lexsorted(sets, choices):
+    order = np.lexsort(sets.T[::-1])
+    return sets[order], choices[order]
+
+
+class TestSamplePhaseReference:
+    """sample_phase draws the same records as the unsorted reference path;
+    only the row order differs (ascending colex rank)."""
+
+    @pytest.mark.parametrize(
+        "n, k, p, seed, sparse",
+        [
+            (30, 3, 0.3, 1, False),  # dense: rng.choice without replacement
+            (12, 5, 0.7, 2, False),
+            (300, 4, 3e-4, 3, True),  # sparse: dedupe-and-top-up, then permute
+        ],
+        ids=["dense-n30", "dense-n12-k5", "sparse-n300"],
+    )
+    def test_same_records_as_reference(self, n, k, p, seed, sparse):
+        order = LatentOrder.random(n, np.random.default_rng(seed))
+        oracle = DeterministicOracle(PositionSelector(k, 2), order)
+        cfg = StreamConfig.from_probabilities(p, p)
+        batch = sample_phase(cfg, 1, n, k, oracle, np.random.default_rng(seed))
+        want_sets, want_choices = reference_sample_phase(
+            p, n, k, oracle, np.random.default_rng(seed)
+        )
+        assert len(batch) == len(want_sets) > 0
+        total = math.comb(n, k)
+        assert (total > 1 << 22 and len(batch) / total <= 0.01) == sparse
+        got = lexsorted(batch.sets, batch.choices)
+        want = lexsorted(want_sets, want_choices)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        ranks = np.array([colex_rank(row) for row in batch.sets])
+        assert (np.diff(ranks) > 0).all()  # ascending colex rank
+
+
 class TestUnranking:
+    @pytest.mark.parametrize("n, k", [(7, 1), (7, 2), (9, 4), (12, 6), (10, 10)])
+    def test_colex_bijection_exhaustive(self, n, k):
+        rows = unrank_combinations(np.arange(math.comb(n, k)), n, k)
+        colex = sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
+        assert [tuple(r) for r in rows.tolist()] == colex
+
+    @pytest.mark.parametrize("n, k", [(10_000, 3), (3000, 5)])
+    def test_large_ranks_exact(self, n, k):
+        total = math.comb(n, k)
+        rng = np.random.default_rng(n + k)
+        ranks = {0, total - 1, *(int(x) for x in rng.integers(0, total, size=300))}
+        for j in range(1, k + 1):  # the edges of every level's search
+            for c in (j, j + 1, n // 3, n // 2, n - 2, n - 1):
+                ranks.update(r for r in (math.comb(c, j) - 1, math.comb(c, j)) if r < total)
+        ranks = np.array(sorted(ranks), dtype=np.int64)
+        rows = unrank_combinations(ranks, n, k)
+        assert (np.diff(rows, axis=1) > 0).all()
+        assert rows.min() >= 0 and rows.max() < n
+        assert [colex_rank(row) for row in rows.tolist()] == ranks.tolist()
+        shuffled = rng.permutation(ranks.size)
+        assert np.array_equal(unrank_combinations(ranks[shuffled], n, k), rows[shuffled])
+
+    def test_table_overflow_rejected(self):
+        # C(100, 90) fits in int64 but the table's C(100, 50) does not; an
+        # overflowed table unranked most ranks wrong
+        assert math.comb(100, 90) < 2**63 <= math.comb(100, 50)
+        with pytest.raises(OverflowError, match="int64"):
+            unrank_combinations(np.array([0, 1]), 100, 90)
+
     def test_bijection_small(self):
         n, k = 7, 3
         total = math.comb(n, k)

@@ -124,6 +124,27 @@ class TestBuildPartialOrder:
         assert all(a <= b for a, b in zip(fractions, fractions[1:]))
 
 
+    def test_unanchored_rows_ignored(self):
+        # k=4, two anchors: rows holding one or no anchor have 3 or 4 free
+        # members and must not orient anything
+        n, k, position = 9, 4, 2
+        order = LatentOrder.identity(n)  # ineligible: 0 below, 7 and 8 above
+        anchors = (0, 8)
+        pairs = [(2, 3), (3, 4), (5, 6), (6, 7)]
+        anchored = anchored_batch(order, k, position, anchors, pairs)
+        others = np.array([[0, 2, 5, 6], [1, 4, 7, 8], [2, 3, 4, 5], [1, 3, 6, 7]])
+        oracle = DeterministicOracle(PositionSelector(k, position), order)
+        mixed = ObservationBatch(
+            np.concatenate([others[:2], anchored.sets, others[2:]]),
+            np.concatenate([oracle.query_many(others[:2]), anchored.choices,
+                            oracle.query_many(others[2:])]),
+        )
+        want = build_partial_order(anchored, anchors, position)
+        got = build_partial_order(mixed, anchors, position)
+        assert np.array_equal(got.elements, want.elements)
+        assert np.array_equal(got.beats, want.beats)
+
+
 class TestAnswerQuery:
     def setup_method(self):
         self.n, self.k, self.position = 9, 3, 2
