@@ -20,9 +20,9 @@ import numpy as np
 
 from .core import (
     InvalidQueryError,
-    KSet,
     LatentOrder,
     PositionSelector,
+    evaluate,
     evaluate_many,
     kset,
 )
@@ -231,14 +231,7 @@ def recover_choice_function(oracle: DeterministicOracle) -> RecoveredModel:
 
 def predict(model: RecoveredModel, s) -> int:
     """Model's choice for a k-set; pure lookup, no oracle access."""
-    s = kset(s)
-    if len(s) != model.k:
-        raise InvalidQueryError(f"query has {len(s)} members, expected k={model.k}")
-    order = model.full_order()
-    if s[0] < 0 or s[-1] >= order.n:
-        raise InvalidQueryError(f"unknown alternative in {s}")
-    by_rank = sorted(s, key=order.rank_of)
-    return by_rank[model.position_hat - 1]
+    return evaluate(PositionSelector(model.k, model.position_hat), model.full_order(), s)
 
 
 def predict_many(model: RecoveredModel, sets: np.ndarray) -> np.ndarray:

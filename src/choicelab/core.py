@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,8 +28,12 @@ class InvalidQueryError(ValueError):
 
 
 def kset(members: Iterable[int]) -> KSet:
-    """Normalize an iterable of ids into a sorted, duplicate-free k-set."""
-    ids = sorted(int(m) for m in members)
+    """Normalize an iterable of integer ids (Python or numpy) into a sorted,
+    duplicate-free k-set. Non-integer ids are rejected, never truncated."""
+    try:
+        ids = sorted(map(operator.index, members))
+    except TypeError as exc:
+        raise InvalidQueryError(f"k-set ids must be integers: {exc}") from None
     if len(set(ids)) != len(ids):
         raise InvalidQueryError(f"duplicate ids in k-set: {ids}")
     return tuple(ids)
@@ -70,16 +75,21 @@ class LatentOrder:
     """A hidden embedding of the universe, stored as a ranking.
 
     Immutable. ``ascending[r]`` is the id whose embedding rank is r
-    (rank 0 = minimum). Safe to share across threads.
+    (rank 0 = minimum). Safe to share across threads. Scalar queries read
+    ``n`` as a plain attribute (never reassign it) and index the rank
+    lookup as a list, both faster than going through numpy.
     """
 
-    __slots__ = ("_ascending", "_rank")
+    __slots__ = ("_ascending", "_rank", "_rank_list", "n")
 
     def __init__(self, ascending: Sequence[int]):
-        order = np.asarray(ascending, dtype=np.int64)
+        order = np.asarray(ascending)
         n = order.size
         if n == 0:
             raise ValueError("universe must be non-empty")
+        if order.dtype.kind not in "iu":
+            raise ValueError(f"ids must be integers, got dtype {order.dtype}")
+        order = order.astype(np.int64, copy=False)
         counts = np.bincount(order, minlength=n) if order.min(initial=0) >= 0 else None
         if counts is None or counts.size != n or not (counts == 1).all():
             raise ValueError("ascending must be a permutation of [0, n)")
@@ -89,6 +99,8 @@ class LatentOrder:
         self._ascending.setflags(write=False)
         self._rank = rank
         self._rank.setflags(write=False)
+        self._rank_list = rank.tolist()
+        self.n = n
 
     @classmethod
     def identity(cls, n: int) -> "LatentOrder":
@@ -107,16 +119,12 @@ class LatentOrder:
         return cls(np.argsort(vals))
 
     @property
-    def n(self) -> int:
-        return int(self._ascending.size)
-
-    @property
     def ascending(self) -> np.ndarray:
         """Ids in ascending embedding order (read-only view)."""
         return self._ascending
 
     def rank_of(self, alternative: int) -> int:
-        return int(self._rank[alternative])
+        return self._rank_list[alternative]
 
     def ranks(self, ids) -> np.ndarray:
         """Vectorized rank lookup."""
@@ -150,12 +158,11 @@ class LatentOrder:
         return cls(json.loads(text))
 
 
-def _check_query(selector: PositionSelector, order: LatentOrder, s) -> KSet:
+def _check_query(k: int, order: LatentOrder, s) -> KSet:
+    """The validation every scalar query makes: s as a k-set over [0, order.n)."""
     s = kset(s)
-    if len(s) != selector.k:
-        raise InvalidQueryError(
-            f"query has {len(s)} members, selector expects k={selector.k}"
-        )
+    if len(s) != k:
+        raise InvalidQueryError(f"query has {len(s)} members, expected k={k}")
     if s[0] < 0 or s[-1] >= order.n:
         raise InvalidQueryError(f"ids out of range [0, {order.n}): {s}")
     return s
@@ -166,9 +173,8 @@ def evaluate(selector: PositionSelector, order: LatentOrder, s) -> Alternative:
 
     Deterministic; always returns a member of s.
     """
-    s = _check_query(selector, order, s)
-    by_rank = sorted(s, key=order.rank_of)
-    return by_rank[selector.position - 1]
+    s = _check_query(selector.k, order, s)
+    return sorted(s, key=order._rank_list.__getitem__)[selector.position - 1]
 
 
 def evaluate_many(

@@ -21,12 +21,11 @@ import numpy as np
 
 from .core import (
     InvalidQueryError,
-    KSet,
     LatentOrder,
     PositionSelector,
+    _check_query,
     evaluate,
     evaluate_many,
-    kset,
 )
 
 __all__ = [
@@ -150,12 +149,7 @@ class MixedOracle:
         return self._count
 
     def _members_by_rank(self, s) -> list:
-        s = kset(s)
-        if len(s) != self.k:
-            raise InvalidQueryError(f"query has {len(s)} members, expected k={self.k}")
-        if s[0] < 0 or s[-1] >= self.n:
-            raise InvalidQueryError(f"ids out of range [0, {self.n}): {s}")
-        return sorted(s, key=self.order.rank_of)
+        return sorted(_check_query(self.k, self.order, s), key=self.order.rank_of)
 
     def query(self, s) -> int:
         members = self._members_by_rank(s)

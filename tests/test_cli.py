@@ -7,11 +7,16 @@ import sys
 
 import pytest
 
+import choicelab
+
 BASE = [sys.executable, "-m", "choicelab"]
+# the CLI subprocess imports the same package as this process, installed or not
+SRC = os.path.dirname(os.path.dirname(choicelab.__file__))
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

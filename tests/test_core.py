@@ -160,6 +160,22 @@ class TestLatentOrder:
         assert LatentOrder.from_json(order.to_json()) == order
         assert order.to_json() == "[2, 0, 1]"
 
+    @pytest.mark.parametrize("ids", [[0.0, 1.7, 2.2], [0.0, 1.0, 2.0], np.array([2.0, 0.0, 1.0])])
+    def test_rejects_float_ids(self, ids):
+        with pytest.raises(ValueError, match="integers"):
+            LatentOrder(ids)
+
+    def test_from_json_rejects_float_ids(self):
+        with pytest.raises(ValueError, match="integers"):
+            LatentOrder.from_json("[0.0, 1.7, 2.2]")
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_accepts_numpy_integer_ids(self, dtype):
+        order = LatentOrder(np.array([2, 0, 1], dtype=dtype))
+        assert order == LatentOrder([2, 0, 1])
+        assert order.n == 3 and type(order.n) is int
+        assert order.rank_of(np.int64(0)) == 1 and type(order.rank_of(0)) is int
+
     def test_monotone_relabeling_leaves_choices_unchanged(self):
         # comparison-based: only the induced order matters, not coordinates
         rng = np.random.default_rng(5)
@@ -178,8 +194,15 @@ class TestLatentOrder:
 class TestKSet:
     def test_sorts_and_validates(self):
         assert kset((3, 1, 2)) == (1, 2, 3)
+        s = kset(np.array([3, 1, 2], dtype=np.int32))
+        assert s == (1, 2, 3) and all(type(x) is int for x in s)
         with pytest.raises(InvalidQueryError):
             kset((1, 1, 2))
+
+    @pytest.mark.parametrize("ids", [(0.5, 1.9, 3), (0, 1.0, 2), np.array([3.0, 1.0, 2.0]), ("0", 1, 2)])
+    def test_rejects_non_integer_ids(self, ids):
+        with pytest.raises(InvalidQueryError, match="integers"):
+            kset(ids)
 
     def test_selector_validation(self):
         with pytest.raises(ValueError):

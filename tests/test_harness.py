@@ -179,6 +179,16 @@ class TestDeterminism:
         header = b"trial,seed,queries,success,frac_correct,frac_unresolved\n"
         assert report.canonical_bytes() == header + want
 
+    def test_recover_active_rows_pinned(self):
+        # recorded before the scalar query path ranked members through a list
+        report = run(cfg(mode="recover-active", n=2000, k=3, position=2, trials=3, seed=0))
+        assert report.canonical_bytes() == (
+            b"trial,seed,queries,success,frac_correct,frac_unresolved\n"
+            b"0,8668861027912758289,21379,true,,\n"
+            b"1,4881901421217228719,21399,true,,\n"
+            b"2,16452687389592421897,21395,true,,\n"
+        )
+
     def test_trial_seeds_pairwise_distinct(self):
         report = run(cfg(mode="classify", k=3, position=1, trials=50, seed=11))
         seeds = [r.seed for r in report.rows]

@@ -1,0 +1,107 @@
+"""The scalar query path (kset, evaluate, oracle.query, predict) against the
+vectorized evaluate_many, and its rejection of malformed queries."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from choicelab.active import RecoveredModel, predict
+from choicelab.core import (
+    InvalidQueryError,
+    LatentOrder,
+    PositionSelector,
+    evaluate,
+    evaluate_many,
+)
+from choicelab.oracles import DeterministicOracle, MixedOracle, MixtureDistribution
+
+# How a caller may hand over a k-set: Python containers or numpy-int arrays.
+FORMS = (tuple, list, np.int64, np.int32, np.uint16)
+
+
+def as_form(members, form):
+    if form in (tuple, list):
+        return form(members)
+    return np.asarray(members, dtype=form)
+
+
+@st.composite
+def scalar_cases(draw):
+    """A latent order, a position and a list of unsorted k-sets over it."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(k, 40))
+    ell = draw(st.integers(1, k))
+    ascending = draw(st.permutations(range(n)))
+    sets = draw(st.lists(st.permutations(range(n)).map(lambda p: p[:k]), min_size=1, max_size=20))
+    return ascending, ell, sets
+
+
+def true_model(order: LatentOrder, k: int, ell: int) -> RecoveredModel:
+    """The model exact recovery would return for this order and position."""
+    asc = order.ascending.tolist()
+    low, high = ell - 1, order.n - (k - ell)
+    return RecoveredModel(
+        eligible_order=tuple(asc[low:high]),
+        position_hat=ell,
+        top_ineligible=tuple(asc[high:]),
+        bottom_ineligible=tuple(asc[:low]),
+    )
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=scalar_cases(), form=st.sampled_from(FORMS))
+def test_scalar_answers_equal_evaluate_many(case, form):
+    ascending, ell, sets = case
+    order = LatentOrder(ascending)
+    selector = PositionSelector(len(sets[0]), ell)
+    want = evaluate_many(selector, order, np.array(sets)).tolist()
+
+    oracle = DeterministicOracle(selector, order)
+    answers = [oracle.query(as_form(s, form)) for s in sets]
+    assert answers == want
+    assert all(type(a) is int for a in answers)
+    assert oracle.query_count == len(sets)
+    assert [evaluate(selector, order, as_form(s, form)) for s in sets] == want
+    model = true_model(order, selector.k, ell)
+    assert [predict(model, as_form(s, form)) for s in sets] == want
+
+
+BAD_QUERIES = {
+    "duplicate": (1, 1, 2),
+    "too-small": (0, 1),
+    "too-large": (0, 1, 2, 3),
+    "out-of-range": (0, 1, 6),
+    "negative": (-1, 1, 2),
+    "float-ids": (0.5, 1.9, 3),
+    "integral-floats": (0.0, 1.0, 2.0),
+    "float-array": np.array([0.0, 1.0, 2.0]),
+}
+
+
+def deterministic():
+    return DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(6))
+
+
+def mixed():
+    return MixedOracle(LatentOrder.identity(6), MixtureDistribution((0.5, 0.3, 0.2), 0.09), 0)
+
+
+ENTRY_POINTS = {
+    "DeterministicOracle.query": (deterministic, lambda oracle, s: oracle.query(s)),
+    "MixedOracle.query": (mixed, lambda oracle, s: oracle.query(s)),
+    "MixedOracle.query_repeated": (mixed, lambda oracle, s: oracle.query_repeated(s, 5)),
+    "MixedOracle.query_until": (mixed, lambda oracle, s: oracle.query_until(s, (1, 2), 5)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("bad", BAD_QUERIES)
+def test_malformed_query_rejected_uncounted(entry, bad):
+    make, call = ENTRY_POINTS[entry]
+    oracle = make()
+    for s in ((0, 1, 2), (3, 4, 5), (1, 2, 4)):
+        oracle.query(s)
+    with pytest.raises(InvalidQueryError):
+        call(oracle, BAD_QUERIES[bad])
+    assert oracle.query_count == 3
