@@ -51,7 +51,7 @@ print("never-chosen set found:", sorted(never),
       "| exact:", never == ineligible_set(oracle.selector, hidden_order))
 
 anchors = sorted(never)[: k - 2]
-po = build_partial_order(batch2, anchors, position)
+po = build_partial_order(batch2, n, anchors, position)
 print(f"anchored pairs resolved: {po.resolved_pair_fraction:.4f} "
       f"({po.unresolved_pair_count} pairs left open)")
 

@@ -8,13 +8,17 @@ further query on the lowest k eligibles reads off the selected position,
 and one query per ineligible alternative places it above or below the
 eligible block. Also provides the O(k) type classifier that recovers the
 position (up to reflection) from the k+1 subsets of any (k+1)-set.
+
+Every query goes through ``DeterministicOracle.query``, the one place a
+queried set is normalised and validated; callers pass sets as built.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,18 +51,17 @@ class InconsistentOracleError(RuntimeError):
 
 @dataclass(frozen=True)
 class RecoveryStats:
-    """Per-phase query accounting for one recovery run.
+    """Per-phase query counts for one recovery run.
 
-    trace lists (phase, queried set) in issue order; the position query is
-    the first point at which the algorithm depends on the selected
-    position, which the tests assert.
+    The phases issue their queries in this order (discard, sort, position,
+    classify), and the position query is the first to depend on the
+    selected position.
     """
 
     discard_queries: int
     sort_comparisons: int
     position_queries: int
     classification_queries: int
-    trace: tuple = field(repr=False, default=())
 
     @property
     def total(self) -> int:
@@ -97,15 +100,19 @@ class RecoveredModel:
     def n(self) -> int:
         return len(self.eligible_order) + self.k - 1
 
-    def full_order(self) -> LatentOrder:
-        """Assembled universe order; within-group order of ineligibles is
-        immaterial because the selected position can never fall inside
-        either extreme block."""
+    @cached_property
+    def _full_order(self) -> LatentOrder:
         return LatentOrder(
             list(self.bottom_ineligible)
             + list(self.eligible_order)
             + list(self.top_ineligible)
         )
+
+    def full_order(self) -> LatentOrder:
+        """Assembled universe order, built once per model; within-group
+        order of ineligibles is immaterial because the selected position
+        can never fall inside either extreme block."""
+        return self._full_order
 
     def to_json(self) -> str:
         return json.dumps(
@@ -128,7 +135,7 @@ class RecoveredModel:
         )
 
 
-def discard_ineligible(oracle: DeterministicOracle, _trace=None) -> frozenset:
+def discard_ineligible(oracle: DeterministicOracle) -> frozenset:
     """Find the k-1 never-chosen alternatives in exactly n-k+1 queries.
 
     Each round discards the round's choice and brings in a fresh
@@ -141,10 +148,7 @@ def discard_ineligible(oracle: DeterministicOracle, _trace=None) -> frozenset:
     current = list(range(k))
     choice = None
     for fresh in range(k, n + 1):
-        s = kset(current)
-        choice = oracle.query(s)
-        if _trace is not None:
-            _trace.append(("discard", s))
+        choice = oracle.query(current)
         if fresh < n:
             current.remove(choice)
             current.append(fresh)
@@ -160,29 +164,23 @@ def recover_choice_function(oracle: DeterministicOracle) -> RecoveredModel:
             f"need n - k + 1 >= k eligible alternatives for the position "
             f"query, got n={n}, k={k}"
         )
-    trace: list = []
-
-    ineligible = discard_ineligible(oracle, _trace=trace)
+    ineligible = discard_ineligible(oracle)
     discard_queries = n - k + 1
     padding = tuple(sorted(ineligible)[: k - 2])
     eligible = [x for x in range(n) if x not in ineligible]
 
     def less(u, v):
         # padded query acts as a binary comparison; assume winner = max
-        s = kset((u, v) + padding)
-        winner = oracle.query(s)
-        trace.append(("sort", s))
+        winner = oracle.query((u, v) + padding)
         if winner not in (u, v):
             raise InconsistentOracleError(
-                f"padded comparison {s} answered with an anchor: {winner}"
+                f"padded comparison {(u, v) + padding} answered with an anchor: {winner}"
             )
         return winner == v
 
     eligible_order, sort_comparisons = merge_sort(eligible, less)
 
-    first_k = kset(eligible_order[:k])
-    answer = oracle.query(first_k)
-    trace.append(("position", first_k))
+    answer = oracle.query(eligible_order[:k])
     if answer not in eligible_order[:k]:
         raise InconsistentOracleError("position query answered outside its set")
     position_hat = eligible_order[:k].index(answer) + 1
@@ -190,9 +188,7 @@ def recover_choice_function(oracle: DeterministicOracle) -> RecoveredModel:
     low_block = eligible_order[: k - 1]
     top, bottom = [], []
     for x in sorted(ineligible):
-        s = kset([x] + low_block)
-        answer = oracle.query(s)
-        trace.append(("classify", s))
+        answer = oracle.query([x] + low_block)
         if answer == x:
             # x itself selected: only possible at an extreme position
             side = bottom if position_hat == 1 else top
@@ -202,7 +198,7 @@ def recover_choice_function(oracle: DeterministicOracle) -> RecoveredModel:
             side = top
         else:
             raise InconsistentOracleError(
-                f"classification query {s} answered {answer}, which matches "
+                f"classification query {[x] + low_block} answered {answer}, which matches "
                 f"neither placement of {x}"
             )
         side.append(x)
@@ -218,7 +214,6 @@ def recover_choice_function(oracle: DeterministicOracle) -> RecoveredModel:
         sort_comparisons=sort_comparisons,
         position_queries=1,
         classification_queries=k - 1,
-        trace=tuple(trace),
     )
     return RecoveredModel(
         eligible_order=tuple(eligible_order),
@@ -259,8 +254,7 @@ def classify_type(oracle: DeterministicOracle, witness=None) -> int:
         )
     answers = Counter()
     for excluded in witness:
-        s = kset(x for x in witness if x != excluded)
-        answers[oracle.query(s)] += 1
+        answers[oracle.query([x for x in witness if x != excluded])] += 1
     if len(answers) != 2:
         raise InconsistentOracleError(
             f"expected exactly two distinct answers over the witness "

@@ -158,14 +158,25 @@ class LatentOrder:
         return cls(json.loads(text))
 
 
-def _check_query(k: int, order: LatentOrder, s) -> KSet:
-    """The validation every scalar query makes: s as a k-set over [0, order.n)."""
+def _check_query(k: int, n: int, s) -> KSet:
+    """The validation every scalar query makes: s as a k-set over [0, n)."""
     s = kset(s)
     if len(s) != k:
         raise InvalidQueryError(f"query has {len(s)} members, expected k={k}")
-    if s[0] < 0 or s[-1] >= order.n:
-        raise InvalidQueryError(f"ids out of range [0, {order.n}): {s}")
+    if s[0] < 0 or s[-1] >= n:
+        raise InvalidQueryError(f"ids out of range [0, {n}): {s}")
     return s
+
+
+def _check_sets(k: int, n: int, sets) -> np.ndarray:
+    """The validation every vectorized query makes: sets as an (m, k) int64
+    array with ids in [0, n). Duplicate ids within a row are not checked."""
+    sets = np.asarray(sets, dtype=np.int64)
+    if sets.ndim != 2 or sets.shape[1] != k:
+        raise InvalidQueryError(f"expected (m, {k}) array of k-sets, got shape {sets.shape}")
+    if sets.size and (sets.min() < 0 or sets.max() >= n):
+        raise InvalidQueryError(f"ids out of range [0, {n})")
+    return sets
 
 
 def evaluate(selector: PositionSelector, order: LatentOrder, s) -> Alternative:
@@ -173,7 +184,7 @@ def evaluate(selector: PositionSelector, order: LatentOrder, s) -> Alternative:
 
     Deterministic; always returns a member of s.
     """
-    s = _check_query(selector.k, order, s)
+    s = _check_query(selector.k, order.n, s)
     return sorted(s, key=order._rank_list.__getitem__)[selector.position - 1]
 
 
@@ -181,11 +192,7 @@ def evaluate_many(
     selector: PositionSelector, order: LatentOrder, sets: np.ndarray
 ) -> np.ndarray:
     """Vectorized evaluate over an (m, k) array of k-sets."""
-    sets = np.asarray(sets, dtype=np.int64)
-    if sets.ndim != 2 or sets.shape[1] != selector.k:
-        raise InvalidQueryError(
-            f"expected (m, {selector.k}) array of k-sets, got shape {sets.shape}"
-        )
+    sets = _check_sets(selector.k, order.n, sets)
     ranks = order.ranks(sets)
     idx = np.argsort(ranks, axis=1, kind="stable")[:, selector.position - 1]
     return sets[np.arange(sets.shape[0]), idx]

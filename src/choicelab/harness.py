@@ -307,7 +307,7 @@ def _run_recover_passive(cfg, rng):
     except passive.InsufficientCoverageError:
         return observations, False, 0.0, 1.0
     anchors = sorted(never)[: cfg.k - 2]
-    po = passive.build_partial_order(batch2, anchors, cfg.position)
+    po = passive.build_partial_order(batch2, cfg.n, anchors, cfg.position)
     report = passive.coverage_report(
         po, selector, order, rng=rng3, b=cfg.b, p1=stream.p1, p2=stream.p2
     )

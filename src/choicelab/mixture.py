@@ -176,8 +176,8 @@ class NoisyComparator:
 
     Anchors must be ineligible to the selector whose answers carry the
     signal, so the only informative outcomes are the two free positions;
-    compare() re-queries until one of the pair is returned (geometric
-    retries) and reports it as the winner.
+    compare_wins() re-queries until one of the pair is returned (geometric
+    retries), as many times as asked, and counts the wins.
     """
 
     def __init__(self, oracle: MixedOracle, anchors):
@@ -190,34 +190,12 @@ class NoisyComparator:
         self.anchors = anchors
 
     def padded(self, u: int, v: int) -> tuple:
-        return kset((u, v) + self.anchors)
-
-    def compare(self, u: int, v: int) -> int:
-        outcomes, _ = self.oracle.query_until(self.padded(u, v), (u, v), 1)
-        return int(outcomes[0])
+        return (u, v) + self.anchors
 
     def compare_wins(self, u: int, v: int, count: int) -> int:
         """Number of times u wins among count informative outcomes."""
         outcomes, _ = self.oracle.query_until(self.padded(u, v), (u, v), count)
         return int((outcomes == u).sum())
-
-    # Ground-truth diagnostics (simulation only; inference never reads these).
-
-    def true_positions(self, u: int, v: int) -> tuple:
-        members = sorted(self.padded(u, v), key=self.oracle.order.rank_of)
-        return members.index(u) + 1, members.index(v) + 1
-
-    def true_fail_prob(self, u: int, v: int) -> float:
-        pu, pv = self.true_positions(u, v)
-        probs = self.oracle.mixture.probs
-        return 1.0 - probs[pu - 1] - probs[pv - 1]
-
-    def true_win_prob(self, u: int, v: int) -> float:
-        """Probability the embedding-greater element wins an informative outcome."""
-        pu, pv = self.true_positions(u, v)
-        probs = self.oracle.mixture.probs
-        hi, lo = max(pu, pv), min(pu, pv)
-        return probs[hi - 1] / (probs[hi - 1] + probs[lo - 1])
 
 
 def majority_repetitions(m: int, gamma: float, epsilon_sort: float) -> int:

@@ -149,7 +149,7 @@ class MixedOracle:
         return self._count
 
     def _members_by_rank(self, s) -> list:
-        return sorted(_check_query(self.k, self.order, s), key=self.order.rank_of)
+        return sorted(_check_query(self.k, self.order.n, s), key=self.order.rank_of)
 
     def query(self, s) -> int:
         members = self._members_by_rank(s)

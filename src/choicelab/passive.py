@@ -22,6 +22,8 @@ from .core import (
     InvalidQueryError,
     LatentOrder,
     PositionSelector,
+    _check_query,
+    _check_sets,
     all_ksets,
     evaluate_many,
     kset,
@@ -93,44 +95,36 @@ def find_ineligible_passive(batch: ObservationBatch, universe_size: int) -> froz
 class InferredPartialOrder:
     """Transitive closure of the anchored-pair orientations.
 
+    elements lists the non-anchor ids in ascending order and index maps
+    each id of the universe to its row in beats (-1 for an anchor).
     beats[i, j] means element i wins against j under the stream's
     consistent orientation (winner-is-greater by convention; the true
     reading may be the reflection). Antisymmetric and transitive by
     construction; construction fails on any cycle.
     """
 
-    def __init__(self, elements: np.ndarray, beats: np.ndarray, anchors, position: int):
-        self.elements = elements
+    def __init__(self, index: np.ndarray, beats: np.ndarray, anchors, position: int):
+        self.index = index
+        self.elements = np.flatnonzero(index >= 0)
         self.beats = beats
         self.anchors = kset(anchors)
         self.position = int(position)
-        self._index = {int(e): i for i, e in enumerate(elements)}
-        self.elements.setflags(write=False)
-        self.beats.setflags(write=False)
+        for array in (self.index, self.elements, self.beats):
+            array.setflags(write=False)
 
     @property
     def universe_size(self) -> int:
-        return len(self.elements) + len(self.anchors)
+        return len(self.index)
 
     @property
     def k(self) -> int:
         return len(self.anchors) + 2
 
-    def covers(self, alternative: int) -> bool:
-        return alternative in self._index
-
     def resolved(self, u: int, v: int) -> bool:
         if u == v:
             return True
-        try:
-            i, j = self._index[u], self._index[v]
-        except KeyError:
-            return False
-        return bool(self.beats[i, j] or self.beats[j, i])
-
-    def greater(self, u: int, v: int) -> bool:
-        """u beats v under the stored orientation."""
-        return bool(self.beats[self._index[u], self._index[v]])
+        i, j = self.index[_check_sets(2, self.universe_size, [[u, v]])[0]]
+        return bool(i >= 0 and j >= 0 and (self.beats[i, j] or self.beats[j, i]))
 
     @property
     def unresolved_pair_count(self) -> int:
@@ -175,15 +169,17 @@ def _transitive_closure(direct: np.ndarray) -> np.ndarray:
 
 
 def build_partial_order(
-    batch: ObservationBatch, anchors, position: int
+    batch: ObservationBatch, universe_size: int, anchors, position: int
 ) -> InferredPartialOrder:
-    """Extract anchored-pair orientations from a phase-2 batch and close them.
+    """Extract anchored-pair orientations from a phase-2 batch over the ids
+    [0, universe_size) and close them.
 
     Only records whose set is exactly {u, v} plus the anchors contribute;
     the record's choice is the pair's winner under the stream's fixed
-    convention. Contradictory orientations for one pair, a choice falling
-    on an anchor, or any cycle raise InconsistentStreamError (impossible
-    for a noiseless position-selecting source with correct anchors).
+    convention. Every non-anchor id is an element of the result, observed
+    or not. Contradictory orientations for one pair, a choice falling on
+    an anchor, or any cycle raise InconsistentStreamError (impossible for
+    a noiseless position-selecting source with correct anchors).
     """
     anchors = kset(anchors)
     k = batch.k
@@ -191,19 +187,19 @@ def build_partial_order(
         raise ValueError(f"need exactly k-2={k - 2} anchors, got {len(anchors)}")
     if not 2 <= position <= k - 1:
         raise ValueError(f"position must lie in [2, k-1], got {position}")
-    universe = int(batch.sets.max(initial=-1)) + 1 if len(batch) else 0
-    universe = max(universe, (max(anchors) + 1) if anchors else 0)
-    elements = np.setdiff1d(np.arange(universe), np.asarray(anchors, dtype=np.int64))
-    index = np.full(universe, -1, dtype=np.int64)
+    if anchors[0] < 0 or anchors[-1] >= universe_size:
+        raise InvalidQueryError(f"anchors out of range [0, {universe_size}): {anchors}")
+    anchor_arr = np.asarray(anchors, dtype=np.int64)
+    elements = np.setdiff1d(np.arange(universe_size), anchor_arr)
+    index = np.full(universe_size, -1, dtype=np.int64)
     index[elements] = np.arange(elements.size)
 
-    anchor_arr = np.asarray(anchors, dtype=np.int64)
     free = ~np.isin(batch.sets, anchor_arr)
     free_count = np.zeros(len(batch), dtype=np.int64)
     for column in free.T:  # k column adds: ~5x faster than sum(axis=1) at k=3
         free_count += column
     mask = free_count == 2
-    pairs = batch.sets[mask][free[mask]].reshape(-1, 2)
+    pairs = _check_sets(2, universe_size, batch.sets[mask][free[mask]].reshape(-1, 2))
     winners = batch.choices[mask]
     if pairs.size and not ((winners == pairs[:, 0]) | (winners == pairs[:, 1])).all():
         raise InconsistentStreamError("an anchored record chose an anchor")
@@ -211,72 +207,47 @@ def build_partial_order(
     v = elements.size
     direct = np.zeros((v, v), dtype=bool)
     losers = np.where(winners == pairs[:, 0], pairs[:, 1], pairs[:, 0])
-    wi, li = index[winners], index[losers]
-    if np.any(direct[li, wi]):
-        raise InconsistentStreamError("contradictory orientations for a pair")
-    direct[wi, li] = True
+    direct[index[winners], index[losers]] = True
     if np.any(direct & direct.T):
         raise InconsistentStreamError("contradictory orientations for a pair")
-
-    reach = _transitive_closure(direct)
-    if np.any(reach & reach.T):
-        raise InconsistentStreamError("orientation cycle in observed comparisons")
-    return InferredPartialOrder(elements, reach, anchors, position)
+    return InferredPartialOrder(index, _transitive_closure(direct), anchors, position)
 
 
 def answer_query(po: InferredPartialOrder, s, position: int | None = None):
-    """The inferred choice for a k-set, or UNRESOLVED.
-
-    UNRESOLVED whenever the set touches an anchor or contains an
-    unresolved pair; otherwise the element at the requested position of
-    the set under the stored orientation. Every resolved answer is correct
-    under one global reading of the orientation (possibly the reflected
-    position; the scorer tries both).
-    """
-    s = kset(s)
-    if len(s) != po.k:
-        raise InvalidQueryError(f"query has {len(s)} members, expected k={po.k}")
+    """The inferred choice for one k-set, or UNRESOLVED: answer_many on a
+    single row, after the scalar validation of s."""
+    s = _check_query(po.k, po.universe_size, s)
     position = po.position if position is None else position
-    if not all(po.covers(x) for x in s):
-        return UNRESOLVED
-    idx = [po._index[x] for x in s]
-    sub = po.beats[np.ix_(idx, idx)]
-    if not (sub | sub.T | np.eye(len(s), dtype=bool)).all():
-        return UNRESOLVED
-    wins = sub.sum(axis=1)  # number of members each element beats
-    target = position - 1  # ascending rank = wins under greater-convention
-    return int(s[int(np.nonzero(wins == target)[0][0])])
+    answer = int(answer_many(po, np.array([s]), position)[0])
+    return UNRESOLVED if answer == -1 else answer
 
 
 def answer_many(po: InferredPartialOrder, sets: np.ndarray, position: int) -> np.ndarray:
-    """Vectorized answer_query; -1 marks UNRESOLVED."""
-    sets = np.asarray(sets, dtype=np.int64)
+    """The inferred choice for each row of an (m, k) array of k-sets; -1
+    marks UNRESOLVED.
+
+    A row is UNRESOLVED whenever it touches an anchor or contains an
+    unresolved pair; otherwise its answer is the member at the requested
+    position under the stored orientation. Every resolved answer is
+    correct under one global reading of the orientation (possibly the
+    reflected position; the scorer tries both).
+    """
+    sets = _check_sets(po.k, po.universe_size, sets)
     m, k = sets.shape
-    universe = po.universe_size
-    covered = ~np.isin(sets, np.asarray(po.anchors, dtype=np.int64)).any(axis=1)
-    covered &= (sets < universe).all(axis=1)
-
-    idx = np.zeros_like(sets)
-    lookup = np.full(universe, -1, dtype=np.int64)
-    lookup[po.elements] = np.arange(po.elements.size)
-    idx[covered] = lookup[sets[covered]]
-
+    idx = po.index[sets]
+    # an anchor's index -1 reads the last row of beats; such rows start unresolved
+    resolved = (idx >= 0).all(axis=1)
     wins = np.zeros((m, k), dtype=np.int64)
-    resolved = covered.copy()
     for a in range(k):
         for b in range(a + 1, k):
-            ab = np.zeros(m, dtype=bool)
-            ba = np.zeros(m, dtype=bool)
-            ab[covered] = po.beats[idx[covered, a], idx[covered, b]]
-            ba[covered] = po.beats[idx[covered, b], idx[covered, a]]
+            ab = po.beats[idx[:, a], idx[:, b]]
+            ba = po.beats[idx[:, b], idx[:, a]]
             resolved &= ab | ba
             wins[:, a] += ab
             wins[:, b] += ba
 
     out = np.full(m, -1, dtype=np.int64)
-    hit = wins == (position - 1)
-    rows = resolved
-    out[rows] = sets[rows, np.argmax(hit[rows], axis=1)]
+    out[resolved] = sets[resolved, np.argmax(wins[resolved] == position - 1, axis=1)]
     return out
 
 

@@ -233,7 +233,7 @@ def test_criterion_07_passive_recovery():
         batch2 = sample_phase(stream, 2, n, k, oracle, r2)
         never = find_ineligible_passive(batch1, n)
         anchors = sorted(never)[: k - 2]
-        po = build_partial_order(batch2, anchors, position)
+        po = build_partial_order(batch2, n, anchors, position)
         if po.unresolved_pair_count / math.comb(n - k + 2, 2) <= 0.02:
             unresolved_ok += 1
         sets = unrank_combinations(

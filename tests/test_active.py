@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from choicelab import active
 from choicelab.active import (
     InconsistentOracleError,
     RecoveredModel,
@@ -19,13 +20,27 @@ from choicelab.core import (
     InvalidQueryError,
     LatentOrder,
     PositionSelector,
+    all_ksets,
     canonical_position,
     evaluate,
     evaluate_many,
     ineligible_set,
+    kset,
 )
 from choicelab.harness import sorting_lower_bound
 from choicelab.oracles import DeterministicOracle
+
+
+class RecordingOracle(DeterministicOracle):
+    """Logs every queried set, normalised, in issue order."""
+
+    def __init__(self, selector, order):
+        super().__init__(selector, order)
+        self.log = []
+
+    def query(self, s):
+        self.log.append(kset(s))
+        return super().query(s)
 
 
 def make_oracle(n, k, position, order=None):
@@ -118,26 +133,45 @@ class TestRecover:
             recover_choice_function(oracle)
 
     def test_no_position_dependence_before_position_query(self):
-        # phases must appear in discard, sort, position, classify order
-        oracle, _ = make_oracle(10, 3, 2)
-        model = recover_choice_function(oracle)
-        phases = [p for p, _ in model.stats.trace]
-        boundaries = [phases.index(p) for p in ("discard", "sort", "position", "classify")]
-        assert boundaries == sorted(boundaries)
-        assert phases.count("position") == 1
+        # the log splits by the stats counts into discard, sort, position
+        # and classify queries, each of the shape its phase must issue
+        rng = np.random.default_rng(5)
+        for n, k, position in [(10, 3, 2), (11, 4, 1), (12, 5, 3), (9, 2, 2)]:
+            oracle = RecordingOracle(PositionSelector(k, position), LatentOrder.random(n, rng))
+            model = recover_choice_function(oracle)
+            stats = model.stats
+            assert len(oracle.log) == stats.total == oracle.query_count
+            discard = stats.discard_queries
+            sort_end = discard + stats.sort_comparisons
+            sort_queries = oracle.log[discard:sort_end]
+            position_end = sort_end + stats.position_queries
+            [position_query] = oracle.log[sort_end:position_end]
+            classify_queries = oracle.log[position_end:]
+            assert len(classify_queries) == stats.classification_queries == k - 1
+
+            ineligible = model.bottom_ineligible + model.top_ineligible
+            padding = set(sorted(ineligible)[: k - 2])
+            assert sort_queries and all(padding <= set(s) for s in sort_queries)
+            assert position_query == kset(model.eligible_order[:k])
+            low_block = set(model.eligible_order[: k - 1])
+            assert all(low_block <= set(s) for s in classify_queries)
+            assert [set(s) - low_block for s in classify_queries] == [
+                {x} for x in sorted(ineligible)
+            ]
 
     def test_reflection_blind_query_sequence(self):
         # a reflected oracle answers every set identically, so the full
-        # query trace (which never consults the position until the final
-        # query) must be identical as well
+        # query sequence (which never consults the position until the
+        # position query) must be identical as well
         rng = np.random.default_rng(4)
         order = LatentOrder.random(9, rng)
         for k, position in [(3, 1), (3, 2), (4, 2)]:
-            o1, _ = make_oracle(9, k, position, order)
-            o2, _ = make_oracle(9, k, k - position + 1, order.reversed())
+            o1 = RecordingOracle(PositionSelector(k, position), order)
+            o2 = RecordingOracle(PositionSelector(k, k - position + 1), order.reversed())
             m1 = recover_choice_function(o1)
             m2 = recover_choice_function(o2)
-            assert m1.stats.trace == m2.stats.trace
+            assert len(o1.log) == m1.stats.total > 0
+            assert o1.log == o2.log
             assert m1.position_hat == m2.position_hat
             assert m1.eligible_order == m2.eligible_order
 
@@ -165,6 +199,23 @@ class TestPredict:
         model = recover_choice_function(oracle)
         with pytest.raises(InvalidQueryError):
             predict(model, (0, 1, 6))
+
+    def test_repeated_predict_builds_order_once(self, monkeypatch):
+        built = []
+
+        def counting_order(ascending):
+            built.append(ascending)
+            return LatentOrder(ascending)
+
+        monkeypatch.setattr(active, "LatentOrder", counting_order)
+        rng = np.random.default_rng(6)
+        oracle, _ = make_oracle(11, 4, 3, LatentOrder.random(11, rng))
+        model = recover_choice_function(oracle)
+        sets = all_ksets(11, 4)
+        scalar = [predict(model, s) for s in sets]
+        assert scalar == predict_many(model, sets).tolist()
+        assert model.full_order() is model.full_order()
+        assert len(built) == 1
 
     def test_json_roundtrip(self):
         oracle, _ = make_oracle(7, 3, 2)

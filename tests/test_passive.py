@@ -5,8 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from choicelab.core import LatentOrder, PositionSelector, evaluate, evaluate_many, ineligible_set
+from choicelab.core import (
+    InvalidQueryError,
+    LatentOrder,
+    PositionSelector,
+    all_ksets,
+    evaluate,
+    evaluate_many,
+    ineligible_set,
+)
 from choicelab.oracles import (
     DeterministicOracle,
     ObservationBatch,
@@ -80,7 +90,7 @@ class TestBuildPartialOrder:
         anchors = (0,)
         pairs = list(itertools.combinations(range(1, n), 2))
         batch = anchored_batch(order, k, position, anchors, pairs)
-        po = build_partial_order(batch, anchors, position)
+        po = build_partial_order(batch, n, anchors, position)
         assert po.unresolved_pair_count == 0
         assert po.resolved_pair_fraction == 1.0
 
@@ -89,7 +99,7 @@ class TestBuildPartialOrder:
         order = LatentOrder.identity(n)
         anchors = (0,)
         batch = anchored_batch(order, k, position, anchors, [(1, 2), (2, 3)])
-        po = build_partial_order(batch, anchors, position)
+        po = build_partial_order(batch, n, anchors, position)
         assert po.resolved(1, 3)  # transitivity
         assert not po.resolved(1, 4)
         assert not po.resolved(3, 4)
@@ -99,12 +109,12 @@ class TestBuildPartialOrder:
         choices = np.array([1, 2])
         batch = ObservationBatch(sets, choices)
         with pytest.raises(InconsistentStreamError):
-            build_partial_order(batch, (0,), 2)
+            build_partial_order(batch, 3, (0,), 2)
 
     def test_anchor_choice_detected(self):
         batch = ObservationBatch(np.array([[0, 1, 2]]), np.array([0]))
         with pytest.raises(InconsistentStreamError):
-            build_partial_order(batch, (0,), 2)
+            build_partial_order(batch, 3, (0,), 2)
 
     def test_monotone_coverage_under_superset_coupling(self):
         n, k, position = 12, 3, 2
@@ -119,7 +129,7 @@ class TestBuildPartialOrder:
                 fractions.append(0.0)
                 continue
             batch = anchored_batch(order, k, position, anchors, chosen)
-            po = build_partial_order(batch, anchors, position)
+            po = build_partial_order(batch, n, anchors, position)
             fractions.append(po.resolved_pair_fraction)
         assert all(a <= b for a, b in zip(fractions, fractions[1:]))
 
@@ -139,10 +149,37 @@ class TestBuildPartialOrder:
             np.concatenate([oracle.query_many(others[:2]), anchored.choices,
                             oracle.query_many(others[2:])]),
         )
-        want = build_partial_order(anchored, anchors, position)
-        got = build_partial_order(mixed, anchors, position)
+        want = build_partial_order(anchored, n, anchors, position)
+        got = build_partial_order(mixed, n, anchors, position)
         assert np.array_equal(got.elements, want.elements)
         assert np.array_equal(got.beats, want.beats)
+
+
+    def test_three_cycle_detected(self):
+        # 2 beats 1, 3 beats 2, 1 beats 3: no pair contradicts directly
+        batch = ObservationBatch(
+            np.array([[0, 1, 2], [0, 2, 3], [0, 1, 3]]), np.array([2, 3, 1])
+        )
+        with pytest.raises(InconsistentStreamError, match="cycle"):
+            build_partial_order(batch, 4, (0,), 2)
+
+    def test_unobserved_id_counts_toward_universe(self):
+        # id 7 appears in no record; its 6 pairs stay unresolved
+        n, k, position = 8, 3, 2
+        order = LatentOrder.identity(n)
+        pairs = list(itertools.combinations(range(1, 7), 2))
+        batch = anchored_batch(order, k, position, (0,), pairs)
+        po = build_partial_order(batch, n, (0,), position)
+        assert po.universe_size == n
+        assert po.unresolved_pair_count == 6
+        assert po.resolved_pair_fraction == pytest.approx(15 / 21)
+        assert not po.resolved(1, 7)
+
+    def test_out_of_range_anchor_rejected(self):
+        batch = ObservationBatch(np.array([[0, 1, 2]]), np.array([1]))
+        for anchors in ((-1,), (3,)):
+            with pytest.raises(InvalidQueryError):
+                build_partial_order(batch, 3, anchors, 2)
 
 
 class TestAnswerQuery:
@@ -153,7 +190,7 @@ class TestAnswerQuery:
         pairs = list(itertools.combinations(range(1, self.n), 2))
         pairs.remove((4, 5))  # leave one adjacent pair unobserved
         batch = anchored_batch(self.order, self.k, self.position, self.anchors, pairs)
-        self.po = build_partial_order(batch, self.anchors, self.position)
+        self.po = build_partial_order(batch, self.n, self.anchors, self.position)
 
     def test_resolved_median(self):
         assert answer_query(self.po, (1, 3, 7)) == 3
@@ -163,6 +200,13 @@ class TestAnswerQuery:
 
     def test_unresolved_pair_propagates(self):
         assert answer_query(self.po, (4, 5, 8)) is UNRESOLVED
+
+    def test_out_of_range_ids_rejected(self):
+        for bad in ([[-1, 2, 3]], [[1, 2, 9]], [[1, 2]]):
+            with pytest.raises(InvalidQueryError):
+                answer_many(self.po, bad, self.position)
+            with pytest.raises(InvalidQueryError):
+                answer_query(self.po, bad[0])
 
     def test_vectorized_matches_scalar(self):
         sets = np.array(list(itertools.combinations(range(self.n), self.k)))
@@ -179,7 +223,7 @@ class TestCoverage:
         anchors = (0,)
         pairs = list(itertools.combinations(range(1, n), 2))
         batch = anchored_batch(order, k, position, anchors, pairs)
-        po = build_partial_order(batch, anchors, position)
+        po = build_partial_order(batch, n, anchors, position)
         # anchor-containing sets stay unresolved; everything in range is exact
         report = coverage_report(po, PositionSelector(k, position), order)
         anchor_sets = math.comb(n - 1, k - 1) / math.comb(n, k)
@@ -192,11 +236,11 @@ class TestCoverage:
         anchors = (0,)
         all_pairs = list(itertools.combinations(range(1, n), 2))
         full = build_partial_order(
-            anchored_batch(order, k, position, anchors, all_pairs), anchors, position
+            anchored_batch(order, k, position, anchors, all_pairs), n, anchors, position
         )
         missing = [p for p in all_pairs if p != (4, 5)]
         partial = build_partial_order(
-            anchored_batch(order, k, position, anchors, missing), anchors, position
+            anchored_batch(order, k, position, anchors, missing), n, anchors, position
         )
         sets = np.array(list(itertools.combinations(range(n), k)))
         truth = evaluate_many(PositionSelector(k, position), order, sets)
@@ -220,7 +264,7 @@ class TestCoverage:
             never = find_ineligible_passive(b1, n)
             assert never == ineligible_set(selector, order)
             anchors = sorted(never)[: k - 2]
-            po = build_partial_order(b2, anchors, position)
+            po = build_partial_order(b2, n, anchors, position)
             sets = np.array(list(itertools.combinations(range(n), k)))
             truth = evaluate_many(selector, order, sets)
             sound = []
@@ -238,7 +282,7 @@ class TestCoverage:
         anchors = (0,)
         pairs = list(itertools.combinations(range(1, n), 2))
         po = build_partial_order(
-            anchored_batch(order, k, position, anchors, pairs), anchors, position
+            anchored_batch(order, k, position, anchors, pairs), n, anchors, position
         )
         report = coverage_report(
             po, PositionSelector(k, position), order, b=8.0, p1=0.5, p2=0.7
@@ -278,3 +322,36 @@ class TestRevealingCounts:
     def test_k3_minimum_is_exactly_n_minus_2(self):
         for n in range(5, 31):
             assert min_revealing_count(n, 3, 2) == n - 2
+
+
+@st.composite
+def anchored_streams(draw):
+    """A random small order and position, anchored on k-2 of its
+    ineligibles, and a random nonempty set of observed anchored pairs."""
+    k = draw(st.integers(3, 4))
+    n = draw(st.integers(k + 1, 9))
+    position = draw(st.integers(2, k - 1))
+    order = LatentOrder(draw(st.permutations(range(n))))
+    anchors = sorted(ineligible_set(PositionSelector(k, position), order))[: k - 2]
+    free = [x for x in range(n) if x not in anchors]
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(free, 2))),
+                          min_size=1, unique=True))
+    po = build_partial_order(anchored_batch(order, k, position, anchors, pairs),
+                             n, anchors, position)
+    return order, PositionSelector(k, position), po
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(case=anchored_streams())
+def test_answer_query_is_answer_many_and_sound(case):
+    order, selector, po = case
+    sets = all_ksets(order.n, selector.k)
+    truth = evaluate_many(selector, order, sets)
+    sound = []
+    for pos in (selector.position, selector.k - selector.position + 1):
+        many = answer_many(po, sets, pos)
+        scalar = [answer_query(po, row, pos) for row in sets]
+        assert scalar == [UNRESOLVED if a == -1 else a for a in many.tolist()]
+        resolved = many != -1
+        sound.append(bool((many[resolved] == truth[resolved]).all()))
+    assert any(sound)  # every resolved answer holds under one global reading

@@ -105,3 +105,23 @@ def test_malformed_query_rejected_uncounted(entry, bad):
     with pytest.raises(InvalidQueryError):
         call(oracle, BAD_QUERIES[bad])
     assert oracle.query_count == 3
+
+
+BAD_ROWS = {
+    "negative": [[-1, 0, 1]],
+    "too-large": [[0, 1, 6]],
+    "among-valid": [[0, 1, 2], [3, 4, 6]],
+    "wrong-width": [[0, 1]],
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ROWS)
+def test_vectorized_malformed_sets_rejected_uncounted(bad):
+    selector, order = PositionSelector(3, 2), LatentOrder.identity(6)
+    with pytest.raises(InvalidQueryError):
+        evaluate_many(selector, order, BAD_ROWS[bad])
+    oracle = deterministic()
+    oracle.query_many(np.array([(0, 1, 2), (3, 4, 5)]))
+    with pytest.raises(InvalidQueryError):
+        oracle.query_many(np.array(BAD_ROWS[bad]))
+    assert oracle.query_count == 2

@@ -1,6 +1,8 @@
 """Counting merge sort used by every comparison-budgeted algorithm."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choicelab.sorting import merge_sort, merge_sort_comparison_bound
 
@@ -33,3 +35,17 @@ def test_bound_edge_cases():
     assert merge_sort_comparison_bound(2) == 1
     # 98 elements stay under the 600 budget used by the n=100 recovery check
     assert merge_sort_comparison_bound(98) <= 600
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(items=st.lists(st.integers(), unique=True, max_size=80))
+def test_sorted_within_bound(items):
+    calls = []
+
+    def less(a, b):
+        calls.append((a, b))
+        return a < b
+
+    got, count = merge_sort(items, less)
+    assert got == sorted(items)
+    assert count == len(calls) <= merge_sort_comparison_bound(len(items))
