@@ -170,12 +170,17 @@ def _check_query(k: int, n: int, s) -> KSet:
 
 def _check_sets(k: int, n: int, sets) -> np.ndarray:
     """The validation every vectorized query makes: sets as an (m, k) int64
-    array with ids in [0, n). Duplicate ids within a row are not checked."""
+    array of rows with k distinct ids in [0, n)."""
     sets = np.asarray(sets, dtype=np.int64)
     if sets.ndim != 2 or sets.shape[1] != k:
         raise InvalidQueryError(f"expected (m, {k}) array of k-sets, got shape {sets.shape}")
     if sets.size and (sets.min() < 0 or sets.max() >= n):
         raise InvalidQueryError(f"ids out of range [0, {n})")
+    # one column pair at a time: no sort, which passive scoring's 1.6M rows would pay
+    for left, right in itertools.combinations([sets[:, a] for a in range(k)], 2):
+        same = left == right
+        if np.count_nonzero(same):
+            raise InvalidQueryError(f"duplicate ids in k-set: {sets[same.argmax()].tolist()}")
     return sets
 
 

@@ -322,13 +322,14 @@ def coverage_report(
     best = None
     for reading, pos in (("stored", position), ("reflected", k - position + 1)):
         answers = answer_many(po, sets, pos)
-        frac = float((answers == truth).mean())
-        if best is None or frac > best[1]:
-            best = (reading, frac, answers)
-    reading, frac_correct, answers = best
-    frac_unresolved = float((answers == -1).mean())
+        hits = int((answers == truth).sum())
+        if best is None or hits > best[1]:
+            best = (reading, hits, answers)
+    reading, hits, answers = best
     count = len(sets)
-    lo, hi = clopper_pearson(int(round(frac_correct * count)), count)
+    frac_correct = hits / count
+    frac_unresolved = float((answers == -1).mean())
+    lo, hi = clopper_pearson(hits, count)
     return CoverageReport(
         n=n,
         k=k,

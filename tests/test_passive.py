@@ -208,6 +208,11 @@ class TestAnswerQuery:
             with pytest.raises(InvalidQueryError):
                 answer_query(self.po, bad[0])
 
+    def test_duplicate_ids_rejected(self):
+        for bad in ([[2, 2, 3]], [[1, 3, 7], [4, 8, 4]]):
+            with pytest.raises(InvalidQueryError, match="duplicate"):
+                answer_many(self.po, bad, self.position)
+
     def test_vectorized_matches_scalar(self):
         sets = np.array(list(itertools.combinations(range(self.n), self.k)))
         answers = answer_many(self.po, sets, self.position)

@@ -112,6 +112,8 @@ BAD_ROWS = {
     "too-large": [[0, 1, 6]],
     "among-valid": [[0, 1, 2], [3, 4, 6]],
     "wrong-width": [[0, 1]],
+    "duplicate": [[1, 1, 2]],
+    "duplicate-among-valid": [[0, 1, 2], [3, 5, 3]],
 }
 
 
