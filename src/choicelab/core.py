@@ -197,9 +197,13 @@ def evaluate_many(
     selector: PositionSelector, order: LatentOrder, sets: np.ndarray
 ) -> np.ndarray:
     """Vectorized evaluate over an (m, k) array of k-sets."""
-    sets = _check_sets(selector.k, order.n, sets)
-    ranks = order.ranks(sets)
-    idx = np.argsort(ranks, axis=1, kind="stable")[:, selector.position - 1]
+    return _select_many(selector.position, order, _check_sets(selector.k, order.n, sets))
+
+
+def _select_many(position: int, order: LatentOrder, sets: np.ndarray) -> np.ndarray:
+    """The position-th smallest member of each row of sets, which must
+    already have passed _check_sets."""
+    idx = np.argsort(order.ranks(sets), axis=1, kind="stable")[:, position - 1]
     return sets[np.arange(sets.shape[0]), idx]
 
 

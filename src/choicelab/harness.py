@@ -19,6 +19,7 @@ from . import active, distance, mixture, passive
 from .core import (
     LatentOrder,
     PositionSelector,
+    _select_many,
     all_ksets,
     canonical_position,
     evaluate_many,
@@ -229,9 +230,9 @@ def _check_predictions(model, selector, order, rng, sample_limit=10_000):
         sets = all_ksets(n, k)
     else:
         sets = unrank_combinations(rng.integers(0, total, size=sample_limit), n, k)
-    return bool(
-        (active.predict_many(model, sets) == evaluate_many(selector, order, sets)).all()
-    )
+    truth = evaluate_many(selector, order, sets)  # the one validation of sets
+    predicted = _select_many(model.position_hat, model.full_order(), sets)
+    return bool((predicted == truth).all())
 
 
 def _run_recover_active(cfg, rng):

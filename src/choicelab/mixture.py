@@ -82,7 +82,11 @@ def repetition_count(delta: float, epsilon: float, k: int) -> int:
 
 
 def answer_frequencies(oracle: MixedOracle, s, reps: int) -> dict:
-    """Query the k-set s reps times; map each member to its answer frequency."""
+    """Query the k-set s reps times; map each member to its answer frequency.
+
+    Only the answer counts are read: the oracle draws them as one
+    multinomial variate and returns the answers grouped by member.
+    """
     members = kset(s)
     outcomes = oracle.query_repeated(members, reps)
     counts = np.bincount(np.searchsorted(members, outcomes), minlength=len(members))
@@ -177,7 +181,9 @@ class NoisyComparator:
     Anchors must be ineligible to the selector whose answers carry the
     signal, so the only informative outcomes are the two free positions;
     compare_wins() re-queries until one of the pair is returned (geometric
-    retries), as many times as asked, and counts the wins.
+    retries), as many times as asked, and counts the wins. The oracle
+    draws those wins as one binomial variate and returns the outcomes
+    grouped by member, so only the count is read.
     """
 
     def __init__(self, oracle: MixedOracle, anchors):

@@ -5,15 +5,23 @@ seedable numpy PCG64 generator and a query counter; rejected queries are
 not counted. Batched entry points (query_many, query_repeated,
 query_until) draw the same distributions as the equivalent sequential
 query() loops with exact query accounting, which keeps the Monte Carlo
-acceptance runs in the minutes range. query_until draws its raw query
-total, the sum of count geometric retry lengths, as one negative-binomial
-variate.
+acceptance runs in the minutes range.
+
+The mixed oracle's repeated queries draw counts, not answers:
+query_repeated draws how often each member is chosen as one multinomial
+variate, and query_until draws its raw query total, the sum of count
+geometric retry lengths, as one negative-binomial variate and the wins
+of the first pair member as one binomial variate. Each returns the counts
+expanded into an answer array grouped by member, so the multiset of
+answers is random but their order is not: a prefix of the array is not
+a subsample, and callers read only how often each member appears.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -158,11 +166,18 @@ class MixedOracle:
         return members[pos]
 
     def query_repeated(self, s, count: int) -> np.ndarray:
-        """count independent answers to the same set; counts count queries."""
-        members = np.asarray(self._members_by_rank(s))
-        positions = self._rng.choice(self.k, size=int(count), p=self._probs)
-        self._count += int(count)
-        return members[positions]
+        """count independent answers to the same set; counts count queries.
+
+        The answers come grouped by member, in rank order: only how often
+        each member appears is random, drawn as one multinomial variate
+        over pi. Read the array as a multiset, never a prefix of it as a
+        subsample.
+        """
+        members = self._members_by_rank(s)
+        count = _check_count(count)
+        chosen = self._rng.multinomial(count, self._probs)
+        self._count += count
+        return np.repeat(members, chosen)
 
     def query_until(self, s, pair, count: int):
         """Repeat the query until the answer lands in ``pair``, ``count`` times over.
@@ -171,22 +186,36 @@ class MixedOracle:
         accounting match the sequential repeat-until loop: retry lengths are
         geometric in the probability mass p of the pair's positions, so the
         raw total is count plus one negative-binomial(count, p) draw of
-        uninformative answers.
+        uninformative answers, and the wins of u are one
+        binomial(count, pu/p) draw. The answers come grouped, every win of
+        u before every win of v: only the win count is random, so never
+        read a prefix of the array as a subsample.
         """
         members = self._members_by_rank(s)
         u, v = pair
         if u not in members or v not in members or u == v:
             raise InvalidQueryError(f"pair {pair} must be two distinct members of {s}")
+        count = _check_count(count)
+        if count == 0:
+            return np.empty(0, dtype=np.int64), 0
         pu = self._probs[members.index(u)]
         pv = self._probs[members.index(v)]
         informative = pu + pv
-        count = int(count)
-        if count == 0:
-            return np.empty(0, dtype=np.int64), 0
         raw = count + int(self._rng.negative_binomial(count, informative))
-        wins_u = self._rng.random(count) < pu / informative
+        wins_u = int(self._rng.binomial(count, pu / informative))
         self._count += raw
-        return np.where(wins_u, u, v), raw
+        return np.repeat((u, v), (wins_u, count - wins_u)), raw
+
+
+def _check_count(count) -> int:
+    """A repeat count as a non-negative int; floats are rejected, never truncated."""
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise InvalidQueryError(f"count must be an integer, got {count!r}") from None
+    if count < 0:
+        raise InvalidQueryError(f"count must be non-negative, got {count}")
+    return count
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,78 @@ class TestMixedOracle:
         assert oracle.query_count == 0
 
 
+def reference_repeated_counts(probs, count, rng):
+    """The per-answer path query_repeated replaced: one categorical draw per
+    answer, then the count of each rank position."""
+    positions = rng.choice(len(probs), size=count, p=probs)
+    return np.bincount(positions, minlength=len(probs))
+
+
+def reference_wins(pu, pv, count, rng):
+    """The per-answer path query_until replaced: one uniform per informative
+    answer, u winning below pu / (pu + pv)."""
+    return int((rng.random(count) < pu / (pu + pv)).sum())
+
+
+def two_sample_pvalue(a, b, min_count=20):
+    """Chi-square test that two samples of discrete outcomes (rows) share a
+    law; outcomes seen fewer than min_count times in both samples together
+    are pooled into one bin."""
+    a, b = np.asarray(a).reshape(len(a), -1), np.asarray(b).reshape(len(b), -1)
+    keys, inverse = np.unique(np.concatenate([a, b]), axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    rare = np.bincount(inverse) < min_count
+    bins = np.where(rare[inverse], len(keys), inverse)
+    table = np.array([np.bincount(bins[: len(a)], minlength=len(keys) + 1),
+                      np.bincount(bins[len(a):], minlength=len(keys) + 1)])
+    _, pvalue, _, _ = st.chi2_contingency(table[:, table.sum(axis=0) > 0])
+    return pvalue
+
+
+class TestCountFormMatchesPerAnswerPath:
+    # the oracle draws a repeated query's counts in one variate; each test
+    # compares the law of those counts with the per-answer draws they replaced
+    MIX = MixtureDistribution((0.5, 0.3, 0.2), 0.09)
+    ORDER = LatentOrder((4, 2, 0, 1, 3))  # ranks scrambled against ids
+    SET = (0, 2, 3)
+    CALLS = 20_000
+
+    def oracle(self, seed):
+        return MixedOracle(self.ORDER, self.MIX, seed)
+
+    @pytest.mark.parametrize("count", [5, 50])
+    def test_repeated_count_vector(self, count):
+        oracle = self.oracle(31)
+        by_rank = sorted(self.SET, key=self.ORDER.rank_of)
+        got = []
+        for _ in range(self.CALLS):
+            answers = oracle.query_repeated(self.SET, count)
+            assert answers.shape == (count,)
+            assert np.isin(answers, self.SET).all()
+            got.append([int((answers == x).sum()) for x in by_rank])
+        ref_rng = np.random.default_rng(32)
+        want = [reference_repeated_counts(self.MIX.probs, count, ref_rng)
+                for _ in range(self.CALLS)]
+        assert oracle.query_count == count * self.CALLS
+        assert two_sample_pvalue(got, want) > 0.001
+
+    @pytest.mark.parametrize("count", [1, 7, 1000])
+    def test_until_win_count(self, count):
+        # u = 0 sits at rank position 2 (pi 0.3), v = 3 at position 3 (pi 0.2)
+        oracle = self.oracle(41)
+        pair = (0, 3)
+        got = []
+        for _ in range(self.CALLS):
+            answers, raw = oracle.query_until(self.SET, pair, count)
+            assert answers.shape == (count,)
+            assert np.isin(answers, pair).all()
+            assert raw >= count
+            got.append(int((answers == pair[0]).sum()))
+        ref_rng = np.random.default_rng(42)
+        want = [reference_wins(0.3, 0.2, count, ref_rng) for _ in range(self.CALLS)]
+        assert two_sample_pvalue(got, want) > 0.001
+
+
 class TestStreamConfig:
     def test_rate_parameterization(self):
         cfg = StreamConfig.from_rate(alpha=0.5, t1=2.0, t2=3.0)

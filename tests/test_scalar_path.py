@@ -107,6 +107,41 @@ def test_malformed_query_rejected_uncounted(entry, bad):
     assert oracle.query_count == 3
 
 
+BAD_COUNTS = {
+    "float": 2.7,
+    "integral-float": 2.0,
+    "numpy-float": np.float64(3.0),
+    "string": "3",
+    "negative": -1,
+    "negative-numpy": np.int64(-5),
+}
+
+COUNT_ENTRY_POINTS = {
+    "MixedOracle.query_repeated": lambda oracle, count: oracle.query_repeated((0, 1, 2), count),
+    "MixedOracle.query_until": lambda oracle, count: oracle.query_until((0, 1, 2), (1, 2), count),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", BAD_COUNTS)
+def test_bad_count_rejected_before_any_draw(entry, bad):
+    oracle = mixed()
+    oracle.query((0, 1, 2))
+    state = oracle._rng.bit_generator.state
+    with pytest.raises(InvalidQueryError):
+        COUNT_ENTRY_POINTS[entry](oracle, BAD_COUNTS[bad])
+    assert oracle.query_count == 1
+    assert oracle._rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+@pytest.mark.parametrize("count", [0, 3, np.int64(3), np.uint8(3)])
+def test_integer_count_accepted(entry, count):
+    out = COUNT_ENTRY_POINTS[entry](mixed(), count)
+    answers = out[0] if isinstance(out, tuple) else out
+    assert answers.shape == (int(count),)
+
+
 BAD_ROWS = {
     "negative": [[-1, 0, 1]],
     "too-large": [[0, 1, 6]],
