@@ -202,9 +202,32 @@ def evaluate_many(
 
 def _select_many(position: int, order: LatentOrder, sets: np.ndarray) -> np.ndarray:
     """The position-th smallest member of each row of sets, which must
-    already have passed _check_sets."""
-    idx = np.argsort(order.ranks(sets), axis=1, kind="stable")[:, position - 1]
-    return sets[np.arange(sets.shape[0]), idx]
+    already have passed _check_sets.
+
+    Sort-free: a compare-exchange network over the k rank columns. Pass i
+    moves the i-th smallest rank into column i and the larger ones right;
+    the last pass only takes a minimum. From above the middle the same
+    passes run on maxima. Past three passes the network's O(passes * k)
+    array operations cost more than one np.partition of the rank rows.
+    """
+    passes = min(position, sets.shape[1] - position + 1)
+    if passes > 3:
+        ranks = np.partition(order._rank[sets], position - 1, axis=1)
+        return order.ascending[ranks[:, position - 1]]
+    rows = list(order._rank[sets.T])  # k contiguous rank columns
+    k = len(rows)
+    keep, drop = (np.minimum, np.maximum) if passes == position else (np.maximum, np.minimum)
+    spare = np.empty_like(rows[0])
+    for i in range(passes - 1):
+        for j in range(i + 1, k - 1):
+            keep(rows[i], rows[j], out=spare)
+            drop(rows[i], rows[j], out=rows[j])
+            rows[i], spare = spare, rows[i]
+        drop(rows[i], rows[k - 1], out=rows[k - 1])  # column i is not read again
+    chosen = rows[passes - 1]
+    for j in range(passes, k):
+        keep(chosen, rows[j], out=chosen)
+    return order.ascending[chosen]
 
 
 def ineligible_set(selector: PositionSelector, order: LatentOrder) -> frozenset:

@@ -15,6 +15,15 @@ of the first pair member as one binomial variate. Each returns the counts
 expanded into an answer array grouped by member, so the multiset of
 answers is random but their order is not: a prefix of the array is not
 a subsample, and callers read only how often each member appears.
+
+The passive-stream sampler realizes a phase as Bernoulli inclusion of
+each of the C(n,k) k-sets. At desk scale, and whenever the inclusion
+probability exceeds 1%, it draws exactly that, one uniform per k-set, so
+the included colex ranks come out ascending with no sort; only sparse
+phases over more than 2^22 k-sets draw a binomial batch size and a
+distinct sample of ranks. unrank_combinations builds its rows column by
+column and returns them as a column-major (m, k) view, so every
+per-column pass downstream reads contiguous memory.
 """
 
 from __future__ import annotations
@@ -192,7 +201,10 @@ class MixedOracle:
         read a prefix of the array as a subsample.
         """
         members = self._members_by_rank(s)
-        u, v = pair
+        try:
+            u, v = map(operator.index, pair)
+        except (TypeError, ValueError):
+            raise InvalidQueryError(f"pair {pair!r} must be two integer ids") from None
         if u not in members or v not in members or u == v:
             raise InvalidQueryError(f"pair {pair} must be two distinct members of {s}")
         count = _check_count(count)
@@ -357,33 +369,46 @@ def unrank_combinations(indices: np.ndarray, n: int, k: int) -> np.ndarray:
     colex order. Pass ranks sorted when the order is free: numpy's
     searchsorted narrows each search with the previous key's result when
     the keys ascend, which makes the unranking about 3x faster.
+
+    The result is a column-major view: column j is one contiguous row of a
+    (k, m) buffer. The running remainder lives in column 0 and ends there
+    as the lowest member; each level writes its column in place.
     """
     indices = np.asarray(indices, dtype=np.int64)
     table = _binomial_table(n, k)
-    remaining = indices.copy()
-    out = np.empty((indices.size, k), dtype=np.int64)
+    out = np.empty((k, indices.size), dtype=np.int64)  # column j of the result is out[j]
+    remaining = out[0]
+    remaining[:] = indices
     for j in range(k, 1, -1):
         # largest c with C(c, j) <= remaining
-        c = np.searchsorted(table[j], remaining, side="right") - 1
-        out[:, j - 1] = c
-        remaining = remaining - table[j, c]
-    out[:, 0] = remaining  # C(c, 1) = c, so a search at j=1 would return remaining
-    return out
+        c = np.searchsorted(table[j], remaining, side="right")
+        np.subtract(c, 1, out=out[j - 1])
+        remaining -= np.take(table[j], out[j - 1], out=c)
+    # C(c, 1) = c, so what remains is the lowest member, already in out[0]
+    return out.T
 
 
-def _sample_distinct_indices(total: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    if m >= total:
+# Above _DENSE_TOTAL k-sets a phase with p <= _SPARSE_P draws its ranks by
+# dedupe-and-top-up, in O(m) memory, instead of one uniform per k-set.
+_DENSE_TOTAL = 1 << 22
+_SPARSE_P = 0.01
+
+
+def _sample_ranks(total: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Ascending colex ranks, each of the total included independently with
+    probability p."""
+    if p >= 1.0:
         return np.arange(total, dtype=np.int64)
+    if total <= _DENSE_TOTAL or p > _SPARSE_P:
+        return np.flatnonzero(rng.random(total) < p)
+    m = int(rng.binomial(total, p))
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    if total <= 1 << 22 or m / total > 0.01:
-        return rng.choice(total, size=m, replace=False).astype(np.int64)
-    # sparse regime: dedupe-and-top-up keeps memory at O(m)
     picked = np.unique(rng.integers(0, total, size=int(m * 1.1) + 16))
     while picked.size < m:
         extra = rng.integers(0, total, size=m)
         picked = np.unique(np.concatenate([picked, extra]))
-    return rng.permutation(picked)[:m].astype(np.int64)
+    return np.sort(rng.permutation(picked)[:m])
 
 
 def sample_phase(
@@ -398,25 +423,21 @@ def sample_phase(
     independently with the phase's probability, and appearing sets come
     back with their oracle answers.
 
-    Equivalent to Bernoulli inclusion per set: the batch size is binomial
-    and the included sets are a uniform distinct sample, so no event times
-    are materialized. Pass independent rngs for phases 1 and 2.
+    No event times are materialized. Up to 2^22 k-sets, or at p > 0.01,
+    the draw is that Bernoulli inclusion itself: one uniform per k-set,
+    kept below p, so the ranks come out ascending. Beyond both, the batch
+    size is one binomial draw and the ranks a uniform distinct sample of
+    that size, drawn by dedupe-and-top-up and then sorted. Pass
+    independent rngs for phases 1 and 2.
 
-    Rows come back in ascending colex rank. The sampled ranks are sorted
-    before unranking because ascending keys make the unranking searches
-    about 3x faster; the rng draws are the same as without the sort, so a
-    seed gives the same records, and no reader of a batch depends on its
-    row order.
+    Rows come back in ascending colex rank, because ascending keys make
+    the unranking searches about 3x faster; no reader of a batch depends
+    on its row order.
     """
     if phase not in (1, 2):
         raise ValueError("phase must be 1 or 2")
     p = config.p1 if phase == 1 else config.p2
-    total = math.comb(universe_size, k)
-    if p >= 1.0:
-        m = total
-    else:
-        m = int(rng.binomial(total, p))
-    idx = np.sort(_sample_distinct_indices(total, m, rng))
+    idx = _sample_ranks(math.comb(universe_size, k), p, rng)
     sets = unrank_combinations(idx, universe_size, k)
     choices = oracle.query_many(sets)
     return ObservationBatch(sets, choices)

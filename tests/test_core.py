@@ -4,11 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choicelab.core import (
     InvalidQueryError,
     LatentOrder,
     PositionSelector,
+    _select_many,
     all_ksets,
     canonical_position,
     evaluate,
@@ -218,3 +221,49 @@ def test_all_ksets_lexicographic(n, k):
     sets = all_ksets(n, k)
     assert sets.dtype == np.int64 and sets.shape == (len(sets), k)
     assert [tuple(r) for r in sets.tolist()] == list(itertools.combinations(range(n), k))
+
+
+def reference_select_many(position, order, sets):
+    """The stable-argsort selection that _select_many replaced."""
+    idx = np.argsort(order.ranks(sets), axis=1, kind="stable")[:, position - 1]
+    return sets[np.arange(sets.shape[0]), idx]
+
+
+def random_rows(rng, n, k, m, layout):
+    """m rows of k distinct ids from [0, n), in random order within each
+    row; builds an (m, n) temporary, so keep n small."""
+    rows = rng.random((m, n)).argsort(axis=1)[:, :k]
+    return np.asfortranarray(rows) if layout == "F" else np.ascontiguousarray(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(2, 9),
+    extra=st.integers(0, 30),
+    m=st.one_of(st.integers(0, 5), st.integers(6, 3000)),
+    layout=st.sampled_from("CF"),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_select_many_matches_argsort_reference(k, extra, m, layout, seed):
+    # k up to 9 covers the compare-exchange network and the partition it
+    # hands over to past three passes; F-ordered rows are what unranking gives
+    rng = np.random.default_rng(seed)
+    n = k + extra
+    order = LatentOrder.random(n, rng)
+    sets = random_rows(rng, n, k, m, layout)
+    before = sets.copy()
+    for position in range(1, k + 1):
+        got = _select_many(position, order, sets)
+        assert got.dtype == np.int64 and got.shape == (m,)
+        assert np.array_equal(got, reference_select_many(position, order, sets))
+    assert np.array_equal(sets, before)
+
+
+@pytest.mark.parametrize("k", [3, 5, 8])
+def test_select_many_large_arrays(k):
+    rng = np.random.default_rng(k)
+    order = LatentOrder.random(k + 6, rng)
+    sets = random_rows(rng, k + 6, k, 200_000, "F")
+    for position in range(1, k + 1):
+        got = evaluate_many(PositionSelector(k, position), order, sets)
+        assert np.array_equal(got, reference_select_many(position, order, sets))

@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import stats as st
 
-from choicelab.core import InvalidQueryError, LatentOrder, PositionSelector
+from choicelab.core import InvalidQueryError, LatentOrder, PositionSelector, evaluate_many
 from choicelab.oracles import (
     DeterministicOracle,
     MixedOracle,
@@ -347,8 +349,9 @@ def colex_rank(row) -> int:
 
 
 def reference_sample_distinct_indices(total, m, rng):
-    """The unsorted rank sampler that sample_phase used before it sorted its
-    ranks; the same rng calls in the same order."""
+    """The rank sampler sample_phase used before its dense phases drew one
+    uniform per k-set: a uniform distinct sample of m ranks, unsorted. The
+    sparse branch makes the same rng calls as sample_phase still does."""
     if m >= total:
         return np.arange(total, dtype=np.int64)
     if m == 0:
@@ -387,20 +390,58 @@ def lexsorted(sets, choices):
     return sets[order], choices[order]
 
 
+def colex_ranks(sets, n):
+    """Colex rank of each sorted row of sets, vectorized over an exact table."""
+    k = sets.shape[1]
+    table = np.array([[math.comb(c, j) for c in range(n + 1)] for j in range(k + 1)])
+    return sum(table[j + 1][sets[:, j]] for j in range(k))
+
+
 class TestSamplePhaseReference:
-    """sample_phase draws the same records as the unsorted reference path;
-    only the row order differs (ascending colex rank)."""
+    """sample_phase against the reference path: a binomial batch size, then
+    a uniform distinct sample of that many ranks. In the dense regime
+    sample_phase draws one uniform per k-set instead, so the test compares
+    laws; in the sparse regime it makes the reference's rng calls, so the
+    test compares records."""
+
+    DRAWS = 3000
 
     @pytest.mark.parametrize(
-        "n, k, p, seed, sparse",
-        [
-            (30, 3, 0.3, 1, False),  # dense: rng.choice without replacement
-            (12, 5, 0.7, 2, False),
-            (300, 4, 3e-4, 3, True),  # sparse: dedupe-and-top-up, then permute
-        ],
-        ids=["dense-n30", "dense-n12-k5", "sparse-n300"],
+        "n, k, p, seed",
+        [(30, 3, 0.3, 1), (12, 5, 0.7, 2), (9, 3, 0.9, 3), (10, 4, 0.02, 4)],
+        ids=["dense-n30", "dense-n12-k5", "dense-p0.9", "dense-p0.02"],
     )
-    def test_same_records_as_reference(self, n, k, p, seed, sparse):
+    def test_same_law_as_reference(self, n, k, p, seed):
+        order = LatentOrder.random(n, np.random.default_rng(seed))
+        oracle = DeterministicOracle(PositionSelector(k, 2), order)
+        cfg = StreamConfig.from_probabilities(p, p)
+        total = math.comb(n, k)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed + 100)
+        sizes = np.zeros((2, self.DRAWS))
+        inclusions = np.zeros((2, total), dtype=np.int64)
+        for t in range(self.DRAWS):
+            batch = sample_phase(cfg, 1, n, k, oracle, got_rng)
+            assert np.array_equal(batch.choices, evaluate_many(oracle.selector, order, batch.sets))
+            ranks = colex_ranks(batch.sets, n)
+            assert (np.diff(ranks) > 0).all()  # distinct, in ascending colex rank
+            want_sets, _ = reference_sample_phase(p, n, k, oracle, want_rng)
+            for side, r in enumerate((ranks, colex_ranks(want_sets, n))):
+                sizes[side, t] = r.size
+                inclusions[side] += np.bincount(r, minlength=total)
+        assert st.ttest_ind(sizes[0], sizes[1], equal_var=False).pvalue > 0.001
+        assert st.levene(sizes[0], sizes[1]).pvalue > 0.001
+        for side in (0, 1):  # both near the binomial's mean and variance
+            assert abs(sizes[side].mean() / (total * p) - 1) < 0.02
+            assert abs(sizes[side].var() / (total * p * (1 - p)) - 1) < 0.15
+        _, pvalue, _, _ = st.chi2_contingency(inclusions)
+        assert pvalue > 0.001
+
+    @pytest.mark.parametrize(
+        "n, k, p, seed",
+        [(300, 4, 3e-4, 3)],  # dedupe-and-top-up, then permute
+        ids=["sparse-n300"],
+    )
+    def test_same_records_as_reference(self, n, k, p, seed):
         order = LatentOrder.random(n, np.random.default_rng(seed))
         oracle = DeterministicOracle(PositionSelector(k, 2), order)
         cfg = StreamConfig.from_probabilities(p, p)
@@ -410,7 +451,7 @@ class TestSamplePhaseReference:
         )
         assert len(batch) == len(want_sets) > 0
         total = math.comb(n, k)
-        assert (total > 1 << 22 and len(batch) / total <= 0.01) == sparse
+        assert total > 1 << 22 and len(batch) / total <= 0.01
         got = lexsorted(batch.sets, batch.choices)
         want = lexsorted(want_sets, want_choices)
         assert np.array_equal(got[0], want[0])
@@ -441,6 +482,26 @@ class TestUnranking:
         assert [colex_rank(row) for row in rows.tolist()] == ranks.tolist()
         shuffled = rng.permutation(ranks.size)
         assert np.array_equal(unrank_combinations(ranks[shuffled], n, k), rows[shuffled])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=hst.integers(1, 8),
+        n_extra=hst.integers(0, 400),
+        m=hst.one_of(hst.integers(0, 3), hst.integers(4, 5000)),
+        ascending=hst.booleans(),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_unrank(self, k, n_extra, m, ascending, seed):
+        n = k + n_extra
+        total = math.comb(n, k)  # at most C(408, 8), about 2e16
+        ranks = np.random.default_rng(seed).integers(0, total, size=m)
+        if ascending:
+            ranks.sort()
+        given_ranks = ranks.copy()
+        got = unrank_combinations(ranks, n, k)
+        assert got.shape == (m, k) and got.dtype == np.int64
+        assert np.array_equal(got, reference_unrank(ranks, n, k))
+        assert np.array_equal(ranks, given_ranks)  # the caller's ranks are not consumed
 
     def test_table_overflow_rejected(self):
         # C(100, 90) fits in int64 but the table's C(100, 50) does not; an

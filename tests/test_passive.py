@@ -22,6 +22,7 @@ from choicelab.oracles import (
     ObservationBatch,
     StreamConfig,
     sample_phase,
+    unrank_combinations,
 )
 from choicelab.passive import (
     UNRESOLVED,
@@ -63,6 +64,16 @@ class TestFindIneligible:
         with pytest.raises(InsufficientCoverageError) as err:
             find_ineligible_passive(batch, 7)
         assert err.value.never_chosen == frozenset(range(7))
+
+    @pytest.mark.parametrize(
+        "sets, choices",
+        [([[0, 1, 7]], [7]), ([[-1, 0, 1]], [-1]), ([[0, 1, 2], [3, 4, 9]], [1, 9])],
+        ids=["at-n", "negative", "among-valid"],
+    )
+    def test_out_of_range_choice_rejected(self, sets, choices):
+        batch = ObservationBatch(np.array(sets), np.array(choices))
+        with pytest.raises(InvalidQueryError, match="out of range"):
+            find_ineligible_passive(batch, 7)
 
     def test_monte_carlo_n50(self):
         n, k, position, b = 50, 3, 2, 8
@@ -175,6 +186,13 @@ class TestBuildPartialOrder:
         assert po.resolved_pair_fraction == pytest.approx(15 / 21)
         assert not po.resolved(1, 7)
 
+    @pytest.mark.parametrize("row", [[0, 1, 5], [-1, 1, 2], [1, 2, 6]])
+    def test_out_of_range_record_rejected(self, row):
+        # anchored or not, a record naming an id outside [0, n) is rejected
+        batch = ObservationBatch(np.array([[0, 1, 2], row]), np.array([1, row[1]]))
+        with pytest.raises(InvalidQueryError, match="out of range"):
+            build_partial_order(batch, 5, (0,), 2)
+
     def test_out_of_range_anchor_rejected(self):
         batch = ObservationBatch(np.array([[0, 1, 2]]), np.array([1]))
         for anchors in ((-1,), (3,)):
@@ -278,6 +296,49 @@ class TestCoverage:
                 resolved = ans != -1
                 sound.append(bool((ans[resolved] == truth[resolved]).all()))
             assert any(sound)  # one global reading is consistent, hence exact
+
+    @pytest.mark.parametrize(
+        "position, seed, want", [(2, 0, "reflected"), (2, 3, "stored"), (3, 0, "stored")]
+    )
+    @pytest.mark.parametrize("exhaustive", [True, False], ids=["exhaustive", "sampled"])
+    def test_report_scores_both_answer_many_readings(self, exhaustive, position, seed, want):
+        # the report scores both readings in one pass over the beats lookups;
+        # its figures are those of one answer_many call per reading
+        n, k = 14, 4
+        selector = PositionSelector(k, position)
+        order = LatentOrder.random(n, np.random.default_rng(seed))
+        oracle = DeterministicOracle(selector, order)
+        stream = StreamConfig.from_probabilities(0.9, 0.9)
+        batch = sample_phase(stream, 2, n, k, oracle, np.random.default_rng(4))
+        anchors = sorted(ineligible_set(selector, order))[: k - 2]
+        po = build_partial_order(batch, n, anchors, position)
+        limit, size = (10**6, 0) if exhaustive else (10, 500)
+        report = coverage_report(po, selector, order, sample_size=size,
+                                 rng=np.random.default_rng(5), exhaustive_limit=limit)
+        if exhaustive:
+            sets = all_ksets(n, k)
+        else:
+            ranks = np.random.default_rng(5).integers(0, math.comb(n, k), size=size)
+            sets = unrank_combinations(np.sort(ranks), n, k)
+        truth = evaluate_many(selector, order, sets)
+        scores = {}
+        for reading, pos in (("stored", position), ("reflected", k - position + 1)):
+            answers = answer_many(po, sets, pos)
+            scores[reading] = (int((answers == truth).sum()) / len(sets),
+                               float((answers == -1).mean()))
+        assert scores["stored"] != scores["reflected"]
+        best = "reflected" if scores["reflected"][0] > scores["stored"][0] else "stored"
+        assert report.reading == best == want
+        assert (report.frac_correct, report.frac_unresolved) == scores[want]
+        assert (report.exhaustive, report.sample_size) == (exhaustive, len(sets))
+
+    def test_report_rejects_a_model_of_other_sets(self):
+        order = LatentOrder.identity(8)
+        batch = anchored_batch(order, 3, 2, (0,), itertools.combinations(range(1, 8), 2))
+        po = build_partial_order(batch, 8, (0,), 2)
+        for selector, n in ((PositionSelector(4, 2), 8), (PositionSelector(3, 2), 9)):
+            with pytest.raises(InvalidQueryError):
+                coverage_report(po, selector, LatentOrder.identity(n))
 
     def test_report_json_fields(self):
         import json

@@ -142,6 +142,36 @@ def test_integer_count_accepted(entry, count):
     assert answers.shape == (int(count),)
 
 
+BAD_PAIRS = {
+    "floats": (1.0, 2.0),
+    "numpy-floats": (np.float64(1), np.float64(2)),
+    "one-float": (1, 2.0),
+    "strings": ("1", "2"),
+    "one-id": (1,),
+    "three-ids": (0, 1, 2),
+    "not-a-pair": 1,
+    "outside-the-set": (1, 3),
+    "same-id": (2, 2),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_PAIRS)
+def test_bad_pair_rejected_before_any_draw(bad):
+    oracle = mixed()
+    oracle.query((0, 1, 2))
+    state = oracle._rng.bit_generator.state
+    with pytest.raises(InvalidQueryError):
+        oracle.query_until((0, 1, 2), BAD_PAIRS[bad], 5)
+    assert oracle.query_count == 1
+    assert oracle._rng.bit_generator.state == state
+
+
+def test_integer_pair_answers_are_integers():
+    answers, _ = mixed().query_until((0, 1, 2), (np.int64(1), np.uint8(2)), 5)
+    assert answers.dtype.kind == "i"
+    assert set(answers.tolist()) <= {1, 2}
+
+
 BAD_ROWS = {
     "negative": [[-1, 0, 1]],
     "too-large": [[0, 1, 6]],
