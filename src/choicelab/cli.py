@@ -1,13 +1,18 @@
 """Command-line front end: ``choicelab <mode> [flags]``.
 
-Flags override values from an optional JSON config file; the master seed
-falls back to the CHOICELAB_SEED environment variable. Exit codes:
-0 success, 2 usage error, 3 I/O error.
+An optional JSON config file holds flags by name: each key is a flag
+without its dashes (``{"n": 9, "ell": 2, "format": "json"}``), a list
+value is joined by commas (``{"pi": [0.2, 0.3, 0.5]}``) and a null value
+leaves the flag unset. The file is parsed as those flags, ahead of the
+command line, so flags given on the command line override it. The master
+seed falls back to the CHOICELAB_SEED environment variable. Flags must be
+spelled in full. Exit codes: 0 success, 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -15,7 +20,16 @@ import sys
 from .harness import MODES, ExperimentConfig, emit, run
 
 
+def _float_list(text: str) -> tuple:
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"could not parse pi list: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of run parameters: each flag's dest is an
+    ExperimentConfig field, and an unset flag keeps the field's default."""
     parser = argparse.ArgumentParser(
         prog="choicelab",
         description=(
@@ -23,98 +37,72 @@ def build_parser() -> argparse.ArgumentParser:
             "active/passive/mixture recovery, type classification, and "
             "distance-comparison procedures."
         ),
+        argument_default=argparse.SUPPRESS,
+        allow_abbrev=False,  # a config key names its flag in full
     )
     parser.add_argument("mode", choices=MODES)
-    parser.add_argument("--config", help="JSON file of parameters; flags override it")
+    parser.add_argument("--config", help="JSON file of flags by name; flags override it")
     parser.add_argument("--n", type=int, help="universe size (or point count)")
     parser.add_argument("--k", type=int, help="choice-set size")
-    parser.add_argument("--ell", type=int, help="selected position, 1..k from the minimum")
-    parser.add_argument("--pi", help="comma-separated mixture probabilities")
+    parser.add_argument("--ell", dest="position", type=int, metavar="ELL",
+                        help="selected position, 1..k from the minimum")
+    parser.add_argument("--pi", type=_float_list, help="comma-separated mixture probabilities")
     parser.add_argument("--gamma", type=float, help="mixture separation parameter")
     parser.add_argument("--epsilon", type=float, help="failure budget")
     parser.add_argument("--delta", type=float, help="estimation precision")
-    parser.add_argument("--b", type=float, help="passive coverage parameter (default 8)")
+    parser.add_argument("--b", type=float, help="passive coverage parameter")
     parser.add_argument("--dim", type=int, help="embedding dimension for distance modes")
     parser.add_argument("--alpha", type=float, help="stream rate (with --t1/--t2)")
     parser.add_argument("--t1", type=float, help="phase-1 duration")
     parser.add_argument("--t2", type=float, help="phase-2 duration")
     parser.add_argument("--p1", type=float, help="phase-1 appearance probability")
     parser.add_argument("--p2", type=float, help="phase-2 appearance probability")
-    parser.add_argument("--trials", type=int, help="independent trials (default 1)")
-    parser.add_argument("--seed", type=int, help="master seed (default: $CHOICELAB_SEED or 0)")
+    parser.add_argument("--trials", type=int, help="independent trials")
+    # argparse runs a string default through type=int, so a bad value exits 2
+    parser.add_argument("--seed", type=int,
+                        default=os.environ.get("CHOICELAB_SEED", argparse.SUPPRESS),
+                        help="master seed, else $CHOICELAB_SEED")
     parser.add_argument("--out", help="report path; omit to print to stdout")
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), help="report format")
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    for action in parser._actions:
+        if action.option_strings and defaults.get(action.dest) is not None:
+            action.help += f" (default {defaults[action.dest]})"
     return parser
 
 
-_CONFIG_KEYS = {
-    "n", "k", "ell", "pi", "gamma", "epsilon", "delta", "b", "dim",
-    "alpha", "t1", "t2", "p1", "p2", "trials", "seed", "out", "format",
-}
+def _flag_text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(map(_flag_text, value))
+    return value if isinstance(value, str) else json.dumps(value)
 
 
-def _parse_pi(text):
-    try:
-        return tuple(float(x) for x in str(text).split(","))
-    except ValueError:
-        raise ValueError(f"could not parse pi list: {text!r}")
-
-
-def _load_config_file(path: str) -> dict:
+def _config_flags(path: str) -> list:
+    """The config file's entries as ``--key=value`` flags."""
     with open(path) as fp:
         data = json.load(fp)
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return data
+    if not isinstance(data, dict):
+        raise ValueError("config file must hold a JSON object")
+    return [f"--{key}={_flag_text(value)}" for key, value in data.items() if value is not None]
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-
-    merged: dict = {}
-    try:
-        if args.config:
-            merged.update(_load_config_file(args.config))
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, json.JSONDecodeError) as exc:
-        parser.error(str(exc))
-
-    for key in _CONFIG_KEYS:
-        attr = {"ell": "ell", "format": "fmt"}.get(key, key)
-        value = getattr(args, attr, None)
-        if value is not None:
-            merged[key] = value
-
-    if "seed" not in merged or merged["seed"] is None:
-        merged["seed"] = int(os.environ.get("CHOICELAB_SEED", "0"))
+    if "config" in args:
+        try:
+            flags = _config_flags(args.config)
+        except OSError as exc:
+            print(f"error: cannot read config: {exc}", file=sys.stderr)
+            return 3
+        except ValueError as exc:  # JSONDecodeError is a ValueError
+            parser.error(str(exc))
+        args = parser.parse_args([*flags, *argv])  # the command line comes last and wins
+        del args.config
 
     try:
-        pi = _parse_pi(merged["pi"]) if merged.get("pi") is not None else None
-        config = ExperimentConfig(
-            mode=args.mode,
-            n=merged.get("n"),
-            k=merged.get("k"),
-            position=merged.get("ell"),
-            pi=pi,
-            gamma=merged.get("gamma"),
-            epsilon=merged.get("epsilon"),
-            delta=merged.get("delta"),
-            b=merged.get("b", 8.0),
-            dim=merged.get("dim", 2),
-            alpha=merged.get("alpha"),
-            t1=merged.get("t1"),
-            t2=merged.get("t2"),
-            p1=merged.get("p1"),
-            p2=merged.get("p2"),
-            trials=merged.get("trials", 1),
-            seed=merged["seed"],
-            out=merged.get("out"),
-            fmt=merged.get("format", "csv"),
-        )
+        config = ExperimentConfig(**vars(args))
         config.validate()
     except ValueError as exc:
         parser.error(str(exc))

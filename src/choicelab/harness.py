@@ -47,17 +47,6 @@ __all__ = [
     "sorting_lower_bound",
 ]
 
-MODES = (
-    "recover-active",
-    "classify",
-    "estimate-mixture",
-    "recover-mixed",
-    "recover-passive",
-    "distance-median",
-    "distance-sort",
-    "feasibility",
-)
-
 CSV_HEADER = "trial,seed,queries,success,frac_correct,frac_unresolved,wall_ms"
 
 
@@ -84,22 +73,17 @@ class ExperimentConfig:
     fmt: str = "csv"
 
     def validate(self) -> None:
-        if self.mode not in MODES:
+        if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
-        need = {
-            "recover-active": ("n", "k", "position"),
-            "classify": ("k", "position"),
-            "estimate-mixture": ("pi", "gamma", "delta", "epsilon"),
-            "recover-mixed": ("n", "pi", "gamma", "epsilon"),
-            "recover-passive": ("n", "k", "position"),
-            "distance-median": ("k",),
-            "distance-sort": ("n",),
-            "feasibility": ("n",),
-        }[self.mode]
+        _, need = _MODES[self.mode]
         missing = [name for name in need if getattr(self, name) is None]
         if missing:
             raise ValueError(f"mode {self.mode} requires parameters: {missing}")
@@ -356,22 +340,24 @@ def _run_feasibility(cfg, rng):
     return 0, distance.feasibility_check(cfg.n), None, None
 
 
-_RUNNERS = {
-    "recover-active": _run_recover_active,
-    "classify": _run_classify,
-    "estimate-mixture": _run_estimate_mixture,
-    "recover-mixed": _run_recover_mixed,
-    "recover-passive": _run_recover_passive,
-    "distance-median": _run_distance_median,
-    "distance-sort": _run_distance_sort,
-    "feasibility": _run_feasibility,
+# mode -> (runner, parameters the mode requires); the one declaration of a mode
+_MODES = {
+    "recover-active": (_run_recover_active, ("n", "k", "position")),
+    "classify": (_run_classify, ("k", "position")),
+    "estimate-mixture": (_run_estimate_mixture, ("pi", "gamma", "delta", "epsilon")),
+    "recover-mixed": (_run_recover_mixed, ("n", "pi", "gamma", "epsilon")),
+    "recover-passive": (_run_recover_passive, ("n", "k", "position")),
+    "distance-median": (_run_distance_median, ("k",)),
+    "distance-sort": (_run_distance_sort, ("n",)),
+    "feasibility": (_run_feasibility, ("n",)),
 }
+MODES = tuple(_MODES)
 
 
 def run(config: ExperimentConfig) -> TrialReport:
     """Execute config.trials independent seeded trials of the configured mode."""
     config.validate()
-    runner = _RUNNERS[config.mode]
+    runner, _ = _MODES[config.mode]
     report = TrialReport(config=config)
     for trial, (seed_int, seed_seq) in enumerate(
         _trial_seeds(config.seed, config.trials)

@@ -43,6 +43,7 @@ from .core import (
     _check_query,
     evaluate,
     evaluate_many,
+    kset,
 )
 
 __all__ = [
@@ -169,10 +170,7 @@ class MixedOracle:
         return sorted(_check_query(self.k, self.order.n, s), key=self.order.rank_of)
 
     def query(self, s) -> int:
-        members = self._members_by_rank(s)
-        pos = self._rng.choice(self.k, p=self._probs)
-        self._count += 1
-        return members[pos]
+        return int(self.query_repeated(s, 1)[0])
 
     def query_repeated(self, s, count: int) -> np.ndarray:
         """count independent answers to the same set; counts count queries.
@@ -236,15 +234,13 @@ class StreamConfig:
 
     Built either from a Poisson rate and phase durations (p = 1 - e^{-alpha t})
     or from the probabilities directly; neither parameterization is
-    privileged. from_coverage derives them from the coverage parameter b as
-    p1 = b*lg(n)/n and p2 = b*lg(n)*lg(lg(n))/n, clamped to at most 1.
+    privileged, and only the probabilities are kept. from_coverage derives
+    them from the coverage parameter b as p1 = b*lg(n)/n and
+    p2 = b*lg(n)*lg(lg(n))/n, clamped to at most 1.
     """
 
     p1: float
     p2: float
-    alpha: float | None = None
-    t1: float | None = None
-    t2: float | None = None
 
     def __post_init__(self):
         for name, p in (("p1", self.p1), ("p2", self.p2)):
@@ -255,13 +251,7 @@ class StreamConfig:
     def from_rate(cls, alpha: float, t1: float, t2: float) -> "StreamConfig":
         if alpha <= 0 or t1 <= 0 or t2 <= 0:
             raise ValueError("alpha, t1, t2 must all be positive")
-        return cls(
-            p1=1.0 - math.exp(-alpha * t1),
-            p2=1.0 - math.exp(-alpha * t2),
-            alpha=alpha,
-            t1=t1,
-            t2=t2,
-        )
+        return cls(p1=1.0 - math.exp(-alpha * t1), p2=1.0 - math.exp(-alpha * t2))
 
     @classmethod
     def from_probabilities(cls, p1: float, p2: float) -> "StreamConfig":
@@ -322,14 +312,21 @@ class ObservationBatch:
 
     @classmethod
     def from_jsonl(cls, fp: IO[str]) -> "ObservationBatch":
+        """Read records written by to_jsonl. Ids must be integers, and a set's
+        ids distinct; anything else raises InvalidQueryError."""
         sets, choices = [], []
         for line in fp:
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
-            sets.append(sorted(rec["set"]))
-            choices.append(rec["choice"])
+            sets.append(kset(rec["set"]))
+            try:
+                choices.append(operator.index(rec["choice"]))
+            except TypeError:
+                raise InvalidQueryError(
+                    f"choice must be an integer id, got {rec['choice']!r}"
+                ) from None
         k = len(sets[0]) if sets else 0
         return cls(
             np.asarray(sets, dtype=np.int64).reshape(len(sets), k),

@@ -165,7 +165,7 @@ def _transitive_closure(direct: np.ndarray) -> np.ndarray:
         children = np.nonzero(remaining[node])[0]
         remaining[node, :] = False
         indegree[children] -= 1
-        queue.extend(int(c) for c in children if indegree[c] == 0)
+        queue.extend(children[indegree[children] == 0].tolist())
     if len(topo) != v:
         raise InconsistentStreamError("orientation cycle in observed comparisons")
     reach = direct.copy()

@@ -1,5 +1,6 @@
 """CLI surface: flags, config files, env seed, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import sys
 import pytest
 
 import choicelab
+from choicelab.cli import build_parser
+from choicelab.harness import ExperimentConfig
 
 BASE = [sys.executable, "-m", "choicelab"]
 # the CLI subprocess imports the same package as this process, installed or not
@@ -97,12 +100,15 @@ def test_mixture_precondition_usage_error(args, message):
         (["recover-passive", "--n", "30", "--k", "3", "--ell", "2", "--p1", "0.5"],
          "p1 and p2 must be given together"),
         (["feasibility", "--n", "2"], "need n >= 3"),
+        (["recover-active", "--n", "9", "--k", "3", "--ell", "2", "--seed", "-1"],
+         "seed must be >= 0"),
+        (["distance-median", "--k", "3", "--dim", "0"], "dim must be >= 1"),
     ],
     ids=[
         "passive-ell-1", "active-ell-4", "classify-k-1", "median-even-k",
         "active-too-few-eligibles", "passive-rank-overflow", "active-rank-overflow", "passive-table-overflow",
         "classify-small-n", "passive-n-below-k", "passive-coverage-small-n",
-        "passive-p1-alone", "feasibility-small-n",
+        "passive-p1-alone", "feasibility-small-n", "negative-seed", "median-dim-0",
     ],
 )
 def test_precondition_usage_error(args, message):
@@ -176,3 +182,44 @@ def test_stream_rate_flags():
         "--trials", "1", "--seed", "3",
     )
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "params, env, message",
+    [
+        ({"n": 9.5}, None, "argument --n: invalid int value: '9.5'"),
+        ({"k": "three"}, None, "argument --k: invalid int value: 'three'"),
+        ({}, {"CHOICELAB_SEED": "abc"}, "argument --seed: invalid int value: 'abc'"),
+        ({"ell": 2, "fmt": "json"}, None, "unrecognized arguments: --fmt=json"),
+        ({"ep": 0.1}, None, "unrecognized arguments: --ep=0.1"),  # no prefix matching
+    ],
+    ids=["float-n", "word-k", "env-seed-word", "unknown-key", "key-prefix"],
+)
+def test_config_value_parsed_as_flag_usage_error(tmp_path, params, env, message):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n": 9, "k": 3, "ell": 2, **params}))
+    proc = run_cli("recover-active", "--config", str(config), env_extra=env)
+    assert_usage_error(proc, message)
+
+
+def test_config_list_pi_runs_like_flag(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "n": 12, "pi": [0.2, 0.3, 0.5], "gamma": 0.09, "epsilon": 0.1,
+        "trials": "2", "seed": 5, "delta": None,
+    }))
+    from_file = run_cli("recover-mixed", "--config", str(config))
+    from_flags = run_cli(
+        "recover-mixed", "--n", "12", "--pi", "0.2,0.3,0.5", "--gamma", "0.09",
+        "--epsilon", "0.1", "--trials", "2", "--seed", "5",
+    )
+    assert from_file.returncode == from_flags.returncode == 0
+    strip = lambda text: [line.rsplit(",", 1)[0] for line in text.splitlines()]
+    assert strip(from_file.stdout) == strip(from_flags.stdout)  # wall_ms excluded
+    assert len(from_file.stdout.splitlines()) == 3
+
+
+def test_every_config_field_is_a_flag_dest():
+    dests = {action.dest for action in build_parser()._actions if action.option_strings}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"mode"}
+    assert fields <= dests

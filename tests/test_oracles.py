@@ -342,6 +342,20 @@ class TestObservationBatch:
         assert np.array_equal(back.sets, batch.sets)
         assert np.array_equal(back.choices, batch.choices)
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"set": [0.5, 1, 2], "choice": 1}', "must be integers"),
+            ('{"set": [0, 1, 2], "choice": 1.7}', "choice must be an integer id"),
+            ('{"set": [1, 1, 3], "choice": 1}', "duplicate ids"),
+        ],
+        ids=["float-set-id", "float-choice", "duplicate-set-id"],
+    )
+    def test_jsonl_rejects_non_integer_or_duplicate_ids(self, record, message):
+        buf = io.StringIO('{"set": [0, 1, 2], "choice": 1}\n' + record + "\n")
+        with pytest.raises(InvalidQueryError, match=message):
+            ObservationBatch.from_jsonl(buf)
+
 
 def colex_rank(row) -> int:
     """Exact colex rank of a sorted k-subset: sum of C(row[j], j+1)."""
