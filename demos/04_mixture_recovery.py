@@ -6,8 +6,8 @@ When each query is answered by a random member of a heterogeneous
 population (position p with probability pi_p), the position weights are
 recoverable from O(1)-in-n queries to the subsets of a single (k+1)-set,
 and the full embedding order follows from a noise-tolerant version of the
-active algorithm: a frequency-matched discard pass, then majority-voted
-padded comparisons. Shown here:
+active algorithm: a frequency-matched discard pass, then padded
+comparisons decided by capped sequential votes. Shown here:
 
 1) estimating pi up to reflection, with the worked query budget, and
 2) recovering the whole order and checking it against the hidden truth.
@@ -47,6 +47,6 @@ print("full order recovered up to reflection:",
       orders_match_up_to_reflection(recovered, hidden_order))
 normalized = oracle.query_count / (n * np.log2(n) ** 2)
 print(f"total queries: {oracle.query_count} = {normalized:.0f} x (n lg^2 n);",
-      "the majority-vote sort pays one extra log factor over the",
-      "noiseless algorithm, and the constant is the repetition count")
+      "each vote of the noisy sort reads O(log n) answers, one extra log",
+      "factor over the noiseless algorithm")
 print("estimate as JSON:", est.to_json())

@@ -2,11 +2,11 @@
 Query-count scaling across universe sizes
 =========================================
 
-Active recovery spends O(n log n) queries; the mixture recovery's
-majority-vote sort pays one extra log factor, O(n log^2 n). Normalizing
-measured counts by those rates should give flat (bounded) columns, and
-every count must sit above the sorting information floor
-log_k((n-k)!/2). Seeded, so reruns reproduce the same table.
+Active recovery spends O(n log n) queries; each vote of the mixture
+recovery's noisy sort reads O(log n) answers, one extra log factor,
+O(n log^2 n). Normalizing measured counts by those rates should give
+flat (bounded) columns, and every count must sit above the sorting
+information floor log_k((n-k)!/2). Seeded, so reruns reproduce the same table.
 """
 
 from choicelab.harness import query_curve

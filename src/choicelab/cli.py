@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .harness import MODES, ExperimentConfig, emit, run
+from .harness import MODES, PASSIVE_EPSILON, ExperimentConfig, emit, run
 
 
 def _float_list(text: str) -> tuple:
@@ -48,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="selected position, 1..k from the minimum")
     parser.add_argument("--pi", type=_float_list, help="comma-separated mixture probabilities")
     parser.add_argument("--gamma", type=float, help="mixture separation parameter")
-    parser.add_argument("--epsilon", type=float, help="failure budget")
+    parser.add_argument("--epsilon", type=float,
+                        help=f"failure budget (recover-passive default {PASSIVE_EPSILON})")
     parser.add_argument("--delta", type=float, help="estimation precision")
     parser.add_argument("--b", type=float, help="passive coverage parameter")
     parser.add_argument("--dim", type=int, help="embedding dimension for distance modes")

@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 CSV_HEADER = "trial,seed,queries,success,frac_correct,frac_unresolved,wall_ms"
+# recover-passive succeeds when at least 1 - epsilon of sampled sets are
+# answered correctly; this is its epsilon when none is given
+PASSIVE_EPSILON = 0.05
 
 
 @dataclass
@@ -83,6 +86,8 @@ class ExperimentConfig:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
+        if self.epsilon is not None and not 0 < self.epsilon < 1:
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         _, need = _MODES[self.mode]
         missing = [name for name in need if getattr(self, name) is None]
         if missing:
@@ -111,6 +116,8 @@ class ExperimentConfig:
             raise ValueError(f"need n >= k+1, got n={self.n}, k={self.k}")
         if self.mode == "distance-median" and (self.k < 1 or self.k % 2 == 0):
             raise ValueError(f"distance-median needs odd k >= 1, got k={self.k}")
+        if self.mode == "distance-sort" and self.n < 1:
+            raise ValueError(f"distance-sort needs n >= 1 points, got n={self.n}")
         if self.mode == "feasibility" and self.n < 3:
             raise ValueError("need n >= 3")
         if self.pi is not None:
@@ -119,8 +126,6 @@ class ExperimentConfig:
             MixtureDistribution(self.pi, self.gamma)  # raises on any bad pi or gamma
         if self.mode in ("estimate-mixture", "recover-mixed"):
             k = len(self.pi)
-            if not 0 < self.epsilon < 1:
-                raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
             if self.mode == "recover-mixed" and self.n < 2 * k:
                 raise ValueError(f"need n >= 2k, got n={self.n}, k={k}")
             if self.mode == "estimate-mixture":
@@ -286,7 +291,7 @@ def _run_recover_passive(cfg, rng):
     batch1 = sample_phase(stream, 1, cfg.n, cfg.k, oracle, rng1)
     batch2 = sample_phase(stream, 2, cfg.n, cfg.k, oracle, rng2)
     observations = len(batch1) + len(batch2)
-    threshold = 1.0 - (cfg.epsilon if cfg.epsilon is not None else 0.05)
+    threshold = 1.0 - (cfg.epsilon if cfg.epsilon is not None else PASSIVE_EPSILON)
     try:
         never = passive.find_ineligible_passive(batch1, cfg.n)
     except passive.InsufficientCoverageError:
@@ -400,8 +405,9 @@ def query_curve(mode: str, n_values, trials: int = 3, seed: int = 0, **params):
     """Mean query counts across universe sizes, normalized by the mode's bound.
 
     recover-active normalizes by n*log2(n); recover-mixed by n*log2(n)^2
-    (its majority-vote sort pays an extra log factor). Each row also
-    carries the sorting lower bound ratio, which must stay at most 1.
+    (each sequential vote of its noisy sort reads O(log n) answers, an
+    extra log factor). Each row also carries the sorting lower bound
+    ratio, which must stay at most 1.
     """
     if mode not in ("recover-active", "recover-mixed"):
         raise ValueError("query_curve supports recover-active and recover-mixed")

@@ -2,11 +2,13 @@
 
 Recovers the position-probability vector pi (up to reflection) from O(1)
 queries to the k+1 subsets of a single (k+1)-set, then the full order
-(up to the same reflection) via a noisy discard pass and two
-majority-vote merge sorts over a padded retry comparator. The
-majority-vote sort replaces the noisy-sorting subroutine the analysis
-usually delegates to; it costs O(n log^2 n) queries instead of
-O(n log n) with the same success guarantee.
+(up to the same reflection) via a noisy discard pass and two noisy merge
+sorts over a padded retry comparator. Each sort comparison is a
+sequential vote that stops once its win rate is clearly off 1/2 and
+takes a majority at a cap sized for the worst-case margin gamma/4. The
+noisy sort replaces the noisy-sorting subroutine the analysis usually
+delegates to; it costs O(n log^2 n) queries instead of O(n log n) with
+the same success guarantee.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def answer_frequencies(oracle: MixedOracle, s, reps: int) -> dict:
     """
     members = kset(s)
     outcomes = oracle.query_repeated(members, reps)
-    counts = np.bincount(np.searchsorted(members, outcomes), minlength=len(members))
+    counts = np.bincount(outcomes, minlength=oracle.n)[list(members)]
     return dict(zip(members, (counts / reps).tolist()))
 
 
@@ -204,17 +206,24 @@ class NoisyComparator:
         return int((outcomes == u).sum())
 
 
-def majority_repetitions(m: int, gamma: float, epsilon_sort: float) -> int:
-    """Per-comparison repetition count for the majority-vote sort of m items.
+def _vote_budget(m: int, epsilon_sort: float) -> float:
+    """Half of one comparison's failure share epsilon_sort/(2*m*ceil(lg m))
+    in a noisy sort of m items: one half goes to the sequential test, the
+    other to the majority taken at the cap."""
+    comparisons = m * max(1, (m - 1).bit_length())
+    return epsilon_sort / (4 * comparisons)
 
-    Chernoff gives per-comparison failure <= exp(-r*gamma^2/8) for a win
-    margin of gamma/4; union-bounded over the at most m*ceil(lg m) merge
-    comparisons. Rounded up to odd so no majority ties occur.
+
+def majority_repetitions(m: int, gamma: float, epsilon_sort: float) -> int:
+    """The cap on informative outcomes per vote in the noisy sort of m items.
+
+    A majority over r outcomes at win margin gamma/4 errs with probability
+    <= exp(-r*gamma^2/8) (Hoeffding); r keeps that within the cap's half
+    of the comparison's share, rounded up to odd so no majority ties occur.
     """
     if m < 2:
         return 1
-    comparisons = m * max(1, (m - 1).bit_length())
-    r = math.ceil(8.0 / gamma**2 * math.log(2 * comparisons / epsilon_sort))
+    r = math.ceil(8.0 / gamma**2 * math.log(1 / _vote_budget(m, epsilon_sort)))
     return r + 1 if r % 2 == 0 else r
 
 
@@ -223,17 +232,43 @@ def noisy_sort(comparator, elements, gamma: float, epsilon_sort: float):
 
     Succeeds (true order under that reading) with probability
     >= 1 - epsilon_sort provided each informative win probability is at
-    least 1/2 + gamma/4. Every comparison is a majority vote over
-    majority_repetitions() informative outcomes, so the query count is
-    O(m log^2 m) times the geometric retry factor.
+    least 1/2 + gamma/4. Each comparison is a capped sequential vote over
+    batches of informative outcomes, one compare_wins call per batch. After
+    the t-th batch, with N outcomes read, it stops once the win rate is off
+    1/2 by more than the anytime Hoeffding radius sqrt(ln(2t(t+1)/d)/(2N)),
+    d = _vote_budget(), which errs with probability <= d over all t. At the
+    cap, majority_repetitions(), it takes the majority, which errs with
+    probability <= d too. A vote opens with the count at which the
+    previous vote of the sort stopped (the first with one outcome), and
+    each further batch doubles the count read. The schedule never reads
+    the vote's own outcomes, so the bound holds; the votes of one sort
+    share a margin, so most end on their first batch, after
+    O(log(m/epsilon_sort)/margin^2) outcomes at the true margin.
     """
     elements = list(elements)
     if len(elements) <= 1:
         return elements
-    reps = majority_repetitions(len(elements), gamma, epsilon_sort)
+    cap = majority_repetitions(len(elements), gamma, epsilon_sort)
+    log_budget = math.log(1 / _vote_budget(len(elements), epsilon_sort))
+    opening = 1
 
     def less(u, v):
-        return 2 * comparator.compare_wins(u, v, reps) < reps
+        nonlocal opening
+        wins = total = t = 0
+        batch = opening
+        while True:
+            batch = min(batch, cap - total)
+            wins += comparator.compare_wins(u, v, batch)
+            total += batch
+            t += 1
+            if total == cap:
+                break
+            # |wins/N - 1/2| > sqrt(L/(2N))  <=>  (2 wins - N)^2 > 2 N L
+            if (2 * wins - total) ** 2 > 2 * total * (log_budget + math.log(2 * t * (t + 1))):
+                break
+            batch = total
+        opening = total
+        return 2 * wins < total
 
     ordered, _ = merge_sort(elements, less)
     return ordered
@@ -264,7 +299,7 @@ def recover_mixed(oracle: MixedOracle, gamma: float, epsilon: float):
     Five stages, each budgeted epsilon/5: (1) estimate pi at precision
     gamma/2; (2) noisy discard, identifying each round's tracked-end
     element by frequency and discarding it, which leaves the k-1
-    alternatives ineligible to that end's selector; (3) majority-vote sort
+    alternatives ineligible to that end's selector; (3) noisy sort
     of the remaining n-k+1 alternatives through a comparator anchored on
     the discarded block; (4) a second short sort that orders the discarded
     block itself, anchored on the k-2 alternatives at the far end of the

@@ -312,8 +312,9 @@ class ObservationBatch:
 
     @classmethod
     def from_jsonl(cls, fp: IO[str]) -> "ObservationBatch":
-        """Read records written by to_jsonl. Ids must be integers, and a set's
-        ids distinct; anything else raises InvalidQueryError."""
+        """Read records written by to_jsonl. Ids must be integers, a set's
+        ids distinct and every set the same size; anything else raises
+        InvalidQueryError."""
         sets, choices = [], []
         for line in fp:
             line = line.strip()
@@ -321,6 +322,11 @@ class ObservationBatch:
                 continue
             rec = json.loads(line)
             sets.append(kset(rec["set"]))
+            if len(sets[-1]) != len(sets[0]):
+                raise InvalidQueryError(
+                    f"set {list(sets[-1])} has {len(sets[-1])} ids, "
+                    f"the first set has {len(sets[0])}"
+                )
             try:
                 choices.append(operator.index(rec["choice"]))
             except TypeError:

@@ -1,7 +1,7 @@
 """Deterministic top-down merge sort with exact comparison counting.
 
 Shared by the active recovery (anchored binary comparisons), the noisy
-majority-vote sort, and the pairwise-distance sort. The comparison count
+sequential-vote sort, and the pairwise-distance sort. The comparison count
 is worst-case m*ceil(log2 m) - 2^ceil(log2 m) + 1, which every query
 budget in this package is checked against.
 """

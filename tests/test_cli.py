@@ -10,7 +10,7 @@ import pytest
 
 import choicelab
 from choicelab.cli import build_parser
-from choicelab.harness import ExperimentConfig
+from choicelab.harness import PASSIVE_EPSILON, ExperimentConfig
 
 BASE = [sys.executable, "-m", "choicelab"]
 # the CLI subprocess imports the same package as this process, installed or not
@@ -103,12 +103,16 @@ def test_mixture_precondition_usage_error(args, message):
         (["recover-active", "--n", "9", "--k", "3", "--ell", "2", "--seed", "-1"],
          "seed must be >= 0"),
         (["distance-median", "--k", "3", "--dim", "0"], "dim must be >= 1"),
+        (["recover-passive", "--n", "30", "--k", "3", "--ell", "2", "--epsilon", "2"],
+         "epsilon must lie in (0, 1)"),
+        (["distance-sort", "--n", "0"], "distance-sort needs n >= 1"),
     ],
     ids=[
         "passive-ell-1", "active-ell-4", "classify-k-1", "median-even-k",
         "active-too-few-eligibles", "passive-rank-overflow", "active-rank-overflow", "passive-table-overflow",
         "classify-small-n", "passive-n-below-k", "passive-coverage-small-n",
         "passive-p1-alone", "feasibility-small-n", "negative-seed", "median-dim-0",
+        "passive-epsilon-2", "distance-sort-n-0",
     ],
 )
 def test_precondition_usage_error(args, message):
@@ -223,3 +227,8 @@ def test_every_config_field_is_a_flag_dest():
     dests = {action.dest for action in build_parser()._actions if action.option_strings}
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"mode"}
     assert fields <= dests
+
+
+def test_help_shows_passive_epsilon_default():
+    help_text = " ".join(build_parser().format_help().split())
+    assert f"recover-passive default {PASSIVE_EPSILON}" in help_text

@@ -249,6 +249,84 @@ class TestNoisySort:
             assert majority_repetitions(m, 0.1, 0.05) % 2 == 1
 
 
+class _RecordingComparator(_SyntheticComparator):
+    """Synthetic comparator that totals the outcomes each vote reads.
+
+    A merge sort compares a pair at most once, so consecutive calls on one
+    pair belong to one vote.
+    """
+
+    def __init__(self, win_prob, seed):
+        super().__init__(win_prob, seed)
+        self.votes = []  # [pair, outcomes read, calls]
+
+    def compare_wins(self, u, v, count):
+        if not self.votes or self.votes[-1][0] != (u, v):
+            self.votes.append([(u, v), 0, 0])
+        self.votes[-1][1] += count
+        self.votes[-1][2] += 1
+        return super().compare_wins(u, v, count)
+
+
+class TestSequentialVote:
+    def test_wrong_vote_rate_within_budget_at_worst_margin(self):
+        # m=2 makes one comparison, whose share of epsilon_sort=0.2 is
+        # 0.2/(2*2*1) = 0.05; the win probability is the least the sort
+        # allows, 1/2 + gamma/4
+        gamma, epsilon_sort, votes = 0.2, 0.2, 4000
+        budget = epsilon_sort / 4
+        comp = _SyntheticComparator(0.5 + gamma / 4, 21)
+        rng = np.random.default_rng(22)
+        wrong = 0
+        for _ in range(votes):
+            pair = [0, 1] if rng.random() < 0.5 else [1, 0]
+            wrong += noisy_sort(comp, pair, gamma, epsilon_sort) != [0, 1]
+        slack = 3 * math.sqrt(budget * (1 - budget) / votes)
+        assert wrong / votes <= budget + slack
+
+    def test_noiseless_votes_stop_where_the_radius_is_first_crossed(self):
+        # every answer is a win, so after t batches of N = 2^(t-1) answers
+        # the vote stops at the first N with N^2 > 2N ln(2t(t+1)/d)
+        gamma, epsilon_sort, m = 0.2, 0.05, 3
+        d = epsilon_sort / (4 * m * 2)  # half the share over m*ceil(lg m) votes
+        t = 1
+        while 2 ** (t - 1) <= 2 * math.log(2 * t * (t + 1) / d):
+            t += 1
+        comp = _RecordingComparator(1.0, 27)
+        assert noisy_sort(comp, [2, 1, 0], gamma, epsilon_sort) == [0, 1, 2]
+        first, *later = comp.votes
+        assert first[1:] == [2 ** (t - 1), t]
+        # a later vote opens with the first vote's stopping count and is done
+        assert later and all(vote[1:] == [2 ** (t - 1), 1] for vote in later)
+
+    def test_no_vote_reads_past_the_cap(self):
+        # at win probability 1/2 the sequential test rarely stops, so votes
+        # run to the cap and fall back to its majority
+        gamma, epsilon_sort = 0.8, 0.05
+        cap = majority_repetitions(20, gamma, epsilon_sort)
+        rng = np.random.default_rng(23)
+        reads = []
+        for _ in range(20):
+            comp = _RecordingComparator(0.5, rng)
+            noisy_sort(comp, list(rng.permutation(20)), gamma, epsilon_sort)
+            reads += [total for _, total, _ in comp.votes]
+        assert max(reads) <= cap
+        assert reads.count(cap) > len(reads) // 2
+
+    def test_votes_stop_early_at_a_wide_margin(self):
+        # mixed-n100's main-sort size and budget (98 items, epsilon/5 = 0.02)
+        # at its scrap sort's margin, 0.125
+        gamma, epsilon_sort, m = 0.09, 0.02, 98
+        comp = _RecordingComparator(0.625, 25)
+        elements = list(np.random.default_rng(26).permutation(m))
+        assert noisy_sort(comp, elements, gamma, epsilon_sort) == sorted(elements)
+        reads = [total for _, total, _ in comp.votes]
+        assert np.mean(reads) <= majority_repetitions(m, gamma, epsilon_sort) / 4
+        # later votes open at the previous vote's stopping count, so the
+        # oracle calls stay close to one per vote
+        assert sum(calls for _, _, calls in comp.votes) <= 1.1 * len(comp.votes)
+
+
 class TestDiscardDecisionRule:
     def test_bounded_errors_never_discard_eligible(self):
         # separation 0.1; any error budget tau + delta1 <= gamma/2 keeps the
@@ -321,6 +399,24 @@ class TestRecoverMixed:
         oracle = MixedOracle(LatentOrder.identity(5), mix, 0)
         with pytest.raises(ValueError):
             recover_mixed(oracle, 0.09, 0.1)
+
+    @pytest.mark.parametrize(
+        "pi, gamma",
+        [((0.1, 0.2, 0.3, 0.4), 0.09), ((0.45, 0.1, 0.2, 0.25), 0.04),
+         ((0.1, 0.15, 0.2, 0.25, 0.3), 0.04)],
+        ids=["k4-increasing", "k4-unimodal", "k5-gamma04"],
+    )
+    def test_recovers_beyond_criterion_6(self, pi, gamma):
+        mix = MixtureDistribution(pi, gamma)
+        rng = np.random.default_rng(16)
+        good = 0
+        trials = 10
+        for t in range(trials):
+            order = LatentOrder.random(30, rng)
+            oracle = MixedOracle(order, mix, rng)
+            recovered, _ = recover_mixed(oracle, gamma, 0.1)
+            good += orders_match_up_to_reflection(recovered, order)
+        assert good >= trials - 1
 
     def test_round_repetition_formula(self):
         assert discard_round_repetitions(0.1, 0.1, 30) == math.ceil(

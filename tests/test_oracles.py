@@ -348,8 +348,9 @@ class TestObservationBatch:
             ('{"set": [0.5, 1, 2], "choice": 1}', "must be integers"),
             ('{"set": [0, 1, 2], "choice": 1.7}', "choice must be an integer id"),
             ('{"set": [1, 1, 3], "choice": 1}', "duplicate ids"),
+            ('{"set": [0, 1], "choice": 1}', "has 2 ids, the first set has 3"),
         ],
-        ids=["float-set-id", "float-choice", "duplicate-set-id"],
+        ids=["float-set-id", "float-choice", "duplicate-set-id", "ragged-set"],
     )
     def test_jsonl_rejects_non_integer_or_duplicate_ids(self, record, message):
         buf = io.StringIO('{"set": [0, 1, 2], "choice": 1}\n' + record + "\n")
