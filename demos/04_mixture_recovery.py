@@ -6,8 +6,9 @@ When each query is answered by a random member of a heterogeneous
 population (position p with probability pi_p), the position weights are
 recoverable from O(1)-in-n queries to the subsets of a single (k+1)-set,
 and the full embedding order follows from a noise-tolerant version of the
-active algorithm: a frequency-matched discard pass, then padded
-comparisons decided by capped sequential votes. Shown here:
+active algorithm: a frequency-matched discard pass whose rounds stop as
+soon as an anytime bound certifies their pick, then padded comparisons
+decided by capped sequential votes. Shown here:
 
 1) estimating pi up to reflection, with the worked query budget, and
 2) recovering the whole order and checking it against the hidden truth.

@@ -14,6 +14,7 @@ from choicelab.mixture import (
     align_frequency_tables,
     answer_frequencies,
     best_reflection_error,
+    discard_round,
     discard_round_repetitions,
     estimate_mixture,
     majority_repetitions,
@@ -120,10 +121,41 @@ class TestEstimateMixture:
             MixtureDistribution((1.0, 0.0), 0.1)
 
 
+def counter_table(answers, s):
+    """Reference: per-answer Counter frequencies of the members of s."""
+    counts = Counter(int(x) for x in answers)
+    return {member: counts.get(member, 0) / len(answers) for member in s}
+
+
 def counter_frequencies(oracle, s, reps):
     """Reference: per-answer Counter over query_repeated's answers."""
-    counts = Counter(int(x) for x in oracle.query_repeated(s, reps))
-    return {member: counts.get(member, 0) / reps for member in s}
+    return counter_table(oracle.query_repeated(s, reps), s)
+
+
+def fixed_count_round(oracle, members, tracked, reps):
+    """Reference: the discard round before it became sequential, one
+    Counter over a fixed count of answers."""
+    return pick_round_winner(counter_frequencies(oracle, members, reps), tracked)
+
+
+class _TallyingOracle(MixedOracle):
+    """Mixed oracle that keeps each query_repeated answer array and totals
+    query_until's raw queries."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.answers = []
+        self.until_raw = 0
+
+    def query_repeated(self, s, count):
+        out = super().query_repeated(s, count)
+        self.answers.append(out)
+        return out
+
+    def query_until(self, s, pair, count):
+        out, raw = super().query_until(s, pair, count)
+        self.until_raw += raw
+        return out, raw
 
 
 class TestCountingExactness:
@@ -345,6 +377,116 @@ class TestDiscardDecisionRule:
         assert pick_round_winner({"a": 0.4, "b": 0.6}, 0.5) == "b"
 
 
+class _ExactOracle:
+    """Answers in exact proportion to fixed member frequencies (largest
+    remainders), so a discard round's stopping count is deterministic."""
+
+    def __init__(self, freqs):
+        self.freqs = freqs
+        self.n = max(freqs) + 1
+        self.calls = []
+
+    def query_repeated(self, s, count):
+        self.calls.append(count)
+        members = list(s)
+        raw = np.array([self.freqs[m] * count for m in members])
+        counts = np.floor(raw).astype(int)
+        counts[np.argsort(counts - raw)[: count - counts.sum()]] += 1
+        return np.repeat(members, counts)
+
+
+class TestSequentialDiscardRound:
+    # mixed-n100's rounds: pi=(.2,.3,.5), gamma=.09, epsilon=.1, n=100
+    mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)
+    cap = discard_round_repetitions(0.09, 0.1, 100)
+    budget = 0.1 / (10 * 98)  # half of a round's share epsilon/(5(n-2))
+
+    order = LatentOrder.random(12, np.random.default_rng(30))
+
+    def oracle(self, seed, cls=MixedOracle):
+        return cls(self.order, self.mix, seed)
+
+    def rounds(self, seed, count):
+        rng = np.random.default_rng(seed)
+        return [rng.choice(12, 3, replace=False).tolist() for _ in range(count)]
+
+    def test_never_reads_past_the_cap(self):
+        # midway between the .2 and .3 members no member is ever certified,
+        # so every round runs to the cap, its last batch cut short
+        oracle = self.oracle(31)
+        for members in self.rounds(32, 20):
+            before = oracle.query_count
+            discard_round(oracle, members, 0.25, 0.1, self.cap, self.budget)
+            assert oracle.query_count - before == self.cap
+        rng = np.random.default_rng(33)
+        for members in self.rounds(34, 100):
+            before = oracle.query_count
+            discard_round(oracle, members, rng.uniform(0, 0.6), rng.uniform(0, 0.3),
+                          self.cap, self.budget)
+            assert oracle.query_count - before <= self.cap
+
+    def test_cap_decides_as_the_fixed_count_round(self):
+        # a round run to the cap decides on the Counter table of all the
+        # answers it read; midway, that is a coin flip between two members
+        oracle = self.oracle(35, _TallyingOracle)
+        positions = set()
+        for members in self.rounds(36, 40):
+            oracle.answers.clear()
+            winner = discard_round(oracle, members, 0.25, 0.1, self.cap, self.budget)
+            answers = np.concatenate(oracle.answers)
+            assert len(answers) == self.cap
+            assert winner == pick_round_winner(counter_table(answers, members), 0.25)
+            positions.add(sorted(members, key=oracle.order.rank_of).index(winner))
+        assert positions == {0, 1}
+
+    def test_separated_rounds_pick_as_the_fixed_count_round(self):
+        # targets within 0.01 of the .2 member's frequency, each with the gap
+        # an estimate would give: both rules pick that member, the
+        # sequential round from far fewer answers
+        seq, ref = self.oracle(37), self.oracle(38)
+        reads = []
+        for i, members in enumerate(self.rounds(39, 60)):
+            tracked = (0.19, 0.2, 0.21)[i % 3]
+            before = seq.query_count
+            got = discard_round(seq, members, tracked, 0.3 - tracked, self.cap, self.budget)
+            reads.append(seq.query_count - before)
+            assert got == fixed_count_round(ref, members, tracked, self.cap)
+        assert np.mean(reads) <= self.cap / 2
+
+    def test_wrong_round_rate_within_share_at_the_least_gap(self):
+        # positions 0.1 apart at gamma .099, as near as the mixture type
+        # allows, and an exact target; one round at n=3 and epsilon=.5 has
+        # the share epsilon/5 = 0.1, half of it the sequential test's
+        gamma, epsilon, rounds = 0.099, 0.5, 4000
+        share = epsilon / 5
+        cap = discard_round_repetitions(gamma, epsilon, 3)
+        mix = MixtureDistribution((0.2, 0.3, 0.5), gamma)
+        oracle = MixedOracle(LatentOrder.identity(3), mix, 40)
+        wrong = sum(
+            discard_round(oracle, (0, 1, 2), 0.2, gamma, cap, share / 2) != 0
+            for _ in range(rounds)
+        )
+        slack = 3 * math.sqrt(share * (1 - share) / rounds)
+        assert wrong / rounds <= share + slack
+
+    def test_noiseless_round_stops_where_the_radius_is_first_crossed(self):
+        # true margin 0.1; with gap 0.09 the first check, where twice the
+        # radius is gap/1.2, already clears it
+        d = 0.01
+        oracle = _ExactOracle({0: 0.2, 1: 0.3, 2: 0.5})
+        assert discard_round(oracle, (0, 1, 2), 0.2, 0.09, 10**6, d) == 0
+        assert oracle.calls == [math.ceil(2 * 1.2**2 * math.log(2 * 3 * 2 / d) / 0.09**2)]
+        # an overestimated gap opens too early: checks grow 1.25x and stop
+        # at the first whose 2r = 2 sqrt(ln(6t(t+1)/d)/(2N)) is below 0.1
+        oracle = _ExactOracle({0: 0.2, 1: 0.3, 2: 0.5})
+        assert discard_round(oracle, (0, 1, 2), 0.2, 0.2, 10**6, d) == 0
+        totals = np.cumsum(oracle.calls).tolist()
+        assert all(b == math.ceil(1.25 * a) for a, b in zip(totals, totals[1:]))
+        crossed = [2 * math.sqrt(math.log(6 * t * (t + 1) / d) / (2 * total)) < 0.1
+                   for t, total in enumerate(totals, 1)]
+        assert len(totals) > 2 and crossed[-1] and not any(crossed[:-1])
+
+
 class TestRecoverMixed:
     def test_recovers_order_up_to_reflection(self):
         mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)
@@ -418,7 +560,24 @@ class TestRecoverMixed:
             good += orders_match_up_to_reflection(recovered, order)
         assert good >= trials - 1
 
+    def test_query_count_is_estimate_plus_discard_plus_sorts(self):
+        # the discard reads its answers through query_repeated alone and the
+        # sorts through query_until alone; bench/tracer.py counts the phases so
+        mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)
+        order = LatentOrder.random(30, np.random.default_rng(17))
+        oracle = _TallyingOracle(order, mix, 17)
+        _, est = recover_mixed(oracle, 0.09, 0.1)
+        estimate, discard = oracle.answers[:4], oracle.answers[4:]
+        assert sum(map(len, estimate)) == est.queries
+        assert len(discard) >= 30 - 3 + 1  # one call or more per round
+        assert oracle.until_raw > 0
+        assert oracle.query_count == (
+            est.queries + sum(map(len, discard)) + oracle.until_raw
+        )
+
     def test_round_repetition_formula(self):
+        # Chernoff at radius gamma/2 within the cap's half of a round's share
+        # epsilon/(5(n-2)): ln(2 / (epsilon/(10(n-2)))) = ln(5600)
         assert discard_round_repetitions(0.1, 0.1, 30) == math.ceil(
-            (8.2 / 0.01) * math.log(2800)
+            (8.2 / 0.01) * math.log(5600)
         )
