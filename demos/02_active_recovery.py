@@ -2,12 +2,15 @@
 Recovering a choice rule with O(n log n) adaptive queries
 =========================================================
 
-The recovery runs in two phases. A discard pass (one query per round,
-n-k+1 rounds) isolates the k-1 never-chosen alternatives. Padding any
-pair of the remaining alternatives with k-2 of those turns each query
-into a binary comparison, so a merge sort orders the rest; one more query
-reads off the selected position and one query per never-chosen
-alternative places it above or below the pack. This script recovers a
+A discard pass (one query per round, n-k+1 rounds) isolates the k-1
+never-chosen alternatives. Padding any pair of the remaining alternatives
+with k-2 of those turns each query into a binary comparison, so a merge
+sort orders a seed block of k; one more query reads off the selected
+position and one query per never-chosen alternative places it above or
+below the pack. Every other alternative is then inserted into the sorted
+block: for a compromise rule the query holds it and two placed
+alternatives, padded so the answer is their median, a three-way split
+per query. This script recovers a
 hidden rule, verifies every one of the C(n,k) predictions, and compares
 the query bill against the bounds.
 """

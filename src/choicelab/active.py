@@ -1,13 +1,27 @@
 """Active-query inference against a deterministic position-selecting oracle.
 
-Two-phase recovery: a discard pass finds the k-1 never-chosen
-alternatives in exactly n-k+1 queries, then padding a pair of eligible
-alternatives with k-2 of them turns each query into a binary comparison,
-so a counting merge sort orders the eligibles in O(n log n) queries. One
-further query on the lowest k eligibles reads off the selected position,
-and one query per ineligible alternative places it above or below the
-eligible block. Also provides the O(k) type classifier that recovers the
-position (up to reflection) from the k+1 subsets of any (k+1)-set.
+Recovery issues its queries in five phases, in this order:
+
+1. discard: a pass of exactly n-k+1 queries finds the k-1 never-chosen
+   (ineligible) alternatives;
+2. seed sort: padding a pair of eligibles with k-2 ineligibles turns a
+   query into a binary comparison, and the counting merge sort orders a
+   seed block of k eligibles with it;
+3. position: one query on the seed block reads off the selected position;
+4. classify: one query per ineligible, on the lowest k-1 seed eligibles,
+   places it below or above the eligible block;
+5. insertion: every other eligible is inserted into the sorted seed
+   (``sorting.insertion_sort``). For a compromise rule (position 2..k-1)
+   a query of x and two placed eligibles p < q, padded so that the three
+   fill the ranks around the selected one, returns their median, so each
+   query splits the open gaps three ways; at an extreme position the
+   padded pair splits them two ways.
+
+Nothing before the position query depends on the position. The sort costs
+at most sum ceil(log3(i+1)) insertion queries for a compromise rule, near
+the log3((n-k)!/2) floor. Also provides the O(k) type classifier that
+recovers the position (up to reflection) from the k+1 subsets of any
+(k+1)-set.
 
 Every query goes through ``DeterministicOracle.query``, the one place a
 queried set is normalised and validated; callers pass sets as built.
@@ -31,7 +45,7 @@ from .core import (
     kset,
 )
 from .oracles import DeterministicOracle
-from .sorting import merge_sort
+from .sorting import insertion_sort, merge_sort
 
 __all__ = [
     "InconsistentOracleError",
@@ -53,9 +67,11 @@ class InconsistentOracleError(RuntimeError):
 class RecoveryStats:
     """Per-phase query counts for one recovery run.
 
-    The phases issue their queries in this order (discard, sort, position,
-    classify), and the position query is the first to depend on the
-    selected position.
+    The phases issue their queries in the order discard, seed sort,
+    position, classify, insertion; the position query is the first to
+    depend on the selected position. sort_comparisons counts the seed
+    sort and the insertion together, so total is every query the
+    recovery issued.
     """
 
     discard_queries: int
@@ -157,7 +173,8 @@ def discard_ineligible(oracle: DeterministicOracle) -> frozenset:
 
 def recover_choice_function(oracle: DeterministicOracle) -> RecoveredModel:
     """Full recovery: after O(n log n) queries the returned model predicts
-    the oracle's choice on every one of the C(n,k) k-sets."""
+    the oracle's choice on every one of the C(n,k) k-sets. The phases are
+    those of the module docstring."""
     n, k = oracle.n, oracle.k
     if n - k + 1 < k:
         raise ValueError(
@@ -165,7 +182,6 @@ def recover_choice_function(oracle: DeterministicOracle) -> RecoveredModel:
             f"query, got n={n}, k={k}"
         )
     ineligible = discard_ineligible(oracle)
-    discard_queries = n - k + 1
     padding = tuple(sorted(ineligible)[: k - 2])
     eligible = [x for x in range(n) if x not in ineligible]
 
@@ -178,14 +194,14 @@ def recover_choice_function(oracle: DeterministicOracle) -> RecoveredModel:
             )
         return winner == v
 
-    eligible_order, sort_comparisons = merge_sort(eligible, less)
+    seed, seed_comparisons = merge_sort(eligible[:k], less)
 
-    answer = oracle.query(eligible_order[:k])
-    if answer not in eligible_order[:k]:
+    answer = oracle.query(seed)
+    if answer not in seed:
         raise InconsistentOracleError("position query answered outside its set")
-    position_hat = eligible_order[:k].index(answer) + 1
+    position_hat = seed.index(answer) + 1
 
-    low_block = eligible_order[: k - 1]
+    low_block = seed[: k - 1]
     top, bottom = [], []
     for x in sorted(ineligible):
         answer = oracle.query([x] + low_block)
@@ -209,9 +225,33 @@ def recover_choice_function(oracle: DeterministicOracle) -> RecoveredModel:
             f"impossible for position {position_hat} of {k}"
         )
 
+    # x and placed eligibles p < q, padded with position_hat-2 bottom and
+    # k-position_hat-1 top ineligibles, fill the ranks either side of the
+    # selected one: the answer p, x or q puts x below, between or above
+    middle_padding = tuple(bottom[: position_hat - 2]) + tuple(top[: k - position_hat - 1])
+
+    def locate(x, pivots):
+        if len(pivots) == 1:
+            return int(less(pivots[0], x))
+        p, q = pivots
+        winner = oracle.query((x, p, q) + middle_padding)
+        if winner == p:
+            return 0
+        if winner == x:
+            return 1
+        if winner == q:
+            return 2
+        raise InconsistentOracleError(
+            f"insertion query {(x, p, q) + middle_padding} answered {winner}"
+        )
+
+    # a compromise rule answers three ways; an extreme one only pairs
+    ways = 3 if 2 <= position_hat <= k - 1 else 2
+    eligible_order, insert_queries = insertion_sort(eligible[k:], locate, ways, seed)
+
     stats = RecoveryStats(
-        discard_queries=discard_queries,
-        sort_comparisons=sort_comparisons,
+        discard_queries=n - k + 1,
+        sort_comparisons=seed_comparisons + insert_queries,
         position_queries=1,
         classification_queries=k - 1,
     )

@@ -293,11 +293,11 @@ def noisy_sort(comparator, elements, gamma: float, epsilon_sort: float):
     return ordered
 
 
-def _discard_budget(n: int, epsilon: float) -> float:
-    """Half of one discard round's failure share epsilon/(5(n-2)): one half
-    goes to the round's sequential test, the other to the decision at its
-    cap."""
-    return epsilon / (10 * (n - 2))
+def _discard_budget(n: int, k: int, epsilon: float) -> float:
+    """Half of one discard round's failure share epsilon/(5(n-k+1)), over
+    the n-k+1 rounds recover_mixed runs: one half goes to the round's
+    sequential test, the other to the decision at its cap."""
+    return epsilon / (10 * (n - k + 1))
 
 
 # A discard round's first check falls where twice the radius is gap/1.2,
@@ -308,11 +308,12 @@ def _discard_budget(n: int, epsilon: float) -> float:
 _ROUND_SLACK, _ROUND_GROWTH = 1.2, 1.25
 
 
-def discard_round_repetitions(gamma: float, epsilon: float, n: int) -> int:
-    """The cap on answers per discard round.
+def discard_round_repetitions(gamma: float, epsilon: float, n: int, k: int = 3) -> int:
+    """The cap on answers per discard round of a recovery over n
+    alternatives with k-sets (k = 3 unless given), which runs n-k+1 rounds.
 
     At this count every member frequency of the round lands within gamma/2
-    of its truth with probability >= 1 - b, b = _discard_budget(n,
+    of its truth with probability >= 1 - b, b = _discard_budget(n, k,
     epsilon): the count is the two-sided Chernoff bound (2 + d)/d^2 ln(2/b)
     at d = gamma/2, over four times Hoeffding's count for one member at
     that radius, which covers all k members for any k <= 8/b^3. That
@@ -320,7 +321,7 @@ def discard_round_repetitions(gamma: float, epsilon: float, n: int) -> int:
     round decided at the cap needs besides.
     """
     return math.ceil(
-        (8 + 2 * gamma) / gamma**2 * math.log(2 / _discard_budget(n, epsilon))
+        (8 + 2 * gamma) / gamma**2 * math.log(2 / _discard_budget(n, k, epsilon))
     )
 
 
@@ -414,8 +415,8 @@ def recover_mixed(oracle: MixedOracle, gamma: float, epsilon: float):
     tracked = pi[-1]  # probability of the end position the discard follows
     gap = min(abs(p - tracked) for p in pi[:-1])
 
-    cap = discard_round_repetitions(gamma, epsilon, n)
-    budget = _discard_budget(n, epsilon)
+    cap = discard_round_repetitions(gamma, epsilon, n, k)
+    budget = _discard_budget(n, k, epsilon)
     current = list(range(k))
     winner = None
     for fresh in range(k, n + 1):

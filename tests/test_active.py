@@ -133,31 +133,40 @@ class TestRecover:
             recover_choice_function(oracle)
 
     def test_no_position_dependence_before_position_query(self):
-        # the log splits by the stats counts into discard, sort, position
-        # and classify queries, each of the shape its phase must issue
+        # the log splits into discard, seed sort, position, classify and
+        # insertion queries, each of the shape its phase must issue; the
+        # seed is the k lowest eligible ids and the padding the k-2 lowest
+        # ineligible ids, so neither depends on the position
         rng = np.random.default_rng(5)
-        for n, k, position in [(10, 3, 2), (11, 4, 1), (12, 5, 3), (9, 2, 2)]:
+        for n, k, position in [(10, 3, 2), (11, 4, 1), (12, 5, 3), (9, 2, 2), (11, 4, 3)]:
             oracle = RecordingOracle(PositionSelector(k, position), LatentOrder.random(n, rng))
             model = recover_choice_function(oracle)
             stats = model.stats
-            assert len(oracle.log) == stats.total == oracle.query_count
+            log = oracle.log
+            assert len(log) == stats.total == oracle.query_count
             discard = stats.discard_queries
-            sort_end = discard + stats.sort_comparisons
-            sort_queries = oracle.log[discard:sort_end]
-            position_end = sort_end + stats.position_queries
-            [position_query] = oracle.log[sort_end:position_end]
-            classify_queries = oracle.log[position_end:]
-            assert len(classify_queries) == stats.classification_queries == k - 1
 
             ineligible = model.bottom_ineligible + model.top_ineligible
             padding = set(sorted(ineligible)[: k - 2])
-            assert sort_queries and all(padding <= set(s) for s in sort_queries)
-            assert position_query == kset(model.eligible_order[:k])
-            low_block = set(model.eligible_order[: k - 1])
-            assert all(low_block <= set(s) for s in classify_queries)
-            assert [set(s) - low_block for s in classify_queries] == [
-                {x} for x in sorted(ineligible)
+            seed = set(sorted(model.eligible_order)[:k])
+            low_block = set([x for x in model.eligible_order if x in seed][: k - 1])
+            classify = [kset(low_block | {x}) for x in sorted(ineligible)]
+            # the position query is the seed itself, followed by the classify block
+            [position_at] = [
+                i for i in range(discard, len(log) - (k - 1))
+                if log[i] == kset(seed) and log[i + 1 : i + k] == classify
             ]
+            seed_sort = log[discard:position_at]
+            insertion = log[position_at + k :]
+            assert len(classify) == stats.classification_queries == k - 1
+            assert stats.position_queries == 1
+            assert len(seed_sort) + len(insertion) == stats.sort_comparisons
+
+            assert seed_sort and all(
+                padding <= set(s) <= padding | seed for s in seed_sort
+            )
+            assert len(insertion) >= n - 2 * k + 1
+            assert all(set(s) - seed - set(ineligible) for s in insertion)
 
     def test_reflection_blind_query_sequence(self):
         # a reflected oracle answers every set identically, so the full
@@ -174,6 +183,55 @@ class TestRecover:
             assert o1.log == o2.log
             assert m1.position_hat == m2.position_hat
             assert m1.eligible_order == m2.eligible_order
+
+
+class RankOracle:
+    """Position-selector oracle over ranks given as a plain tuple; answers
+    as DeterministicOracle does, without building a LatentOrder, so that
+    every order of a small universe can be run."""
+
+    def __init__(self, k, position, rank):
+        self.n, self.k, self.position, self.rank = len(rank), k, position, rank
+        self.query_count = 0
+
+    def query(self, s):
+        self.query_count += 1
+        return sorted(s, key=self.rank.__getitem__)[self.position - 1]
+
+
+class TestWorstCaseQueries:
+    # worst-case query counts of the recovery that merge-sorted every
+    # eligible, over all n! orders at each n of the rows below
+    MERGE_SORT_WORST = {
+        (3, 1): {5: 9, 6: 12, 7: 16, 8: 20},
+        (3, 2): {5: 9, 6: 12, 7: 16, 8: 20},
+        (4, 2): {7: 13, 8: 17},
+    }
+
+    @pytest.mark.parametrize("k, position", sorted(MERGE_SORT_WORST))
+    def test_no_worse_than_merge_sort_over_all_orders(self, k, position):
+        worst = {}
+        for n in self.MERGE_SORT_WORST[k, position]:
+            counts = set()
+            for rank in itertools.permutations(range(n)):
+                oracle = RankOracle(k, position, rank)
+                recover_choice_function(oracle)
+                counts.add(oracle.query_count)
+            worst[n] = max(counts)
+        merge = self.MERGE_SORT_WORST[k, position]
+        assert all(worst[n] <= merge[n] for n in merge), (worst, merge)
+        if 2 <= position <= k - 1:
+            # ternary insertion pays off once the seed leaves a list to search
+            assert worst[max(merge)] < merge[max(merge)], (worst, merge)
+
+    def test_rank_oracle_answers_as_deterministic_oracle(self):
+        rng = np.random.default_rng(7)
+        order = LatentOrder.random(7, rng)
+        rank = tuple(order.rank_of(x) for x in range(7))
+        for k, position in [(3, 1), (3, 2), (4, 2)]:
+            det, _ = make_oracle(7, k, position, order)
+            fast = RankOracle(k, position, rank)
+            assert recover_choice_function(fast) == recover_choice_function(det)
 
 
 class TestPredict:

@@ -181,13 +181,14 @@ class TestDeterminism:
         assert report.canonical_bytes() == header + want
 
     def test_recover_active_rows_pinned(self):
-        # recorded before the scalar query path ranked members through a list
+        # recorded when recovery began inserting eligibles by ternary
+        # median queries past a merge-sorted seed block of k
         report = run(cfg(mode="recover-active", n=2000, k=3, position=2, trials=3, seed=0))
         assert report.canonical_bytes() == (
             b"trial,seed,queries,success,frac_correct,frac_unresolved\n"
-            b"0,8668861027912758289,21379,true,,\n"
-            b"1,4881901421217228719,21399,true,,\n"
-            b"2,16452687389592421897,21395,true,,\n"
+            b"0,8668861027912758289,14483,true,,\n"
+            b"1,4881901421217228719,14465,true,,\n"
+            b"2,16452687389592421897,14461,true,,\n"
         )
 
     @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from choicelab import mixture
 from choicelab.core import LatentOrder, PositionSelector, evaluate_many
 from choicelab.mixture import (
     AlignmentFailureError,
@@ -535,6 +536,27 @@ class TestRecoverMixed:
             if (got == want).all():
                 good += 1
         assert good >= int(0.9 * trials)
+
+    @pytest.mark.parametrize("pi", [(0.3, 0.7), (0.2, 0.3, 0.5), (0.1, 0.2, 0.3, 0.4)],
+                             ids=["k2", "k3", "k4"])
+    def test_discard_budget_split_over_the_rounds_run(self, pi, monkeypatch):
+        # every round of the discard gets half of an equal share of
+        # epsilon/5, and the shares of the rounds it runs add up to exactly that
+        n, gamma, epsilon = 8, 0.09, 0.1
+        k = len(pi)
+        rounds = []
+
+        def counted(oracle, members, tracked, gap, cap, budget):
+            rounds.append((cap, budget))
+            return discard_round(oracle, members, tracked, gap, cap, budget)
+
+        monkeypatch.setattr(mixture, "discard_round", counted)
+        mix = MixtureDistribution(pi, gamma)
+        recover_mixed(MixedOracle(LatentOrder.random(n, np.random.default_rng(41)), mix, 42),
+                      gamma, epsilon)
+        assert len(rounds) == n - k + 1
+        assert {cap for cap, _ in rounds} == {discard_round_repetitions(gamma, epsilon, n, k)}
+        assert sum(2 * budget for _, budget in rounds) == pytest.approx(epsilon / 5)
 
     def test_precondition(self):
         mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)

@@ -1,10 +1,20 @@
-"""Counting merge sort used by every comparison-budgeted algorithm."""
+"""Counting merge and insertion sorts used by every comparison-budgeted algorithm."""
+
+import gc
+import math
+import weakref
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choicelab.sorting import merge_sort, merge_sort_comparison_bound
+from choicelab.sorting import (
+    insertion_sort,
+    insertion_sort_comparison_bound,
+    merge_sort,
+    merge_sort_comparison_bound,
+)
 
 
 def test_sorts_correctly():
@@ -49,3 +59,73 @@ def test_sorted_within_bound(items):
     got, count = merge_sort(items, less)
     assert got == sorted(items)
     assert count == len(calls) <= merge_sort_comparison_bound(len(items))
+
+
+def test_merge_sort_keeps_no_reference_to_less():
+    # with the collector off, a comparator held by a reference cycle in the
+    # sort would outlive the call; recovery's comparators hold their oracle
+    class Less:
+        def __call__(self, a, b):
+            return a < b
+
+    less = Less()
+    ref = weakref.ref(less)
+    gc.disable()
+    try:
+        assert merge_sort([3, 1, 2, 0], less)[0] == [0, 1, 2, 3]
+        del less
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def gap_of(x, pivots):
+    """Exact comparator: the gap x falls in among ascending pivots."""
+    return sum(p < x for p in pivots)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    items=st.lists(st.integers(), unique=True, max_size=80),
+    seed_size=st.integers(0, 5),
+    ways=st.sampled_from([2, 3]),
+)
+def test_insertion_sorted_within_bound(items, seed_size, ways):
+    placed, rest = sorted(items[:seed_size]), items[seed_size:]
+    calls = []
+
+    def locate(x, pivots):
+        assert 1 <= len(pivots) <= ways - 1
+        assert list(pivots) == sorted(pivots)
+        calls.append(pivots)
+        return gap_of(x, pivots)
+
+    got, count = insertion_sort(rest, locate, ways, placed)
+    assert got == sorted(items)
+    assert count == len(calls)
+    assert count <= insertion_sort_comparison_bound(len(rest), ways, len(placed))
+
+
+def test_insertion_bound_is_sum_of_ceil_logs():
+    # ceil(log_w(i+1)) for i = 0..m-1, computed in floating point here
+    for ways in (2, 3):
+        for m in (0, 1, 2, 3, 4, 9, 10, 28, 100):
+            want = sum(math.ceil(math.log(i + 1, ways) - 1e-9) for i in range(m))
+            assert insertion_sort_comparison_bound(m, ways) == want
+    assert insertion_sort_comparison_bound(1, 3, placed=2) == 1
+    assert insertion_sort_comparison_bound(2, 2, placed=3) == 2 + 3
+
+
+def test_insertion_worst_case_meets_bound():
+    # the first run is a longest one, so answering 0 every time leaves
+    # ceil(open/ways) gaps per call and forces every call the bound allows
+    for ways in (2, 3):
+        for m in (1, 2, 5, 27, 28, 50):
+            # each item lands below everything placed, in the first run
+            _, count = insertion_sort(range(m), lambda x, pivots: 0, ways)
+            assert count == insertion_sort_comparison_bound(m, ways)
+
+
+def test_insertion_rejects_unsupported_ways():
+    with pytest.raises(ValueError):
+        insertion_sort([1, 2], gap_of, ways=4)
