@@ -23,7 +23,12 @@ the included colex ranks come out ascending with no sort; only sparse
 phases over more than 2^22 k-sets draw a binomial batch size and a
 distinct sample of ranks. unrank_combinations builds its rows column by
 column and returns them as a column-major (m, k) view, so every
-per-column pass downstream reads contiguous memory.
+per-column pass downstream reads contiguous memory. Ascending ranks
+decode block by block, one search per top member and one table gather
+per lower column, whenever they are at least as many as the C(n-1, k-1)
+rows of that table, as in every phase and in the sampled scoring of a
+passive run. Other ranks take one search per level and row. Both give
+the same rows.
 """
 
 from __future__ import annotations
@@ -259,8 +264,8 @@ class StreamConfig:
 
     @classmethod
     def from_coverage(cls, b: float, n: int) -> "StreamConfig":
-        if b <= 0:
-            raise ValueError("coverage parameter b must be positive")
+        if not b > 0:  # NaN fails this too
+            raise ValueError(f"coverage parameter b must be positive, got {b}")
         if n < 4:
             raise ValueError("need n >= 4 for the coverage formulas")
         lg = math.log2(n)
@@ -290,6 +295,17 @@ class ObservationBatch:
             member |= column == choices
         if not member.all():
             raise ValueError("every chosen alternative must be a member of its set")
+        self._freeze(sets, choices)
+
+    @classmethod
+    def _answered(cls, sets: np.ndarray, choices: np.ndarray) -> "ObservationBatch":
+        """A batch of int64 sets and the oracle's answers to them: every
+        choice is a member of its row by construction, so no re-check."""
+        batch = cls.__new__(cls)
+        batch._freeze(sets, choices)
+        return batch
+
+    def _freeze(self, sets: np.ndarray, choices: np.ndarray) -> None:
         self.sets = sets
         self.choices = choices
         self.sets.setflags(write=False)
@@ -369,17 +385,47 @@ def unrank_combinations(indices: np.ndarray, n: int, k: int) -> np.ndarray:
     """Map colex ranks in [0, C(n,k)) to sorted k-subsets of [0, n), vectorized.
 
     Row i is the subset of rank indices[i], so ascending ranks give rows in
-    colex order. Pass ranks sorted when the order is free: numpy's
-    searchsorted narrows each search with the previous key's result when
-    the keys ascend, which makes the unranking about 3x faster.
+    colex order. Pass ranks sorted when the order is free.
+
+    Ascending ranks (duplicates allowed, all in range) at k >= 2 decode
+    block by block when there are at least C(n-1, k-1) of them: the ranks
+    with top member c form the block [C(c,k), C(c+1,k)), so one search of
+    the n+1 block bounds and a repeat of the block sizes give the top
+    column, and each lower column is one gather, at r - C(c,k), from the
+    table of all (k-1)-subsets of [0, n-1), itself unranked the same way.
+    Other ranks take one searchsorted per level and row, about 3x faster
+    when the keys ascend, because numpy narrows each search with the
+    previous key's result.
 
     The result is a column-major view: column j is one contiguous row of a
-    (k, m) buffer. The running remainder lives in column 0 and ends there
-    as the lowest member; each level writes its column in place.
+    (k, m) buffer.
     """
-    indices = np.asarray(indices, dtype=np.int64)
+    return _unrank(np.asarray(indices, dtype=np.int64), n, k)
+
+
+def _unrank(indices: np.ndarray, n: int, k: int) -> np.ndarray:
+    """unrank_combinations on int64 ranks. The block decoder unranks its
+    (k-1)-table through this function, so a wrapper of the public name
+    sees only its callers' rows."""
     table = _binomial_table(n, k)
     out = np.empty((k, indices.size), dtype=np.int64)  # column j of the result is out[j]
+    if (
+        2 <= k <= n
+        and math.comb(n - 1, k - 1) <= indices.size
+        and indices[0] >= 0
+        and indices[-1] < table[k, n]
+        and (indices[1:] >= indices[:-1]).all()
+    ):
+        # the ranks below C(c, k), for c in [0, n], differ by the size of block c
+        sizes = np.diff(np.searchsorted(indices, table[k]))
+        out[k - 1] = np.repeat(np.arange(n), sizes)
+        lower = indices - np.repeat(table[k, :n], sizes)
+        below = _unrank(np.arange(math.comb(n - 1, k - 1)), n - 1, k - 1).T
+        for j in range(k - 1):
+            np.take(below[j], lower, out=out[j])
+        return out.T
+    # The running remainder lives in column 0 and ends there as the lowest
+    # member; each level writes its column in place.
     remaining = out[0]
     remaining[:] = indices
     for j in range(k, 1, -1):
@@ -433,14 +479,14 @@ def sample_phase(
     that size, drawn by dedupe-and-top-up and then sorted. Pass
     independent rngs for phases 1 and 2.
 
-    Rows come back in ascending colex rank, because ascending keys make
-    the unranking searches about 3x faster; no reader of a batch depends
-    on its row order.
+    Rows come back in ascending colex rank, because ascending ranks
+    unrank block by block (see unrank_combinations); no reader of a batch
+    depends on its row order. The choices are the oracle's answers to the
+    rows, members by construction, so the batch skips the membership check.
     """
     if phase not in (1, 2):
         raise ValueError("phase must be 1 or 2")
     p = config.p1 if phase == 1 else config.p2
     idx = _sample_ranks(math.comb(universe_size, k), p, rng)
     sets = unrank_combinations(idx, universe_size, k)
-    choices = oracle.query_many(sets)
-    return ObservationBatch(sets, choices)
+    return ObservationBatch._answered(sets, oracle.query_many(sets))

@@ -203,13 +203,16 @@ def build_partial_order(
     index = np.full(universe_size, -1, dtype=np.int64)
     index[elements] = np.arange(elements.size)
 
-    free = ~is_anchor[_check_ids(batch.sets, universe_size)]
-    free_count = np.zeros(len(batch), dtype=np.int64)
-    for column in free.T:  # k column adds: ~5x faster than sum(axis=1) at k=3
-        free_count += column
-    mask = free_count == 2
-    pairs = _check_sets(2, universe_size, batch.sets[mask][free[mask]].reshape(-1, 2))
-    winners = batch.choices[mask]
+    columns = _check_ids(batch.sets, universe_size).T
+    # k column gathers, no (m, k) temporary. int32 halves int64's time; uint8
+    # and int16 counts were faster still but raised peak RSS over many trials
+    anchor_count = np.zeros(len(batch), dtype=np.int32)
+    for column in columns:
+        anchor_count += is_anchor[column]
+    rows = np.flatnonzero(anchor_count == k - 2)
+    anchored = columns[:, rows].T  # only these rows get a free-member mask
+    pairs = _check_sets(2, universe_size, anchored[~is_anchor[anchored]].reshape(-1, 2))
+    winners = batch.choices[rows]
     if pairs.size and not ((winners == pairs[:, 0]) | (winners == pairs[:, 1])).all():
         raise InconsistentStreamError("an anchored record chose an anchor")
 

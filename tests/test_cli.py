@@ -125,6 +125,12 @@ def assert_usage_error(proc, message):
     assert "Traceback" not in proc.stderr
 
 
+def test_passive_nan_coverage_usage_error():
+    # NaN passes a `b <= 0` test and min(1, NaN) is 1: every k-set was observed
+    proc = run_cli("recover-passive", "--n", "30", "--k", "3", "--ell", "2", "--b", "nan")
+    assert_usage_error(proc, "coverage parameter b must be positive")
+
+
 def test_io_error_exit_three(tmp_path):
     proc = run_cli(
         "feasibility", "--n", "5", "--out", str(tmp_path / "no" / "dir" / "x.csv")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy import stats as st
 
+from choicelab import oracles
 from choicelab.core import InvalidQueryError, LatentOrder, PositionSelector, evaluate_many
 from choicelab.oracles import (
     DeterministicOracle,
@@ -533,3 +534,71 @@ class TestUnranking:
         assert len(as_tuples) == total
         assert as_tuples == set(itertools.combinations(range(n), k))
         assert (np.diff(rows, axis=1) > 0).all()
+
+    # Ascending ranks decode block by block when there are at least
+    # C(n-1, k-1) of them; every other input takes the per-level search.
+
+    @pytest.mark.parametrize(
+        "n, k, p", [(30, 3, 0.3), (40, 4, 0.2), (12, 6, 0.9), (200, 3, 0.02), (25, 2, 0.5)]
+    )
+    def test_block_decode_bernoulli_ranks(self, n, k, p):
+        # ascending distinct ranks, drawn as sample_phase draws them
+        total = math.comb(n, k)
+        ranks = np.flatnonzero(np.random.default_rng(n + k).random(total) < p)
+        assert ranks.size >= math.comb(n - 1, k - 1)
+        rows = unrank_combinations(ranks, n, k)
+        assert np.array_equal(rows, reference_unrank(ranks, n, k))
+        assert rows.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("n, k", [(30, 3), (15, 5), (60, 2)])
+    def test_block_decode_sorted_ranks_with_duplicates(self, n, k):
+        # sorted draws with replacement, as sampled scoring draws them
+        total = math.comb(n, k)
+        ranks = np.sort(np.random.default_rng(n * k).integers(0, total, size=2 * total))
+        assert (np.diff(ranks) == 0).any()
+        assert np.array_equal(unrank_combinations(ranks, n, k), reference_unrank(ranks, n, k))
+
+    @pytest.mark.parametrize("n, k", [(30, 3), (12, 5), (9, 2)])
+    @pytest.mark.parametrize("short", [0, 1])
+    def test_block_decode_threshold(self, n, k, short, monkeypatch):
+        # m = C(n-1, k-1) decodes block by block, one rank fewer by search; the
+        # block path unranks its (k-1)-table through the private decoder
+        calls = []
+        decode = oracles._unrank
+
+        def spy(indices, n, k):
+            calls.append((n, k))
+            return decode(indices, n, k)
+
+        monkeypatch.setattr(oracles, "_unrank", spy)
+        m = math.comb(n - 1, k - 1) - short
+        ranks = np.sort(np.random.default_rng(m).choice(math.comb(n, k), size=m, replace=False))
+        rows = unrank_combinations(ranks, n, k)
+        assert np.array_equal(rows, reference_unrank(ranks, n, k))
+        assert rows.T.flags.c_contiguous
+        assert ((n - 1, k - 1) in calls) == (short == 0)
+
+    @pytest.mark.parametrize(
+        "n, k, ranks",
+        [
+            (8, 2, np.arange(28)),  # its (k-1)-table is unranked at k = 1
+            (5, 5, np.array([0])),  # n = k: one k-set, a table of one row
+            (5, 5, np.array([0, 0, 0])),
+            (6, 6, np.empty(0, dtype=np.int64)),  # m = 0
+            (9, 3, np.empty(0, dtype=np.int64)),
+        ],
+    )
+    def test_block_decode_edges(self, n, k, ranks):
+        rows = unrank_combinations(ranks, n, k)
+        assert rows.shape == (ranks.size, k) and rows.dtype == np.int64
+        assert np.array_equal(rows, reference_unrank(ranks, n, k))
+        assert rows.T.flags.c_contiguous
+
+    def test_unsorted_ranks_keep_the_search(self):
+        # the same ranks, shuffled, give the same rows in the shuffled order
+        n, k = 30, 3
+        ranks = np.arange(math.comb(n, k))
+        shuffled = np.random.default_rng(7).permutation(ranks)
+        rows = unrank_combinations(shuffled, n, k)
+        assert np.array_equal(rows, unrank_combinations(ranks, n, k)[shuffled])
+        assert rows.T.flags.c_contiguous

@@ -1,5 +1,6 @@
 """Passive-stream recovery: ineligible detection, anchored closure, coverage."""
 
+import io
 import itertools
 import math
 
@@ -421,3 +422,95 @@ def test_answer_query_is_answer_many_and_sound(case):
         resolved = many != -1
         sound.append(bool((many[resolved] == truth[resolved]).all()))
     assert any(sound)  # every resolved answer holds under one global reading
+
+
+def reference_partial_order(batch, n, anchors):
+    """build_partial_order record by record: the closed beats over the
+    non-anchor ids, or the start of the InconsistentStreamError message
+    that the kernel raises first."""
+    anchors = set(anchors)
+    elements = [x for x in range(n) if x not in anchors]
+    index = {x: i for i, x in enumerate(elements)}
+    edges = []
+    for row, choice in batch.records():
+        if not anchors <= set(row):
+            continue
+        u, v = (x for x in row if x not in anchors)
+        if choice not in (u, v):
+            return "an anchored record chose an anchor"
+        edges.append((index[choice], index[v if choice == u else u]))
+    size = len(elements)
+    reach = [[False] * size for _ in range(size)]
+    for w, l in edges:
+        reach[w][l] = True
+    if any(reach[i][j] and reach[j][i] for i in range(size) for j in range(size)):
+        return "contradictory orientations"
+    for via in range(size):  # Warshall
+        for i in range(size):
+            if reach[i][via]:
+                for j in range(size):
+                    reach[i][j] = reach[i][j] or reach[via][j]
+    if any(reach[i][i] for i in range(size)):
+        return "orientation cycle"
+    return np.array(reach, dtype=bool).reshape(size, size)
+
+
+def reference_stream(n, k, anchors, rule, seed):
+    """A batch over a Bernoulli(0.6) subset of the k-sets of [0, n). Choices:
+    "oracle" answers a random order's median; "ranked" picks each row's
+    non-anchor of highest random rank, an acyclic orientation whatever the
+    anchors; "noisy" picks a uniform non-anchor; "repeated" lists every
+    row twice with noisy choices."""
+    rng = np.random.default_rng(seed)
+    sets = all_ksets(n, k)
+    sets = sets[rng.random(len(sets)) < 0.6]
+    if rule == "oracle":
+        return ObservationBatch(
+            sets, evaluate_many(PositionSelector(k, 2), LatentOrder.random(n, rng), sets)
+        )
+    if rule == "repeated":
+        sets = np.concatenate([sets, sets])
+    held = np.isin(sets, anchors)
+    if rule == "ranked":
+        score = rng.permutation(n)[sets]
+    else:
+        score = rng.random(sets.shape)
+    score[held] = -1
+    return ObservationBatch(sets, sets[np.arange(len(sets)), np.argmax(score, axis=1)])
+
+
+class TestBuildPartialOrderReference:
+    N = 9
+
+    @pytest.mark.parametrize(
+        "k, anchors",
+        [(3, (0,)), (3, (4,)), (3, (8,)), (4, (0, 8)), (4, (2, 5)), (4, (0, 1)), (4, (7, 8))],
+    )
+    @pytest.mark.parametrize("rule", ["oracle", "ranked", "noisy", "repeated"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_record_by_record_reference(self, k, anchors, rule, seed):
+        batch = reference_stream(self.N, k, anchors, rule, seed)
+        with io.StringIO() as buf:
+            batch.to_jsonl(buf)
+            buf.seek(0)
+            from_file = ObservationBatch.from_jsonl(buf)
+        want = reference_partial_order(batch, self.N, anchors)
+        for got_batch in (batch, from_file):
+            if isinstance(want, str):
+                with pytest.raises(InconsistentStreamError, match=want):
+                    build_partial_order(got_batch, self.N, anchors, 2)
+            else:
+                po = build_partial_order(got_batch, self.N, anchors, 2)
+                assert np.array_equal(po.beats, want)
+        if rule == "ranked":
+            assert not isinstance(want, str)
+
+    @pytest.mark.parametrize("k, anchors", [(3, (4,)), (4, (2, 5))])
+    def test_anchors_in_every_column(self, k, anchors):
+        # the middle anchors of the reference cases sit in every column, and
+        # at k=4 rows holding one anchor of two are present too
+        sets = reference_stream(self.N, k, anchors, "ranked", 1).sets
+        held = np.isin(sets, anchors)
+        anchored = held[held.sum(axis=1) == k - 2]
+        assert anchored.any(axis=0).all()
+        assert k == 3 or (held.sum(axis=1) == 1).any()
