@@ -170,8 +170,12 @@ def _check_query(k: int, n: int, s) -> KSet:
 
 def _check_sets(k: int, n: int, sets) -> np.ndarray:
     """The validation every vectorized query makes: sets as an (m, k) int64
-    array of rows with k distinct ids in [0, n)."""
-    sets = np.asarray(sets, dtype=np.int64)
+    array of rows with k distinct ids in [0, n). Ids of any non-integer
+    dtype are rejected, never truncated."""
+    sets = np.asarray(sets)
+    if sets.size and sets.dtype.kind not in "iu":
+        raise InvalidQueryError(f"k-set ids must be integers, got dtype {sets.dtype}")
+    sets = sets.astype(np.int64, copy=False)
     if sets.ndim != 2 or sets.shape[1] != k:
         raise InvalidQueryError(f"expected (m, {k}) array of k-sets, got shape {sets.shape}")
     if sets.size and (sets.min() < 0 or sets.max() >= n):

@@ -46,9 +46,9 @@ from .core import (
     LatentOrder,
     PositionSelector,
     _check_query,
+    _check_sets,
     evaluate,
     evaluate_many,
-    kset,
 )
 
 __all__ = [
@@ -92,7 +92,7 @@ class DeterministicOracle:
     def query_many(self, sets: np.ndarray) -> np.ndarray:
         """Answer an (m, k) array of k-sets; counts m queries."""
         answers = evaluate_many(self.selector, self.order, sets)
-        self._count += int(sets.shape[0])
+        self._count += len(answers)
         return answers
 
 
@@ -281,33 +281,44 @@ class StreamConfig:
 
 
 class ObservationBatch:
-    """The distinct (k-set, choice) records observed during one stream phase."""
+    """The distinct (k-set, choice) records observed during one stream phase.
 
-    def __init__(self, sets: np.ndarray, choices: np.ndarray):
-        sets = np.asarray(sets, dtype=np.int64)
-        choices = np.asarray(choices, dtype=np.int64)
+    Records enter once, here: hand-built and JSONL rows pass _check_sets and
+    a membership check of each choice. Every id lies below id_bound, which
+    readers compare with their universe size instead of scanning ids.
+    """
+
+    def __init__(self, sets, choices):
+        sets = np.asarray(sets)
         if sets.ndim != 2:
-            raise ValueError("sets must be an (m, k) array")
+            raise InvalidQueryError("sets must be an (m, k) array")
+        sets = _check_sets(sets.shape[1], INT64_MAX, sets)
+        choices = np.asarray(choices)
+        if choices.size and choices.dtype.kind not in "iu":
+            raise InvalidQueryError(f"choice must be an integer id, got dtype {choices.dtype}")
+        choices = choices.astype(np.int64, copy=False)
         if choices.shape != (sets.shape[0],):
-            raise ValueError("one choice per set required")
+            raise InvalidQueryError("one choice per set required")
         member = np.zeros(choices.shape, dtype=bool)
         for column in sets.T:  # no (m, k) temporary, no reduce over the short axis
             member |= column == choices
         if not member.all():
-            raise ValueError("every chosen alternative must be a member of its set")
-        self._freeze(sets, choices)
+            raise InvalidQueryError("every chosen alternative must be a member of its set")
+        self._freeze(sets, choices, int(sets.max()) + 1 if sets.size else 0)
 
     @classmethod
-    def _answered(cls, sets: np.ndarray, choices: np.ndarray) -> "ObservationBatch":
-        """A batch of int64 sets and the oracle's answers to them: every
-        choice is a member of its row by construction, so no re-check."""
+    def _answered(cls, sets: np.ndarray, choices: np.ndarray, universe_size: int):
+        """A batch of sets that passed an oracle's query_many over
+        [0, universe_size) and the oracle's answers to them: every row is
+        valid and every choice a member of its row, so nothing is re-checked."""
         batch = cls.__new__(cls)
-        batch._freeze(sets, choices)
+        batch._freeze(sets, choices, universe_size)
         return batch
 
-    def _freeze(self, sets: np.ndarray, choices: np.ndarray) -> None:
+    def _freeze(self, sets: np.ndarray, choices: np.ndarray, id_bound: int) -> None:
         self.sets = sets
         self.choices = choices
+        self.id_bound = id_bound
         self.sets.setflags(write=False)
         self.choices.setflags(write=False)
 
@@ -328,32 +339,23 @@ class ObservationBatch:
 
     @classmethod
     def from_jsonl(cls, fp: IO[str]) -> "ObservationBatch":
-        """Read records written by to_jsonl. Ids must be integers, a set's
-        ids distinct and every set the same size; anything else raises
-        InvalidQueryError."""
-        sets, choices = [], []
-        for line in fp:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            sets.append(kset(rec["set"]))
-            if len(sets[-1]) != len(sets[0]):
-                raise InvalidQueryError(
-                    f"set {list(sets[-1])} has {len(sets[-1])} ids, "
-                    f"the first set has {len(sets[0])}"
-                )
-            try:
-                choices.append(operator.index(rec["choice"]))
-            except TypeError:
-                raise InvalidQueryError(
-                    f"choice must be an integer id, got {rec['choice']!r}"
-                ) from None
-        k = len(sets[0]) if sets else 0
-        return cls(
-            np.asarray(sets, dtype=np.int64).reshape(len(sets), k),
-            np.asarray(choices, dtype=np.int64),
-        )
+        """Read records written by to_jsonl, through the constructor's
+        checks. Every set must have the same size; a ragged set, like any
+        record the constructor rejects, raises InvalidQueryError."""
+        records = [json.loads(line) for line in fp if line.strip()]
+        sets = [rec["set"] for rec in records]
+        for s in sets:
+            if not isinstance(s, list):
+                raise InvalidQueryError(f"set must be a list of ids, got {s!r}")
+            if len(s) != len(sets[0]):
+                first = len(sets[0])
+                raise InvalidQueryError(f"set {s} has {len(s)} ids, the first set has {first}")
+        try:
+            sets = np.asarray(sets) if sets else np.empty((0, 0), dtype=np.int64)
+            choices = np.asarray([rec["choice"] for rec in records])
+        except ValueError:  # a list among the ids
+            raise InvalidQueryError("ids must be integers") from None
+        return cls(sets, choices)
 
 
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -385,7 +387,8 @@ def unrank_combinations(indices: np.ndarray, n: int, k: int) -> np.ndarray:
     """Map colex ranks in [0, C(n,k)) to sorted k-subsets of [0, n), vectorized.
 
     Row i is the subset of rank indices[i], so ascending ranks give rows in
-    colex order. Pass ranks sorted when the order is free.
+    colex order. Pass ranks sorted when the order is free. A rank outside
+    [0, C(n,k)) raises ValueError.
 
     Ascending ranks (duplicates allowed, all in range) at k >= 2 decode
     block by block when there are at least C(n-1, k-1) of them: the ranks
@@ -424,6 +427,8 @@ def _unrank(indices: np.ndarray, n: int, k: int) -> np.ndarray:
         for j in range(k - 1):
             np.take(below[j], lower, out=out[j])
         return out.T
+    if indices.size and (indices.min() < 0 or indices.max() >= table[k, n]):
+        raise ValueError(f"colex ranks must lie in [0, C({n}, {k})) = [0, {table[k, n]})")
     # The running remainder lives in column 0 and ends there as the lowest
     # member; each level writes its column in place.
     remaining = out[0]
@@ -482,11 +487,12 @@ def sample_phase(
     Rows come back in ascending colex rank, because ascending ranks
     unrank block by block (see unrank_combinations); no reader of a batch
     depends on its row order. The choices are the oracle's answers to the
-    rows, members by construction, so the batch skips the membership check.
+    rows, which query_many has validated, and members by construction, so
+    the batch checks nothing again.
     """
     if phase not in (1, 2):
         raise ValueError("phase must be 1 or 2")
     p = config.p1 if phase == 1 else config.p2
     idx = _sample_ranks(math.comb(universe_size, k), p, rng)
     sets = unrank_combinations(idx, universe_size, k)
-    return ObservationBatch._answered(sets, oracle.query_many(sets))
+    return ObservationBatch._answered(sets, oracle.query_many(sets), universe_size)

@@ -8,6 +8,10 @@ unknown) convention, so the transitive closure of those orientations is
 a partial order that answers a query whenever all internal pairs are
 resolved. Queries touching an anchor or an unresolved pair return
 UNRESOLVED, which scoring counts as incorrect.
+
+Records are validated where they enter an ObservationBatch (sampled rows
+by query_many, others by the constructor); this module only compares a
+batch's id_bound with the universe size.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .core import (
     _check_sets,
     all_ksets,
     evaluate_many,
-    kset,
 )
 from .oracles import ObservationBatch, unrank_combinations
 from .stats import clopper_pearson
@@ -76,26 +79,19 @@ class _Unresolved:
 UNRESOLVED = _Unresolved()
 
 
-def _check_ids(ids: np.ndarray, n: int) -> np.ndarray:
-    """ids as given, once every one is known to lie in [0, n)."""
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise InvalidQueryError(f"ids out of range [0, {n})")
-    return ids
-
-
 def find_ineligible_passive(batch: ObservationBatch, universe_size: int) -> frozenset:
     """Alternatives never appearing as a choice in the batch.
 
     The true ineligible set is always a subset of the result; when the
     result has exactly k-1 members it equals the ineligible set. Any other
     size raises InsufficientCoverageError (the algorithm terminates with
-    no answer rather than guessing). Choice ids outside [0, universe_size)
-    raise InvalidQueryError.
+    no answer rather than guessing). A batch with ids outside
+    [0, universe_size) raises InvalidQueryError.
     """
-    k = batch.k
-    choices = _check_ids(batch.choices, universe_size)
-    never = np.flatnonzero(np.bincount(choices, minlength=universe_size) == 0)
-    if never.size != k - 1:
+    if batch.id_bound > universe_size:
+        raise InvalidQueryError(f"ids out of range [0, {universe_size})")
+    never = np.flatnonzero(np.bincount(batch.choices, minlength=universe_size) == 0)
+    if never.size != batch.k - 1:
         raise InsufficientCoverageError(int(x) for x in never)
     return frozenset(int(x) for x in never)
 
@@ -115,7 +111,7 @@ class InferredPartialOrder:
         self.index = index
         self.elements = np.flatnonzero(index >= 0)
         self.beats = beats
-        self.anchors = kset(anchors)
+        self.anchors = tuple(anchors)
         self.position = int(position)
         for array in (self.index, self.elements, self.beats):
             array.setflags(write=False)
@@ -129,10 +125,8 @@ class InferredPartialOrder:
         return len(self.anchors) + 2
 
     def resolved(self, u: int, v: int) -> bool:
-        if u == v:
-            return True
-        i, j = self.index[_check_sets(2, self.universe_size, [[u, v]])[0]]
-        return bool(i >= 0 and j >= 0 and (self.beats[i, j] or self.beats[j, i]))
+        i, j = self.index[_check_sets(1, self.universe_size, [[u], [v]])[:, 0]]
+        return bool(u == v or (i >= 0 and j >= 0 and (self.beats[i, j] or self.beats[j, i])))
 
     @property
     def unresolved_pair_count(self) -> int:
@@ -187,23 +181,23 @@ def build_partial_order(
     convention. Every non-anchor id is an element of the result, observed
     or not. Contradictory orientations for one pair, a choice falling on
     an anchor, or any cycle raise InconsistentStreamError (impossible for
-    a noiseless position-selecting source with correct anchors).
+    a noiseless position-selecting source with correct anchors). A batch
+    with ids outside [0, universe_size) raises InvalidQueryError, as do
+    anchors that are not k-2 distinct ids in that range.
     """
-    anchors = kset(anchors)
     k = batch.k
-    if len(anchors) != k - 2:
-        raise ValueError(f"need exactly k-2={k - 2} anchors, got {len(anchors)}")
     if not 2 <= position <= k - 1:
         raise ValueError(f"position must lie in [2, k-1], got {position}")
-    if anchors[0] < 0 or anchors[-1] >= universe_size:
-        raise InvalidQueryError(f"anchors out of range [0, {universe_size}): {anchors}")
+    anchors = _check_query(k - 2, universe_size, anchors)
+    if batch.id_bound > universe_size:
+        raise InvalidQueryError(f"ids out of range [0, {universe_size})")
     is_anchor = np.zeros(universe_size, dtype=bool)
     is_anchor[list(anchors)] = True
     elements = np.flatnonzero(~is_anchor)
     index = np.full(universe_size, -1, dtype=np.int64)
     index[elements] = np.arange(elements.size)
 
-    columns = _check_ids(batch.sets, universe_size).T
+    columns = batch.sets.T
     # k column gathers, no (m, k) temporary. int32 halves int64's time; uint8
     # and int16 counts were faster still but raised peak RSS over many trials
     anchor_count = np.zeros(len(batch), dtype=np.int32)
@@ -211,7 +205,7 @@ def build_partial_order(
         anchor_count += is_anchor[column]
     rows = np.flatnonzero(anchor_count == k - 2)
     anchored = columns[:, rows].T  # only these rows get a free-member mask
-    pairs = _check_sets(2, universe_size, anchored[~is_anchor[anchored]].reshape(-1, 2))
+    pairs = anchored[~is_anchor[anchored]].reshape(-1, 2)
     winners = batch.choices[rows]
     if pairs.size and not ((winners == pairs[:, 0]) | (winners == pairs[:, 1])).all():
         raise InconsistentStreamError("an anchored record chose an anchor")
@@ -227,10 +221,10 @@ def build_partial_order(
 
 def answer_query(po: InferredPartialOrder, s, position: int | None = None):
     """The inferred choice for one k-set, or UNRESOLVED: answer_many on a
-    single row, after the scalar validation of s."""
+    single row, validated once as a scalar query."""
     s = _check_query(po.k, po.universe_size, s)
     position = po.position if position is None else position
-    answer = int(answer_many(po, np.array([s]), position)[0])
+    answer = int(_answer_rows(po, np.array([s]), (position,))[0][0])
     return UNRESOLVED if answer == -1 else answer
 
 
@@ -242,7 +236,8 @@ def answer_many(po: InferredPartialOrder, sets: np.ndarray, position: int) -> np
     unresolved pair; otherwise its answer is the member at the requested
     position under the stored orientation. Every resolved answer is
     correct under one global reading of the orientation (possibly the
-    reflected position; the scorer tries both).
+    reflected position; the scorer tries both). A position outside [1, k]
+    raises InvalidQueryError.
     """
     return _answer_rows(po, _check_sets(po.k, po.universe_size, sets), (position,))[0]
 
@@ -251,6 +246,9 @@ def _answer_rows(po: InferredPartialOrder, sets: np.ndarray, positions) -> list:
     """answer_many for sets that passed _check_sets, at each of positions,
     from one pass over the pairwise beats lookups."""
     m, k = sets.shape
+    for position in positions:
+        if position not in range(1, k + 1):
+            raise InvalidQueryError(f"position must lie in [1, {k}], got {position}")
     idx = po.index[sets.T]  # k contiguous index columns
     # an anchor's index -1 reads the last row of beats; such rows start unresolved
     resolved = np.all(idx >= 0, axis=0)

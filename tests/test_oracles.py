@@ -49,6 +49,11 @@ class TestDeterministicOracle:
         assert oracle.query_count == len(sets)
         assert all(a == min(row) for a, row in zip(answers, sets))
 
+    def test_query_many_accepts_a_list(self):
+        oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(4))
+        assert oracle.query_many([[0, 1, 2], [1, 2, 3]]).tolist() == [1, 2]
+        assert oracle.query_count == 2
+
 
 class TestMixtureDistribution:
     def test_normalizes_within_tolerance(self):
@@ -331,6 +336,16 @@ class TestObservationBatch:
         batch = ObservationBatch(np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64))
         assert len(batch) == 0 and batch.k == 3
 
+    def test_id_bound(self):
+        # one more than the largest id of a hand-built batch; the universe
+        # size of a sampled one, whose rows query_many has validated
+        assert ObservationBatch(np.array([[0, 1, 5], [2, 3, 4]]), np.array([1, 3])).id_bound == 6
+        assert ObservationBatch(np.empty((0, 3), dtype=np.int64), []).id_bound == 0
+        oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(9))
+        cfg = StreamConfig.from_probabilities(0.2, 0.2)
+        batch = sample_phase(cfg, 1, 9, 3, oracle, np.random.default_rng(3))
+        assert batch.id_bound == 9 and len(batch) == oracle.query_count
+
     def test_jsonl_roundtrip(self):
         batch = ObservationBatch(
             np.array([[0, 1, 2], [1, 3, 4]]), np.array([1, 3])
@@ -357,6 +372,21 @@ class TestObservationBatch:
         buf = io.StringIO('{"set": [0, 1, 2], "choice": 1}\n' + record + "\n")
         with pytest.raises(InvalidQueryError, match=message):
             ObservationBatch.from_jsonl(buf)
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"set": 5, "choice": 5}', "must be a list of ids"),
+            ('{"set": [[0], [1], [2]], "choice": 1}', r"\(m, k\) array"),
+            ('{"set": [0, [1], 2], "choice": 0}', "ids must be integers"),
+            ('{"set": [0, 1, 2], "choice": true}', "choice must be an integer id"),
+            ('{"set": [0, 1, 2], "choice": [1]}', "one choice per set"),
+        ],
+        ids=["scalar-set", "nested-set", "nested-id", "bool-choice", "list-choice"],
+    )
+    def test_jsonl_rejects_malformed_records(self, record, message):
+        with pytest.raises(InvalidQueryError, match=message):
+            ObservationBatch.from_jsonl(io.StringIO(record + "\n"))
 
 
 def colex_rank(row) -> int:
@@ -593,6 +623,18 @@ class TestUnranking:
         assert rows.shape == (ranks.size, k) and rows.dtype == np.int64
         assert np.array_equal(rows, reference_unrank(ranks, n, k))
         assert rows.T.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "ranks",
+        [[-1], [10], [11], [0, 10], [9, -1], list(range(11)), [-1, *range(9)]],
+        ids=["negative", "at-total", "past-total", "among-valid", "unsorted",
+             "ascending-block", "negative-block"],
+    )
+    def test_out_of_range_ranks_rejected(self, ranks):
+        # C(5, 3) = 10; block-sized ascending inputs out of range fall back
+        # to the per-level search, which checks them
+        with pytest.raises(ValueError, match=r"colex ranks must lie in \[0, C\(5, 3\)\)"):
+            unrank_combinations(np.array(ranks), 5, 3)
 
     def test_unsorted_ranks_keep_the_search(self):
         # the same ranks, shuffled, give the same rows in the shuffled order

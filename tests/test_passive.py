@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -72,9 +73,9 @@ class TestFindIneligible:
         ids=["at-n", "negative", "among-valid"],
     )
     def test_out_of_range_choice_rejected(self, sets, choices):
-        batch = ObservationBatch(np.array(sets), np.array(choices))
+        # a negative id is refused when the batch is built, one >= n by the reader
         with pytest.raises(InvalidQueryError, match="out of range"):
-            find_ineligible_passive(batch, 7)
+            find_ineligible_passive(ObservationBatch(np.array(sets), np.array(choices)), 7)
 
     def test_monte_carlo_n50(self):
         n, k, position, b = 50, 3, 2, 8
@@ -190,9 +191,18 @@ class TestBuildPartialOrder:
     @pytest.mark.parametrize("row", [[0, 1, 5], [-1, 1, 2], [1, 2, 6]])
     def test_out_of_range_record_rejected(self, row):
         # anchored or not, a record naming an id outside [0, n) is rejected
-        batch = ObservationBatch(np.array([[0, 1, 2], row]), np.array([1, row[1]]))
         with pytest.raises(InvalidQueryError, match="out of range"):
+            batch = ObservationBatch(np.array([[0, 1, 2], row]), np.array([1, row[1]]))
             build_partial_order(batch, 5, (0,), 2)
+
+    def test_resolved_rejects_ids_outside_universe(self):
+        order = LatentOrder.identity(8)
+        batch = anchored_batch(order, 3, 2, (0,), [(1, 2), (2, 3)])
+        po = build_partial_order(batch, 8, (0,), 2)
+        for u, v in ((99, 99), (-1, -1), (8, 8), (1, 99), (1.0, 2.0)):
+            with pytest.raises(InvalidQueryError):
+                po.resolved(u, v)
+        assert po.resolved(3, 3) and po.resolved(0, 0)
 
     def test_out_of_range_anchor_rejected(self):
         batch = ObservationBatch(np.array([[0, 1, 2]]), np.array([1]))
@@ -219,6 +229,13 @@ class TestAnswerQuery:
 
     def test_unresolved_pair_propagates(self):
         assert answer_query(self.po, (4, 5, 8)) is UNRESOLVED
+
+    @pytest.mark.parametrize("position", [0, 4, 7, -1])
+    def test_position_outside_1_k_rejected(self, position):
+        with pytest.raises(InvalidQueryError, match=r"position must lie in \[1, 3\]"):
+            answer_many(self.po, [[1, 3, 5], [2, 4, 6]], position)
+        with pytest.raises(InvalidQueryError, match=r"position must lie in \[1, 3\]"):
+            answer_query(self.po, (1, 3, 5), position)
 
     def test_out_of_range_ids_rejected(self):
         for bad in ([[-1, 2, 3]], [[1, 2, 9]], [[1, 2]]):
@@ -477,6 +494,35 @@ def reference_stream(n, k, anchors, rule, seed):
         score = rng.random(sets.shape)
     score[held] = -1
     return ObservationBatch(sets, sets[np.arange(len(sets)), np.argmax(score, axis=1)])
+
+
+# Each record holds one id the readers must refuse in a universe of 7.
+BAD_RECORDS = {
+    "id-at-n": ([[0, 1, 2], [0, 3, 7]], [1, 3]),
+    "negative-id": ([[0, 1, 2], [-1, 0, 3]], [1, 0]),
+    "float-id": ([[0, 1, 2], [0, 3, 4.5]], [1, 3]),
+    "duplicate-ids": ([[0, 1, 2], [0, 3, 3]], [1, 3]),
+}
+
+
+def batch_from(source, sets, choices):
+    if source == "hand-built":
+        return ObservationBatch(np.array(sets), np.array(choices))
+    lines = (json.dumps({"set": s, "choice": c}) for s, c in zip(sets, choices))
+    return ObservationBatch.from_jsonl(io.StringIO("\n".join(lines)))
+
+
+@pytest.mark.parametrize("source", ["hand-built", "jsonl"])
+@pytest.mark.parametrize("bad", BAD_RECORDS)
+def test_invalid_records_rejected(source, bad):
+    # an id >= n passes the batch, which has no universe, and fails each reader
+    readers = (
+        lambda batch: find_ineligible_passive(batch, 7),
+        lambda batch: build_partial_order(batch, 7, (0,), 2),
+    )
+    for read in readers:
+        with pytest.raises(InvalidQueryError):
+            read(batch_from(source, *BAD_RECORDS[bad]))
 
 
 class TestBuildPartialOrderReference:

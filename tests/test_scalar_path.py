@@ -14,7 +14,13 @@ from choicelab.core import (
     evaluate,
     evaluate_many,
 )
-from choicelab.oracles import DeterministicOracle, MixedOracle, MixtureDistribution
+from choicelab.oracles import (
+    DeterministicOracle,
+    MixedOracle,
+    MixtureDistribution,
+    ObservationBatch,
+)
+from choicelab.passive import answer_many, build_partial_order
 
 # How a caller may hand over a k-set: Python containers or numpy-int arrays.
 FORMS = (tuple, list, np.int64, np.int32, np.uint16)
@@ -192,3 +198,32 @@ def test_vectorized_malformed_sets_rejected_uncounted(bad):
     with pytest.raises(InvalidQueryError):
         oracle.query_many(np.array(BAD_ROWS[bad]))
     assert oracle.query_count == 2
+
+
+def inferred():
+    """A partial order over 6 ids, anchored at 0, with every free pair observed."""
+    sets = np.array([(0, u, v) for u in range(1, 6) for v in range(u + 1, 6)])
+    answers = evaluate_many(PositionSelector(3, 2), LatentOrder.identity(6), sets)
+    return build_partial_order(ObservationBatch(sets, answers), 6, (0,), 2)
+
+
+VECTORIZED = {
+    "evaluate_many": lambda rows: evaluate_many(
+        PositionSelector(3, 2), LatentOrder.identity(6), rows
+    ),
+    "query_many": lambda rows: deterministic().query_many(rows),
+    "answer_many": lambda rows: answer_many(inferred(), rows, 2),
+    "ObservationBatch": lambda rows: ObservationBatch(rows, np.array([1])),
+}
+
+
+@pytest.mark.parametrize("entry", VECTORIZED)
+@pytest.mark.parametrize(
+    "rows", [[[0.5, 1.7, 2.2]], [[0.0, 1.0, 2.0]]], ids=["fractional", "integral"]
+)
+def test_vectorized_float_ids_rejected(entry, rows):
+    # the vectorized paths refuse what the scalar path refuses, integral floats too
+    with pytest.raises(InvalidQueryError, match="ids must be integers"):
+        deterministic().query(tuple(rows[0]))
+    with pytest.raises(InvalidQueryError, match="ids must be integers"):
+        VECTORIZED[entry](np.array(rows))
