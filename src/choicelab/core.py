@@ -163,7 +163,7 @@ def _check_query(k: int, n: int, s) -> KSet:
     s = kset(s)
     if len(s) != k:
         raise InvalidQueryError(f"query has {len(s)} members, expected k={k}")
-    if s[0] < 0 or s[-1] >= n:
+    if s and (s[0] < 0 or s[-1] >= n):
         raise InvalidQueryError(f"ids out of range [0, {n}): {s}")
     return s
 

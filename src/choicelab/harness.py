@@ -289,14 +289,18 @@ def _run_recover_passive(cfg, rng):
     stream = _stream_config(cfg)
     rng1, rng2, rng3 = [np.random.default_rng(s) for s in rng.integers(0, 2**63, 3)]
     batch1 = sample_phase(stream, 1, cfg.n, cfg.k, oracle, rng1)
-    batch2 = sample_phase(stream, 2, cfg.n, cfg.k, oracle, rng2)
-    observations = len(batch1) + len(batch2)
-    threshold = 1.0 - (cfg.epsilon if cfg.epsilon is not None else PASSIVE_EPSILON)
     try:
-        never = passive.find_ineligible_passive(batch1, cfg.n)
-    except passive.InsufficientCoverageError:
-        return observations, False, 0.0, 1.0
+        never, covered = passive.find_ineligible_passive(batch1, cfg.n), True
+    except passive.InsufficientCoverageError as exc:
+        never, covered = exc.never_chosen, False
+    # phase 2 is drawn, and its records counted, whether or not phase 1
+    # covered; only the records that hold every anchor are built
     anchors = sorted(never)[: cfg.k - 2]
+    batch2 = sample_phase(stream, 2, cfg.n, cfg.k, oracle, rng2, anchors=anchors)
+    observations = len(batch1) + len(batch2)
+    if not covered:
+        return observations, False, 0.0, 1.0
+    threshold = 1.0 - (cfg.epsilon if cfg.epsilon is not None else PASSIVE_EPSILON)
     po = passive.build_partial_order(batch2, cfg.n, anchors, cfg.position)
     report = passive.coverage_report(
         po, selector, order, rng=rng3, b=cfg.b, p1=stream.p1, p2=stream.p2

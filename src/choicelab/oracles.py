@@ -21,7 +21,12 @@ each of the C(n,k) k-sets. At desk scale, and whenever the inclusion
 probability exceeds 1%, it draws exactly that, one uniform per k-set, so
 the included colex ranks come out ascending with no sort; only sparse
 phases over more than 2^22 k-sets draw a binomial batch size and a
-distinct sample of ranks. unrank_combinations builds its rows column by
+distinct sample of ranks. Given the k-2 anchors that phase 2 is read
+through, the sampler draws the same ranks with the same rng calls, then
+unranks and queries only those of the C(n-k+2, 2) sets that hold every
+anchor: about 1.5% of the 1.18M records of a phase 2 at n=200, b=8, and
+exactly the rows of the full batch that inference reads.
+unrank_combinations builds its rows column by
 column and returns them as a column-major (m, k) view, so every
 per-column pass downstream reads contiguous memory. Ascending ranks
 decode block by block, one search per top member and one table gather
@@ -286,6 +291,12 @@ class ObservationBatch:
     Records enter once, here: hand-built and JSONL rows pass _check_sets and
     a membership check of each choice. Every id lies below id_bound, which
     readers compare with their universe size instead of scanning ids.
+
+    len() counts the records the phase drew. A batch that sample_phase drew
+    with anchors, which its anchors attribute names (None otherwise), holds
+    in sets and choices only the rows that contain every anchor. Unless
+    that is every row drawn, the batch is not complete, and the readers of
+    every record refuse it.
     """
 
     def __init__(self, sets, choices):
@@ -304,21 +315,24 @@ class ObservationBatch:
             member |= column == choices
         if not member.all():
             raise InvalidQueryError("every chosen alternative must be a member of its set")
-        self._freeze(sets, choices, int(sets.max()) + 1 if sets.size else 0)
+        self._freeze(sets, choices, int(sets.max()) + 1 if sets.size else 0, len(sets))
 
     @classmethod
-    def _answered(cls, sets: np.ndarray, choices: np.ndarray, universe_size: int):
+    def _answered(cls, sets, choices, universe_size: int, drawn: int, anchors=None):
         """A batch of sets that passed an oracle's query_many over
         [0, universe_size) and the oracle's answers to them: every row is
-        valid and every choice a member of its row, so nothing is re-checked."""
+        valid and every choice a member of its row, so nothing is re-checked.
+        drawn counts the records of the phase, anchors those every row holds."""
         batch = cls.__new__(cls)
-        batch._freeze(sets, choices, universe_size)
+        batch._freeze(sets, choices, universe_size, drawn, anchors)
         return batch
 
-    def _freeze(self, sets: np.ndarray, choices: np.ndarray, id_bound: int) -> None:
+    def _freeze(self, sets, choices, id_bound: int, drawn: int, anchors=None) -> None:
         self.sets = sets
         self.choices = choices
         self.id_bound = id_bound
+        self.anchors = anchors
+        self._drawn = drawn
         self.sets.setflags(write=False)
         self.choices.setflags(write=False)
 
@@ -326,12 +340,23 @@ class ObservationBatch:
     def k(self) -> int:
         return int(self.sets.shape[1])
 
+    @property
+    def complete(self) -> bool:
+        """Whether sets holds every record that the phase drew."""
+        return self._drawn == self.sets.shape[0]
+
     def __len__(self) -> int:
-        return int(self.sets.shape[0])
+        return int(self._drawn)
 
     def records(self) -> Iterable[tuple]:
-        for row, choice in zip(self.sets, self.choices):
-            yield tuple(int(x) for x in row), int(choice)
+        if not self.complete:
+            raise ValueError(
+                f"records() reads every record; this batch has anchors {self.anchors}"
+            )
+        return (
+            (tuple(int(x) for x in row), int(choice))
+            for row, choice in zip(self.sets, self.choices)
+        )
 
     def to_jsonl(self, fp: IO[str]) -> None:
         for row, choice in self.records():
@@ -340,9 +365,22 @@ class ObservationBatch:
     @classmethod
     def from_jsonl(cls, fp: IO[str]) -> "ObservationBatch":
         """Read records written by to_jsonl, through the constructor's
-        checks. Every set must have the same size; a ragged set, like any
-        record the constructor rejects, raises InvalidQueryError."""
-        records = [json.loads(line) for line in fp if line.strip()]
+        checks. Every line must be a JSON object with "set" and "choice"
+        keys, and every set must have the same size; a malformed line, like
+        any record the constructor rejects, raises InvalidQueryError."""
+        records = []
+        for number, line in enumerate(fp, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InvalidQueryError(f"line {number} is not JSON: {exc.msg}") from None
+            if not isinstance(rec, dict) or not {"set", "choice"} <= rec.keys():
+                raise InvalidQueryError(
+                    f'line {number} must be an object with keys "set" and "choice"'
+                )
+            records.append(rec)
         sets = [rec["set"] for rec in records]
         for s in sets:
             if not isinstance(s, list):
@@ -388,7 +426,7 @@ def unrank_combinations(indices: np.ndarray, n: int, k: int) -> np.ndarray:
 
     Row i is the subset of rank indices[i], so ascending ranks give rows in
     colex order. Pass ranks sorted when the order is free. A rank outside
-    [0, C(n,k)) raises ValueError.
+    [0, C(n,k)), or ranks of a non-integer dtype, raise ValueError.
 
     Ascending ranks (duplicates allowed, all in range) at k >= 2 decode
     block by block when there are at least C(n-1, k-1) of them: the ranks
@@ -403,7 +441,10 @@ def unrank_combinations(indices: np.ndarray, n: int, k: int) -> np.ndarray:
     The result is a column-major view: column j is one contiguous row of a
     (k, m) buffer.
     """
-    return _unrank(np.asarray(indices, dtype=np.int64), n, k)
+    indices = np.asarray(indices)
+    if indices.size and indices.dtype.kind not in "iu":
+        raise ValueError(f"colex ranks must be integers, got dtype {indices.dtype}")
+    return _unrank(indices.astype(np.int64, copy=False), n, k)
 
 
 def _unrank(indices: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -465,6 +506,22 @@ def _sample_ranks(total: int, p: float, rng: np.random.Generator) -> np.ndarray:
     return np.sort(rng.permutation(picked)[:m])
 
 
+def _anchored_ranks(anchors: tuple, n: int, k: int) -> np.ndarray:
+    """The ascending colex ranks of the C(n-k+2, 2) k-subsets of [0, n)
+    that hold all k-2 anchors: each is the anchors plus a pair of the
+    other ids."""
+    free = np.setdiff1d(np.arange(n), anchors)
+    u, v = np.triu_indices(free.size, 1)
+    rows = np.empty((u.size, k), dtype=np.int64)
+    rows[:, : k - 2] = anchors
+    rows[:, k - 2] = free[u]
+    rows[:, k - 1] = free[v]
+    rows.sort(axis=1)
+    table = _binomial_table(n, k)
+    # the colex rank of a sorted row is the sum of C(row[j], j + 1)
+    return np.sort(sum(table[j + 1, rows[:, j]] for j in range(k)))
+
+
 def sample_phase(
     config: StreamConfig,
     phase: int,
@@ -472,6 +529,7 @@ def sample_phase(
     k: int,
     oracle,
     rng: np.random.Generator,
+    anchors=None,
 ) -> ObservationBatch:
     """Realize one stream phase: each of the C(n,k) k-sets appears
     independently with the phase's probability, and appearing sets come
@@ -489,10 +547,23 @@ def sample_phase(
     depends on its row order. The choices are the oracle's answers to the
     rows, which query_many has validated, and members by construction, so
     the batch checks nothing again.
+
+    With anchors, k-2 distinct ids, the ranks are drawn the same way, with
+    the same rng calls, but only those of sets that hold every anchor are
+    unranked: the batch's rows are exactly the full batch's rows that hold
+    every anchor, in the same order, and its len() is the full batch's. The
+    oracle answers, and its query_count counts, only those rows.
     """
     if phase not in (1, 2):
         raise ValueError("phase must be 1 or 2")
+    if anchors is not None:
+        anchors = _check_query(k - 2, universe_size, anchors)
     p = config.p1 if phase == 1 else config.p2
     idx = _sample_ranks(math.comb(universe_size, k), p, rng)
+    drawn = idx.size
+    if anchors is not None and drawn:
+        wanted = _anchored_ranks(anchors, universe_size, k)
+        at = np.searchsorted(idx, wanted)
+        idx = wanted[idx[np.minimum(at, drawn - 1)] == wanted]
     sets = unrank_combinations(idx, universe_size, k)
-    return ObservationBatch._answered(sets, oracle.query_many(sets), universe_size)
+    return ObservationBatch._answered(sets, oracle.query_many(sets), universe_size, drawn, anchors)

@@ -86,8 +86,11 @@ def find_ineligible_passive(batch: ObservationBatch, universe_size: int) -> froz
     result has exactly k-1 members it equals the ineligible set. Any other
     size raises InsufficientCoverageError (the algorithm terminates with
     no answer rather than guessing). A batch with ids outside
-    [0, universe_size) raises InvalidQueryError.
+    [0, universe_size) raises InvalidQueryError, and one that is not
+    complete (sampled with anchors) ValueError.
     """
+    if not batch.complete:
+        raise ValueError(f"phase 1 is read in full, not sampled with anchors {batch.anchors}")
     if batch.id_bound > universe_size:
         raise InvalidQueryError(f"ids out of range [0, {universe_size})")
     never = np.flatnonzero(np.bincount(batch.choices, minlength=universe_size) == 0)
@@ -183,7 +186,9 @@ def build_partial_order(
     an anchor, or any cycle raise InconsistentStreamError (impossible for
     a noiseless position-selecting source with correct anchors). A batch
     with ids outside [0, universe_size) raises InvalidQueryError, as do
-    anchors that are not k-2 distinct ids in that range.
+    anchors that are not k-2 distinct ids in that range. A batch sampled
+    with other anchors raises ValueError, since it lacks the records these
+    anchors read.
     """
     k = batch.k
     if not 2 <= position <= k - 1:
@@ -191,6 +196,10 @@ def build_partial_order(
     anchors = _check_query(k - 2, universe_size, anchors)
     if batch.id_bound > universe_size:
         raise InvalidQueryError(f"ids out of range [0, {universe_size})")
+    if not batch.complete and batch.anchors != anchors:
+        raise ValueError(
+            f"the batch holds only the records with anchors {batch.anchors}, not {anchors}"
+        )
     is_anchor = np.zeros(universe_size, dtype=bool)
     is_anchor[list(anchors)] = True
     elements = np.flatnonzero(~is_anchor)
@@ -200,7 +209,7 @@ def build_partial_order(
     columns = batch.sets.T
     # k column gathers, no (m, k) temporary. int32 halves int64's time; uint8
     # and int16 counts were faster still but raised peak RSS over many trials
-    anchor_count = np.zeros(len(batch), dtype=np.int32)
+    anchor_count = np.zeros(batch.sets.shape[0], dtype=np.int32)
     for column in columns:
         anchor_count += is_anchor[column]
     rows = np.flatnonzero(anchor_count == k - 2)

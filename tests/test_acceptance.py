@@ -230,9 +230,11 @@ def test_criterion_07_passive_recovery():
         order = LatentOrder.random(n, r4)
         oracle = DeterministicOracle(selector, order)
         batch1 = sample_phase(stream, 1, n, k, oracle, r1)
-        batch2 = sample_phase(stream, 2, n, k, oracle, r2)
         never = find_ineligible_passive(batch1, n)
         anchors = sorted(never)[: k - 2]
+        # phase 2 builds only the records that hold the anchors: the rows of
+        # the full phase that build_partial_order reads, bit for bit
+        batch2 = sample_phase(stream, 2, n, k, oracle, r2, anchors=anchors)
         po = build_partial_order(batch2, n, anchors, position)
         if po.unresolved_pair_count / math.comb(n - k + 2, 2) <= 0.02:
             unresolved_ok += 1

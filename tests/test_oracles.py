@@ -388,6 +388,21 @@ class TestObservationBatch:
         with pytest.raises(InvalidQueryError, match=message):
             ObservationBatch.from_jsonl(io.StringIO(record + "\n"))
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"choice": 1}', 'line 2 must be an object with keys "set" and "choice"'),
+            ('{"set": [0, 1, 2]}', 'line 2 must be an object with keys "set" and "choice"'),
+            ('{"set": [0, 1, 2], "choice": ', "line 2 is not JSON"),
+            ("[1, 2]", 'line 2 must be an object with keys "set" and "choice"'),
+        ],
+        ids=["missing-set", "missing-choice", "malformed-line", "non-object"],
+    )
+    def test_jsonl_rejects_non_records(self, record, message):
+        buf = io.StringIO('{"set": [0, 1, 2], "choice": 1}\n' + record + "\n")
+        with pytest.raises(InvalidQueryError, match=message):
+            ObservationBatch.from_jsonl(buf)
+
 
 def colex_rank(row) -> int:
     """Exact colex rank of a sorted k-subset: sum of C(row[j], j+1)."""
@@ -635,6 +650,16 @@ class TestUnranking:
         # to the per-level search, which checks them
         with pytest.raises(ValueError, match=r"colex ranks must lie in \[0, C\(5, 3\)\)"):
             unrank_combinations(np.array(ranks), 5, 3)
+
+    @pytest.mark.parametrize(
+        "ranks", [[2.7], [2.0], [1, 2.5], [True]], ids=["fraction", "whole-float", "mixed", "bool"]
+    )
+    def test_non_integer_ranks_rejected(self, ranks):
+        with pytest.raises(ValueError, match="colex ranks must be integers"):
+            unrank_combinations(np.array(ranks), 5, 3)
+
+    def test_empty_ranks_of_any_dtype(self):
+        assert unrank_combinations(np.array([]), 5, 3).shape == (0, 3)
 
     def test_unsorted_ranks_keep_the_search(self):
         # the same ranks, shuffled, give the same rows in the shuffled order

@@ -390,6 +390,104 @@ class TestCoverage:
         assert results[0] == results[1]
 
 
+def holds_every_anchor(sets, anchors):
+    return np.isin(sets, anchors).sum(axis=1) == len(anchors)
+
+
+class TestAnchoredSample:
+    """sample_phase with anchors against the full sample as the reference:
+    the same draw, of which only the rows holding every anchor are built."""
+
+    @pytest.mark.parametrize(
+        "n, k, position, p",
+        [
+            (40, 3, 2, 0.3),  # dense ranks: one uniform per k-set
+            (24, 4, 2, 0.25),
+            (24, 4, 3, 0.6),
+            (18, 5, 3, 0.3),
+            (300, 3, 2, 0.005),  # sparse ranks: C(300, 3) > 2^22 and p <= 0.01
+        ],
+        ids=["dense-k3", "dense-k4-ell2", "dense-k4-ell3", "dense-k5", "sparse-k3"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_are_the_full_sample_rows_holding_every_anchor(self, n, k, position, p, seed):
+        selector = PositionSelector(k, position)
+        order = LatentOrder.random(n, np.random.default_rng(100 + seed))
+        stream = StreamConfig.from_probabilities(p, p)
+        anchors = sorted(ineligible_set(selector, order))[: k - 2]
+        full_oracle = DeterministicOracle(selector, order)
+        full = sample_phase(stream, 2, n, k, full_oracle, np.random.default_rng(seed))
+        oracle = DeterministicOracle(selector, order)
+        got = sample_phase(stream, 2, n, k, oracle, np.random.default_rng(seed), anchors=anchors)
+        rows = holds_every_anchor(full.sets, anchors)
+        assert 0 < rows.sum() < len(full)
+        assert np.array_equal(got.sets, full.sets[rows])
+        assert np.array_equal(got.choices, full.choices[rows])
+        assert len(got) == len(full) == full_oracle.query_count
+        assert oracle.query_count == got.sets.shape[0]
+        assert not got.complete and got.anchors == tuple(anchors)
+        assert got.id_bound == full.id_bound and got.k == full.k
+        want = build_partial_order(full, n, anchors, position)
+        po = build_partial_order(got, n, anchors, position)
+        assert np.array_equal(po.beats, want.beats)
+        assert np.array_equal(po.index, want.index)
+
+    def test_sparse_case_takes_the_sparse_branch(self):
+        from choicelab.oracles import _DENSE_TOTAL, _SPARSE_P
+
+        assert math.comb(300, 3) > _DENSE_TOTAL and 0.005 <= _SPARSE_P
+
+    def test_empty_draw(self):
+        oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(40))
+        stream = StreamConfig.from_probabilities(1e-9, 1e-9)
+        batch = sample_phase(stream, 2, 40, 3, oracle, np.random.default_rng(0), anchors=[0])
+        assert len(batch) == 0 and batch.sets.shape == (0, 3) and batch.complete
+        assert oracle.query_count == 0
+
+    def test_no_anchors_at_k2_builds_every_row(self):
+        oracle = DeterministicOracle(PositionSelector(2, 1), LatentOrder.identity(30))
+        stream = StreamConfig.from_probabilities(0.5, 0.5)
+        full = sample_phase(stream, 1, 30, 2, oracle, np.random.default_rng(3))
+        got = sample_phase(stream, 1, 30, 2, oracle, np.random.default_rng(3), anchors=())
+        assert got.complete and np.array_equal(got.sets, full.sets)
+
+    @pytest.mark.parametrize("anchors", [[], [0, 1], [40], [-1]],
+                             ids=["too-few", "too-many", "past-n", "negative"])
+    def test_bad_anchors_rejected_before_drawing(self, anchors):
+        oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(40))
+        stream = StreamConfig.from_probabilities(0.3, 0.3)
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidQueryError):
+            sample_phase(stream, 2, 40, 3, oracle, rng, anchors=anchors)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def anchored(self):
+        n, k, position = 40, 3, 2
+        order = LatentOrder.identity(n)
+        oracle = DeterministicOracle(PositionSelector(k, position), order)
+        stream = StreamConfig.from_probabilities(0.3, 0.3)
+        return sample_phase(stream, 2, n, k, oracle, np.random.default_rng(5), anchors=[0])
+
+    def test_find_ineligible_refuses_a_partial_batch(self):
+        with pytest.raises(ValueError, match="read in full"):
+            find_ineligible_passive(self.anchored(), 40)
+
+    def test_records_and_jsonl_refuse_a_partial_batch(self):
+        batch = self.anchored()
+        with pytest.raises(ValueError, match="reads every record"):
+            batch.records()
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="reads every record"):
+            batch.to_jsonl(buf)
+        assert buf.getvalue() == ""
+
+    def test_partial_order_refuses_other_anchors(self):
+        batch = self.anchored()
+        with pytest.raises(ValueError, match=r"anchors \(0,\), not \(39,\)"):
+            build_partial_order(batch, 40, [39], 2)
+        assert build_partial_order(batch, 40, [0], 2).anchors == (0,)
+
+
 class TestRevealingCounts:
     def test_formula_matches_enumeration(self):
         for n in range(6, 13):
