@@ -37,12 +37,11 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    InvalidQueryError,
     LatentOrder,
     PositionSelector,
+    _check_query,
     evaluate,
     evaluate_many,
-    kset,
 )
 from .oracles import DeterministicOracle
 from .sorting import insertion_sort, merge_sort
@@ -287,11 +286,7 @@ def classify_type(oracle: DeterministicOracle, witness=None) -> int:
     k = oracle.k
     if witness is None:
         witness = tuple(range(k + 1))
-    witness = kset(witness)
-    if len(witness) != k + 1:
-        raise InvalidQueryError(
-            f"witness must have k+1={k + 1} distinct members, got {len(witness)}"
-        )
+    witness = _check_query(k + 1, oracle.n, witness)
     answers = Counter()
     for excluded in witness:
         answers[oracle.query([x for x in witness if x != excluded])] += 1

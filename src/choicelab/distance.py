@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,7 +35,6 @@ __all__ = [
     "triplet_distance_correspondence",
     "PairDistanceOracle",
     "crowd_median_sort",
-    "pairs_to_json",
     "feasibility_check",
 ]
 
@@ -50,6 +50,10 @@ class InvalidArityError(ValueError):
 
 
 def pair_id(i: int, j: int) -> PairId:
+    try:
+        i, j = operator.index(i), operator.index(j)
+    except TypeError as exc:
+        raise InvalidQueryError(f"pair ids must be integers: {exc}") from None
     if i == j:
         raise InvalidQueryError(f"a pair needs two distinct ids, got ({i}, {j})")
     return (i, j) if i < j else (j, i)
@@ -184,16 +188,13 @@ def triplet_distance_correspondence(s, chosen: int) -> PairId:
 
 
 class PairDistanceOracle:
-    """Answers which of two pairwise distances is larger, with query accounting.
-
-    restricted=True limits queries to the triangle form (the three pairs
-    of one triplet, via largest_of_triangle); the unrestricted arity-2
-    form is what the distance sort consumes.
+    """Answers one arity-2 comparison per call: which of two pairwise
+    distances is larger. Only answered queries are counted; a rejected
+    query raises InvalidQueryError and leaves query_count unchanged.
     """
 
-    def __init__(self, points: MetricPoints, restricted: bool = False):
+    def __init__(self, points: MetricPoints):
         self.points = points
-        self.restricted = restricted
         self._count = 0
 
     @property
@@ -201,19 +202,13 @@ class PairDistanceOracle:
         return self._count
 
     def larger(self, a: PairId, b: PairId) -> PairId:
-        if self.restricted:
-            raise InvalidQueryError(
-                "this oracle only answers triangle queries; use largest_of_triangle"
-            )
         a, b = pair_id(*a), pair_id(*b)
+        try:
+            da, db = self.points.pair_distance(a), self.points.pair_distance(b)
+        except KeyError as exc:
+            raise InvalidQueryError(f"no coordinates for id {exc.args[0]}") from None
         self._count += 1
-        return a if self.points.pair_distance(a) > self.points.pair_distance(b) else b
-
-    def largest_of_triangle(self, u: int, v: int, w: int) -> PairId:
-        triplet = kset((u, v, w))
-        pairs = [pair_id(*p) for p in itertools.combinations(triplet, 2)]
-        self._count += 1
-        return max(pairs, key=self.points.pair_distance)
+        return a if da > db else b
 
 
 def crowd_median_sort(pair_oracle: PairDistanceOracle, n: int):
@@ -228,11 +223,6 @@ def crowd_median_sort(pair_oracle: PairDistanceOracle, n: int):
 
     ordered, _ = merge_sort(pairs, less)
     return ordered
-
-
-def pairs_to_json(pairs) -> str:
-    """Sorted pair output as a JSON array of [i, j] pairs."""
-    return json.dumps([[int(i), int(j)] for i, j in pairs])
 
 
 def feasibility_check(n: int) -> bool:

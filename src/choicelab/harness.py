@@ -51,6 +51,9 @@ CSV_HEADER = "trial,seed,queries,success,frac_correct,frac_unresolved,wall_ms"
 # recover-passive succeeds when at least 1 - epsilon of sampled sets are
 # answered correctly; this is its epsilon when none is given
 PASSIVE_EPSILON = 0.05
+# prediction checks compare every k-set up to this many, else a uniform sample
+_EXHAUSTIVE_CHECK_SETS = 200_000
+_SAMPLED_CHECK_SETS = 10_000
 
 
 @dataclass
@@ -212,13 +215,13 @@ def _trial_seeds(master_seed: int, trials: int) -> list:
     ]
 
 
-def _check_predictions(model, selector, order, rng, sample_limit=10_000):
+def _check_predictions(model, selector, order, rng):
     n, k = order.n, selector.k
     total = math.comb(n, k)
-    if total <= 200_000:
+    if total <= _EXHAUSTIVE_CHECK_SETS:
         sets = all_ksets(n, k)
     else:
-        sets = unrank_combinations(rng.integers(0, total, size=sample_limit), n, k)
+        sets = unrank_combinations(rng.integers(0, total, size=_SAMPLED_CHECK_SETS), n, k)
     truth = evaluate_many(selector, order, sets)  # the one validation of sets
     predicted = _select_many(model.position_hat, model.full_order(), sets)
     return bool((predicted == truth).all())

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LatentOrder, kset
+from .core import LatentOrder, _check_query, kset
 from .oracles import MixedOracle
 from .sorting import merge_sort
 
@@ -198,13 +198,8 @@ class NoisyComparator:
     """
 
     def __init__(self, oracle: MixedOracle, anchors):
-        anchors = kset(anchors)
-        if len(anchors) != oracle.k - 2:
-            raise ValueError(
-                f"need exactly k-2={oracle.k - 2} anchors, got {len(anchors)}"
-            )
         self.oracle = oracle
-        self.anchors = anchors
+        self.anchors = _check_query(oracle.k - 2, oracle.n, anchors)
 
     def padded(self, u: int, v: int) -> tuple:
         return (u, v) + self.anchors

@@ -136,9 +136,6 @@ class MixtureDistribution:
     def k(self) -> int:
         return len(self.probs)
 
-    def reflected(self) -> "MixtureDistribution":
-        return MixtureDistribution(self.probs[::-1], self.gamma)
-
     def __repr__(self) -> str:
         return f"MixtureDistribution({list(self.probs)}, gamma={self.gamma})"
 

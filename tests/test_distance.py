@@ -17,7 +17,6 @@ from choicelab.distance import (
     median_choice,
     outlier_choice,
     pair_id,
-    pairs_to_json,
     sum_of_distances_minimizer,
     triplet_distance_correspondence,
 )
@@ -174,17 +173,24 @@ class TestCrowdMedianSort:
         assert oracle.query_count <= 2 * total * math.log2(total)
         assert oracle.query_count <= merge_sort_comparison_bound(total)
 
-    def test_pairs_json(self):
-        assert pairs_to_json([(0, 1), (2, 5)]) == "[[0, 1], [2, 5]]"
+    def test_n_beyond_points_rejected(self):
+        oracle = PairDistanceOracle(line_points(0.0, 1.0, 3.0, 7.0, 15.0))
+        with pytest.raises(InvalidQueryError):
+            crowd_median_sort(oracle, 7)
 
 
 class TestPairOracle:
-    def test_restricted_mode_blocks_arity2(self):
-        pts = line_points(0.0, 1.0, 5.0)
-        oracle = PairDistanceOracle(pts, restricted=True)
+    @pytest.mark.parametrize("a", [(0, 99), (1.5, 2), (2.0, 3)])
+    def test_rejected_query_not_counted(self, a):
+        oracle = PairDistanceOracle(line_points(0.0, 1.0, 3.0, 7.0, 15.0))
         with pytest.raises(InvalidQueryError):
-            oracle.larger((0, 1), (1, 2))
-        assert oracle.largest_of_triangle(0, 1, 2) == (0, 2)
+            oracle.larger(a, (1, 2))
+        assert oracle.query_count == 0
+
+    def test_numpy_ids_accepted(self):
+        oracle = PairDistanceOracle(line_points(0.0, 1.0, 5.0))
+        assert oracle.larger((np.int64(0), np.int64(2)), (1, 2)) == (0, 2)
+        assert oracle.query_count == 1
 
     def test_pair_id_normalizes(self):
         assert pair_id(5, 2) == (2, 5)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from choicelab import mixture
-from choicelab.core import LatentOrder, PositionSelector, evaluate_many
+from choicelab.core import InvalidQueryError, LatentOrder, PositionSelector, evaluate_many
 from choicelab.mixture import (
     AlignmentFailureError,
     NoisyComparator,
@@ -236,6 +236,11 @@ class TestNoisyComparator:
     def test_anchor_count_validated(self):
         with pytest.raises(ValueError):
             NoisyComparator(self.oracle, anchors=(0, 1))
+
+    def test_anchor_out_of_range_rejected_at_construction(self):
+        oracle = MixedOracle(LatentOrder.identity(10), self.mix, 7)
+        with pytest.raises(InvalidQueryError):
+            NoisyComparator(oracle, (99,))
 
 
 class _SyntheticComparator:
