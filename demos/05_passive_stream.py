@@ -4,7 +4,10 @@ Learning from a passive stream of observed choices
 
 No query control here: every k-set appears in a time window
 independently (a Poisson race per set), and we only see (set, choice)
-records. Phase 1 identifies the never-chosen alternatives; phase 2 keeps
+records. Phase 1 identifies the never-chosen alternatives. It is read
+only through how often each alternative is chosen, so the simulator
+draws just those counts, one binomial per alternative, with no set
+built or answered. Phase 2 keeps
 the records that pair two free alternatives with a fixed anchor set,
 orients each observed pair consistently, and takes the transitive
 closure. Queries with any unresolved internal pair are declined rather
@@ -41,16 +44,22 @@ rng = np.random.default_rng(31)
 hidden_order = LatentOrder.random(n, rng)
 oracle = DeterministicOracle(PositionSelector(k, position), hidden_order)
 
-batch1 = sample_phase(stream, 1, n, k, oracle, np.random.default_rng(rng.integers(2**63)))
-batch2 = sample_phase(stream, 2, n, k, oracle, np.random.default_rng(rng.integers(2**63)))
-print(f"\nphase 1: {len(batch1)} records of {math.comb(n, k)} possible sets")
-print(f"phase 2: {len(batch2)} records")
+batch1 = sample_phase(
+    stream, 1, n, k, oracle, np.random.default_rng(rng.integers(2**63)), counts_only=True
+)
+print(f"\nphase 1: {len(batch1)} records of {math.comb(n, k)} possible sets, "
+      f"drawn as {n} choice counts ({oracle.query_count} sets answered)")
 
 never = find_ineligible_passive(batch1, n)
 print("never-chosen set found:", sorted(never),
       "| exact:", never == ineligible_set(oracle.selector, hidden_order))
 
+# phase 2 draws every set, but builds only the records that hold the anchors
 anchors = sorted(never)[: k - 2]
+batch2 = sample_phase(
+    stream, 2, n, k, oracle, np.random.default_rng(rng.integers(2**63)), anchors=anchors
+)
+print(f"phase 2: {len(batch2)} records, {len(batch2.sets)} of them with anchors {anchors}")
 po = build_partial_order(batch2, n, anchors, position)
 print(f"anchored pairs resolved: {po.resolved_pair_fraction:.4f} "
       f"({po.unresolved_pair_count} pairs left open)")

@@ -214,8 +214,13 @@ class PairDistanceOracle:
 def crowd_median_sort(pair_oracle: PairDistanceOracle, n: int):
     """Sort all C(n,2) pairs ascending by distance through the pair oracle.
 
-    Deterministic merge sort: O(N log N) oracle calls for N = C(n,2).
+    Deterministic merge sort: O(N log N) oracle calls for N = C(n,2). An
+    id in [0, n) without coordinates raises InvalidQueryError before the
+    first comparison.
     """
+    missing = set(range(n)).difference(pair_oracle.points.ids)
+    if missing:
+        raise InvalidQueryError(f"no coordinates for id {min(missing)}")
     pairs = [pair_id(*p) for p in itertools.combinations(range(n), 2)]
 
     def less(a, b):

@@ -291,7 +291,8 @@ def _run_recover_passive(cfg, rng):
     oracle = DeterministicOracle(selector, order)
     stream = _stream_config(cfg)
     rng1, rng2, rng3 = [np.random.default_rng(s) for s in rng.integers(0, 2**63, 3)]
-    batch1 = sample_phase(stream, 1, cfg.n, cfg.k, oracle, rng1)
+    # phase 1 is read only through its choice counts, so only they are drawn
+    batch1 = sample_phase(stream, 1, cfg.n, cfg.k, oracle, rng1, counts_only=True)
     try:
         never, covered = passive.find_ineligible_passive(batch1, cfg.n), True
     except passive.InsufficientCoverageError as exc:

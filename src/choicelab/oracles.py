@@ -25,8 +25,12 @@ distinct sample of ranks. Given the k-2 anchors that phase 2 is read
 through, the sampler draws the same ranks with the same rng calls, then
 unranks and queries only those of the C(n-k+2, 2) sets that hold every
 anchor: about 1.5% of the 1.18M records of a phase 2 at n=200, b=8, and
-exactly the rows of the full batch that inference reads.
-unrank_combinations builds its rows column by
+exactly the rows of the full batch that inference reads. Phase 1 is read
+only through how often each id is chosen, and the sampler can draw just
+that: counts_only draws each id's choice count as one binomial over the
+revealing_counts sets that select it, with no set drawn, unranked or
+answered. That is equal in law to counting a full phase's choices, not
+the same draw. unrank_combinations builds its rows column by
 column and returns them as a column-major (m, k) view, so every
 per-column pass downstream reads contiguous memory. Ascending ranks
 decode block by block, one search per top member and one table gather
@@ -63,6 +67,7 @@ __all__ = [
     "StreamConfig",
     "ObservationBatch",
     "sample_phase",
+    "revealing_counts",
     "unrank_combinations",
 ]
 
@@ -291,9 +296,10 @@ class ObservationBatch:
 
     len() counts the records the phase drew. A batch that sample_phase drew
     with anchors, which its anchors attribute names (None otherwise), holds
-    in sets and choices only the rows that contain every anchor. Unless
-    that is every row drawn, the batch is not complete, and the readers of
-    every record refuse it.
+    in sets and choices only the rows that contain every anchor. A batch
+    drawn counts-only (counts_only is True) holds no rows at all, only
+    choice_counts. Unless sets holds every row drawn, the batch is not
+    complete, and the readers of every record refuse it.
     """
 
     def __init__(self, sets, choices):
@@ -324,14 +330,26 @@ class ObservationBatch:
         batch._freeze(sets, choices, universe_size, drawn, anchors)
         return batch
 
-    def _freeze(self, sets, choices, id_bound: int, drawn: int, anchors=None) -> None:
+    @classmethod
+    def _counted(cls, k: int, counts: np.ndarray):
+        """A counts-only batch of k-set records: counts[x] is how often id x
+        was chosen, over as many records as the counts sum to."""
+        batch = cls.__new__(cls)
+        empty = np.empty(0, dtype=np.int64)
+        batch._freeze(empty.reshape(0, k), empty, len(counts), int(counts.sum()), counts=counts)
+        return batch
+
+    def _freeze(self, sets, choices, id_bound: int, drawn: int, anchors=None, counts=None):
         self.sets = sets
         self.choices = choices
         self.id_bound = id_bound
         self.anchors = anchors
+        self.counts_only = counts is not None
         self._drawn = drawn
-        self.sets.setflags(write=False)
-        self.choices.setflags(write=False)
+        self._counts = counts
+        for array in (sets, choices, counts):
+            if array is not None:
+                array.setflags(write=False)
 
     @property
     def k(self) -> int:
@@ -340,12 +358,24 @@ class ObservationBatch:
     @property
     def complete(self) -> bool:
         """Whether sets holds every record that the phase drew."""
-        return self._drawn == self.sets.shape[0]
+        return not self.counts_only and self._drawn == self.sets.shape[0]
+
+    @property
+    def choice_counts(self) -> np.ndarray | None:
+        """How often each id below id_bound is chosen over every record
+        drawn, or None when the batch holds only the rows with its anchors.
+        A complete batch counts its choices on first read."""
+        if self._counts is None and self.complete:
+            self._counts = np.bincount(self.choices, minlength=self.id_bound)
+            self._counts.setflags(write=False)
+        return self._counts
 
     def __len__(self) -> int:
         return int(self._drawn)
 
     def records(self) -> Iterable[tuple]:
+        if self.counts_only:
+            raise ValueError("records() reads every record; this batch was drawn counts-only")
         if not self.complete:
             raise ValueError(
                 f"records() reads every record; this batch has anchors {self.anchors}"
@@ -416,6 +446,18 @@ def _binomial_table(n: int, k: int) -> np.ndarray:
         # C(c, j) = C(c-1, j) + C(c-1, j-1)
         table[j, 1:] = np.cumsum(table[j - 1, :-1])
     return table
+
+
+def revealing_counts(n: int, k: int, position: int) -> np.ndarray:
+    """counts[r] = C(r, position-1) * C(n-1-r, k-position): how many of the
+    C(n, k) k-subsets of an ordered universe of n select, at the given
+    position, the member of rank r, which has r members below it. Each
+    k-set selects one member, so the counts sum to C(n, k); ineligible
+    ranks count 0. Raises OverflowError as _binomial_table(n, k) does,
+    which bounds C(n, k) and so every count."""
+    table = _binomial_table(n, k)
+    ranks = np.arange(n)
+    return table[position - 1, ranks] * table[k - position, n - 1 - ranks]
 
 
 def unrank_combinations(indices: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -527,6 +569,7 @@ def sample_phase(
     oracle,
     rng: np.random.Generator,
     anchors=None,
+    counts_only: bool = False,
 ) -> ObservationBatch:
     """Realize one stream phase: each of the C(n,k) k-sets appears
     independently with the phase's probability, and appearing sets come
@@ -550,12 +593,34 @@ def sample_phase(
     unranked: the batch's rows are exactly the full batch's rows that hold
     every anchor, in the same order, and its len() is the full batch's. The
     oracle answers, and its query_count counts, only those rows.
+
+    With counts_only, for a position-selecting oracle over exactly
+    universe_size ids, no set is drawn: every drawn k-set reveals one
+    member, so the number of times id x is chosen is an independent
+    Binomial(R_x, p) over the R_x sets that select it (revealing_counts),
+    drawn as one vectorised binomial. The batch holds these choice_counts
+    and no rows, and its len() is their sum, which has the law of the full
+    batch's size; the oracle answers and counts nothing. Equal in law to
+    the bincount of a full batch's choices, not bit-identical to it.
+    Anchors and counts_only together raise ValueError.
     """
     if phase not in (1, 2):
         raise ValueError("phase must be 1 or 2")
+    p = config.p1 if phase == 1 else config.p2
+    if counts_only:
+        if anchors is not None:
+            raise ValueError("a counts-only phase draws no rows to hold anchors")
+        if (k, universe_size) != (oracle.k, oracle.n):
+            raise InvalidQueryError(
+                f"the oracle answers {oracle.k}-sets over {oracle.n} ids, "
+                f"not {k}-sets over {universe_size}"
+            )
+        counts = np.empty(universe_size, dtype=np.int64)
+        revealing = revealing_counts(universe_size, k, oracle.selector.position)
+        counts[oracle.order.ascending] = rng.binomial(revealing, p)
+        return ObservationBatch._counted(k, counts)
     if anchors is not None:
         anchors = _check_query(k - 2, universe_size, anchors)
-    p = config.p1 if phase == 1 else config.p2
     idx = _sample_ranks(math.comb(universe_size, k), p, rng)
     drawn = idx.size
     if anchors is not None and drawn:

@@ -1,7 +1,9 @@
 """Passive-stream recovery: infer choices from two phases of observed (set, choice) records.
 
 Phase 1 flags the alternatives never observed as a choice; when exactly
-k-1 such alternatives exist they are the ineligible set. Phase 2 reads
+k-1 such alternatives exist they are the ineligible set. It reads only a
+batch's choice_counts, so a phase 1 drawn counts-only, with no rows at
+all, serves as well as a full one. Phase 2 reads
 only the records whose set is a fixed k-2 anchor subset plus a free
 pair; each such record orients the pair under one consistent (but
 unknown) convention, so the transitive closure of those orientations is
@@ -31,7 +33,7 @@ from .core import (
     all_ksets,
     evaluate_many,
 )
-from .oracles import ObservationBatch, unrank_combinations
+from .oracles import ObservationBatch, revealing_counts, unrank_combinations
 from .stats import clopper_pearson
 
 __all__ = [
@@ -85,15 +87,18 @@ def find_ineligible_passive(batch: ObservationBatch, universe_size: int) -> froz
     The true ineligible set is always a subset of the result; when the
     result has exactly k-1 members it equals the ineligible set. Any other
     size raises InsufficientCoverageError (the algorithm terminates with
-    no answer rather than guessing). A batch with ids outside
-    [0, universe_size) raises InvalidQueryError, and one that is not
-    complete (sampled with anchors) ValueError.
+    no answer rather than guessing). Reads only the batch's choice_counts,
+    so a counts-only batch serves. A batch with ids outside
+    [0, universe_size) raises InvalidQueryError, and one sampled with
+    anchors, which counts only some choices, ValueError.
     """
-    if not batch.complete:
-        raise ValueError(f"phase 1 is read in full, not sampled with anchors {batch.anchors}")
     if batch.id_bound > universe_size:
         raise InvalidQueryError(f"ids out of range [0, {universe_size})")
-    never = np.flatnonzero(np.bincount(batch.choices, minlength=universe_size) == 0)
+    if batch.choice_counts is None:
+        raise ValueError(f"phase 1 is read in full, not sampled with anchors {batch.anchors}")
+    counts = np.zeros(universe_size, dtype=np.int64)
+    counts[: batch.id_bound] = batch.choice_counts
+    never = np.flatnonzero(counts == 0)
     if never.size != batch.k - 1:
         raise InsufficientCoverageError(int(x) for x in never)
     return frozenset(int(x) for x in never)
@@ -188,7 +193,7 @@ def build_partial_order(
     with ids outside [0, universe_size) raises InvalidQueryError, as do
     anchors that are not k-2 distinct ids in that range. A batch sampled
     with other anchors raises ValueError, since it lacks the records these
-    anchors read.
+    anchors read, and a counts-only batch, which holds no rows, ValueError.
     """
     k = batch.k
     if not 2 <= position <= k - 1:
@@ -196,6 +201,8 @@ def build_partial_order(
     anchors = _check_query(k - 2, universe_size, anchors)
     if batch.id_bound > universe_size:
         raise InvalidQueryError(f"ids out of range [0, {universe_size})")
+    if batch.counts_only:
+        raise ValueError("a counts-only batch holds no rows to orient pairs from")
     if not batch.complete and batch.anchors != anchors:
         raise ValueError(
             f"the batch holds only the records with anchors {batch.anchors}, not {anchors}"
@@ -383,15 +390,19 @@ def revealing_set_count(n: int, k: int, position: int, rank: int) -> int:
     """Number of k-sets that reveal the rank-th lowest element as eligible.
 
     A revealing set contains the element plus exactly position-1 members
-    below it and k-position above it; rank counts elements below.
+    below it and k-position above it; rank counts elements below. One
+    entry of oracles.revealing_counts, the count the phase-1 sampler draws.
+    A rank outside [0, n) raises ValueError.
     """
-    return math.comb(rank, position - 1) * math.comb(n - 1 - rank, k - position)
+    if not 0 <= rank < n:
+        raise ValueError(f"rank must lie in [0, {n}), got {rank}")
+    return int(revealing_counts(n, k, position)[rank])
 
 
 def min_revealing_count(n: int, k: int, position: int) -> int:
-    """Minimum revealing-set count over all eligible elements."""
-    lo, hi = position - 1, n - 1 - (k - position)
-    return min(revealing_set_count(n, k, position, r) for r in range(lo, hi + 1))
+    """Minimum revealing-set count over all eligible elements, those with
+    rank in [position-1, n-k+position-1]."""
+    return int(revealing_counts(n, k, position)[position - 1 : n - k + position].min())
 
 
 def count_revealing_brute_force(n: int, k: int, position: int, rank: int) -> int:

@@ -175,8 +175,9 @@ class TestCrowdMedianSort:
 
     def test_n_beyond_points_rejected(self):
         oracle = PairDistanceOracle(line_points(0.0, 1.0, 3.0, 7.0, 15.0))
-        with pytest.raises(InvalidQueryError):
+        with pytest.raises(InvalidQueryError, match="no coordinates for id 5"):
             crowd_median_sort(oracle, 7)
+        assert oracle.query_count == 0  # refused before the first comparison
 
 
 class TestPairOracle:

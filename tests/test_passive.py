@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from choicelab.core import (
     InvalidQueryError,
@@ -23,6 +24,7 @@ from choicelab.oracles import (
     DeterministicOracle,
     ObservationBatch,
     StreamConfig,
+    revealing_counts,
     sample_phase,
     unrank_combinations,
 )
@@ -488,7 +490,137 @@ class TestAnchoredSample:
         assert build_partial_order(batch, 40, [0], 2).anchors == (0,)
 
 
+def revealing_by_id(order, k, position):
+    """The revealing-set count of each id, indexed by id."""
+    return revealing_counts(order.n, k, position)[order.ranks(np.arange(order.n))]
+
+
+class TestCountsOnlySample:
+    """sample_phase(counts_only=True) against full batches as the reference:
+    each id's choice count is drawn as one binomial, equal in law to the
+    bincount of a full batch's choices."""
+
+    DRAWS = 20_000
+
+    @pytest.mark.parametrize(
+        "n, k, position, p", [(7, 3, 2, 0.3), (8, 4, 1, 0.3)], ids=["n7-k3-ell2", "n8-k4-ell1"]
+    )
+    def test_same_law_as_full_batches(self, n, k, position, p):
+        order = LatentOrder.random(n, np.random.default_rng(n))
+        oracle = DeterministicOracle(PositionSelector(k, position), order)
+        stream = StreamConfig.from_probabilities(p, p)
+        got_rng, want_rng = np.random.default_rng(1), np.random.default_rng(2)
+        got = np.empty((self.DRAWS, n), dtype=np.int64)
+        want = np.empty((self.DRAWS, n), dtype=np.int64)
+        for t in range(self.DRAWS):
+            batch = sample_phase(stream, 1, n, k, oracle, got_rng, counts_only=True)
+            got[t] = batch.choice_counts
+            assert len(batch) == got[t].sum() and batch.sets.shape == (0, k)
+            full = sample_phase(stream, 1, n, k, oracle, want_rng)
+            want[t] = np.bincount(full.choices, minlength=n)
+        assert oracle.query_count == want.sum()  # the counts-only draws asked nothing
+
+        revealing = revealing_by_id(order, k, position)
+        eligible = revealing > 0
+        assert not got[:, ~eligible].any() and not want[:, ~eligible].any()
+        for counts in (got, want):  # both near the binomial's mean and variance
+            mean, var = revealing * p, revealing * p * (1 - p)
+            assert (np.abs(counts.mean(axis=0) - mean) <= 5 * np.sqrt(var / self.DRAWS)).all()
+            assert np.allclose(counts.var(axis=0), var, rtol=0.1)
+        for x in np.flatnonzero(eligible):
+            assert stats.ttest_ind(got[:, x], want[:, x], equal_var=False).pvalue > 0.001
+            assert stats.levene(got[:, x], want[:, x]).pvalue > 0.001
+        sizes = got.sum(axis=1), want.sum(axis=1)
+        assert stats.ttest_ind(*sizes, equal_var=False).pvalue > 0.001
+        assert stats.levene(*sizes).pvalue > 0.001
+
+        # the never-chosen set, one bit per id, with sets seen under 20
+        # times in both samples pooled into one column
+        bits = 1 << np.arange(n)
+        keys = [(counts == 0) @ bits for counts in (got, want)]
+        values, pooled = np.unique(np.concatenate(keys), return_counts=True)
+        common = values[pooled >= 20]
+        table = [
+            [*(np.sum(key == v) for v in common), np.sum(~np.isin(key, common))]
+            for key in keys
+        ]
+        assert stats.chi2_contingency(table).pvalue > 0.001
+
+    @pytest.mark.parametrize("n, k, position", [(7, 3, 2), (8, 4, 1), (9, 4, 3), (6, 2, 2)])
+    def test_certain_inclusion_counts_every_revealing_set(self, n, k, position):
+        order = LatentOrder.random(n, np.random.default_rng(n + k))
+        oracle = DeterministicOracle(PositionSelector(k, position), order)
+        stream = StreamConfig.from_probabilities(1.0, 1.0)
+        batch = sample_phase(stream, 1, n, k, oracle, np.random.default_rng(0), counts_only=True)
+        full = sample_phase(stream, 1, n, k, oracle, np.random.default_rng(0))
+        assert np.array_equal(batch.choice_counts, revealing_by_id(order, k, position))
+        assert np.array_equal(batch.choice_counts, np.bincount(full.choices, minlength=n))
+        assert len(batch) == len(full) == math.comb(n, k)
+        assert find_ineligible_passive(batch, n) == ineligible_set(oracle.selector, order)
+
+    def counted(self):
+        oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(40))
+        stream = StreamConfig.from_probabilities(0.3, 0.3)
+        batch = sample_phase(stream, 1, 40, 3, oracle, np.random.default_rng(5), counts_only=True)
+        assert oracle.query_count == 0 and len(batch) > 0
+        assert batch.counts_only and not batch.complete and batch.anchors is None
+        return batch
+
+    def test_records_and_jsonl_refuse_a_counts_only_batch(self):
+        batch = self.counted()
+        with pytest.raises(ValueError, match="counts-only"):
+            batch.records()
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="counts-only"):
+            batch.to_jsonl(buf)
+        assert buf.getvalue() == ""
+
+    def test_partial_order_refuses_a_counts_only_batch(self):
+        with pytest.raises(ValueError, match="counts-only"):
+            build_partial_order(self.counted(), 40, [0], 2)
+
+    def test_anchors_and_counts_only_rejected_before_drawing(self):
+        oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(40))
+        stream = StreamConfig.from_probabilities(0.3, 0.3)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="counts-only"):
+            sample_phase(stream, 1, 40, 3, oracle, rng, anchors=[0], counts_only=True)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    @pytest.mark.parametrize("n, k", [(39, 3), (41, 3), (40, 4)])
+    def test_other_universe_rejected(self, n, k):
+        oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(40))
+        stream = StreamConfig.from_probabilities(0.3, 0.3)
+        with pytest.raises(InvalidQueryError, match="3-sets over 40 ids"):
+            sample_phase(stream, 1, n, k, oracle, np.random.default_rng(0), counts_only=True)
+
+    def test_choice_counts_of_each_form(self):
+        batch = ObservationBatch(np.array([[0, 1, 4], [1, 2, 3], [0, 2, 4]]), np.array([1, 2, 2]))
+        assert batch.choice_counts.tolist() == [0, 1, 2, 0, 0]
+        oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(40))
+        stream = StreamConfig.from_probabilities(0.3, 0.3)
+        anchored = sample_phase(stream, 2, 40, 3, oracle, np.random.default_rng(5), anchors=[0])
+        assert anchored.choice_counts is None
+        assert len(self.counted().choice_counts) == 40
+
+
 class TestRevealingCounts:
+    def test_vectorized_counts_match_enumeration(self):
+        for n in range(2, 11):
+            for k in range(2, n + 1):
+                for position in range(1, k + 1):
+                    counts = revealing_counts(n, k, position)
+                    assert counts.sum() == math.comb(n, k)
+                    brute = [count_revealing_brute_force(n, k, position, r) for r in range(n)]
+                    assert counts.tolist() == brute
+                    eligible = brute[position - 1 : n - k + position]
+                    assert min_revealing_count(n, k, position) == min(eligible)
+
+    @pytest.mark.parametrize("rank", [-1, 9])
+    def test_rank_outside_the_universe_rejected(self, rank):
+        with pytest.raises(ValueError, match=r"rank must lie in \[0, 9\)"):
+            revealing_set_count(9, 3, 2, rank)
+
     def test_formula_matches_enumeration(self):
         for n in range(6, 13):
             for k in (3, 4):
