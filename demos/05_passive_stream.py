@@ -7,7 +7,7 @@ independently (a Poisson race per set), and we only see (set, choice)
 records. Phase 1 identifies the never-chosen alternatives. It is read
 only through how often each alternative is chosen, so the simulator
 draws just those counts, one binomial per alternative, with no set
-built or answered. Phase 2 keeps
+built or answered. Phase 2 draws
 the records that pair two free alternatives with a fixed anchor set,
 orients each observed pair consistently, and takes the transitive
 closure. Queries with any unresolved internal pair are declined rather
@@ -54,7 +54,7 @@ never = find_ineligible_passive(batch1, n)
 print("never-chosen set found:", sorted(never),
       "| exact:", never == ineligible_set(oracle.selector, hidden_order))
 
-# phase 2 draws every set, but builds only the records that hold the anchors
+# phase 2 draws only the sets that hold the anchors, and counts the rest
 anchors = sorted(never)[: k - 2]
 batch2 = sample_phase(
     stream, 2, n, k, oracle, np.random.default_rng(rng.integers(2**63)), anchors=anchors

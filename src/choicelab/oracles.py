@@ -22,10 +22,10 @@ probability exceeds 1%, it draws exactly that, one uniform per k-set, so
 the included colex ranks come out ascending with no sort; only sparse
 phases over more than 2^22 k-sets draw a binomial batch size and a
 distinct sample of ranks. Given the k-2 anchors that phase 2 is read
-through, the sampler draws the same ranks with the same rng calls, then
-unranks and queries only those of the C(n-k+2, 2) sets that hold every
-anchor: about 1.5% of the 1.18M records of a phase 2 at n=200, b=8, and
-exactly the rows of the full batch that inference reads. Phase 1 is read
+through, the sampler draws only the C(n-k+2, 2) sets that hold every
+anchor, as pairs of the other ids, and the count of all other sets as
+one binomial: about 1.5% of the 1.18M records of a phase 2 at n=200,
+b=8, equal in law to the anchored rows of a full phase. Phase 1 is read
 only through how often each id is chosen, and the sampler can draw just
 that: counts_only draws each id's choice count as one binomial over the
 revealing_counts sets that select it, with no set drawn, unranked or
@@ -295,10 +295,10 @@ class ObservationBatch:
     readers compare with their universe size instead of scanning ids.
 
     len() counts the records the phase drew. A batch that sample_phase drew
-    with anchors, which its anchors attribute names (None otherwise), holds
-    in sets and choices only the rows that contain every anchor. A batch
-    drawn counts-only (counts_only is True) holds no rows at all, only
-    choice_counts. Unless sets holds every row drawn, the batch is not
+    with anchors, which its anchors attribute names (None otherwise), drew
+    as rows only the sets that contain every anchor and the rest as a count.
+    A batch drawn counts-only (counts_only is True) holds no rows, only
+    choice_counts. Unless sets holds every record drawn, the batch is not
     complete, and the readers of every record refuse it.
     """
 
@@ -545,22 +545,6 @@ def _sample_ranks(total: int, p: float, rng: np.random.Generator) -> np.ndarray:
     return np.sort(rng.permutation(picked)[:m])
 
 
-def _anchored_ranks(anchors: tuple, n: int, k: int) -> np.ndarray:
-    """The ascending colex ranks of the C(n-k+2, 2) k-subsets of [0, n)
-    that hold all k-2 anchors: each is the anchors plus a pair of the
-    other ids."""
-    free = np.setdiff1d(np.arange(n), anchors)
-    u, v = np.triu_indices(free.size, 1)
-    rows = np.empty((u.size, k), dtype=np.int64)
-    rows[:, : k - 2] = anchors
-    rows[:, k - 2] = free[u]
-    rows[:, k - 1] = free[v]
-    rows.sort(axis=1)
-    table = _binomial_table(n, k)
-    # the colex rank of a sorted row is the sum of C(row[j], j + 1)
-    return np.sort(sum(table[j + 1, rows[:, j]] for j in range(k)))
-
-
 def sample_phase(
     config: StreamConfig,
     phase: int,
@@ -588,11 +572,12 @@ def sample_phase(
     rows, which query_many has validated, and members by construction, so
     the batch checks nothing again.
 
-    With anchors, k-2 distinct ids, the ranks are drawn the same way, with
-    the same rng calls, but only those of sets that hold every anchor are
-    unranked: the batch's rows are exactly the full batch's rows that hold
-    every anchor, in the same order, and its len() is the full batch's. The
-    oracle answers, and its query_count counts, only those rows.
+    With anchors, k-2 distinct ids, only the sets that hold every anchor
+    are drawn, as the anchors plus pairs of the other ids whose ranks are
+    drawn as above (pair colex order is set colex order), and the count of
+    all other sets is one binomial added to len(): equal in law to the full
+    batch's rows that hold every anchor, not the same draw. The oracle
+    answers, and its query_count counts, only the rows.
 
     With counts_only, for a position-selecting oracle over exactly
     universe_size ids, no set is drawn: every drawn k-set reveals one
@@ -621,11 +606,22 @@ def sample_phase(
         return ObservationBatch._counted(k, counts)
     if anchors is not None:
         anchors = _check_query(k - 2, universe_size, anchors)
-    idx = _sample_ranks(math.comb(universe_size, k), p, rng)
-    drawn = idx.size
-    if anchors is not None and drawn:
-        wanted = _anchored_ranks(anchors, universe_size, k)
-        at = np.searchsorted(idx, wanted)
-        idx = wanted[idx[np.minimum(at, drawn - 1)] == wanted]
-    sets = unrank_combinations(idx, universe_size, k)
+        free = np.setdiff1d(np.arange(universe_size), anchors)
+        pairs = math.comb(free.size, 2)
+        picked = _sample_ranks(pairs, p, rng)
+        drawn = picked.size + int(rng.binomial(math.comb(universe_size, k) - pairs, p))
+        columns = np.empty((k, picked.size), dtype=np.int64)
+        columns[: k - 2] = np.reshape(anchors, (-1, 1))
+        columns[k - 2 :] = free[unrank_combinations(picked, free.size, 2).T]
+        # insert the pair among the sorted anchors: np.sort's per-row cost is most of the draw
+        for top in (k - 2, k - 1):
+            for j in range(top, 0, -1):
+                low = np.minimum(columns[j - 1], columns[j])
+                np.maximum(columns[j - 1], columns[j], out=columns[j])
+                columns[j - 1] = low
+        sets = columns.T
+    else:
+        idx = _sample_ranks(math.comb(universe_size, k), p, rng)
+        sets = unrank_combinations(idx, universe_size, k)
+        drawn = idx.size
     return ObservationBatch._answered(sets, oracle.query_many(sets), universe_size, drawn, anchors)

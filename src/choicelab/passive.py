@@ -9,7 +9,9 @@ pair; each such record orients the pair under one consistent (but
 unknown) convention, so the transitive closure of those orientations is
 a partial order that answers a query whenever all internal pairs are
 resolved. Queries touching an anchor or an unresolved pair return
-UNRESOLVED, which scoring counts as incorrect.
+UNRESOLVED, which scoring counts as incorrect. Resolved queries are
+answered from one order of the universe by closure win count, which
+agrees with the closure on every resolved set.
 
 Records are validated where they enter an ObservationBatch (sampled rows
 by query_many, others by the constructor); this module only compares a
@@ -30,6 +32,7 @@ from .core import (
     PositionSelector,
     _check_query,
     _check_sets,
+    _select_many,
     all_ksets,
     evaluate_many,
 )
@@ -121,7 +124,12 @@ class InferredPartialOrder:
         self.beats = beats
         self.anchors = tuple(anchors)
         self.position = int(position)
-        for array in (self.index, self.elements, self.beats):
+        self._comparable = (beats | beats.T).ravel()  # at i * m + j, for m elements
+        # each element outscores all it beats; anchors, in no resolved row, score -1
+        score = np.full(len(index), -1, dtype=np.int64)
+        score[self.elements] = beats.sum(axis=1)
+        self._score_order = LatentOrder(np.argsort(score, kind="stable"))
+        for array in (self.index, self.elements, self.beats, self._comparable):
             array.setflags(write=False)
 
     @property
@@ -134,13 +142,12 @@ class InferredPartialOrder:
 
     def resolved(self, u: int, v: int) -> bool:
         i, j = self.index[_check_sets(1, self.universe_size, [[u], [v]])[:, 0]]
-        return bool(u == v or (i >= 0 and j >= 0 and (self.beats[i, j] or self.beats[j, i])))
+        return bool(u == v or (i >= 0 and j >= 0 and self._comparable[i * len(self.elements) + j]))
 
     @property
     def unresolved_pair_count(self) -> int:
         m = len(self.elements)
-        resolved = self.beats | self.beats.T
-        return int(m * (m - 1) // 2 - np.triu(resolved, 1).sum())
+        return int(m * (m - 1) // 2 - np.count_nonzero(self._comparable) // 2)
 
     @property
     def resolved_pair_fraction(self) -> float:
@@ -250,41 +257,35 @@ def answer_many(po: InferredPartialOrder, sets: np.ndarray, position: int) -> np
 
     A row is UNRESOLVED whenever it touches an anchor or contains an
     unresolved pair; otherwise its answer is the member at the requested
-    position under the stored orientation. Every resolved answer is
-    correct under one global reading of the orientation (possibly the
-    reflected position; the scorer tries both). A position outside [1, k]
-    raises InvalidQueryError.
+    position under the stored orientation, read from the order by closure
+    win count. Every resolved answer is correct under one global reading
+    (possibly the reflected position; the scorer tries both). A position
+    outside [1, k] raises InvalidQueryError.
     """
     return _answer_rows(po, _check_sets(po.k, po.universe_size, sets), (position,))[0]
 
 
 def _answer_rows(po: InferredPartialOrder, sets: np.ndarray, positions) -> list:
-    """answer_many for sets that passed _check_sets, at each of positions,
-    from one pass over the pairwise beats lookups."""
+    """answer_many for sets that passed _check_sets, at each of positions:
+    a row with no anchor and every pair comparable is totally ordered by
+    the closure, and so by score, so its answer is selected by score."""
     m, k = sets.shape
     for position in positions:
         if position not in range(1, k + 1):
             raise InvalidQueryError(f"position must lie in [1, {k}], got {position}")
     idx = po.index[sets.T]  # k contiguous index columns
-    # an anchor's index -1 reads the last row of beats; such rows start unresolved
     resolved = np.all(idx >= 0, axis=0)
-    wins = np.zeros((k, m), dtype=np.int64)
+    # an anchor's index -1 reads some other entry; such rows are unresolved
+    base = idx * len(po.elements)
     for a in range(k):
         for b in range(a + 1, k):
-            ab = po.beats[idx[a], idx[b]]
-            ba = po.beats[idx[b], idx[a]]
-            resolved &= ab | ba
-            wins[a] += ab
-            wins[b] += ba
-
-    rows = np.flatnonzero(resolved)
-    wins = wins[:, rows]
-    answers = []
+            resolved &= po._comparable[base[a] + idx[b]]
+    answers = {}
     for position in positions:
-        out = np.full(m, -1, dtype=np.int64)
-        out[rows] = sets[rows, np.argmax(wins == position - 1, axis=0)]
-        answers.append(out)
-    return answers
+        if position not in answers:  # the two readings of an odd k's middle coincide
+            answers[position] = _select_many(position, po._score_order, sets)
+            answers[position][~resolved] = -1
+    return [answers[position] for position in positions]
 
 
 @dataclass(frozen=True)
@@ -336,7 +337,8 @@ def coverage_report(
     """Fraction of k-sets answered correctly, UNRESOLVED counted as incorrect.
 
     Exhaustive when C(n,k) is at most exhaustive_limit, otherwise a
-    uniform sample of sample_size sets with a 95% Clopper-Pearson interval.
+    uniform sample of sample_size sets with a 95% Clopper-Pearson interval;
+    sampled scoring with no rng or a sample_size below 1 raises ValueError.
     Both readings of the stored orientation (position and its reflection)
     are scored globally and the consistent one is reported.
     """
@@ -353,6 +355,8 @@ def coverage_report(
     else:
         if rng is None:
             raise ValueError("sampled scoring needs an rng")
+        if not sample_size > 0:
+            raise ValueError(f"sampled scoring needs a positive sample_size, got {sample_size}")
         # ascending ranks unrank faster; scoring is a mean, so row order is free
         idx = np.sort(rng.integers(0, total, size=sample_size))
         sets = unrank_combinations(idx, n, k)

@@ -232,8 +232,8 @@ def test_criterion_07_passive_recovery():
         batch1 = sample_phase(stream, 1, n, k, oracle, r1)
         never = find_ineligible_passive(batch1, n)
         anchors = sorted(never)[: k - 2]
-        # phase 2 builds only the records that hold the anchors: the rows of
-        # the full phase that build_partial_order reads, bit for bit
+        # phase 2 draws only the records that hold the anchors, the ones
+        # build_partial_order reads, equal in law to those of the full phase
         batch2 = sample_phase(stream, 2, n, k, oracle, r2, anchors=anchors)
         po = build_partial_order(batch2, n, anchors, position)
         if po.unresolved_pair_count / math.comb(n - k + 2, 2) <= 0.02:

@@ -1,5 +1,5 @@
-"""Source hygiene: every exported name exists and no module imports what it
-never reads."""
+"""Source hygiene: every exported name exists, no module imports what it
+never reads, and every private module-level name is read somewhere else."""
 
 import ast
 import importlib
@@ -48,3 +48,51 @@ def test_no_unused_imports(path):
 def test_scanner_flags_an_unused_import():
     tree = ast.parse("import os\nimport sys\nfrom math import pi, tau\nprint(sys.argv, tau)\n")
     assert _unused_imports(tree) == ["os (line 1)", "pi (line 3)"]
+
+
+def _unreferenced_helpers(trees: dict) -> list:
+    """Module-level private names (one leading underscore) that no other
+    top-level statement of any of the modules reads, imports or assigns
+    from. A helper that only calls itself counts as unreferenced."""
+    defined, used = {}, []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            names = []
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            reads = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    reads.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    reads.add(node.name)
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[(module, name)] = stmt
+            used.append((stmt, reads))
+    return sorted(
+        f"{module}.{name}"
+        for (module, name), own in defined.items()
+        if not any(name in reads for stmt, reads in used if stmt is not own)
+    )
+
+
+def test_no_unreferenced_private_helpers():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in PACKAGE_DIR.glob("*.py")}
+    unreferenced = _unreferenced_helpers(trees)
+    assert not unreferenced, f"private helpers nothing in src/ refers to: {unreferenced}"
+
+
+def test_scanner_flags_an_unreferenced_helper():
+    trees = {
+        "a": ast.parse("def _used():\n    pass\n\ndef _dead(x):\n    return _dead(x - 1)\n"
+                       "_LIMIT = 3\n_UNREAD = 4\n"),
+        "b": ast.parse("from .a import _used\n\ndef f():\n    return _used() + a._LIMIT\n"),
+    }
+    assert _unreferenced_helpers(trees) == ["a._UNREAD", "a._dead"]

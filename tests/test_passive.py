@@ -1,5 +1,6 @@
 """Passive-stream recovery: ineligible detection, anchored closure, coverage."""
 
+import functools
 import io
 import itertools
 import json
@@ -30,6 +31,7 @@ from choicelab.oracles import (
 )
 from choicelab.passive import (
     UNRESOLVED,
+    CoverageReport,
     InconsistentStreamError,
     InsufficientCoverageError,
     answer_many,
@@ -41,6 +43,7 @@ from choicelab.passive import (
     min_revealing_count,
     revealing_set_count,
 )
+from choicelab.passive import _answer_rows
 
 
 def anchored_batch(order, k, position, anchors, pairs):
@@ -259,6 +262,94 @@ class TestAnswerQuery:
             assert (got == -1 and scalar is UNRESOLVED) or got == scalar
 
 
+def answer_rows_by_wins(po, sets, positions):
+    """The answer kernel before answers were read from the score order:
+    each row's in-row win counts from the pairwise beats lookups, and at
+    each position the member with position - 1 wins; -1 where a row holds
+    an anchor or an incomparable pair."""
+    m, k = sets.shape
+    idx = po.index[sets.T]
+    # an anchor's index -1 reads the last row of beats; such rows start unresolved
+    resolved = np.all(idx >= 0, axis=0)
+    wins = np.zeros((k, m), dtype=np.int64)
+    for a in range(k):
+        for b in range(a + 1, k):
+            ab = po.beats[idx[a], idx[b]]
+            ba = po.beats[idx[b], idx[a]]
+            resolved &= ab | ba
+            wins[a] += ab
+            wins[b] += ba
+    rows = np.flatnonzero(resolved)
+    wins = wins[:, rows]
+    answers = []
+    for position in positions:
+        out = np.full(m, -1, dtype=np.int64)
+        out[rows] = sets[rows, np.argmax(wins == position - 1, axis=0)]
+        answers.append(out)
+    return answers
+
+
+def closed_model(n, k, position, p, seed):
+    """A model closed from a full phase-2 sample of a random order, drawn
+    with inclusion probability p, anchored on k-2 of the ineligibles."""
+    selector = PositionSelector(k, position)
+    order = LatentOrder.random(n, np.random.default_rng(seed))
+    oracle = DeterministicOracle(selector, order)
+    stream = StreamConfig.from_probabilities(p, p)
+    batch = sample_phase(stream, 2, n, k, oracle, np.random.default_rng(seed + 1))
+    anchors = sorted(ineligible_set(selector, order))[: k - 2]
+    return build_partial_order(batch, n, anchors, position), selector, order
+
+
+class TestAnswerRowsReference:
+    """_answer_rows, which reads answers from one score order, against the
+    wins-based kernel it replaced."""
+
+    @pytest.mark.parametrize(
+        "n, k, position",
+        [(12, 3, 2), (13, 4, 2), (13, 4, 3), (14, 5, 2), (14, 5, 3), (14, 5, 4)],
+    )
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.8, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_answers_at_every_position(self, n, k, position, p, seed):
+        po, _, _ = closed_model(n, k, position, p, 10 * seed + n)
+        sets = all_ksets(n, k)
+        positions = tuple(range(1, k + 1))
+        got = _answer_rows(po, sets, positions)
+        want = answer_rows_by_wins(po, sets, positions)
+        assert len(got) == k
+        for got_answers, want_answers in zip(got, want):
+            assert np.array_equal(got_answers, want_answers)
+        if p == 0.8:  # some rows resolved by the closure and some not
+            assert (want[0] == -1).any() and (want[0] != -1).any()
+
+    @pytest.mark.parametrize(
+        "n, k, position, p, seed, sampled, want",
+        [
+            (40, 3, 2, 0.5, 3, True,
+             (0.68025, 0.31975, "stored", 20000, 0.6737355739548515, 0.6867119926877278)),
+            (16, 4, 3, 0.8, 4, False,
+             (0.55, 0.45, "reflected", 1820, 0.526804124594554, 0.5730344553913285)),
+            (14, 5, 2, 0.9, 5, False,
+             (0.23076923076923078, 0.7692307692307693, "reflected", 2002,
+              0.2124686167756408, 0.2498616068972691)),
+        ],
+        ids=["sampled-k3", "exhaustive-k4", "exhaustive-k5"],
+    )
+    def test_coverage_report_fields_unchanged(self, n, k, position, p, seed, sampled, want):
+        # recorded from the wins-based kernel on the same models and rng
+        po, selector, order = closed_model(n, k, position, p, seed)
+        limit = 1000 if sampled else 10**6
+        report = coverage_report(po, selector, order, sample_size=20000,
+                                 rng=np.random.default_rng(11), exhaustive_limit=limit)
+        frac_correct, frac_unresolved, reading, size, lo, hi = want
+        assert report == CoverageReport(
+            n=n, k=k, position=position, frac_correct=frac_correct,
+            frac_unresolved=frac_unresolved, reading=reading, sample_size=size,
+            exhaustive=not sampled, ci_low=lo, ci_high=hi,
+        )
+
+
 class TestCoverage:
     def test_perfect_model(self):
         n, k, position = 8, 3, 2
@@ -322,7 +413,7 @@ class TestCoverage:
     )
     @pytest.mark.parametrize("exhaustive", [True, False], ids=["exhaustive", "sampled"])
     def test_report_scores_both_answer_many_readings(self, exhaustive, position, seed, want):
-        # the report scores both readings in one pass over the beats lookups;
+        # the report scores both readings from one comparability pass;
         # its figures are those of one answer_many call per reading
         n, k = 14, 4
         selector = PositionSelector(k, position)
@@ -351,6 +442,14 @@ class TestCoverage:
         assert report.reading == best == want
         assert (report.frac_correct, report.frac_unresolved) == scores[want]
         assert (report.exhaustive, report.sample_size) == (exhaustive, len(sets))
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_report_rejects_a_sample_size_below_one(self, size):
+        po, selector, order = closed_model(40, 3, 2, 0.5, 3)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=f"positive sample_size, got {size}"):
+            coverage_report(po, selector, order, sample_size=size, rng=rng, exhaustive_limit=1000)
+        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
 
     def test_report_rejects_a_model_of_other_sets(self):
         order = LatentOrder.identity(8)
@@ -396,9 +495,22 @@ def holds_every_anchor(sets, anchors):
     return np.isin(sets, anchors).sum(axis=1) == len(anchors)
 
 
+@functools.cache
+def comb_table(n, k):
+    """table[j, c] = C(c, j) for j <= k and c <= n, from math.comb."""
+    return np.array([[math.comb(c, j) for c in range(n + 1)] for j in range(k + 1)])
+
+
+def colex_ranks(sets, n):
+    """The colex rank of each sorted row: the sum of C(row[j], j + 1)."""
+    table = comb_table(n, sets.shape[1])
+    return sum(table[j + 1][column] for j, column in enumerate(sets.T))
+
+
 class TestAnchoredSample:
-    """sample_phase with anchors against the full sample as the reference:
-    the same draw, of which only the rows holding every anchor are built."""
+    """sample_phase with anchors against the full sample, filtered to the
+    rows that hold every anchor, as the reference: a direct draw over the
+    anchored sets, equal in law to the reference and not the same draw."""
 
     @pytest.mark.parametrize(
         "n, k, position, p",
@@ -407,12 +519,12 @@ class TestAnchoredSample:
             (24, 4, 2, 0.25),
             (24, 4, 3, 0.6),
             (18, 5, 3, 0.3),
-            (300, 3, 2, 0.005),  # sparse ranks: C(300, 3) > 2^22 and p <= 0.01
+            (300, 3, 2, 0.005),  # the full sample's sparse ranks: C(300, 3) > 2^22, p <= 0.01
         ],
         ids=["dense-k3", "dense-k4-ell2", "dense-k4-ell3", "dense-k5", "sparse-k3"],
     )
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_rows_are_the_full_sample_rows_holding_every_anchor(self, n, k, position, p, seed):
+    def test_exact_invariants(self, n, k, position, p, seed):
         selector = PositionSelector(k, position)
         order = LatentOrder.random(n, np.random.default_rng(100 + seed))
         stream = StreamConfig.from_probabilities(p, p)
@@ -422,17 +534,77 @@ class TestAnchoredSample:
         oracle = DeterministicOracle(selector, order)
         got = sample_phase(stream, 2, n, k, oracle, np.random.default_rng(seed), anchors=anchors)
         rows = holds_every_anchor(full.sets, anchors)
-        assert 0 < rows.sum() < len(full)
-        assert np.array_equal(got.sets, full.sets[rows])
-        assert np.array_equal(got.choices, full.choices[rows])
-        assert len(got) == len(full) == full_oracle.query_count
+        want = ObservationBatch(full.sets[rows], full.choices[rows])
+        for batch in (got, want):
+            assert holds_every_anchor(batch.sets, anchors).all()
+            assert (np.diff(colex_ranks(batch.sets, n)) > 0).all()  # ascending, distinct
+            assert np.array_equal(batch.choices, evaluate_many(selector, order, batch.sets))
+            assert build_partial_order(batch, n, anchors, position).anchors == tuple(anchors)
+        assert 0 < got.sets.shape[0] < len(got)
+        assert len(full) == full_oracle.query_count
         assert oracle.query_count == got.sets.shape[0]
         assert not got.complete and got.anchors == tuple(anchors)
-        assert got.id_bound == full.id_bound and got.k == full.k
-        want = build_partial_order(full, n, anchors, position)
-        po = build_partial_order(got, n, anchors, position)
-        assert np.array_equal(po.beats, want.beats)
-        assert np.array_equal(po.index, want.index)
+        assert got.id_bound == full.id_bound == n and got.k == full.k
+
+    DRAWS = 20_000
+
+    @pytest.mark.parametrize(
+        "n, k, position, p", [(7, 3, 2, 0.3), (8, 4, 3, 0.3)], ids=["n7-k3-ell2", "n8-k4-ell3"]
+    )
+    def test_same_law_as_the_filtered_full_sample(self, n, k, position, p):
+        selector = PositionSelector(k, position)
+        order = LatentOrder.random(n, np.random.default_rng(n))
+        oracle = DeterministicOracle(selector, order)
+        stream = StreamConfig.from_probabilities(p, p)
+        anchors = sorted(ineligible_set(selector, order))[: k - 2]
+        anchored = math.comb(n - k + 2, 2)
+        # per side and draw: len(), the anchored rows, and each anchored
+        # set's inclusion, by its rank among the anchored sets
+        sizes = np.zeros((2, self.DRAWS), dtype=np.int64)
+        rows = np.zeros((2, self.DRAWS), dtype=np.int64)
+        included = np.zeros((2, anchored), dtype=np.int64)
+        every = all_ksets(n, k)
+        wanted = np.sort(colex_ranks(every[holds_every_anchor(every, anchors)], n))
+        for t in range(self.DRAWS):
+            got = sample_phase(stream, 2, n, k, oracle, np.random.default_rng([1, t]),
+                               anchors=anchors)
+            full = sample_phase(stream, 2, n, k, oracle, np.random.default_rng([2, t]))
+            held = full.sets[holds_every_anchor(full.sets, anchors)]
+            for side, (batch, sets) in enumerate(((got, got.sets), (full, held))):
+                sizes[side, t], rows[side, t] = len(batch), len(sets)
+                included[side, np.searchsorted(wanted, colex_ranks(sets, n))] += 1
+
+        total = math.comb(n, k)
+        for side in (0, 1):  # both near the law: Bernoulli(p) inclusion of every k-set
+            frequency = included[side] / self.DRAWS
+            assert (np.abs(frequency - p) <= 5 * math.sqrt(p * (1 - p) / self.DRAWS)).all()
+            assert abs(sizes[side].mean() / (total * p) - 1) < 0.01
+            assert abs(sizes[side].var() / (total * p * (1 - p)) - 1) < 0.1
+        pooled = included.sum(axis=0) / (2 * self.DRAWS)
+        spread = np.sqrt(2 * pooled * (1 - pooled) / self.DRAWS)
+        assert (np.abs(included[0] - included[1]) / self.DRAWS <= 5 * spread).all()
+        assert stats.ttest_ind(*sizes, equal_var=False).pvalue > 0.001
+        assert stats.levene(*sizes).pvalue > 0.001
+        # the anchored rows and the rest are independent binomials: each
+        # covariance is 0 within its standard error, sd(rows) * sd(rest) / sqrt(DRAWS)
+        got_cov, want_cov = (np.cov(rows[side], sizes[side] - rows[side])[0, 1] for side in (0, 1))
+        scale = math.sqrt(anchored * (total - anchored)) * p * (1 - p) / math.sqrt(self.DRAWS)
+        assert abs(got_cov) < 5 * scale and abs(want_cov) < 5 * scale
+        assert abs(got_cov - want_cov) < 5 * math.sqrt(2) * scale
+
+    @pytest.mark.parametrize("n, k, position", [(9, 3, 2), (10, 4, 3), (9, 5, 3)])
+    def test_certain_inclusion_gives_the_full_batch_rows(self, n, k, position):
+        selector = PositionSelector(k, position)
+        order = LatentOrder.random(n, np.random.default_rng(n + k))
+        oracle = DeterministicOracle(selector, order)
+        stream = StreamConfig.from_probabilities(1.0, 1.0)
+        anchors = sorted(ineligible_set(selector, order))[: k - 2]
+        full = sample_phase(stream, 2, n, k, oracle, np.random.default_rng(0))
+        got = sample_phase(stream, 2, n, k, oracle, np.random.default_rng(1), anchors=anchors)
+        rows = holds_every_anchor(full.sets, anchors)
+        assert np.array_equal(got.sets, full.sets[rows])
+        assert np.array_equal(got.choices, full.choices[rows])
+        assert len(got) == len(full) == math.comb(n, k)
 
     def test_sparse_case_takes_the_sparse_branch(self):
         from choicelab.oracles import _DENSE_TOTAL, _SPARSE_P
@@ -451,7 +623,9 @@ class TestAnchoredSample:
         stream = StreamConfig.from_probabilities(0.5, 0.5)
         full = sample_phase(stream, 1, 30, 2, oracle, np.random.default_rng(3))
         got = sample_phase(stream, 1, 30, 2, oracle, np.random.default_rng(3), anchors=())
-        assert got.complete and np.array_equal(got.sets, full.sets)
+        assert got.complete and len(got) == len(full)
+        assert np.array_equal(got.sets, full.sets)
+        assert np.array_equal(got.choices, full.choices)
 
     @pytest.mark.parametrize("anchors", [[], [0, 1], [40], [-1]],
                              ids=["too-few", "too-many", "past-n", "negative"])
