@@ -50,6 +50,7 @@ __all__ = [
     "InconsistentOracleError",
     "RecoveryStats",
     "RecoveredModel",
+    "discard_pass",
     "discard_ineligible",
     "recover_choice_function",
     "predict",
@@ -150,24 +151,27 @@ class RecoveredModel:
         )
 
 
-def discard_ineligible(oracle: DeterministicOracle) -> frozenset:
-    """Find the k-1 never-chosen alternatives in exactly n-k+1 queries.
+def discard_pass(n: int, k: int, choose) -> frozenset:
+    """The n-k+1 rounds of a discard tournament over the ids [0, n).
 
-    Each round discards the round's choice and brings in a fresh
-    alternative; never-chosen alternatives are never discarded, so the
-    final set minus its choice is exactly the ineligible set.
+    Each round asks choose for one member of the current k-set (a list),
+    then discards that member and brings in a fresh id. A member that
+    choose never picks is never discarded, so for a position selector the
+    final set minus its choice is exactly the k-1 ineligible alternatives.
     """
-    n, k = oracle.n, oracle.k
     if n < k + 1:
         raise ValueError(f"need n >= k+1, got n={n}, k={k}")
     current = list(range(k))
-    choice = None
-    for fresh in range(k, n + 1):
-        choice = oracle.query(current)
-        if fresh < n:
-            current.remove(choice)
-            current.append(fresh)
+    for fresh in range(k, n):
+        current.remove(choose(current))
+        current.append(fresh)
+    choice = choose(current)
     return frozenset(x for x in current if x != choice)
+
+
+def discard_ineligible(oracle: DeterministicOracle) -> frozenset:
+    """Find the k-1 never-chosen alternatives in exactly n-k+1 queries."""
+    return discard_pass(oracle.n, oracle.k, oracle.query)
 
 
 def recover_choice_function(oracle: DeterministicOracle) -> RecoveredModel:

@@ -111,11 +111,7 @@ def main(argv=None) -> int:
     report = run(config)
 
     try:
-        if config.out:
-            emit(report, config.fmt, config.out)
-        else:
-            text = report.to_csv() if config.fmt == "csv" else report.to_json()
-            sys.stdout.write(text)
+        emit(report, config.fmt, config.out)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 3

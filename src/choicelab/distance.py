@@ -62,8 +62,9 @@ def pair_id(i: int, j: int) -> PairId:
 class MetricPoints:
     """Euclidean embedding of alternatives, in general position.
 
-    Construction fails if any two pairwise distances agree within 1e-9;
-    silent tie-breaking would mask failures of the removal rules.
+    Construction fails if a coordinate is not finite or any two pairwise
+    distances agree within 1e-9; silent tie-breaking would mask failures
+    of the removal rules.
     """
 
     TOLERANCE = 1e-9
@@ -77,6 +78,8 @@ class MetricPoints:
             mat = mat[:, None]
         if mat.ndim != 2:
             raise ValueError("coordinates must be vectors of a shared dimension")
+        if not np.isfinite(mat).all():  # NaN distances pass the tie check vacuously
+            raise ValueError("coordinates must be finite")
         self.ids = tuple(ids)
         self._index = {i: r for r, i in enumerate(ids)}
         self.coords = mat

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -245,11 +246,8 @@ def _run_classify(cfg, rng):
     return oracle.query_count, result == canonical_position(selector), None, None
 
 
-def _mixture_from_config(cfg) -> MixtureDistribution:
-    return MixtureDistribution(cfg.pi, cfg.gamma)
-
 def _run_estimate_mixture(cfg, rng):
-    mix = _mixture_from_config(cfg)
+    mix = MixtureDistribution(cfg.pi, cfg.gamma)
     n = cfg.n if cfg.n is not None else mix.k + 1
     order = LatentOrder.random(n, rng)
     oracle = MixedOracle(order, mix, rng)
@@ -262,7 +260,7 @@ def _run_estimate_mixture(cfg, rng):
 
 
 def _run_recover_mixed(cfg, rng):
-    mix = _mixture_from_config(cfg)
+    mix = MixtureDistribution(cfg.pi, cfg.gamma)
     order = LatentOrder.random(cfg.n, rng)
     oracle = MixedOracle(order, mix, rng)
     try:
@@ -277,7 +275,7 @@ def _stream_config(cfg) -> StreamConfig:
     if cfg.p1 is not None or cfg.p2 is not None:
         if cfg.p1 is None or cfg.p2 is None:
             raise ValueError("p1 and p2 must be given together")
-        return StreamConfig.from_probabilities(cfg.p1, cfg.p2)
+        return StreamConfig(cfg.p1, cfg.p2)
     if cfg.alpha is not None or cfg.t1 is not None or cfg.t2 is not None:
         if None in (cfg.alpha, cfg.t1, cfg.t2):
             raise ValueError("alpha, t1, t2 must be given together")
@@ -393,9 +391,13 @@ def run(config: ExperimentConfig) -> TrialReport:
     return report
 
 
-def emit(report: TrialReport, fmt: str, path: str) -> None:
-    """Write the report; deterministic column order, CSV header row fixed."""
+def emit(report: TrialReport, fmt: str, path: str | None = None) -> None:
+    """Write the report to path, or to stdout when no path is given;
+    deterministic column order, CSV header row fixed."""
     text = report.to_csv() if fmt == "csv" else report.to_json()
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w") as fp:
         fp.write(text)
 

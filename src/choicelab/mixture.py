@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .active import discard_pass
 from .core import LatentOrder, _check_query, kset
 from .oracles import MixedOracle
 from .sorting import merge_sort
@@ -412,14 +413,9 @@ def recover_mixed(oracle: MixedOracle, gamma: float, epsilon: float):
 
     cap = discard_round_repetitions(gamma, epsilon, n, k)
     budget = _discard_budget(n, k, epsilon)
-    current = list(range(k))
-    winner = None
-    for fresh in range(k, n + 1):
-        winner = discard_round(oracle, current, tracked, gap, cap, budget)
-        if fresh < n:
-            current.remove(winner)
-            current.append(fresh)
-    discarded_block = sorted(x for x in current if x != winner)
+    discarded_block = sorted(discard_pass(
+        n, k, lambda members: discard_round(oracle, members, tracked, gap, cap, budget)
+    ))
 
     anchors = tuple(discarded_block[: k - 2])
     eligible = [x for x in range(n) if x not in discarded_block]

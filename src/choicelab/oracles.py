@@ -17,27 +17,25 @@ answers is random but their order is not: a prefix of the array is not
 a subsample, and callers read only how often each member appears.
 
 The passive-stream sampler realizes a phase as Bernoulli inclusion of
-each of the C(n,k) k-sets. At desk scale, and whenever the inclusion
-probability exceeds 1%, it draws exactly that, one uniform per k-set, so
-the included colex ranks come out ascending with no sort; only sparse
-phases over more than 2^22 k-sets draw a binomial batch size and a
-distinct sample of ranks. Given the k-2 anchors that phase 2 is read
-through, the sampler draws only the C(n-k+2, 2) sets that hold every
-anchor, as pairs of the other ids, and the count of all other sets as
-one binomial: about 1.5% of the 1.18M records of a phase 2 at n=200,
-b=8, equal in law to the anchored rows of a full phase. Phase 1 is read
-only through how often each id is chosen, and the sampler can draw just
-that: counts_only draws each id's choice count as one binomial over the
-revealing_counts sets that select it, with no set drawn, unranked or
-answered. That is equal in law to counting a full phase's choices, not
-the same draw. unrank_combinations builds its rows column by
-column and returns them as a column-major (m, k) view, so every
-per-column pass downstream reads contiguous memory. Ascending ranks
-decode block by block, one search per top member and one table gather
-per lower column, whenever they are at least as many as the C(n-1, k-1)
-rows of that table, as in every phase and in the sampled scoring of a
-passive run. Other ranks take one search per level and row. Both give
-the same rows.
+each of the C(n,k) k-sets. It draws the included colex ranks as running
+sums of Geometric(p) gaps, so they come out ascending with no sort, in
+time and memory linear in the sets drawn, at every p. Given the k-2
+anchors that phase 2 is read through, the sampler draws only the
+C(n-k+2, 2) sets that hold every anchor, as pairs of the other ids, and
+the count of all other sets as one binomial: about 1.5% of the 1.18M
+records of a phase 2 at n=200, b=8, equal in law to the anchored rows of
+a full phase. Phase 1 is read only through how often each id is chosen,
+and the sampler can draw just that: counts_only draws each id's choice
+count as one binomial over the revealing_counts sets that select it,
+with no set drawn, unranked or answered. That is equal in law to
+counting a full phase's choices, not the same draw. unrank_combinations
+builds its rows column by column and returns them as a column-major
+(m, k) view, so every per-column pass downstream reads contiguous memory.
+Ascending ranks decode block by block, one search per top member and one
+table gather per lower column, whenever they are at least as many as the
+C(n-1, k-1) rows of that table, as in every phase and in the sampled
+scoring of a passive run. Other ranks take one search per level and row.
+Both give the same rows.
 """
 
 from __future__ import annotations
@@ -147,9 +145,7 @@ class MixtureDistribution:
 
 def feasible_gamma(probs: Sequence[float]) -> float:
     """Largest separation parameter the vector could satisfy (exclusive bound)."""
-    p = np.asarray(probs, dtype=float)
-    gaps = np.abs(p[:, None] - p[None, :])
-    return float(gaps[~np.eye(p.size, dtype=bool)].min())
+    return float(np.diff(np.sort(np.asarray(probs, dtype=float))).min())
 
 
 class MixedOracle:
@@ -264,10 +260,6 @@ class StreamConfig:
         if alpha <= 0 or t1 <= 0 or t2 <= 0:
             raise ValueError("alpha, t1, t2 must all be positive")
         return cls(p1=1.0 - math.exp(-alpha * t1), p2=1.0 - math.exp(-alpha * t2))
-
-    @classmethod
-    def from_probabilities(cls, p1: float, p2: float) -> "StreamConfig":
-        return cls(p1=p1, p2=p2)
 
     @classmethod
     def from_coverage(cls, b: float, n: int) -> "StreamConfig":
@@ -522,27 +514,35 @@ def _unrank(indices: np.ndarray, n: int, k: int) -> np.ndarray:
     return out.T
 
 
-# Above _DENSE_TOTAL k-sets a phase with p <= _SPARSE_P draws its ranks by
-# dedupe-and-top-up, in O(m) memory, instead of one uniform per k-set.
-_DENSE_TOTAL = 1 << 22
-_SPARSE_P = 0.01
-
-
 def _sample_ranks(total: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Ascending colex ranks, each of the total included independently with
-    probability p."""
+    """Ascending ranks in [0, total), each included independently with
+    probability p, in time and memory linear in the count drawn.
+
+    The gaps between the included ranks of a Bernoulli(p) sequence are
+    i.i.d. Geometric(p) (Devroye 1986, ch. X), so the ranks are running
+    sums of gaps, less one, cut at total. Gaps come in chunks sized to
+    cover what remains with high probability. numpy's geometric saturates
+    at INT64_MAX, so that value stands for a gap of at least 2^63, past
+    every rank. Each gap is clipped at one past what remains and summed as
+    uint64, so no sum wraps before the cut.
+    """
     if p >= 1.0:
         return np.arange(total, dtype=np.int64)
-    if total <= _DENSE_TOTAL or p > _SPARSE_P:
-        return np.flatnonzero(rng.random(total) < p)
-    m = int(rng.binomial(total, p))
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    picked = np.unique(rng.integers(0, total, size=int(m * 1.1) + 16))
-    while picked.size < m:
-        extra = rng.integers(0, total, size=m)
-        picked = np.unique(np.concatenate([picked, extra]))
-    return np.sort(rng.permutation(picked)[:m])
+    chunks = []
+    start = 0  # every rank below start is decided
+    while True:
+        room = total - start
+        mean = room * p  # the expected count still to draw, with 4 sd to spare
+        gaps = rng.geometric(p, int(mean + 4 * math.sqrt(mean)) + 1).view(np.uint64)
+        gaps[gaps == INT64_MAX] += 1  # a saturated gap is at least 2^63
+        np.minimum(gaps, np.uint64(room + 1), out=gaps)
+        ends = np.cumsum(gaps)  # at most 2 room + 1 < 2^64 up to the first end past room
+        past = ends > np.uint64(room)
+        cut = int(past.argmax()) if past.any() else ends.size
+        chunks.append(ends[:cut].astype(np.int64) + (start - 1))
+        if cut < ends.size:
+            return np.concatenate(chunks)
+        start += int(ends[-1])
 
 
 def sample_phase(
@@ -559,11 +559,8 @@ def sample_phase(
     independently with the phase's probability, and appearing sets come
     back with their oracle answers.
 
-    No event times are materialized. Up to 2^22 k-sets, or at p > 0.01,
-    the draw is that Bernoulli inclusion itself: one uniform per k-set,
-    kept below p, so the ranks come out ascending. Beyond both, the batch
-    size is one binomial draw and the ranks a uniform distinct sample of
-    that size, drawn by dedupe-and-top-up and then sorted. Pass
+    No event times are materialized: the included ranks are running sums
+    of Geometric(p) gaps (_sample_ranks), so they come out ascending. Pass
     independent rngs for phases 1 and 2.
 
     Rows come back in ascending colex rank, because ascending ranks

@@ -12,6 +12,7 @@ from choicelab.active import (
     RecoveredModel,
     classify_type,
     discard_ineligible,
+    discard_pass,
     predict,
     predict_many,
     recover_choice_function,
@@ -74,6 +75,18 @@ class TestDiscard:
             found = discard_ineligible(oracle)
             assert oracle.query_count == n - k + 1
             assert found == ineligible_set(oracle.selector, order)
+
+    def test_pass_asks_one_choice_per_round(self):
+        asked = []
+
+        def choose(members):
+            asked.append(tuple(members))
+            return max(members)
+
+        assert discard_pass(7, 3, choose) == frozenset({0, 1})
+        assert asked == [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 1, 6)]
+        with pytest.raises(ValueError, match="n >= k\\+1"):
+            discard_pass(3, 3, choose)
 
 
 class TestRecover:

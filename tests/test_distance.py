@@ -211,6 +211,15 @@ class TestMetricPoints:
         with pytest.raises(ValueError):
             MetricPoints({0: [0.0], 1: [1.0, 2.0]})
 
+    def test_nan_coordinate_rejected(self):
+        text = '{"dim": 1, "points": {"0": [NaN], "1": [1.0], "2": [2.0]}}'
+        with pytest.raises(ValueError, match="finite"):
+            MetricPoints.from_json(text)
+
+    def test_infinite_coordinate_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            MetricPoints({0: [0.0, 1.0], 1: [np.inf, 0.0], 2: [3.0, 2.5]})
+
 
 class TestFeasibility:
     def test_exact_values(self):

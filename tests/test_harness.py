@@ -149,6 +149,12 @@ class TestReports:
         emit(report, "csv", str(out))
         assert out.read_text() == report.to_csv()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emit_without_a_path_writes_stdout(self, fmt, capsys):
+        report = self.make_report()
+        emit(report, fmt)
+        assert capsys.readouterr().out == (report.to_csv() if fmt == "csv" else report.to_json())
+
 
 class TestDeterminism:
     def test_same_seed_identical_rows(self):
@@ -167,12 +173,13 @@ class TestDeterminism:
             (8.0, b"0,8668861027912758289,61206,true,0.95,0.05\n"
                   b"1,4881901421217228719,61159,true,0.95,0.05\n"
                   b"2,16452687389592421897,61112,true,0.95,0.05\n"),
-            # re-recorded when phase 2 began drawing its anchored sets directly:
-            # the law is unchanged, the records per seed are not. b8 has p2 = 1
-            # at n = 60, so its phase 2 holds every set and its row stays
-            (2.0, b"0,8668861027912758289,23987,false,0.7854763296317943,0.21452367036820572\n"
-                  b"1,4881901421217228719,23911,false,0.7840151957919346,0.21598480420806546\n"
-                  b"2,16452687389592421897,24082,false,0.8008766803039158,0.19912331969608416\n"),
+            # re-recorded when phase 2 began drawing its anchored sets directly,
+            # and again when ranks began to be drawn as geometric gaps: the law
+            # is unchanged, the records per seed are not. b8 has p2 = 1 at
+            # n = 60, so its phase 2 holds every set and its row stays
+            (2.0, b"0,8668861027912758289,23788,false,0.7665692577440093,0.23343074225599064\n"
+                  b"1,4881901421217228719,24059,false,0.8177673874926943,0.18223261250730566\n"
+                  b"2,16452687389592421897,23990,false,0.7791934541203974,0.22080654587960258\n"),
         ],
         ids=["b8", "b2"],
     )

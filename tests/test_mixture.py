@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from choicelab import mixture
+from choicelab import active, mixture
 from choicelab.core import InvalidQueryError, LatentOrder, PositionSelector, evaluate_many
 from choicelab.mixture import (
     AlignmentFailureError,
@@ -506,6 +506,18 @@ class TestRecoverMixed:
             if orders_match_up_to_reflection(recovered, order):
                 good += 1
         assert good >= trials - 1
+
+    def test_discard_runs_outside_the_active_discard(self, monkeypatch):
+        # the mixture's discard rounds are its own queries, not active.discard's
+        def refuse(oracle):
+            raise AssertionError("recover_mixed called active.discard_ineligible")
+
+        monkeypatch.setattr(active, "discard_ineligible", refuse)
+        mix = MixtureDistribution((0.5, 0.3, 0.2), 0.09)
+        rng = np.random.default_rng(14)
+        order = LatentOrder.random(10, rng)
+        recovered, _ = recover_mixed(MixedOracle(order, mix, rng), 0.09, 0.1)
+        assert orders_match_up_to_reflection(recovered, order)
 
     def test_position_predictions_follow_from_order_match(self):
         mix = MixtureDistribution((0.5, 0.3, 0.2), 0.09)

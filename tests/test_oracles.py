@@ -13,6 +13,7 @@ from scipy import stats as st
 from choicelab import oracles
 from choicelab.core import InvalidQueryError, LatentOrder, PositionSelector, evaluate_many
 from choicelab.oracles import (
+    INT64_MAX,
     DeterministicOracle,
     MixedOracle,
     MixtureDistribution,
@@ -249,14 +250,14 @@ class TestStreamConfig:
         assert cfg.p2 == pytest.approx(1 - math.exp(-1.5))
 
     def test_direct_parameterization(self):
-        cfg = StreamConfig.from_probabilities(0.25, 0.5)
+        cfg = StreamConfig(0.25, 0.5)
         assert (cfg.p1, cfg.p2) == (0.25, 0.5)
 
     def test_invalid_probabilities(self):
         with pytest.raises(ValueError):
-            StreamConfig.from_probabilities(0.0, 0.5)
+            StreamConfig(0.0, 0.5)
         with pytest.raises(ValueError):
-            StreamConfig.from_probabilities(0.5, 1.2)
+            StreamConfig(0.5, 1.2)
 
     def test_coverage_values_and_monotone_decrease(self):
         # expected batch fraction is the p2 formula value, clamped to 1;
@@ -283,7 +284,7 @@ class TestStreamConfig:
 class TestSamplePhase:
     def test_certain_inclusion_yields_all_sets(self):
         oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(6))
-        cfg = StreamConfig.from_probabilities(1.0, 0.5)
+        cfg = StreamConfig(1.0, 0.5)
         batch = sample_phase(cfg, 1, 6, 3, oracle, np.random.default_rng(0))
         assert len(batch) == 20
         rows = {tuple(r) for r, _ in batch.records()}
@@ -291,14 +292,14 @@ class TestSamplePhase:
 
     def test_binomial_batch_sizes(self):
         oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(6))
-        cfg = StreamConfig.from_probabilities(0.5, 0.5)
+        cfg = StreamConfig(0.5, 0.5)
         rng = np.random.default_rng(42)
         sizes = [len(sample_phase(cfg, 1, 6, 3, oracle, rng)) for _ in range(10_000)]
         assert abs(np.mean(sizes) - 10.0) < 0.5
 
     def test_same_seed_identical_batches(self):
         oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(8))
-        cfg = StreamConfig.from_probabilities(0.4, 0.4)
+        cfg = StreamConfig(0.4, 0.4)
         b1 = sample_phase(cfg, 1, 8, 3, oracle, np.random.default_rng(5))
         b2 = sample_phase(cfg, 1, 8, 3, oracle, np.random.default_rng(5))
         assert np.array_equal(b1.sets, b2.sets)
@@ -307,7 +308,7 @@ class TestSamplePhase:
     def test_phase_inclusion_independence(self):
         # correlation of per-set inclusion indicators across phases ~ 0
         oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(6))
-        cfg = StreamConfig.from_probabilities(0.5, 0.5)
+        cfg = StreamConfig(0.5, 0.5)
         rng = np.random.default_rng(9)
         all_sets = list(itertools.combinations(range(6), 3))
         trials = 2000
@@ -342,7 +343,7 @@ class TestObservationBatch:
         assert ObservationBatch(np.array([[0, 1, 5], [2, 3, 4]]), np.array([1, 3])).id_bound == 6
         assert ObservationBatch(np.empty((0, 3), dtype=np.int64), []).id_bound == 0
         oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(9))
-        cfg = StreamConfig.from_probabilities(0.2, 0.2)
+        cfg = StreamConfig(0.2, 0.2)
         batch = sample_phase(cfg, 1, 9, 3, oracle, np.random.default_rng(3))
         assert batch.id_bound == 9 and len(batch) == oracle.query_count
 
@@ -410,9 +411,8 @@ def colex_rank(row) -> int:
 
 
 def reference_sample_distinct_indices(total, m, rng):
-    """The rank sampler sample_phase used before its dense phases drew one
-    uniform per k-set: a uniform distinct sample of m ranks, unsorted. The
-    sparse branch makes the same rng calls as sample_phase still does."""
+    """The rank sampler sample_phase used before it drew inclusions: a
+    uniform distinct sample of m ranks, unsorted."""
     if m >= total:
         return np.arange(total, dtype=np.int64)
     if m == 0:
@@ -446,11 +446,6 @@ def reference_sample_phase(p, n, k, oracle, rng):
     return sets, oracle.query_many(sets)
 
 
-def lexsorted(sets, choices):
-    order = np.lexsort(sets.T[::-1])
-    return sets[order], choices[order]
-
-
 def colex_ranks(sets, n):
     """Colex rank of each sorted row of sets, vectorized over an exact table."""
     k = sets.shape[1]
@@ -460,10 +455,8 @@ def colex_ranks(sets, n):
 
 class TestSamplePhaseReference:
     """sample_phase against the reference path: a binomial batch size, then
-    a uniform distinct sample of that many ranks. In the dense regime
-    sample_phase draws one uniform per k-set instead, so the test compares
-    laws; in the sparse regime it makes the reference's rng calls, so the
-    test compares records."""
+    a uniform distinct sample of that many ranks. sample_phase draws
+    Bernoulli inclusions instead, so the test compares laws."""
 
     DRAWS = 3000
 
@@ -475,7 +468,7 @@ class TestSamplePhaseReference:
     def test_same_law_as_reference(self, n, k, p, seed):
         order = LatentOrder.random(n, np.random.default_rng(seed))
         oracle = DeterministicOracle(PositionSelector(k, 2), order)
-        cfg = StreamConfig.from_probabilities(p, p)
+        cfg = StreamConfig(p, p)
         total = math.comb(n, k)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed + 100)
         sizes = np.zeros((2, self.DRAWS))
@@ -497,28 +490,139 @@ class TestSamplePhaseReference:
         _, pvalue, _, _ = st.chi2_contingency(inclusions)
         assert pvalue > 0.001
 
+
+def reference_sample_ranks(total, p, rng):
+    """The rank draw sample_phase made before the geometric gaps: one
+    uniform per rank up to 2^22 ranks or at p > 0.01; beyond both, a
+    binomial count of distinct ranks by dedupe-and-top-up, then sorted."""
+    if p >= 1.0:
+        return np.arange(total, dtype=np.int64)
+    if total <= 1 << 22 or p > 0.01:
+        return np.flatnonzero(rng.random(total) < p)
+    m = int(rng.binomial(total, p))
+    if m == 0:
+        return np.empty(0, dtype=np.int64)
+    picked = np.unique(rng.integers(0, total, size=int(m * 1.1) + 16))
+    while picked.size < m:
+        extra = rng.integers(0, total, size=m)
+        picked = np.unique(np.concatenate([picked, extra]))
+    return np.sort(rng.permutation(picked)[:m])
+
+
+class TapeRng:
+    """Stands in for a Generator whose geometric() deals the next gaps of
+    a fixed tape, then fill once the tape runs out (with no fill, running
+    out fails the test); counts its calls."""
+
+    def __init__(self, gaps, fill=None):
+        self.gaps, self.fill, self.calls = [int(g) for g in gaps], fill, 0
+
+    def geometric(self, p, size):
+        self.calls += 1
+        head, self.gaps = self.gaps[:size], self.gaps[size:]
+        if len(head) < size and self.fill is None:
+            raise AssertionError("the draw read past the end of its tape")
+        return np.array(head + [self.fill] * (size - len(head)), dtype=np.int64)
+
+
+def check_ranks(ranks, total):
+    """The invariants of every draw: int64 ranks, ascending, distinct, in [0, total)."""
+    assert ranks.dtype == np.int64 and ranks.ndim == 1
+    assert (np.diff(ranks) > 0).all()
+    assert ranks.size == 0 or (0 <= ranks[0] and ranks[-1] < total)
+
+
+class TestSampleRanks:
+    """_sample_ranks, running sums of geometric gaps, against the
+    dense/sparse draw it replaced."""
+
     @pytest.mark.parametrize(
-        "n, k, p, seed",
-        [(300, 4, 3e-4, 3)],  # dedupe-and-top-up, then permute
-        ids=["sparse-n300"],
+        "total, p, draws",
+        [
+            (60, 0.3, 20_000),
+            (400, 0.9, 5_000),
+            (3_000, 0.002, 20_000),
+            (5_000_000, 1e-3, 1_000),  # the reference's sparse branch: over 2^22 ranks, p <= 0.01
+        ],
+        ids=["n60-p0.3", "p0.9", "p0.002", "sparse-5M"],
     )
-    def test_same_records_as_reference(self, n, k, p, seed):
-        order = LatentOrder.random(n, np.random.default_rng(seed))
-        oracle = DeterministicOracle(PositionSelector(k, 2), order)
-        cfg = StreamConfig.from_probabilities(p, p)
-        batch = sample_phase(cfg, 1, n, k, oracle, np.random.default_rng(seed))
-        want_sets, want_choices = reference_sample_phase(
-            p, n, k, oracle, np.random.default_rng(seed)
-        )
-        assert len(batch) == len(want_sets) > 0
-        total = math.comb(n, k)
-        assert total > 1 << 22 and len(batch) / total <= 0.01
-        got = lexsorted(batch.sets, batch.choices)
-        want = lexsorted(want_sets, want_choices)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-        ranks = np.array([colex_rank(row) for row in batch.sets])
-        assert (np.diff(ranks) > 0).all()  # ascending colex rank
+    def test_same_law_as_reference(self, total, p, draws):
+        # ranks fall in buckets of equal width: every rank its own up to 64 ranks
+        buckets = min(total, 64)
+        sizes = np.zeros((2, draws))
+        counts = np.zeros((2, buckets), dtype=np.int64)
+        got_rng, want_rng = np.random.default_rng([total, 1]), np.random.default_rng([total, 2])
+        for t in range(draws):
+            got = oracles._sample_ranks(total, p, got_rng)
+            check_ranks(got, total)
+            for side, ranks in enumerate((got, reference_sample_ranks(total, p, want_rng))):
+                sizes[side, t] = ranks.size
+                counts[side] += np.bincount(ranks * buckets // total, minlength=buckets)
+        assert st.ttest_ind(sizes[0], sizes[1], equal_var=False).pvalue > 0.001
+        assert st.levene(sizes[0], sizes[1]).pvalue > 0.001
+        mean, var = total * p, total * p * (1 - p)
+        for side in (0, 1):  # both near the binomial's mean and variance
+            assert abs(sizes[side].mean() - mean) < 5 * math.sqrt(var / draws)
+            assert abs(sizes[side].var() / var - 1) < 5 * math.sqrt(2 / draws)
+        _, pvalue, _, _ = st.chi2_contingency(counts)
+        assert pvalue > 0.001
+        # each bucket's expected inclusions: its width in ranks times p, per draw
+        width = np.diff((np.arange(buckets + 1) * total + buckets - 1) // buckets)
+        assert st.chisquare(counts[0], width / total * counts[0].sum()).pvalue > 0.001
+
+    @pytest.mark.parametrize(
+        "total, p",
+        [(0, 0.5), (1, 0.5), (1, 1e-9), (7, 1.0), (50, 0.999), (10**6, 0.5), (10**9, 1e-7),
+         (math.comb(300, 3), 0.005)],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_invariants(self, total, p, seed):
+        ranks = oracles._sample_ranks(total, p, np.random.default_rng(seed))
+        check_ranks(ranks, total)
+        if p == 1.0:
+            assert np.array_equal(ranks, np.arange(total))
+
+    @pytest.mark.parametrize("total", [INT64_MAX, INT64_MAX - 1, 2**62 + 3])
+    def test_no_rank_below_1e300(self, total):
+        # numpy's geometric saturates at INT64_MAX here; that gap lies past every rank
+        rng = np.random.default_rng(total % 1000)
+        for _ in range(100):
+            assert oracles._sample_ranks(total, 1e-300, rng).size == 0
+
+    @pytest.mark.parametrize("total", [INT64_MAX, INT64_MAX - 1, 2**62 + 3])
+    def test_law_at_1e18_near_the_int64_limit(self, total):
+        p, draws = 1e-18, 400
+        rng = np.random.default_rng(total % 1000)
+        batches = [oracles._sample_ranks(total, p, rng) for _ in range(draws)]
+        for ranks in batches:
+            check_ranks(ranks, total)
+        sizes = np.array([r.size for r in batches])
+        assert abs(sizes.mean() - total * p) < 5 * math.sqrt(total * p / draws)
+        ranks = np.concatenate(batches)
+        low = (ranks < total // 2).mean()  # no sum wrapped: uniform over [0, total)
+        assert abs(low - 0.5) < 5 * math.sqrt(0.25 / ranks.size)
+
+    def test_saturated_gap_is_past_every_rank(self):
+        # a true gap is at most 2^63 - 1024 (a double below 2^63), never INT64_MAX
+        assert oracles._sample_ranks(INT64_MAX, 1e-18, TapeRng([INT64_MAX], 1)).size == 0
+        got = oracles._sample_ranks(INT64_MAX, 1e-18, TapeRng([1, 2**63 - 1024], INT64_MAX))
+        assert got.tolist() == [0, 2**63 - 1024]
+
+    def test_sums_past_2_64_do_not_wrap_into_range(self):
+        # past the cut, the clipped sums pass 2^64 and wrap back below the
+        # total; the cut comes first, and no further gap is read
+        tape = [2**62] + [INT64_MAX, INT64_MAX, 1] * 20
+        got = oracles._sample_ranks(INT64_MAX, 1e-18, TapeRng(tape))
+        assert got.tolist() == [2**62 - 1]
+
+    def test_draw_across_chunks(self):
+        # gaps of 1 or 2 outrun chunks sized for p = 0.2, so the draw takes several
+        gaps = np.random.default_rng(9).integers(1, 3, size=2_000)
+        rng = TapeRng(gaps)
+        got = oracles._sample_ranks(1_000, 0.2, rng)
+        want = np.cumsum(gaps) - 1
+        assert rng.calls >= 3
+        assert np.array_equal(got, want[want < 1_000])
 
 
 class TestUnranking:
