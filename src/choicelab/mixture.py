@@ -92,8 +92,11 @@ def answer_frequencies(oracle: MixedOracle, s, reps: int) -> dict:
     """Query the k-set s reps times; map each member to its answer frequency.
 
     Only the answer counts are read: the oracle draws them as one
-    multinomial variate and returns the answers grouped by member.
+    multinomial variate and returns the answers grouped by member. reps
+    below 1 raises ValueError before any query.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     members = kset(s)
     counts = _answer_counts(oracle, members, reps)
     return dict(zip(members, (counts / reps).tolist()))
@@ -206,9 +209,11 @@ class NoisyComparator:
         return (u, v) + self.anchors
 
     def compare_wins(self, u: int, v: int, count: int) -> int:
-        """Number of times u wins among count informative outcomes."""
+        """Number of times u wins among count informative outcomes: one
+        np.count_nonzero over query_until's grouped answer array, whose
+        slice of u's wins comes before v's."""
         outcomes, _ = self.oracle.query_until(self.padded(u, v), (u, v), count)
-        return int((outcomes == u).sum())
+        return int(np.count_nonzero(outcomes == u))
 
 
 def _anytime_radius(total: int, t: int, tails: int, budget: float) -> float:
@@ -235,7 +240,12 @@ def majority_repetitions(m: int, gamma: float, epsilon_sort: float) -> int:
     A majority over r outcomes at win margin gamma/4 errs with probability
     <= exp(-r*gamma^2/8) (Hoeffding); r keeps that within the cap's half
     of the comparison's share, rounded up to odd so no majority ties occur.
+    gamma must be positive and epsilon_sort lie in (0, 1), else ValueError.
     """
+    if not gamma > 0:  # NaN fails this too
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < epsilon_sort < 1:
+        raise ValueError(f"epsilon_sort must lie in (0, 1), got {epsilon_sort}")
     if m < 2:
         return 1
     r = math.ceil(8.0 / gamma**2 * math.log(1 / _vote_budget(m, epsilon_sort)))
@@ -260,11 +270,12 @@ def noisy_sort(comparator, elements, gamma: float, epsilon_sort: float):
     the vote's own outcomes, so the bound holds; the votes of one sort
     share a margin, so most end on their first batch, after
     O(log(m/epsilon_sort)/margin^2) outcomes at the true margin.
+    majority_repetitions() checks gamma and epsilon_sort before any query.
     """
     elements = list(elements)
+    cap = majority_repetitions(len(elements), gamma, epsilon_sort)
     if len(elements) <= 1:
         return elements
-    cap = majority_repetitions(len(elements), gamma, epsilon_sort)
     budget = _vote_budget(len(elements), epsilon_sort)
     opening = 1
 

@@ -15,6 +15,11 @@ of the first pair member as one binomial variate. Each returns the counts
 expanded into an answer array grouped by member, so the multiset of
 answers is random but their order is not: a prefix of the array is not
 a subsample, and callers read only how often each member appears.
+query_repeated expands its counts with one repeat of the members' array,
+and query_until fills one int64 array with two slices, the wins of u
+then those of v. The pair's probabilities are Python floats, so each
+call does its scalar arithmetic without numpy's per-call wrapping, on
+the same IEEE doubles.
 
 The passive-stream sampler realizes a phase as Bernoulli inclusion of
 each of the C(n,k) k-sets. It draws the included colex ranks as running
@@ -160,6 +165,7 @@ class MixedOracle:
         self.mixture = mixture
         self._rng = np.random.default_rng(seed)
         self._probs = np.asarray(mixture.probs)
+        self._prob_list = self._probs.tolist()  # the same doubles, no numpy scalar costs
         self._count = 0
 
     @property
@@ -175,7 +181,8 @@ class MixedOracle:
         return self._count
 
     def _members_by_rank(self, s) -> list:
-        return sorted(_check_query(self.k, self.order.n, s), key=self.order.rank_of)
+        members = _check_query(self.k, self.order.n, s)
+        return sorted(members, key=self.order._rank_list.__getitem__)
 
     def query(self, s) -> int:
         return int(self.query_repeated(s, 1)[0])
@@ -185,14 +192,14 @@ class MixedOracle:
 
         The answers come grouped by member, in rank order: only how often
         each member appears is random, drawn as one multinomial variate
-        over pi. Read the array as a multiset, never a prefix of it as a
-        subsample.
+        over pi and expanded by one repeat of the members' array. Read the
+        array as a multiset, never a prefix of it as a subsample.
         """
         members = self._members_by_rank(s)
         count = _check_count(count)
         chosen = self._rng.multinomial(count, self._probs)
         self._count += count
-        return np.repeat(members, chosen)
+        return np.array(members).repeat(chosen)
 
     def query_until(self, s, pair, count: int):
         """Repeat the query until the answer lands in ``pair``, ``count`` times over.
@@ -203,8 +210,9 @@ class MixedOracle:
         raw total is count plus one negative-binomial(count, p) draw of
         uninformative answers, and the wins of u are one
         binomial(count, pu/p) draw. The answers come grouped, every win of
-        u before every win of v: only the win count is random, so never
-        read a prefix of the array as a subsample.
+        u before every win of v, written as two slice fills of one int64
+        array: only the win count is random, so never read a prefix of the
+        array as a subsample.
         """
         members = self._members_by_rank(s)
         try:
@@ -216,17 +224,23 @@ class MixedOracle:
         count = _check_count(count)
         if count == 0:
             return np.empty(0, dtype=np.int64), 0
-        pu = self._probs[members.index(u)]
-        pv = self._probs[members.index(v)]
+        pu = self._prob_list[members.index(u)]
+        pv = self._prob_list[members.index(v)]
         informative = pu + pv
         raw = count + int(self._rng.negative_binomial(count, informative))
         wins_u = int(self._rng.binomial(count, pu / informative))
         self._count += raw
-        return np.repeat((u, v), (wins_u, count - wins_u)), raw
+        answers = np.empty(count, dtype=np.int64)
+        answers[:wins_u] = u
+        answers[wins_u:] = v
+        return answers, raw
 
 
 def _check_count(count) -> int:
-    """A repeat count as a non-negative int; floats are rejected, never truncated."""
+    """A repeat count as a non-negative int; floats and bools are rejected,
+    never truncated or read as 0 and 1."""
+    if isinstance(count, bool):
+        raise InvalidQueryError(f"count must be an integer, got {count!r}")
     try:
         count = operator.index(count)
     except TypeError:

@@ -121,6 +121,17 @@ class TestEstimateMixture:
         with pytest.raises(ValueError):
             MixtureDistribution((1.0, 0.0), 0.1)
 
+    @pytest.mark.parametrize("reps", [0, -3])
+    def test_answer_frequencies_rejects_reps_below_one_before_any_query(self, reps):
+        # reps = 0 used to divide zero counts by zero: NaN frequencies
+        mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)
+        oracle = MixedOracle(LatentOrder.identity(6), mix, 4)
+        state = oracle._rng.bit_generator.state
+        with pytest.raises(ValueError, match="reps"):
+            answer_frequencies(oracle, (0, 1, 2), reps)
+        assert oracle.query_count == 0
+        assert oracle._rng.bit_generator.state == state
+
 
 def counter_table(answers, s):
     """Reference: per-answer Counter frequencies of the members of s."""
@@ -285,6 +296,29 @@ class TestNoisySort:
     def test_repetitions_odd(self):
         for m in (2, 5, 20, 100):
             assert majority_repetitions(m, 0.1, 0.05) % 2 == 1
+
+    @pytest.mark.parametrize("m", [1, 5])
+    @pytest.mark.parametrize("gamma, epsilon_sort", [
+        (0.0, 0.1), (-0.1, 0.1), (math.nan, 0.1),
+        (0.09, 0.0), (0.09, 1.0), (0.09, -0.5), (0.09, math.nan),
+    ])
+    def test_bad_parameters_rejected(self, m, gamma, epsilon_sort):
+        # a zero gamma or epsilon_sort used to end in ZeroDivisionError
+        with pytest.raises(ValueError):
+            majority_repetitions(m, gamma, epsilon_sort)
+
+    @pytest.mark.parametrize("elements", [[0, 1, 2], [0]])
+    @pytest.mark.parametrize("gamma, epsilon_sort", [(0.09, 0), (0, 0.1)])
+    def test_noisy_sort_rejects_bad_parameters_before_any_query(
+        self, elements, gamma, epsilon_sort
+    ):
+        mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)
+        oracle = MixedOracle(LatentOrder.identity(6), mix, 9)
+        state = oracle._rng.bit_generator.state
+        with pytest.raises(ValueError):
+            noisy_sort(NoisyComparator(oracle, (5,)), elements, gamma, epsilon_sort)
+        assert oracle.query_count == 0
+        assert oracle._rng.bit_generator.state == state
 
 
 class _RecordingComparator(_SyntheticComparator):

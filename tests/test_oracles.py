@@ -243,6 +243,82 @@ class TestCountFormMatchesPerAnswerPath:
         assert two_sample_pvalue(got, want) > 0.001
 
 
+class ReferenceMixedOracle:
+    """The repeated-query path before its per-call costs were cut, kept as
+    the reference for bit-identity: members sorted by rank_of, the pair's
+    probabilities as numpy scalars, and np.repeat over a list of members
+    or a tuple of the pair. It draws from its own generator in the order
+    MixedOracle does; input checks are left out."""
+
+    def __init__(self, order, mixture, seed):
+        self.order = order
+        self.rng = np.random.default_rng(seed)
+        self.probs = np.asarray(mixture.probs)
+        self.query_count = 0
+
+    def members_by_rank(self, s):
+        return sorted(s, key=self.order.rank_of)
+
+    def query_repeated(self, s, count):
+        members = self.members_by_rank(s)
+        chosen = self.rng.multinomial(count, self.probs)
+        self.query_count += count
+        return np.repeat(members, chosen)
+
+    def query_until(self, s, pair, count):
+        members = self.members_by_rank(s)
+        u, v = pair
+        if count == 0:
+            return np.empty(0, dtype=np.int64), 0
+        pu = self.probs[members.index(u)]
+        pv = self.probs[members.index(v)]
+        informative = pu + pv
+        raw = count + int(self.rng.negative_binomial(count, informative))
+        wins_u = int(self.rng.binomial(count, pu / informative))
+        self.query_count += raw
+        return np.repeat((u, v), (wins_u, count - wins_u)), raw
+
+
+class TestRepeatedQueriesBitIdentical:
+    # the same seed must give the same answers, raw totals, query counts and
+    # generator state as the reference, call after call
+    MIXES = {
+        2: MixtureDistribution((0.7, 0.3), 0.3),
+        3: MixtureDistribution((0.15, 0.35, 0.5), 0.09),
+        4: MixtureDistribution((0.1, 0.2, 0.3, 0.4), 0.09),
+    }
+    ORDER = LatentOrder((4, 2, 6, 0, 1, 5, 3))  # ranks scrambled against ids
+    COUNTS = (0, 1, 2, 37, 250_000)
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)  # shape and values
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_mixed_call_sequence(self, k, seed):
+        oracle = MixedOracle(self.ORDER, self.MIXES[k], seed)
+        reference = ReferenceMixedOracle(self.ORDER, self.MIXES[k], seed)
+        script = np.random.default_rng(1000 + seed)
+        for _ in range(3):
+            s = tuple(script.choice(self.ORDER.n, size=k, replace=False).tolist())
+            u, v = s[:2]
+            for count in self.COUNTS:
+                self.assert_same(oracle.query_repeated(s, count),
+                                 reference.query_repeated(s, count))
+                for pair in ((u, v), (v, u)):
+                    got, raw = oracle.query_until(s, pair, count)
+                    want, want_raw = reference.query_until(s, pair, count)
+                    self.assert_same(got, want)
+                    assert raw == want_raw
+                assert oracle.query_count == reference.query_count
+                assert oracle._rng.bit_generator.state == reference.rng.bit_generator.state
+            assert oracle.query(s) == int(reference.query_repeated(s, 1)[0])
+        assert oracle.query_count == reference.query_count
+        assert oracle._rng.bit_generator.state == reference.rng.bit_generator.state
+
+
 class TestStreamConfig:
     def test_rate_parameterization(self):
         cfg = StreamConfig.from_rate(alpha=0.5, t1=2.0, t2=3.0)

@@ -120,6 +120,9 @@ BAD_COUNTS = {
     "string": "3",
     "negative": -1,
     "negative-numpy": np.int64(-5),
+    "bool": True,
+    "bool-false": False,
+    "numpy-bool": np.True_,
 }
 
 COUNT_ENTRY_POINTS = {
