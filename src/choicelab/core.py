@@ -29,11 +29,15 @@ class InvalidQueryError(ValueError):
 
 def kset(members: Iterable[int]) -> KSet:
     """Normalize an iterable of integer ids (Python or numpy) into a sorted,
-    duplicate-free k-set. Non-integer ids are rejected, never truncated."""
+    duplicate-free k-set. Non-integer ids, bools included, are rejected,
+    never truncated or read as 0 and 1."""
     try:
+        members = list(members)
         ids = sorted(map(operator.index, members))
     except TypeError as exc:
         raise InvalidQueryError(f"k-set ids must be integers: {exc}") from None
+    if bool in map(type, members):
+        raise InvalidQueryError(f"k-set ids must be integers, not bool: {members}")
     if len(set(ids)) != len(ids):
         raise InvalidQueryError(f"duplicate ids in k-set: {ids}")
     return tuple(ids)
@@ -159,7 +163,10 @@ class LatentOrder:
 
 
 def _check_query(k: int, n: int, s) -> KSet:
-    """The validation every scalar query makes: s as a k-set over [0, n)."""
+    """The validation every scalar query makes: s as a k-set over [0, n).
+
+    A 3-set query goes through _ranked3, which makes the same checks on a
+    well-formed tuple, list or array and sends everything else here."""
     s = kset(s)
     if len(s) != k:
         raise InvalidQueryError(f"query has {len(s)} members, expected k={k}")
@@ -193,8 +200,41 @@ def evaluate(selector: PositionSelector, order: LatentOrder, s) -> Alternative:
 
     Deterministic; always returns a member of s.
     """
+    if selector.k == 3:
+        return _ranked3(order, s)[selector.position - 1]
     s = _check_query(selector.k, order.n, s)
     return sorted(s, key=order._rank_list.__getitem__)[selector.position - 1]
+
+
+def _ranked3(order: LatentOrder, s) -> tuple:
+    """The three members of s in ascending rank order, checked as
+    _check_query(3, order.n, s) checks them.
+
+    A tuple, list or array of three distinct integer ids (Python or numpy,
+    never bool) in [0, n) is ranked by at most three compare-exchanges
+    (Knuth, TAOCP vol. 3, 5.3.3), with no sort, set or list built.
+    Anything else, a malformed query or an iterator (which unpacking
+    would spend), takes the general path, which raises the same
+    InvalidQueryError for every fault.
+    """
+    n, ranks = order.n, order._rank_list
+    if isinstance(s, (tuple, list, np.ndarray)):
+        try:
+            a, b, c = s
+            valid = a.__class__ is not bool and b.__class__ is not bool and c.__class__ is not bool
+            a, b, c = operator.index(a), operator.index(b), operator.index(c)
+        except (TypeError, ValueError):
+            valid = False
+        if valid and a != b and b != c and a != c and 0 <= a < n and 0 <= b < n and 0 <= c < n:
+            ra, rb, rc = ranks[a], ranks[b], ranks[c]
+            if ra > rb:
+                a, b, ra, rb = b, a, rb, ra
+            if rb > rc:
+                b, c, rb = c, b, rc
+                if ra > rb:
+                    a, b = b, a
+            return a, b, c
+    return tuple(sorted(_check_query(3, n, s), key=ranks.__getitem__))
 
 
 def evaluate_many(

@@ -325,8 +325,15 @@ def discard_round_repetitions(gamma: float, epsilon: float, n: int, k: int = 3) 
     at d = gamma/2, over four times Hoeffding's count for one member at
     that radius, which covers all k members for any k <= 8/b^3. That
     bounds the round's own error only; see pick_round_winner for what a
-    round decided at the cap needs besides.
+    round decided at the cap needs besides. gamma must be positive,
+    epsilon lie in (0, 1) and n be at least k, else ValueError.
     """
+    if not gamma > 0:  # NaN fails this too
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if n < k:
+        raise ValueError(f"need n >= k for a discard round, got n={n}, k={k}")
     return math.ceil(
         (8 + 2 * gamma) / gamma**2 * math.log(2 / _discard_budget(n, k, epsilon))
     )

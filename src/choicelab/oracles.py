@@ -2,10 +2,14 @@
 
 These are the only components with access to ground truth. Oracles own a
 seedable numpy PCG64 generator and a query counter; rejected queries are
-not counted. Batched entry points (query_many, query_repeated,
-query_until) draw the same distributions as the equivalent sequential
-query() loops with exact query accounting, which keeps the Monte Carlo
-acceptance runs in the minutes range.
+not counted. A scalar query is checked by core._check_query, except at
+k=3: there DeterministicOracle.query (through core.evaluate) and the
+MixedOracle queries rank the set with core._ranked3, which makes the same
+checks, raises the same errors and orders three ids in at most three
+compare-exchanges, with no sort. Batched entry points (query_many,
+query_repeated, query_until) draw the same distributions as the
+equivalent sequential query() loops with exact query accounting, which
+keeps the Monte Carlo acceptance runs in the minutes range.
 
 The mixed oracle's repeated queries draw counts, not answers:
 query_repeated draws how often each member is chosen as one multinomial
@@ -59,6 +63,7 @@ from .core import (
     PositionSelector,
     _check_query,
     _check_sets,
+    _ranked3,
     evaluate,
     evaluate_many,
 )
@@ -181,6 +186,8 @@ class MixedOracle:
         return self._count
 
     def _members_by_rank(self, s) -> list:
+        if self.k == 3:
+            return list(_ranked3(self.order, s))
         members = _check_query(self.k, self.order.n, s)
         return sorted(members, key=self.order._rank_list.__getitem__)
 

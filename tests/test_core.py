@@ -202,7 +202,10 @@ class TestKSet:
         with pytest.raises(InvalidQueryError):
             kset((1, 1, 2))
 
-    @pytest.mark.parametrize("ids", [(0.5, 1.9, 3), (0, 1.0, 2), np.array([3.0, 1.0, 2.0]), ("0", 1, 2)])
+    @pytest.mark.parametrize("ids", [
+        (0.5, 1.9, 3), (0, 1.0, 2), np.array([3.0, 1.0, 2.0]), ("0", 1, 2),
+        (True, 2, 3), [False, 1, 2], (0, 1, True, 3),
+    ])
     def test_rejects_non_integer_ids(self, ids):
         with pytest.raises(InvalidQueryError, match="integers"):
             kset(ids)

@@ -654,3 +654,18 @@ class TestRecoverMixed:
         assert discard_round_repetitions(0.1, 0.1, 30) == math.ceil(
             (8.2 / 0.01) * math.log(5600)
         )
+
+    @pytest.mark.parametrize("gamma, epsilon", [
+        (0.0, 0.1), (-0.1, 0.1), (math.nan, 0.1),
+        (0.09, 0.0), (0.09, 1.0), (0.09, -0.5), (0.09, math.nan),
+    ])
+    def test_round_repetitions_reject_bad_parameters(self, gamma, epsilon):
+        # a zero gamma or epsilon used to end in ZeroDivisionError
+        with pytest.raises(ValueError):
+            discard_round_repetitions(gamma, epsilon, 100)
+
+    @pytest.mark.parametrize("n, k", [(2, 3), (1, 3), (3, 4)])
+    def test_round_repetitions_reject_universe_below_k(self, n, k):
+        # n = k - 1 used to end in ZeroDivisionError, smaller n in a math domain error
+        with pytest.raises(ValueError, match="n >= k"):
+            discard_round_repetitions(0.09, 0.1, n, k)

@@ -1,6 +1,8 @@
 """The scalar query path (kset, evaluate, oracle.query, predict) against the
 vectorized evaluate_many, and its rejection of malformed queries."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from choicelab.core import (
     InvalidQueryError,
     LatentOrder,
     PositionSelector,
+    _check_query,
+    _ranked3,
     evaluate,
     evaluate_many,
 )
@@ -82,6 +86,8 @@ BAD_QUERIES = {
     "float-ids": (0.5, 1.9, 3),
     "integral-floats": (0.0, 1.0, 2.0),
     "float-array": np.array([0.0, 1.0, 2.0]),
+    "bool-true": (True, 2, 3),
+    "bool-false": [False, 1, 2],
 }
 
 
@@ -111,6 +117,84 @@ def test_malformed_query_rejected_uncounted(entry, bad):
     with pytest.raises(InvalidQueryError):
         call(oracle, BAD_QUERIES[bad])
     assert oracle.query_count == 3
+
+
+def reference_ranked3(order: LatentOrder, s) -> list:
+    """The general path for a 3-set query, the reference for the k=3 kernel."""
+    return sorted(_check_query(3, order.n, s), key=order._rank_list.__getitem__)
+
+
+# Fresh objects each call: an iterator is spent by the first path to read it.
+KERNEL_FORMS = {
+    "tuple": tuple,
+    "list": list,
+    "generator": lambda s: (x for x in s),
+    "int64": lambda s: np.asarray(s, dtype=np.int64),
+    "int32": lambda s: np.asarray(s, dtype=np.int32),
+    "uint16": lambda s: np.asarray(s, dtype=np.uint16),
+}
+
+
+@pytest.mark.parametrize("form", KERNEL_FORMS)
+def test_kernel_answers_match_general_path(form):
+    make = KERNEL_FORMS[form]
+    rng = np.random.default_rng(22)
+    for order in [LatentOrder.identity(7), LatentOrder.identity(7).reversed()] + [
+        LatentOrder.random(7, rng) for _ in range(4)
+    ]:
+        # every 3-subset, in each of its six input orders
+        for s in itertools.permutations(range(7), 3):
+            want = reference_ranked3(order, make(s))
+            got = _ranked3(order, make(s))
+            assert list(got) == want
+            assert all(type(x) is int for x in got)
+            for position in (1, 2, 3):
+                answer = evaluate(PositionSelector(3, position), order, make(s))
+                assert answer == want[position - 1]
+                assert type(answer) is int
+
+
+MALFORMED_3SETS = {
+    **{name: (lambda s=s: s) for name, s in BAD_QUERIES.items()},
+    "two-member-iterator": lambda: iter((0, 1)),
+    "four-member-iterator": lambda: iter((0, 1, 2, 3)),
+    "four-member-generator-duplicate": lambda: (x for x in (0, 1, 1, 2)),
+    "three-member-generator-out-of-range": lambda: (x for x in (0, 1, 6)),
+    "string": lambda: "012",
+    "string-of-three": lambda: ("0", "1", "2"),
+    "row-array": lambda: np.array([[0, 1, 2]]),
+    "column-array": lambda: np.array([[0], [1], [2]]),
+    "square-array": lambda: np.arange(9).reshape(3, 3),
+    "scalar-array": lambda: np.array(5),
+    "not-iterable": lambda: 5,
+    "none": lambda: None,
+    "numpy-bool-ids": lambda: (np.True_, 2, 3),
+    "bool-array": lambda: np.array([True, False, True]),
+    "object-array-bool": lambda: np.array([True, 2, 3], dtype=object),
+    "duplicate-and-out-of-range": lambda: (1, 1, 9),
+    "float-and-out-of-range": lambda: (0.5, 1, 9),
+    "huge-id": lambda: (0, 1, 2**70),
+    "negative-numpy": lambda: np.array([-1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("bad", MALFORMED_3SETS)
+def test_kernel_rejects_as_general_path(bad):
+    make = MALFORMED_3SETS[bad]
+    order = LatentOrder.identity(6)
+    with pytest.raises(InvalidQueryError) as want:
+        reference_ranked3(order, make())
+    with pytest.raises(InvalidQueryError) as got:
+        _ranked3(order, make())
+    assert str(got.value) == str(want.value)
+    for entry in ENTRY_POINTS:
+        oracle_for, call = ENTRY_POINTS[entry]
+        oracle = oracle_for()
+        oracle.query((0, 1, 2))
+        with pytest.raises(InvalidQueryError) as raised:
+            call(oracle, make())
+        assert str(raised.value) == str(want.value)
+        assert oracle.query_count == 1
 
 
 BAD_COUNTS = {
