@@ -51,4 +51,4 @@ mistakes = sum(
     for s in itertools.combinations(range(n), k)
 )
 print(f"prediction errors over all {math.comb(n, k)} k-sets: {mistakes}")
-print("model as JSON:", model.to_json()[:72], "...")
+print("recovered eligible order, first ten:", list(model.eligible_order[:10]), "...")

@@ -50,4 +50,4 @@ normalized = oracle.query_count / (n * np.log2(n) ** 2)
 print(f"total queries: {oracle.query_count} = {normalized:.0f} x (n lg^2 n);",
       "each vote of the noisy sort reads O(log n) answers, one extra log",
       "factor over the noiseless algorithm")
-print("estimate as JSON:", est.to_json())
+print("estimate:", [round(p, 3) for p in est.probs_hat], f"from {est.queries} queries")

@@ -67,8 +67,8 @@ print(f"anchored pairs resolved: {po.resolved_pair_fraction:.4f} "
 report = coverage_report(
     po, oracle.selector, hidden_order,
     rng=np.random.default_rng(rng.integers(2**63)),
-    b=b, p1=stream.p1, p2=stream.p2,
 )
 print(f"correct answers: {report.frac_correct:.4f} of all sets "
       f"(declined: {report.frac_unresolved:.4f}, reading: {report.reading})")
-print("report as JSON:", report.to_json())
+print(f"95% interval on the correct fraction: [{report.ci_low:.4f}, {report.ci_high:.4f}] "
+      f"over {report.sample_size} scored sets")

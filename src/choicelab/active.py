@@ -29,7 +29,6 @@ queried set is normalised and validated; callers pass sets as built.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -129,26 +128,6 @@ class RecoveredModel:
         order of ineligibles is immaterial because the selected position
         can never fall inside either extreme block."""
         return self._full_order
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "order": list(self.eligible_order),
-                "ell": self.position_hat,
-                "top": list(self.top_ineligible),
-                "bottom": list(self.bottom_ineligible),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RecoveredModel":
-        d = json.loads(text)
-        return cls(
-            eligible_order=tuple(d["order"]),
-            position_hat=int(d["ell"]),
-            top_ineligible=tuple(d["top"]),
-            bottom_ineligible=tuple(d["bottom"]),
-        )
 
 
 def discard_pass(n: int, k: int, choose) -> frozenset:

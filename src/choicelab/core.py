@@ -11,7 +11,6 @@ smallest member of each k-set.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -152,14 +151,6 @@ class LatentOrder:
         ids = self._ascending.tolist()
         shown = ids if len(ids) <= 12 else ids[:12] + ["..."]
         return f"LatentOrder({shown})"
-
-    def to_json(self) -> str:
-        """JSON array of ids in ascending embedding order."""
-        return json.dumps(self._ascending.tolist())
-
-    @classmethod
-    def from_json(cls, text: str) -> "LatentOrder":
-        return cls(json.loads(text))
 
 
 def _check_query(k: int, n: int, s) -> KSet:

@@ -13,7 +13,6 @@ rather than breaking them silently.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from typing import Mapping, Sequence
@@ -107,24 +106,6 @@ class MetricPoints:
 
     def pair_distance(self, pair: PairId) -> float:
         return self.distance(pair[0], pair[1])
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricPoints":
-        d = json.loads(text)
-        dim = int(d["dim"])
-        coords = {int(i): v for i, v in d["points"].items()}
-        points = cls(coords)
-        if points.dim != dim:
-            raise ValueError(f"declared dim {dim} != coordinate dim {points.dim}")
-        return points
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dim": self.dim,
-                "points": {str(i): self.coords[self._index[i]].tolist() for i in self.ids},
-            }
-        )
 
 
 def _check_members(points: MetricPoints, s) -> tuple:

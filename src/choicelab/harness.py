@@ -137,6 +137,10 @@ class ExperimentConfig:
                     raise ValueError(f"delta must lie in (0, gamma/2], got {self.delta}")
                 if self.n is not None and self.n < k + 1:
                     raise ValueError(f"need n >= k+1, got n={self.n}, k={k}")
+                delta, epsilon = self.delta, self.epsilon
+            else:  # recover_mixed estimates pi at delta = gamma/2 with epsilon/5
+                delta, epsilon = self.gamma / 2, self.epsilon / 5
+            mixture.repetition_count(delta, epsilon, k)  # raises past the int64 limit
 
 
 @dataclass(frozen=True)
@@ -304,9 +308,7 @@ def _run_recover_passive(cfg, rng):
         return observations, False, 0.0, 1.0
     threshold = 1.0 - (cfg.epsilon if cfg.epsilon is not None else PASSIVE_EPSILON)
     po = passive.build_partial_order(batch2, cfg.n, anchors, cfg.position)
-    report = passive.coverage_report(
-        po, selector, order, rng=rng3, b=cfg.b, p1=stream.p1, p2=stream.p2
-    )
+    report = passive.coverage_report(po, selector, order, rng=rng3)
     ok = report.frac_correct >= threshold
     return observations, ok, report.frac_correct, report.frac_unresolved
 

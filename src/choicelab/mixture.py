@@ -16,7 +16,6 @@ O(n log^2 n) queries instead of O(n log n) with the same success guarantee.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ import numpy as np
 
 from .active import discard_pass
 from .core import LatentOrder, _check_query, kset
-from .oracles import MixedOracle
+from .oracles import INT64_MAX, MixedOracle
 from .sorting import merge_sort
 
 __all__ = [
@@ -68,24 +67,18 @@ class MixtureEstimate:
     def k(self) -> int:
         return len(self.probs_hat)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "pi": list(self.probs_hat),
-                "delta": self.delta,
-                "epsilon": self.epsilon,
-                "queries": self.queries,
-            }
-        )
-
 
 def repetition_count(delta: float, epsilon: float, k: int) -> int:
     """Per-subset query count guaranteeing coordinate error <= delta with
     probability >= 1 - epsilon, by a two-sided Chernoff bound union-bounded
-    over all k(k+1) subset/member frequencies."""
+    over all k(k+1) subset/member frequencies. A count past the int64
+    limit of the oracle's draws raises ValueError."""
     if delta <= 0 or epsilon <= 0 or epsilon >= 1:
         raise ValueError("need delta > 0 and epsilon in (0, 1)")
-    return math.ceil((2 + delta) / delta**2 * math.log(2 * k * (k + 1) / epsilon))
+    reps = math.ceil((2 + delta) / delta**2 * math.log(2 * k * (k + 1) / epsilon))
+    if reps > INT64_MAX:
+        raise ValueError(f"delta={delta} asks {reps:.3e} queries per subset, past the int64 limit")
+    return reps
 
 
 def answer_frequencies(oracle: MixedOracle, s, reps: int) -> dict:

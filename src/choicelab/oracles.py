@@ -49,11 +49,10 @@ Both give the same rows.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -303,9 +302,10 @@ class StreamConfig:
 class ObservationBatch:
     """The distinct (k-set, choice) records observed during one stream phase.
 
-    Records enter once, here: hand-built and JSONL rows pass _check_sets and
-    a membership check of each choice. Every id lies below id_bound, which
-    readers compare with their universe size instead of scanning ids.
+    A caller's records enter once, here: the constructor refuses ragged or
+    nested input and passes the rest through _check_sets and a membership
+    check of each choice. Every id lies below id_bound, which readers
+    compare with their universe size instead of scanning ids.
 
     len() counts the records the phase drew. A batch that sample_phase drew
     with anchors, which its anchors attribute names (None otherwise), drew
@@ -316,11 +316,13 @@ class ObservationBatch:
     """
 
     def __init__(self, sets, choices):
-        sets = np.asarray(sets)
+        try:
+            sets, choices = np.asarray(sets), np.asarray(choices)
+        except ValueError:  # ragged rows, or a list among the ids
+            raise InvalidQueryError("sets must be (m, k), choices (m,), of integer ids") from None
         if sets.ndim != 2:
             raise InvalidQueryError("sets must be an (m, k) array")
         sets = _check_sets(sets.shape[1], INT64_MAX, sets)
-        choices = np.asarray(choices)
         if choices.size and choices.dtype.kind not in "iu":
             raise InvalidQueryError(f"choice must be an integer id, got dtype {choices.dtype}")
         choices = choices.astype(np.int64, copy=False)
@@ -385,55 +387,6 @@ class ObservationBatch:
 
     def __len__(self) -> int:
         return int(self._drawn)
-
-    def records(self) -> Iterable[tuple]:
-        if self.counts_only:
-            raise ValueError("records() reads every record; this batch was drawn counts-only")
-        if not self.complete:
-            raise ValueError(
-                f"records() reads every record; this batch has anchors {self.anchors}"
-            )
-        return (
-            (tuple(int(x) for x in row), int(choice))
-            for row, choice in zip(self.sets, self.choices)
-        )
-
-    def to_jsonl(self, fp: IO[str]) -> None:
-        for row, choice in self.records():
-            fp.write(json.dumps({"set": list(row), "choice": choice}) + "\n")
-
-    @classmethod
-    def from_jsonl(cls, fp: IO[str]) -> "ObservationBatch":
-        """Read records written by to_jsonl, through the constructor's
-        checks. Every line must be a JSON object with "set" and "choice"
-        keys, and every set must have the same size; a malformed line, like
-        any record the constructor rejects, raises InvalidQueryError."""
-        records = []
-        for number, line in enumerate(fp, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InvalidQueryError(f"line {number} is not JSON: {exc.msg}") from None
-            if not isinstance(rec, dict) or not {"set", "choice"} <= rec.keys():
-                raise InvalidQueryError(
-                    f'line {number} must be an object with keys "set" and "choice"'
-                )
-            records.append(rec)
-        sets = [rec["set"] for rec in records]
-        for s in sets:
-            if not isinstance(s, list):
-                raise InvalidQueryError(f"set must be a list of ids, got {s!r}")
-            if len(s) != len(sets[0]):
-                first = len(sets[0])
-                raise InvalidQueryError(f"set {s} has {len(s)} ids, the first set has {first}")
-        try:
-            sets = np.asarray(sets) if sets else np.empty((0, 0), dtype=np.int64)
-            choices = np.asarray([rec["choice"] for rec in records])
-        except ValueError:  # a list among the ids
-            raise InvalidQueryError("ids must be integers") from None
-        return cls(sets, choices)
 
 
 INT64_MAX = int(np.iinfo(np.int64).max)

@@ -302,25 +302,6 @@ class CoverageReport:
     exhaustive: bool
     ci_low: float
     ci_high: float
-    b: float | None = None
-    p1: float | None = None
-    p2: float | None = None
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(
-            {
-                "n": self.n,
-                "k": self.k,
-                "ell": self.position,
-                "b": self.b,
-                "frac_correct": self.frac_correct,
-                "frac_unresolved": self.frac_unresolved,
-                "p1": self.p1,
-                "p2": self.p2,
-            }
-        )
 
 
 def coverage_report(
@@ -330,9 +311,6 @@ def coverage_report(
     sample_size: int = 100_000,
     rng: np.random.Generator | None = None,
     exhaustive_limit: int = 1_000_000,
-    b: float | None = None,
-    p1: float | None = None,
-    p2: float | None = None,
 ) -> CoverageReport:
     """Fraction of k-sets answered correctly, UNRESOLVED counted as incorrect.
 
@@ -384,9 +362,6 @@ def coverage_report(
         exhaustive=exhaustive,
         ci_low=lo,
         ci_high=hi,
-        b=b,
-        p1=p1,
-        p2=p2,
     )
 
 

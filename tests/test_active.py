@@ -288,13 +288,6 @@ class TestPredict:
         assert model.full_order() is model.full_order()
         assert len(built) == 1
 
-    def test_json_roundtrip(self):
-        oracle, _ = make_oracle(7, 3, 2)
-        model = recover_choice_function(oracle)
-        back = RecoveredModel.from_json(model.to_json())
-        assert back.eligible_order == model.eligible_order
-        assert back.position_hat == model.position_hat
-
 
 class TestClassify:
     def test_min_selector_counts(self):

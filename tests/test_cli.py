@@ -71,6 +71,9 @@ MIXED = ["--pi", "0.2,0.3,0.5", "--gamma", "0.09"]
           "--epsilon", "0.1"], "not 1 within"),
         (["estimate-mixture", "--pi", "1.0", "--gamma", "0.09", "--delta", "0.04",
           "--epsilon", "0.1"], "need at least two position probabilities"),
+        (["estimate-mixture", *MIXED, "--delta", "1e-9", "--epsilon", "0.1"], "int64 limit"),
+        (["recover-mixed", "--n", "20", "--pi", "0.2,0.3,0.5", "--gamma", "1e-9",
+          "--epsilon", "0.1"], "int64 limit"),
     ],
 )
 def test_mixture_precondition_usage_error(args, message):

@@ -158,19 +158,10 @@ class TestLatentOrder:
         with pytest.raises(ValueError):
             LatentOrder((1, 2, 3))
 
-    def test_json_roundtrip(self):
-        order = LatentOrder((2, 0, 1))
-        assert LatentOrder.from_json(order.to_json()) == order
-        assert order.to_json() == "[2, 0, 1]"
-
     @pytest.mark.parametrize("ids", [[0.0, 1.7, 2.2], [0.0, 1.0, 2.0], np.array([2.0, 0.0, 1.0])])
     def test_rejects_float_ids(self, ids):
         with pytest.raises(ValueError, match="integers"):
             LatentOrder(ids)
-
-    def test_from_json_rejects_float_ids(self):
-        with pytest.raises(ValueError, match="integers"):
-            LatentOrder.from_json("[0.0, 1.7, 2.2]")
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
     def test_accepts_numpy_integer_ids(self, dtype):

@@ -200,21 +200,13 @@ class TestPairOracle:
 
 
 class TestMetricPoints:
-    def test_json_roundtrip(self):
-        pts = MetricPoints({0: [0.0, 1.0], 3: [2.0, 0.5]})
-        back = MetricPoints.from_json(pts.to_json())
-        assert back.ids == pts.ids
-        assert np.allclose(back.coords, pts.coords)
-        assert back.dim == 2
-
     def test_dimension_consistency(self):
         with pytest.raises(ValueError):
             MetricPoints({0: [0.0], 1: [1.0, 2.0]})
 
     def test_nan_coordinate_rejected(self):
-        text = '{"dim": 1, "points": {"0": [NaN], "1": [1.0], "2": [2.0]}}'
         with pytest.raises(ValueError, match="finite"):
-            MetricPoints.from_json(text)
+            MetricPoints({0: [np.nan], 1: [1.0], 2: [2.0]})
 
     def test_infinite_coordinate_rejected(self):
         with pytest.raises(ValueError, match="finite"):

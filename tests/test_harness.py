@@ -41,6 +41,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="largest feasible gamma"):
             bad.validate()
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(mode="estimate-mixture", delta=1e-9),
+            # recover-mixed estimates pi at delta = gamma/2
+            dict(mode="recover-mixed", n=20, gamma=1e-9),
+        ],
+        ids=["estimate-mixture", "recover-mixed"],
+    )
+    def test_repetitions_past_int64_limit_rejected(self, params):
+        base = dict(pi=(0.2, 0.3, 0.5), gamma=0.09, epsilon=0.1)
+        with pytest.raises(ValueError, match="int64 limit"):
+            cfg(**{**base, **params}).validate()
+
 
 class TestRunners:
     def test_recover_active_all_success(self):

@@ -1,5 +1,6 @@
 """Source hygiene: every exported name exists, no module imports what it
-never reads, and every private module-level name is read somewhere else."""
+never reads, every private module-level name is read somewhere else, and
+only the report writer and the CLI import json."""
 
 import ast
 import importlib
@@ -43,6 +44,29 @@ def _unused_imports(tree: ast.Module) -> list:
 def test_no_unused_imports(path):
     unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     assert not unused, f"{path.name} imports names it never reads: {unused}"
+
+
+def _imports_json(tree: ast.Module) -> bool:
+    """Whether any import statement of the module, at any depth, names json."""
+    return any(
+        isinstance(node, ast.Import) and any(a.name.split(".")[0] == "json" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json"
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_the_report_writer_and_cli_import_json():
+    importers = {
+        path.stem for path in PACKAGE_DIR.glob("*.py")
+        if _imports_json(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert importers <= {"cli", "harness"}, f"modules importing json: {sorted(importers)}"
+
+
+def test_scanner_flags_a_json_import_inside_a_function():
+    assert _imports_json(ast.parse("def f():\n    import json\n"))
+    assert _imports_json(ast.parse("from json import dumps\n"))
+    assert not _imports_json(ast.parse("import jsonschema, math\n"))
 
 
 def test_scanner_flags_an_unused_import():

@@ -55,6 +55,20 @@ class TestRepetitionCount:
             (2.04 / 0.0016) * math.log(24 / 0.05)
         )
 
+    @pytest.mark.parametrize(
+        "delta, epsilon", [(0.0, 0.05), (-0.1, 0.05), (0.1, 0.0), (0.1, 1.0)]
+    )
+    def test_rejects_bad_parameters(self, delta, epsilon):
+        with pytest.raises(ValueError, match="need delta > 0"):
+            repetition_count(delta, epsilon, 3)
+
+    def test_int64_limit(self):
+        # the oracle draws each subset's answers as one int64 multinomial
+        below = repetition_count(1e-8, 0.1, 3)
+        assert isinstance(below, int) and below <= np.iinfo(np.int64).max
+        with pytest.raises(ValueError, match="int64 limit"):
+            repetition_count(1e-9, 0.1, 3)
+
 
 class TestAlignment:
     def test_exact_on_permutation_grid(self):
@@ -100,16 +114,6 @@ class TestEstimateMixture:
         est = estimate_mixture(oracle, 0.09, 0.04, 0.05)
         assert est.probs_hat[0] >= est.probs_hat[-1]
         assert abs(sum(est.probs_hat) - 1.0) < 1e-9
-
-    def test_estimate_json_fields(self):
-        import json
-
-        mix = MixtureDistribution((0.7, 0.3), 0.3)
-        oracle = MixedOracle(LatentOrder.identity(4), mix, 8)
-        est = estimate_mixture(oracle, 0.3, 0.1, 0.05)
-        data = json.loads(est.to_json())
-        assert set(data) == {"pi", "delta", "epsilon", "queries"}
-        assert data["queries"] == est.queries
 
     def test_delta_validation(self):
         mix = MixtureDistribution((0.7, 0.3), 0.3)

@@ -1,6 +1,5 @@
 """Oracle simulators: accounting, mixture sampling statistics, stream phases."""
 
-import io
 import itertools
 import math
 
@@ -363,8 +362,7 @@ class TestSamplePhase:
         cfg = StreamConfig(1.0, 0.5)
         batch = sample_phase(cfg, 1, 6, 3, oracle, np.random.default_rng(0))
         assert len(batch) == 20
-        rows = {tuple(r) for r, _ in batch.records()}
-        assert rows == set(itertools.combinations(range(6), 3))
+        assert set(map(tuple, batch.sets.tolist())) == set(itertools.combinations(range(6), 3))
 
     def test_binomial_batch_sizes(self):
         oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(6))
@@ -391,8 +389,8 @@ class TestSamplePhase:
         x1 = np.zeros((trials, 20))
         x2 = np.zeros((trials, 20))
         for t in range(trials):
-            s1 = {tuple(r) for r, _ in sample_phase(cfg, 1, 6, 3, oracle, rng).records()}
-            s2 = {tuple(r) for r, _ in sample_phase(cfg, 2, 6, 3, oracle, rng).records()}
+            s1 = set(map(tuple, sample_phase(cfg, 1, 6, 3, oracle, rng).sets.tolist()))
+            s2 = set(map(tuple, sample_phase(cfg, 2, 6, 3, oracle, rng).sets.tolist()))
             x1[t] = [s in s1 for s in all_sets]
             x2[t] = [s in s2 for s in all_sets]
         corr = np.corrcoef(x1.ravel(), x2.ravel())[0, 1]
@@ -423,62 +421,43 @@ class TestObservationBatch:
         batch = sample_phase(cfg, 1, 9, 3, oracle, np.random.default_rng(3))
         assert batch.id_bound == 9 and len(batch) == oracle.query_count
 
-    def test_jsonl_roundtrip(self):
-        batch = ObservationBatch(
-            np.array([[0, 1, 2], [1, 3, 4]]), np.array([1, 3])
-        )
-        buf = io.StringIO()
-        batch.to_jsonl(buf)
-        assert buf.getvalue().splitlines()[0] == '{"set": [0, 1, 2], "choice": 1}'
-        buf.seek(0)
-        back = ObservationBatch.from_jsonl(buf)
-        assert np.array_equal(back.sets, batch.sets)
-        assert np.array_equal(back.choices, batch.choices)
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda rows: rows,
+            lambda rows: tuple(tuple(r) if isinstance(r, list) else r for r in rows),
+            lambda rows: np.array(rows, dtype=np.int32),
+            lambda rows: np.array(rows, dtype=np.uint16),
+        ],
+        ids=["lists", "tuples", "int32-arrays", "uint16-arrays"],
+    )
+    def test_integer_input_forms_accepted(self, form):
+        sets, choices = [[0, 1, 5], [2, 3, 4], [1, 3, 4]], [1, 3, 4]
+        batch = ObservationBatch(form(sets), form(choices))
+        assert batch.sets.dtype == np.int64 and batch.choices.dtype == np.int64
+        assert batch.sets.tolist() == sets and batch.choices.tolist() == choices
+        assert not batch.sets.flags.writeable and not batch.choices.flags.writeable
+        assert (len(batch), batch.k, batch.id_bound) == (3, 3, 6) and batch.complete
 
     @pytest.mark.parametrize(
-        "record, message",
+        "sets, choices, message",
         [
-            ('{"set": [0.5, 1, 2], "choice": 1}', "must be integers"),
-            ('{"set": [0, 1, 2], "choice": 1.7}', "choice must be an integer id"),
-            ('{"set": [1, 1, 3], "choice": 1}', "duplicate ids"),
-            ('{"set": [0, 1], "choice": 1}', "has 2 ids, the first set has 3"),
+            ([[0, 1, 2], [0.5, 1, 2]], [1, 1], "must be integers"),
+            ([[0, 1, 2], [0, 1, 2]], [1, 1.7], "choice must be an integer id"),
+            ([[0, 1, 2], [1, 1, 3]], [1, 1], "duplicate ids"),
+            ([[0, 1, 2], [0, 1]], [1, 1], r"sets must be \(m, k\), choices \(m,\)"),
+            ([0, 1, 2], [1], r"\(m, k\) array"),
+            ([[[0], [1], [2]]], [1], r"\(m, k\) array"),
+            ([[0, [1], 2]], [0], "of integer ids"),
+            ([[0, 1, 2]], [True], "choice must be an integer id"),
+            ([[0, 1, 2]], [[1]], "one choice per set"),
         ],
-        ids=["float-set-id", "float-choice", "duplicate-set-id", "ragged-set"],
+        ids=["float-set-id", "float-choice", "duplicate-ids", "ragged-sets", "1d-sets",
+             "nested-set", "nested-id", "bool-choice", "list-choice"],
     )
-    def test_jsonl_rejects_non_integer_or_duplicate_ids(self, record, message):
-        buf = io.StringIO('{"set": [0, 1, 2], "choice": 1}\n' + record + "\n")
+    def test_malformed_records_rejected(self, sets, choices, message):
         with pytest.raises(InvalidQueryError, match=message):
-            ObservationBatch.from_jsonl(buf)
-
-    @pytest.mark.parametrize(
-        "record, message",
-        [
-            ('{"set": 5, "choice": 5}', "must be a list of ids"),
-            ('{"set": [[0], [1], [2]], "choice": 1}', r"\(m, k\) array"),
-            ('{"set": [0, [1], 2], "choice": 0}', "ids must be integers"),
-            ('{"set": [0, 1, 2], "choice": true}', "choice must be an integer id"),
-            ('{"set": [0, 1, 2], "choice": [1]}', "one choice per set"),
-        ],
-        ids=["scalar-set", "nested-set", "nested-id", "bool-choice", "list-choice"],
-    )
-    def test_jsonl_rejects_malformed_records(self, record, message):
-        with pytest.raises(InvalidQueryError, match=message):
-            ObservationBatch.from_jsonl(io.StringIO(record + "\n"))
-
-    @pytest.mark.parametrize(
-        "record, message",
-        [
-            ('{"choice": 1}', 'line 2 must be an object with keys "set" and "choice"'),
-            ('{"set": [0, 1, 2]}', 'line 2 must be an object with keys "set" and "choice"'),
-            ('{"set": [0, 1, 2], "choice": ', "line 2 is not JSON"),
-            ("[1, 2]", 'line 2 must be an object with keys "set" and "choice"'),
-        ],
-        ids=["missing-set", "missing-choice", "malformed-line", "non-object"],
-    )
-    def test_jsonl_rejects_non_records(self, record, message):
-        buf = io.StringIO('{"set": [0, 1, 2], "choice": 1}\n' + record + "\n")
-        with pytest.raises(InvalidQueryError, match=message):
-            ObservationBatch.from_jsonl(buf)
+            ObservationBatch(sets, choices)
 
 
 def colex_rank(row) -> int:

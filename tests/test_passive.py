@@ -1,9 +1,8 @@
 """Passive-stream recovery: ineligible detection, anchored closure, coverage."""
 
+import dataclasses
 import functools
-import io
 import itertools
-import json
 import math
 
 import numpy as np
@@ -463,9 +462,7 @@ class TestCoverage:
             with pytest.raises(InvalidQueryError):
                 coverage_report(po, selector, LatentOrder.identity(n))
 
-    def test_report_json_fields(self):
-        import json
-
+    def test_report_fields(self):
         n, k, position = 8, 3, 2
         order = LatentOrder.identity(n)
         anchors = (0,)
@@ -473,13 +470,14 @@ class TestCoverage:
         po = build_partial_order(
             anchored_batch(order, k, position, anchors, pairs), n, anchors, position
         )
-        report = coverage_report(
-            po, PositionSelector(k, position), order, b=8.0, p1=0.5, p2=0.7
-        )
-        data = json.loads(report.to_json())
-        assert set(data) == {"n", "k", "ell", "b", "frac_correct",
-                             "frac_unresolved", "p1", "p2"}
-        assert data["ell"] == position
+        report = coverage_report(po, PositionSelector(k, position), order)
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "n", "k", "position", "frac_correct", "frac_unresolved", "reading",
+            "sample_size", "exhaustive", "ci_low", "ci_high",
+        ]
+        assert (report.n, report.k, report.position) == (n, k, position)
+        assert report.exhaustive and report.sample_size == math.comb(n, k)
+        assert report.ci_low <= report.frac_correct <= report.ci_high
 
     def test_phase_one_unaffected_by_phase_two_seed(self):
         n, k = 30, 3
@@ -647,15 +645,6 @@ class TestAnchoredSample:
         with pytest.raises(ValueError, match="read in full"):
             find_ineligible_passive(self.anchored(), 40)
 
-    def test_records_and_jsonl_refuse_a_partial_batch(self):
-        batch = self.anchored()
-        with pytest.raises(ValueError, match="reads every record"):
-            batch.records()
-        buf = io.StringIO()
-        with pytest.raises(ValueError, match="reads every record"):
-            batch.to_jsonl(buf)
-        assert buf.getvalue() == ""
-
     def test_partial_order_refuses_other_anchors(self):
         batch = self.anchored()
         with pytest.raises(ValueError, match=r"anchors \(0,\), not \(39,\)"):
@@ -738,15 +727,6 @@ class TestCountsOnlySample:
         assert oracle.query_count == 0 and len(batch) > 0
         assert batch.counts_only and not batch.complete and batch.anchors is None
         return batch
-
-    def test_records_and_jsonl_refuse_a_counts_only_batch(self):
-        batch = self.counted()
-        with pytest.raises(ValueError, match="counts-only"):
-            batch.records()
-        buf = io.StringIO()
-        with pytest.raises(ValueError, match="counts-only"):
-            batch.to_jsonl(buf)
-        assert buf.getvalue() == ""
 
     def test_partial_order_refuses_a_counts_only_batch(self):
         with pytest.raises(ValueError, match="counts-only"):
@@ -852,7 +832,7 @@ def reference_partial_order(batch, n, anchors):
     elements = [x for x in range(n) if x not in anchors]
     index = {x: i for i, x in enumerate(elements)}
     edges = []
-    for row, choice in batch.records():
+    for row, choice in zip(batch.sets.tolist(), batch.choices.tolist()):
         if not anchors <= set(row):
             continue
         u, v = (x for x in row if x not in anchors)
@@ -908,24 +888,21 @@ BAD_RECORDS = {
 }
 
 
-def batch_from(source, sets, choices):
-    if source == "hand-built":
-        return ObservationBatch(np.array(sets), np.array(choices))
-    lines = (json.dumps({"set": s, "choice": c}) for s, c in zip(sets, choices))
-    return ObservationBatch.from_jsonl(io.StringIO("\n".join(lines)))
-
-
-@pytest.mark.parametrize("source", ["hand-built", "jsonl"])
+@pytest.mark.parametrize("source", ["hand-built", "lists"])
 @pytest.mark.parametrize("bad", BAD_RECORDS)
 def test_invalid_records_rejected(source, bad):
-    # an id >= n passes the batch, which has no universe, and fails each reader
+    # an id >= n passes the batch, which has no universe, and fails each reader;
+    # "lists" hands the constructor plain lists, as records parsed from a file
+    sets, choices = BAD_RECORDS[bad]
+    if source == "hand-built":
+        sets, choices = np.array(sets), np.array(choices)
     readers = (
         lambda batch: find_ineligible_passive(batch, 7),
         lambda batch: build_partial_order(batch, 7, (0,), 2),
     )
     for read in readers:
         with pytest.raises(InvalidQueryError):
-            read(batch_from(source, *BAD_RECORDS[bad]))
+            read(ObservationBatch(sets, choices))
 
 
 class TestBuildPartialOrderReference:
@@ -939,18 +916,13 @@ class TestBuildPartialOrderReference:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_record_by_record_reference(self, k, anchors, rule, seed):
         batch = reference_stream(self.N, k, anchors, rule, seed)
-        with io.StringIO() as buf:
-            batch.to_jsonl(buf)
-            buf.seek(0)
-            from_file = ObservationBatch.from_jsonl(buf)
         want = reference_partial_order(batch, self.N, anchors)
-        for got_batch in (batch, from_file):
-            if isinstance(want, str):
-                with pytest.raises(InconsistentStreamError, match=want):
-                    build_partial_order(got_batch, self.N, anchors, 2)
-            else:
-                po = build_partial_order(got_batch, self.N, anchors, 2)
-                assert np.array_equal(po.beats, want)
+        if isinstance(want, str):
+            with pytest.raises(InconsistentStreamError, match=want):
+                build_partial_order(batch, self.N, anchors, 2)
+        else:
+            po = build_partial_order(batch, self.N, anchors, 2)
+            assert np.array_equal(po.beats, want)
         if rule == "ranked":
             assert not isinstance(want, str)
 
