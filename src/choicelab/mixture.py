@@ -84,21 +84,15 @@ def repetition_count(delta: float, epsilon: float, k: int) -> int:
 def answer_frequencies(oracle: MixedOracle, s, reps: int) -> dict:
     """Query the k-set s reps times; map each member to its answer frequency.
 
-    Only the answer counts are read: the oracle draws them as one
-    multinomial variate and returns the answers grouped by member. reps
-    below 1 raises ValueError before any query.
+    The oracle draws the answer counts as one multinomial variate and
+    returns only those counts, so memory and time do not grow with reps.
+    reps below 1 raises ValueError before any query.
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
     members = kset(s)
-    counts = _answer_counts(oracle, members, reps)
-    return dict(zip(members, (counts / reps).tolist()))
-
-
-def _answer_counts(oracle: MixedOracle, members, reps: int) -> np.ndarray:
-    """How often each of members is the answer to reps queries of them."""
-    outcomes = oracle.query_repeated(members, reps)
-    return np.array([np.count_nonzero(outcomes == m) for m in members])
+    answers = oracle.query_repeated(members, reps)
+    return {m: answers.count(m) / reps for m in members}
 
 
 def align_frequency_tables(tables) -> tuple:
@@ -190,8 +184,7 @@ class NoisyComparator:
     signal, so the only informative outcomes are the two free positions;
     compare_wins() re-queries until one of the pair is returned (geometric
     retries), as many times as asked, and counts the wins. The oracle
-    draws those wins as one binomial variate and returns the outcomes
-    grouped by member, so only the count is read.
+    draws those wins as one binomial variate and returns them as a count.
     """
 
     def __init__(self, oracle: MixedOracle, anchors):
@@ -202,11 +195,10 @@ class NoisyComparator:
         return (u, v) + self.anchors
 
     def compare_wins(self, u: int, v: int, count: int) -> int:
-        """Number of times u wins among count informative outcomes: one
-        np.count_nonzero over query_until's grouped answer array, whose
-        slice of u's wins comes before v's."""
+        """Number of times u wins among count informative outcomes, read
+        from query_until's answer counts."""
         outcomes, _ = self.oracle.query_until(self.padded(u, v), (u, v), count)
-        return int(np.count_nonzero(outcomes == u))
+        return outcomes.count(u)
 
 
 def _anytime_radius(total: int, t: int, tails: int, budget: float) -> float:
@@ -373,16 +365,17 @@ def discard_round(
     """
     members = list(members)
     tails = 2 * len(members)
-    counts = np.zeros(len(members), dtype=np.int64)
+    counts = [0] * len(members)
     total = t = 0
     first = 2 * _ROUND_SLACK * _anytime_radius(1, 1, tails, budget)
     batch = math.ceil((first / gap) ** 2) if gap > 0 else cap
     while True:
         batch = min(batch, cap - total)
-        counts += _answer_counts(oracle, members, batch)
+        answers = oracle.query_repeated(members, batch)
+        counts = [c + answers.count(m) for c, m in zip(counts, members)]
         total += batch
         t += 1
-        freqs = dict(zip(members, (counts / total).tolist()))
+        freqs = {m: c / total for m, c in zip(members, counts)}
         nearest, runner_up = sorted(abs(f - tracked) for f in freqs.values())[:2]
         if total == cap or runner_up - nearest > 2 * _anytime_radius(total, t, tails, budget):
             return pick_round_winner(freqs, tracked)

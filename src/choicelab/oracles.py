@@ -15,13 +15,11 @@ The mixed oracle's repeated queries draw counts, not answers:
 query_repeated draws how often each member is chosen as one multinomial
 variate, and query_until draws its raw query total, the sum of count
 geometric retry lengths, as one negative-binomial variate and the wins
-of the first pair member as one binomial variate. Each returns the counts
-expanded into an answer array grouped by member, so the multiset of
-answers is random but their order is not: a prefix of the array is not
-a subsample, and callers read only how often each member appears.
-query_repeated expands its counts with one repeat of the members' array,
-and query_until fills one int64 array with two slices, the wins of u
-then those of v. The pair's probabilities are Python floats, so each
+of the first pair member as one binomial variate. Each returns those
+counts as an AnswerCounts, the multiset of answers held as its members
+and their counts: len() is the number of answers and count(x) how many
+of them are x, and no answer array is ever built, so a call costs the
+same at every count. The pair's probabilities are Python floats, so each
 call does its scalar arithmetic without numpy's per-call wrapping, on
 the same IEEE doubles.
 
@@ -68,6 +66,7 @@ from .core import (
 )
 
 __all__ = [
+    "AnswerCounts",
     "DeterministicOracle",
     "MixtureDistribution",
     "MixedOracle",
@@ -157,6 +156,31 @@ def feasible_gamma(probs: Sequence[float]) -> float:
     return float(np.diff(np.sort(np.asarray(probs, dtype=float))).min())
 
 
+@dataclass(frozen=True)
+class AnswerCounts:
+    """The answers to a run of repeated queries, held as counts: a multiset.
+
+    members and counts are parallel tuples of ints, counts[i] being how
+    often members[i] was the answer. len() is the number of answers, the
+    sum of the counts, and count(x) how many of them are x (0 for an id
+    that is not a member). Only the counts are random; read the answers
+    through count(), never through the order of members.
+    """
+
+    members: tuple
+    counts: tuple
+
+    def count(self, member) -> int:
+        """How many of the answers are member."""
+        try:
+            return self.counts[self.members.index(member)]
+        except ValueError:
+            return 0
+
+    def __len__(self) -> int:
+        return sum(self.counts)
+
+
 class MixedOracle:
     """Population-mixture oracle: each query independently selects position
     ell with probability pi_ell and returns that member of the queried set.
@@ -184,41 +208,39 @@ class MixedOracle:
     def query_count(self) -> int:
         return self._count
 
-    def _members_by_rank(self, s) -> list:
+    def _members_by_rank(self, s) -> tuple:
         if self.k == 3:
-            return list(_ranked3(self.order, s))
+            return _ranked3(self.order, s)
         members = _check_query(self.k, self.order.n, s)
-        return sorted(members, key=self.order._rank_list.__getitem__)
+        return tuple(sorted(members, key=self.order._rank_list.__getitem__))
 
     def query(self, s) -> int:
-        return int(self.query_repeated(s, 1)[0])
+        answers = self.query_repeated(s, 1)
+        return answers.members[answers.counts.index(1)]
 
-    def query_repeated(self, s, count: int) -> np.ndarray:
+    def query_repeated(self, s, count: int) -> AnswerCounts:
         """count independent answers to the same set; counts count queries.
 
-        The answers come grouped by member, in rank order: only how often
-        each member appears is random, drawn as one multinomial variate
-        over pi and expanded by one repeat of the members' array. Read the
-        array as a multiset, never a prefix of it as a subsample.
+        Returns them as an AnswerCounts over the set's members in rank
+        order: how often each member is chosen is one multinomial variate
+        over pi, and len() is count.
         """
         members = self._members_by_rank(s)
         count = _check_count(count)
         chosen = self._rng.multinomial(count, self._probs)
         self._count += count
-        return np.array(members).repeat(chosen)
+        return AnswerCounts(members, tuple(chosen.tolist()))
 
     def query_until(self, s, pair, count: int):
         """Repeat the query until the answer lands in ``pair``, ``count`` times over.
 
-        Returns (informative answers, raw queries issued). Distribution and
+        Returns (informative answers, raw queries issued), the answers as an
+        AnswerCounts over (u, v) whose len() is count. Distribution and
         accounting match the sequential repeat-until loop: retry lengths are
         geometric in the probability mass p of the pair's positions, so the
         raw total is count plus one negative-binomial(count, p) draw of
         uninformative answers, and the wins of u are one
-        binomial(count, pu/p) draw. The answers come grouped, every win of
-        u before every win of v, written as two slice fills of one int64
-        array: only the win count is random, so never read a prefix of the
-        array as a subsample.
+        binomial(count, pu/p) draw.
         """
         members = self._members_by_rank(s)
         try:
@@ -229,17 +251,14 @@ class MixedOracle:
             raise InvalidQueryError(f"pair {pair} must be two distinct members of {s}")
         count = _check_count(count)
         if count == 0:
-            return np.empty(0, dtype=np.int64), 0
+            return AnswerCounts((u, v), (0, 0)), 0
         pu = self._prob_list[members.index(u)]
         pv = self._prob_list[members.index(v)]
         informative = pu + pv
         raw = count + int(self._rng.negative_binomial(count, informative))
         wins_u = int(self._rng.binomial(count, pu / informative))
         self._count += raw
-        answers = np.empty(count, dtype=np.int64)
-        answers[:wins_u] = u
-        answers[wins_u:] = v
-        return answers, raw
+        return AnswerCounts((u, v), (wins_u, count - wins_u)), raw
 
 
 def _check_count(count) -> int:

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import choicelab
+from choicelab import mixture
 from choicelab.cli import build_parser
 from choicelab.harness import PASSIVE_EPSILON, ExperimentConfig
 
@@ -17,13 +18,13 @@ BASE = [sys.executable, "-m", "choicelab"]
 SRC = os.path.dirname(os.path.dirname(choicelab.__file__))
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, base=BASE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        BASE + list(args), capture_output=True, text=True, env=env
+        base + list(args), capture_output=True, text=True, env=env
     )
 
 
@@ -178,6 +179,30 @@ def test_json_stdout():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["rows"][0]["success"] is True
+
+
+# Runs the CLI under an address-space cap, so that a run which tries to
+# allocate past it fails fast with MemoryError instead of taking the
+# machine's memory. One BLAS thread keeps numpy's own reservations small.
+_CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]), int(sys.argv[1])))
+from choicelab.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_estimate_mixture_at_small_delta_runs_in_bounded_memory():
+    # delta=1e-4 asks 1.1e9 answers of each subset; as an answer array that
+    # was 8.8 GB per subset, so the run must read them as counts
+    limit = 1 << 30
+    args = ["estimate-mixture", "--pi", "0.2,0.3,0.5", "--gamma", "0.09",
+            "--delta", "1e-4", "--epsilon", "0.1", "--trials", "1", "--format", "json"]
+    threads = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    proc = run_cli(*args, env_extra=threads, base=[sys.executable, "-c", _CAPPED_CLI, str(limit)])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    (row,) = json.loads(proc.stdout)["rows"]
+    assert row["queries"] == 4 * mixture.repetition_count(1e-4, 0.1, 3) == 4_384_730_368
 
 
 def test_stream_probability_flags():

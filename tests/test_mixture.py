@@ -25,7 +25,7 @@ from choicelab.mixture import (
     recover_mixed,
     repetition_count,
 )
-from choicelab.oracles import MixedOracle, MixtureDistribution
+from choicelab.oracles import AnswerCounts, MixedOracle, MixtureDistribution
 
 
 def exact_tables(pi):
@@ -137,6 +137,19 @@ class TestEstimateMixture:
         assert oracle._rng.bit_generator.state == state
 
 
+def expand(answers: AnswerCounts) -> np.ndarray:
+    """The answer array that the counts stand for, grouped by member."""
+    return np.repeat(np.array(answers.members, dtype=np.int64), answers.counts)
+
+
+class _AnswerArrayOracle(MixedOracle):
+    """Reference: the mixed oracle's per-answer form, whose query_repeated
+    returns the same draw as an answer array grouped by member."""
+
+    def query_repeated(self, s, count):
+        return expand(super().query_repeated(s, count))
+
+
 def counter_table(answers, s):
     """Reference: per-answer Counter frequencies of the members of s."""
     counts = Counter(int(x) for x in answers)
@@ -144,7 +157,7 @@ def counter_table(answers, s):
 
 
 def counter_frequencies(oracle, s, reps):
-    """Reference: per-answer Counter over query_repeated's answers."""
+    """Reference: per-answer Counter over an answer-array oracle's answers."""
     return counter_table(oracle.query_repeated(s, reps), s)
 
 
@@ -155,13 +168,14 @@ def fixed_count_round(oracle, members, tracked, reps):
 
 
 class _TallyingOracle(MixedOracle):
-    """Mixed oracle that keeps each query_repeated answer array and totals
-    query_until's raw queries."""
+    """Mixed oracle that keeps each query_repeated answer count and totals
+    query_until's raw queries and len() of its answers."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.answers = []
         self.until_raw = 0
+        self.until_informative = 0
 
     def query_repeated(self, s, count):
         out = super().query_repeated(s, count)
@@ -171,17 +185,18 @@ class _TallyingOracle(MixedOracle):
     def query_until(self, s, pair, count):
         out, raw = super().query_until(s, pair, count)
         self.until_raw += raw
+        self.until_informative += len(out)
         return out, raw
 
 
 class TestCountingExactness:
-    # two oracles on one seed see the same answers, so the vectorized counts
+    # two oracles on one seed see the same answers, so the counts read
     # must equal the Counter reference exactly, not within a tolerance
 
     def oracles(self, seed):
         mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)
         order = LatentOrder.random(12, np.random.default_rng(seed))
-        return MixedOracle(order, mix, seed), MixedOracle(order, mix, seed)
+        return MixedOracle(order, mix, seed), _AnswerArrayOracle(order, mix, seed)
 
     def test_estimate_matches_counter_reference(self):
         oracle, ref = self.oracles(17)
@@ -436,7 +451,7 @@ class _ExactOracle:
         raw = np.array([self.freqs[m] * count for m in members])
         counts = np.floor(raw).astype(int)
         counts[np.argsort(counts - raw)[: count - counts.sum()]] += 1
-        return np.repeat(members, counts)
+        return AnswerCounts(tuple(members), tuple(counts.tolist()))
 
 
 class TestSequentialDiscardRound:
@@ -477,7 +492,7 @@ class TestSequentialDiscardRound:
         for members in self.rounds(36, 40):
             oracle.answers.clear()
             winner = discard_round(oracle, members, 0.25, 0.1, self.cap, self.budget)
-            answers = np.concatenate(oracle.answers)
+            answers = np.concatenate([expand(a) for a in oracle.answers])
             assert len(answers) == self.cap
             assert winner == pick_round_winner(counter_table(answers, members), 0.25)
             positions.add(sorted(members, key=oracle.order.rank_of).index(winner))
@@ -487,7 +502,7 @@ class TestSequentialDiscardRound:
         # targets within 0.01 of the .2 member's frequency, each with the gap
         # an estimate would give: both rules pick that member, the
         # sequential round from far fewer answers
-        seq, ref = self.oracle(37), self.oracle(38)
+        seq, ref = self.oracle(37), self.oracle(38, _AnswerArrayOracle)
         reads = []
         for i, members in enumerate(self.rounds(39, 60)):
             tracked = (0.19, 0.2, 0.21)[i % 3]
@@ -637,9 +652,18 @@ class TestRecoverMixed:
             good += orders_match_up_to_reflection(recovered, order)
         assert good >= trials - 1
 
-    def test_query_count_is_estimate_plus_discard_plus_sorts(self):
+    def test_query_count_is_estimate_plus_discard_plus_sorts(self, monkeypatch):
         # the discard reads its answers through query_repeated alone and the
-        # sorts through query_until alone; bench/tracer.py counts the phases so
+        # sorts through query_until alone; bench/tracer.py counts the phases
+        # so, from len() of the answers and query_until's raw count
+        read = []
+
+        def counted(comparator, u, v, count):
+            read.append(count)
+            return compare_wins(comparator, u, v, count)
+
+        compare_wins = NoisyComparator.compare_wins
+        monkeypatch.setattr(NoisyComparator, "compare_wins", counted)
         mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)
         order = LatentOrder.random(30, np.random.default_rng(17))
         oracle = _TallyingOracle(order, mix, 17)
@@ -647,7 +671,7 @@ class TestRecoverMixed:
         estimate, discard = oracle.answers[:4], oracle.answers[4:]
         assert sum(map(len, estimate)) == est.queries
         assert len(discard) >= 30 - 3 + 1  # one call or more per round
-        assert oracle.until_raw > 0
+        assert oracle.until_raw > oracle.until_informative == sum(read) > 0
         assert oracle.query_count == (
             est.queries + sum(map(len, discard)) + oracle.until_raw
         )

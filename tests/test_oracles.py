@@ -13,6 +13,7 @@ from choicelab import oracles
 from choicelab.core import InvalidQueryError, LatentOrder, PositionSelector, evaluate_many
 from choicelab.oracles import (
     INT64_MAX,
+    AnswerCounts,
     DeterministicOracle,
     MixedOracle,
     MixtureDistribution,
@@ -85,7 +86,8 @@ class TestMixedOracle:
         order = LatentOrder.identity(5)
         oracle = MixedOracle(order, mix, 123)
         outcomes = oracle.query_repeated((1, 2, 3), 100_000)
-        freq = {x: float((outcomes == x).mean()) for x in (1, 2, 3)}
+        assert len(outcomes) == 100_000
+        freq = {x: outcomes.count(x) / 100_000 for x in (1, 2, 3)}
         assert abs(freq[1] - 0.5) < 0.01
         assert abs(freq[2] - 0.3) < 0.01
         assert abs(freq[3] - 0.2) < 0.01
@@ -100,7 +102,7 @@ class TestMixedOracle:
         s = (0, 2, 3)
         outcomes = oracle.query_repeated(s, 100_000)
         by_rank = sorted(s, key=order.rank_of)
-        observed = [int((outcomes == x).sum()) for x in by_rank]
+        observed = [outcomes.count(x) for x in by_rank]
         expected = [p * 100_000 for p in mix.probs]
         _, pvalue = st.chisquare(observed, expected)
         assert pvalue > 0.01
@@ -118,10 +120,29 @@ class TestMixedOracle:
         mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)
         oracle = MixedOracle(LatentOrder.identity(6), mix, 11)
         outcomes, raw = oracle.query_until((0, 4, 5), (4, 5), 1000)
-        assert outcomes.shape == (1000,)
-        assert set(np.unique(outcomes)) <= {4, 5}
+        assert len(outcomes) == 1000
+        assert outcomes.members == (4, 5)
+        assert outcomes.count(0) == 0
         assert raw >= 1000
         assert oracle.query_count == raw
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_query_until_len_is_count(self, k):
+        # bench/tracer.py books len() of the answers as the informative
+        # outcomes and the second item as the raw queries
+        mix = {2: MixtureDistribution((0.7, 0.3), 0.3),
+               3: MixtureDistribution((0.2, 0.3, 0.5), 0.09),
+               4: MixtureDistribution((0.1, 0.2, 0.3, 0.4), 0.09)}[k]
+        oracle = MixedOracle(LatentOrder((3, 0, 5, 1, 4, 2)), mix, 12)
+        s, pair = (5, 1, 3, 0)[:k], (1, 5)
+        for count in (0, 1, 7, 1000):
+            before = oracle.query_count
+            answers, raw = oracle.query_until(s, pair, count)
+            assert len(answers) == count
+            assert type(len(answers)) is int and type(raw) is int
+            assert answers.count(1) + answers.count(5) == sum(answers.counts) == count
+            assert raw == count if k == 2 else raw >= count  # k=2: every answer informative
+            assert oracle.query_count - before == raw
 
     @pytest.mark.parametrize("count", [1, 7])
     @pytest.mark.parametrize("pair, mass", [((0, 1), 0.5), ((1, 2), 0.8)])
@@ -149,7 +170,7 @@ class TestMixedOracle:
         mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)
         oracle = MixedOracle(LatentOrder.identity(3), mix, 0)
         outcomes, raw = oracle.query_until((0, 1, 2), (0, 1), 0)
-        assert outcomes.shape == (0,)
+        assert len(outcomes) == 0
         assert raw == 0
         assert oracle.query_count == 0
 
@@ -158,7 +179,7 @@ class TestMixedOracle:
         oracle = MixedOracle(LatentOrder.identity(4), mix, 5)
         for count in (1, 7, 1000):
             outcomes, raw = oracle.query_until((1, 3), (1, 3), count)
-            assert outcomes.shape == (count,)
+            assert len(outcomes) == count
             assert raw == count
         assert oracle.query_count == 1008
 
@@ -216,9 +237,9 @@ class TestCountFormMatchesPerAnswerPath:
         got = []
         for _ in range(self.CALLS):
             answers = oracle.query_repeated(self.SET, count)
-            assert answers.shape == (count,)
-            assert np.isin(answers, self.SET).all()
-            got.append([int((answers == x).sum()) for x in by_rank])
+            assert len(answers) == count
+            assert sorted(answers.members) == sorted(self.SET)
+            got.append([answers.count(x) for x in by_rank])
         ref_rng = np.random.default_rng(32)
         want = [reference_repeated_counts(self.MIX.probs, count, ref_rng)
                 for _ in range(self.CALLS)]
@@ -233,10 +254,10 @@ class TestCountFormMatchesPerAnswerPath:
         got = []
         for _ in range(self.CALLS):
             answers, raw = oracle.query_until(self.SET, pair, count)
-            assert answers.shape == (count,)
-            assert np.isin(answers, pair).all()
+            assert len(answers) == count
+            assert answers.members == pair
             assert raw >= count
-            got.append(int((answers == pair[0]).sum()))
+            got.append(answers.count(pair[0]))
         ref_rng = np.random.default_rng(42)
         want = [reference_wins(0.3, 0.2, count, ref_rng) for _ in range(self.CALLS)]
         assert two_sample_pvalue(got, want) > 0.001
@@ -290,9 +311,14 @@ class TestRepeatedQueriesBitIdentical:
     COUNTS = (0, 1, 2, 37, 250_000)
 
     @staticmethod
-    def assert_same(got, want):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)  # shape and values
+    def assert_same(got: AnswerCounts, want: np.ndarray):
+        # the counts are the reference's answers counted per member, and
+        # expanded in member order they are the reference's answer array
+        assert len(got) == len(want)
+        assert got.counts == tuple(int(np.count_nonzero(want == m)) for m in got.members)
+        expanded = np.repeat(np.array(got.members, dtype=np.int64), got.counts)
+        assert expanded.dtype == want.dtype
+        assert np.array_equal(expanded, want)  # shape, values and grouping
 
     @pytest.mark.parametrize("seed", [0, 17])
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -313,7 +339,9 @@ class TestRepeatedQueriesBitIdentical:
                     assert raw == want_raw
                 assert oracle.query_count == reference.query_count
                 assert oracle._rng.bit_generator.state == reference.rng.bit_generator.state
-            assert oracle.query(s) == int(reference.query_repeated(s, 1)[0])
+            answer = oracle.query(s)
+            assert type(answer) is int
+            assert answer == int(reference.query_repeated(s, 1)[0])
         assert oracle.query_count == reference.query_count
         assert oracle._rng.bit_generator.state == reference.rng.bit_generator.state
 

@@ -232,7 +232,8 @@ def test_bad_count_rejected_before_any_draw(entry, bad):
 def test_integer_count_accepted(entry, count):
     out = COUNT_ENTRY_POINTS[entry](mixed(), count)
     answers = out[0] if isinstance(out, tuple) else out
-    assert answers.shape == (int(count),)
+    assert len(answers) == sum(answers.counts) == int(count)
+    assert all(type(c) is int for c in answers.counts)
 
 
 BAD_PAIRS = {
@@ -261,8 +262,9 @@ def test_bad_pair_rejected_before_any_draw(bad):
 
 def test_integer_pair_answers_are_integers():
     answers, _ = mixed().query_until((0, 1, 2), (np.int64(1), np.uint8(2)), 5)
-    assert answers.dtype.kind == "i"
-    assert set(answers.tolist()) <= {1, 2}
+    assert answers.members == (1, 2)
+    assert all(type(x) is int for x in answers.members + answers.counts)
+    assert answers.count(1) + answers.count(2) == len(answers) == 5
 
 
 BAD_ROWS = {
