@@ -10,7 +10,8 @@ draws just those counts, one binomial per alternative, with no set
 built or answered. Phase 2 draws
 the records that pair two free alternatives with a fixed anchor set,
 orients each observed pair consistently, and takes the transitive
-closure. Queries with any unresolved internal pair are declined rather
+closure over the alternative ids, in which an anchor is comparable to
+nothing. Queries with any unresolved internal pair are declined rather
 than guessed, and scoring counts declines as errors.
 
 The appearance probabilities shrink toward zero as n grows, so the
@@ -61,6 +62,9 @@ batch2 = sample_phase(
 )
 print(f"phase 2: {len(batch2)} records, {len(batch2.sets)} of them with anchors {anchors}")
 po = build_partial_order(batch2, n, anchors, position)
+# the closure is indexed by alternative id; an anchor is comparable to nothing
+print(f"closure over all {po.beats.shape[0]} ids; anchors comparable to none: "
+      f"{not any(po.resolved(a, x) for a in anchors for x in range(n) if x != a)}")
 print(f"anchored pairs resolved: {po.resolved_pair_fraction:.4f} "
       f"({po.unresolved_pair_count} pairs left open)")
 

@@ -28,15 +28,16 @@ from choicelab import (
     triplet_distance_correspondence,
 )
 
-line = MetricPoints({0: [1.0], 1: [2.0], 2: [3.0001], 3: [7.0], 4: [20.0]})
+# point i is row i: the alternatives are the ids 0..n-1, as everywhere in choicelab
+line = MetricPoints([[1.0], [2.0], [3.0001], [7.0], [20.0]])
 s = (0, 1, 2, 3, 4)
 print("1-D points ~{1, 2, 3, 7, 20}:")
 print("  farthest-pair removal survivor:", median_choice(line, s))
 print("  brute-force sum-of-distances minimizer:", sum_of_distances_minimizer(line, s))
 
 a, b, bp, ap = [0.0, 0.0], [10.0, 0.0], [10.0, 1.0], [0.0, 1.0]
-with_bp = MetricPoints({0: a, 1: b, 2: bp})
-with_ap = MetricPoints({0: a, 1: b, 2: ap})
+with_bp = MetricPoints([a, b, bp])
+with_ap = MetricPoints([a, b, ap])
 print("\nsimilarity aversion (A at origin, B far right, primes nearby):")
 print("  f({A, B, B'}) = A:", outlier_choice(with_bp, (0, 1, 2)) == 0)
 print("  f({A, B, A'}) = B:", outlier_choice(with_ap, (0, 1, 2)) == 1)
@@ -47,7 +48,7 @@ print("  choosing the outlier == choosing the shortest distance:",
 
 rng = np.random.default_rng(41)
 n = 12
-pts = MetricPoints({i: rng.normal(size=3) for i in range(n)})
+pts = MetricPoints(rng.normal(size=(n, 3)))
 oracle = PairDistanceOracle(pts)
 ordered = crowd_median_sort(oracle, n)
 exact = ordered == sorted(ordered, key=pts.pair_distance)

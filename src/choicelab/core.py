@@ -156,8 +156,9 @@ class LatentOrder:
 def _check_query(k: int, n: int, s) -> KSet:
     """The validation every scalar query makes: s as a k-set over [0, n).
 
-    A 3-set query goes through _ranked3, which makes the same checks on a
-    well-formed tuple, list or array and sends everything else here."""
+    A query ranked by _ranked at k=3 takes its kernel, which makes the same
+    checks on a well-formed tuple, list or array and sends everything else
+    here."""
     s = kset(s)
     if len(s) != k:
         raise InvalidQueryError(f"query has {len(s)} members, expected k={k}")
@@ -191,25 +192,22 @@ def evaluate(selector: PositionSelector, order: LatentOrder, s) -> Alternative:
 
     Deterministic; always returns a member of s.
     """
-    if selector.k == 3:
-        return _ranked3(order, s)[selector.position - 1]
-    s = _check_query(selector.k, order.n, s)
-    return sorted(s, key=order._rank_list.__getitem__)[selector.position - 1]
+    return _ranked(selector.k, order, s)[selector.position - 1]
 
 
-def _ranked3(order: LatentOrder, s) -> tuple:
-    """The three members of s in ascending rank order, checked as
-    _check_query(3, order.n, s) checks them.
+def _ranked(k: int, order: LatentOrder, s) -> tuple:
+    """The members of s in ascending rank order, checked as
+    _check_query(k, order.n, s) checks them: the one scalar ranking path.
 
-    A tuple, list or array of three distinct integer ids (Python or numpy,
-    never bool) in [0, n) is ranked by at most three compare-exchanges
-    (Knuth, TAOCP vol. 3, 5.3.3), with no sort, set or list built.
-    Anything else, a malformed query or an iterator (which unpacking
-    would spend), takes the general path, which raises the same
-    InvalidQueryError for every fault.
+    At k=3 a tuple, list or array of three distinct integer ids (Python or
+    numpy, never bool) in [0, n) is ranked by at most three
+    compare-exchanges (Knuth, TAOCP vol. 3, 5.3.3), with no sort, set or
+    list built. Anything else, any other k, a malformed query or an
+    iterator (which unpacking would spend), takes the general path, which
+    raises the same InvalidQueryError for every fault.
     """
     n, ranks = order.n, order._rank_list
-    if isinstance(s, (tuple, list, np.ndarray)):
+    if k == 3 and isinstance(s, (tuple, list, np.ndarray)):
         try:
             a, b, c = s
             valid = a.__class__ is not bool and b.__class__ is not bool and c.__class__ is not bool
@@ -225,7 +223,7 @@ def _ranked3(order: LatentOrder, s) -> tuple:
                 if ra > rb:
                     a, b = b, a
             return a, b, c
-    return tuple(sorted(_check_query(3, n, s), key=ranks.__getitem__))
+    return tuple(sorted(_check_query(k, n, s), key=ranks.__getitem__))
 
 
 def evaluate_many(

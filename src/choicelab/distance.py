@@ -8,6 +8,10 @@ the complementary pairwise distance, and sorting all C(n,2) distances
 through a pair oracle takes O(N log N) comparisons. All rules need every
 pairwise distance distinct (general position); constructors reject ties
 rather than breaking them silently.
+
+Alternatives are the dense ids [0, n) of core: point i is row i of one
+(n, dim) array, and an id outside that range, or not an integer, raises
+InvalidQueryError before any distance is read.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -49,6 +52,8 @@ class InvalidArityError(ValueError):
 
 
 def pair_id(i: int, j: int) -> PairId:
+    if i.__class__ is bool or j.__class__ is bool:  # as core.kset: never read as 0 and 1
+        raise InvalidQueryError(f"pair ids must be integers, not bool: ({i}, {j})")
     try:
         i, j = operator.index(i), operator.index(j)
     except TypeError as exc:
@@ -59,60 +64,63 @@ def pair_id(i: int, j: int) -> PairId:
 
 
 class MetricPoints:
-    """Euclidean embedding of alternatives, in general position.
+    """Euclidean embedding of the alternatives [0, n), in general position.
 
-    Construction fails if a coordinate is not finite or any two pairwise
-    distances agree within 1e-9; silent tie-breaking would mask failures
-    of the removal rules.
+    coords is an (n, dim) array-like whose row i is alternative i's point;
+    a one-dimensional array holds n points on a line. Construction fails
+    if a coordinate is not finite or any two pairwise distances agree
+    within 1e-9; silent tie-breaking would mask failures of the removal
+    rules.
     """
 
     TOLERANCE = 1e-9
 
-    def __init__(self, coords: Mapping[int, Sequence[float]]):
-        if not coords:
-            raise ValueError("need at least one point")
-        ids = sorted(int(i) for i in coords)
-        mat = np.asarray([coords[i] for i in ids], dtype=float)
+    def __init__(self, coords):
+        mat = np.array(coords, dtype=float)
         if mat.ndim == 1:
             mat = mat[:, None]
-        if mat.ndim != 2:
-            raise ValueError("coordinates must be vectors of a shared dimension")
+        if mat.ndim != 2 or not len(mat):
+            raise ValueError("coordinates must be one or more vectors of a shared dimension")
         if not np.isfinite(mat).all():  # NaN distances pass the tie check vacuously
             raise ValueError("coordinates must be finite")
-        self.ids = tuple(ids)
-        self._index = {i: r for r, i in enumerate(ids)}
         self.coords = mat
         self.coords.setflags(write=False)
-        if len(ids) >= 2:
-            diffs = mat[:, None, :] - mat[None, :, :]
-            dmat = np.sqrt((diffs**2).sum(axis=2))
-            iu = np.triu_indices(len(ids), 1)
-            dists = np.sort(dmat[iu])
-            if np.min(np.diff(dists), initial=np.inf) <= self.TOLERANCE:
-                raise AmbiguousDistancesError(
-                    "two pairwise distances coincide within 1e-9; points must "
-                    "be in general position"
-                )
-            self._dmat = dmat
-        else:
-            self._dmat = np.zeros((1, 1))
+        self.n = len(mat)  # a plain attribute, read on every distance() call
+        diffs = mat[:, None, :] - mat[None, :, :]
+        dmat = np.sqrt((diffs**2).sum(axis=2))
+        dists = np.sort(dmat[np.triu_indices(self.n, 1)])
+        if np.min(np.diff(dists), initial=np.inf) <= self.TOLERANCE:
+            raise AmbiguousDistancesError(
+                "two pairwise distances coincide within 1e-9; points must "
+                "be in general position"
+            )
+        self._rows = dmat.tolist()  # the same doubles, indexed without numpy's per-call cost
 
     @property
     def dim(self) -> int:
         return int(self.coords.shape[1])
 
     def distance(self, i: int, j: int) -> float:
-        return float(self._dmat[self._index[i], self._index[j]])
+        """The distance between alternatives i and j; an id that is not an
+        integer in [0, n), bools included, raises InvalidQueryError."""
+        n = self.n
+        try:  # a float passes the range check and fails the list index
+            if 0 <= i < n and 0 <= j < n and i.__class__ is not bool and j.__class__ is not bool:
+                return self._rows[i][j]
+        except TypeError:
+            pass
+        raise InvalidQueryError(f"ids must be integers in [0, {n}), got ({i!r}, {j!r})")
 
     def pair_distance(self, pair: PairId) -> float:
         return self.distance(pair[0], pair[1])
 
 
 def _check_members(points: MetricPoints, s) -> tuple:
+    """s as a k-set of ids in [0, points.n), checked as core._check_query
+    checks a query of any size."""
     s = kset(s)
-    missing = [x for x in s if x not in points._index]
-    if missing:
-        raise InvalidQueryError(f"no coordinates for {missing}")
+    if s and (s[0] < 0 or s[-1] >= points.n):
+        raise InvalidQueryError(f"ids out of range [0, {points.n}): {s}")
     return s
 
 
@@ -187,10 +195,7 @@ class PairDistanceOracle:
 
     def larger(self, a: PairId, b: PairId) -> PairId:
         a, b = pair_id(*a), pair_id(*b)
-        try:
-            da, db = self.points.pair_distance(a), self.points.pair_distance(b)
-        except KeyError as exc:
-            raise InvalidQueryError(f"no coordinates for id {exc.args[0]}") from None
+        da, db = self.points.pair_distance(a), self.points.pair_distance(b)  # checks ids
         self._count += 1
         return a if da > db else b
 
@@ -199,12 +204,11 @@ def crowd_median_sort(pair_oracle: PairDistanceOracle, n: int):
     """Sort all C(n,2) pairs ascending by distance through the pair oracle.
 
     Deterministic merge sort: O(N log N) oracle calls for N = C(n,2). An
-    id in [0, n) without coordinates raises InvalidQueryError before the
+    n beyond the embedding's points raises InvalidQueryError before the
     first comparison.
     """
-    missing = set(range(n)).difference(pair_oracle.points.ids)
-    if missing:
-        raise InvalidQueryError(f"no coordinates for id {min(missing)}")
+    if n > pair_oracle.points.n:
+        raise InvalidQueryError(f"no coordinates for id {pair_oracle.points.n}")
     pairs = [pair_id(*p) for p in itertools.combinations(range(n), 2)]
 
     def less(a, b):

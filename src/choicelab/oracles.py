@@ -2,10 +2,10 @@
 
 These are the only components with access to ground truth. Oracles own a
 seedable numpy PCG64 generator and a query counter; rejected queries are
-not counted. A scalar query is checked by core._check_query, except at
-k=3: there DeterministicOracle.query (through core.evaluate) and the
-MixedOracle queries rank the set with core._ranked3, which makes the same
-checks, raises the same errors and orders three ids in at most three
+not counted. A scalar query is ranked by core._ranked, through
+core.evaluate for DeterministicOracle.query: it checks the set as
+core._check_query does, and at k=3 its kernel makes the same checks,
+raises the same errors and orders three ids in at most three
 compare-exchanges, with no sort. Batched entry points (query_many,
 query_repeated, query_until) draw the same distributions as the
 equivalent sequential query() loops with exact query accounting, which
@@ -60,7 +60,7 @@ from .core import (
     PositionSelector,
     _check_query,
     _check_sets,
-    _ranked3,
+    _ranked,
     evaluate,
     evaluate_many,
 )
@@ -208,12 +208,6 @@ class MixedOracle:
     def query_count(self) -> int:
         return self._count
 
-    def _members_by_rank(self, s) -> tuple:
-        if self.k == 3:
-            return _ranked3(self.order, s)
-        members = _check_query(self.k, self.order.n, s)
-        return tuple(sorted(members, key=self.order._rank_list.__getitem__))
-
     def query(self, s) -> int:
         answers = self.query_repeated(s, 1)
         return answers.members[answers.counts.index(1)]
@@ -225,7 +219,7 @@ class MixedOracle:
         order: how often each member is chosen is one multinomial variate
         over pi, and len() is count.
         """
-        members = self._members_by_rank(s)
+        members = _ranked(self.k, self.order, s)
         count = _check_count(count)
         chosen = self._rng.multinomial(count, self._probs)
         self._count += count
@@ -242,7 +236,7 @@ class MixedOracle:
         uninformative answers, and the wins of u are one
         binomial(count, pu/p) draw.
         """
-        members = self._members_by_rank(s)
+        members = _ranked(self.k, self.order, s)
         try:
             u, v = map(operator.index, pair)
         except (TypeError, ValueError):

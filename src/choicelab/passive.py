@@ -8,10 +8,11 @@ only the records whose set is a fixed k-2 anchor subset plus a free
 pair; each such record orients the pair under one consistent (but
 unknown) convention, so the transitive closure of those orientations is
 a partial order that answers a query whenever all internal pairs are
-resolved. Queries touching an anchor or an unresolved pair return
-UNRESOLVED, which scoring counts as incorrect. Resolved queries are
-answered from one order of the universe by closure win count, which
-agrees with the closure on every resolved set.
+resolved. The order is held over the universe ids themselves, and an
+anchor is comparable to nothing, so queries touching an anchor or an
+unresolved pair return UNRESOLVED, which scoring counts as incorrect.
+Resolved queries are answered from one order of the universe by closure
+win count, which agrees with the closure on every resolved set.
 
 Records are validated where they enter an ObservationBatch (sampled rows
 by query_many, others by the constructor); this module only compares a
@@ -110,48 +111,44 @@ def find_ineligible_passive(batch: ObservationBatch, universe_size: int) -> froz
 class InferredPartialOrder:
     """Transitive closure of the anchored-pair orientations.
 
-    elements lists the non-anchor ids in ascending order and index maps
-    each id of the universe to its row in beats (-1 for an anchor).
-    beats[i, j] means element i wins against j under the stream's
-    consistent orientation (winner-is-greater by convention; the true
-    reading may be the reflection). Antisymmetric and transitive by
-    construction; construction fails on any cycle.
+    beats is an n-by-n matrix over the universe ids: beats[u, v] means u
+    wins against v under the stream's consistent orientation
+    (winner-is-greater by convention; the true reading may be the
+    reflection). An anchor is comparable to nothing, so its row and column
+    are empty. Antisymmetric and transitive by construction; construction
+    fails on any cycle.
     """
 
-    def __init__(self, index: np.ndarray, beats: np.ndarray, anchors, position: int):
-        self.index = index
-        self.elements = np.flatnonzero(index >= 0)
+    def __init__(self, beats: np.ndarray, anchors, position: int):
         self.beats = beats
         self.anchors = tuple(anchors)
         self.position = int(position)
-        self._comparable = (beats | beats.T).ravel()  # at i * m + j, for m elements
-        # each element outscores all it beats; anchors, in no resolved row, score -1
-        score = np.full(len(index), -1, dtype=np.int64)
-        score[self.elements] = beats.sum(axis=1)
-        self._score_order = LatentOrder(np.argsort(score, kind="stable"))
-        for array in (self.index, self.elements, self.beats, self._comparable):
+        self._comparable = (beats | beats.T).ravel()  # at u * n + v
+        # each id outscores all it beats; anchors, in no resolved row, score 0
+        self._score_order = LatentOrder(np.argsort(beats.sum(axis=1), kind="stable"))
+        for array in (self.beats, self._comparable):
             array.setflags(write=False)
 
     @property
     def universe_size(self) -> int:
-        return len(self.index)
+        return len(self.beats)
 
     @property
     def k(self) -> int:
         return len(self.anchors) + 2
 
     def resolved(self, u: int, v: int) -> bool:
-        i, j = self.index[_check_sets(1, self.universe_size, [[u], [v]])[:, 0]]
-        return bool(u == v or (i >= 0 and j >= 0 and self._comparable[i * len(self.elements) + j]))
+        u, v = _check_sets(1, self.universe_size, [[u], [v]])[:, 0]
+        return bool(u == v or self._comparable[u * self.universe_size + v])
 
     @property
     def unresolved_pair_count(self) -> int:
-        m = len(self.elements)
+        m = self.universe_size - len(self.anchors)
         return int(m * (m - 1) // 2 - np.count_nonzero(self._comparable) // 2)
 
     @property
     def resolved_pair_fraction(self) -> float:
-        m = len(self.elements)
+        m = self.universe_size - len(self.anchors)
         total = m * (m - 1) // 2
         return 1.0 - self.unresolved_pair_count / total if total else 1.0
 
@@ -193,10 +190,11 @@ def build_partial_order(
 
     Only records whose set is exactly {u, v} plus the anchors contribute;
     the record's choice is the pair's winner under the stream's fixed
-    convention. Every non-anchor id is an element of the result, observed
-    or not. Contradictory orientations for one pair, a choice falling on
-    an anchor, or any cycle raise InconsistentStreamError (impossible for
-    a noiseless position-selecting source with correct anchors). A batch
+    convention. Every id is an element of the result, observed or not,
+    and an anchor is comparable to none. Contradictory orientations for
+    one pair, a choice falling on an anchor, or any cycle raise
+    InconsistentStreamError (impossible for a noiseless
+    position-selecting source with correct anchors). A batch
     with ids outside [0, universe_size) raises InvalidQueryError, as do
     anchors that are not k-2 distinct ids in that range. A batch sampled
     with other anchors raises ValueError, since it lacks the records these
@@ -216,9 +214,6 @@ def build_partial_order(
         )
     is_anchor = np.zeros(universe_size, dtype=bool)
     is_anchor[list(anchors)] = True
-    elements = np.flatnonzero(~is_anchor)
-    index = np.full(universe_size, -1, dtype=np.int64)
-    index[elements] = np.arange(elements.size)
 
     columns = batch.sets.T
     # k column gathers, no (m, k) temporary. int32 halves int64's time; uint8
@@ -233,13 +228,12 @@ def build_partial_order(
     if pairs.size and not ((winners == pairs[:, 0]) | (winners == pairs[:, 1])).all():
         raise InconsistentStreamError("an anchored record chose an anchor")
 
-    v = elements.size
-    direct = np.zeros((v, v), dtype=bool)
+    direct = np.zeros((universe_size, universe_size), dtype=bool)
     losers = np.where(winners == pairs[:, 0], pairs[:, 1], pairs[:, 0])
-    direct[index[winners], index[losers]] = True
+    direct[winners, losers] = True
     if np.any(direct & direct.T):
         raise InconsistentStreamError("contradictory orientations for a pair")
-    return InferredPartialOrder(index, _transitive_closure(direct), anchors, position)
+    return InferredPartialOrder(_transitive_closure(direct), anchors, position)
 
 
 def answer_query(po: InferredPartialOrder, s, position: int | None = None):
@@ -273,13 +267,13 @@ def _answer_rows(po: InferredPartialOrder, sets: np.ndarray, positions) -> list:
     for position in positions:
         if position not in range(1, k + 1):
             raise InvalidQueryError(f"position must lie in [1, {k}], got {position}")
-    idx = po.index[sets.T]  # k contiguous index columns
-    resolved = np.all(idx >= 0, axis=0)
-    # an anchor's index -1 reads some other entry; such rows are unresolved
-    base = idx * len(po.elements)
+    columns = sets.T  # k contiguous id columns
+    base = columns * po.universe_size
+    # an anchor is comparable to nothing, so every row that holds one is unresolved
+    resolved = np.ones(m, dtype=bool)
     for a in range(k):
         for b in range(a + 1, k):
-            resolved &= po._comparable[base[a] + idx[b]]
+            resolved &= po._comparable[base[a] + columns[b]]
     answers = {}
     for position in positions:
         if position not in answers:  # the two readings of an odd k's middle coincide

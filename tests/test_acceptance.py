@@ -348,22 +348,22 @@ def test_criterion_09_distance_procedures():
         for _ in range(10_000):
             while True:
                 try:
-                    pts = MetricPoints({i: rng.normal(size=dim) for i in range(3)})
+                    pts = MetricPoints(rng.normal(size=(3, dim)))
                     break
                 except AmbiguousDistancesError:
                     continue
             if median_choice(pts, (0, 1, 2)) != sum_of_distances_minimizer(pts, (0, 1, 2)):
                 mismatches += 1
 
-    pts_b = MetricPoints({0: [0.0, 0.0], 1: [10.0, 0.0], 2: [10.0, 1.0]})
-    pts_a = MetricPoints({0: [0.0, 0.0], 1: [10.0, 0.0], 2: [0.0, 1.0]})
+    pts_b = MetricPoints([[0.0, 0.0], [10.0, 0.0], [10.0, 1.0]])
+    pts_a = MetricPoints([[0.0, 0.0], [10.0, 0.0], [0.0, 1.0]])
     identities = outlier_choice(pts_b, (0, 1, 2)) == 0 and outlier_choice(pts_a, (0, 1, 2)) == 1
 
     sort_ok = True
     for n in range(3, 26):
         while True:
             try:
-                pts = MetricPoints({i: rng.normal(size=2) for i in range(n)})
+                pts = MetricPoints(rng.normal(size=(n, 2)))
                 break
             except AmbiguousDistancesError:
                 continue

@@ -25,13 +25,13 @@ from choicelab.sorting import merge_sort_comparison_bound
 
 
 def line_points(*coords):
-    return MetricPoints({i: [c] for i, c in enumerate(coords)})
+    return MetricPoints(coords)
 
 
 def random_points(count, dim, rng):
     while True:
         try:
-            return MetricPoints({i: rng.normal(size=dim) for i in range(count)})
+            return MetricPoints(rng.normal(size=(count, dim)))
         except AmbiguousDistancesError:
             continue
 
@@ -60,8 +60,8 @@ class TestMedianChoice:
         # which is the documented ambiguity case; nudging the apex keeps the
         # configuration and makes the farthest pair well defined
         with pytest.raises(AmbiguousDistancesError):
-            MetricPoints({0: [0.0, 0.0], 1: [1.0, 0.0], 2: [0.5, 5.0]})
-        pts = MetricPoints({0: [0.0, 0.0], 1: [1.0, 0.0], 2: [0.52, 5.0]})
+            MetricPoints([[0.0, 0.0], [1.0, 0.0], [0.5, 5.0]])
+        pts = MetricPoints([[0.0, 0.0], [1.0, 0.0], [0.52, 5.0]])
         s = (0, 1, 2)
         assert median_choice(pts, s) == sum_of_distances_minimizer(pts, s)
 
@@ -95,8 +95,8 @@ class TestMedianChoice:
         for _ in range(200):
             coords = rng.normal(size=5)
             try:
-                pts = MetricPoints({i: [c] for i, c in enumerate(coords)})
-                neg = MetricPoints({i: [-c] for i, c in enumerate(coords)})
+                pts = MetricPoints(coords)
+                neg = MetricPoints(-coords)
             except AmbiguousDistancesError:
                 continue
             s = tuple(range(5))
@@ -112,10 +112,10 @@ class TestMedianChoice:
 class TestOutlierChoice:
     def test_similarity_aversion_identities(self):
         a, b, bprime = [0.0, 0.0], [10.0, 0.0], [10.0, 1.0]
-        pts = MetricPoints({0: a, 1: b, 2: bprime})
+        pts = MetricPoints([a, b, bprime])
         assert outlier_choice(pts, (0, 1, 2)) == 0  # f({A,B,B'}) = A
         aprime = [0.0, 1.0]
-        pts2 = MetricPoints({0: a, 1: b, 2: aprime})
+        pts2 = MetricPoints([a, b, aprime])
         assert outlier_choice(pts2, (0, 1, 2)) == 1  # f({A,B,A'}) = B
 
     def test_line_outlier(self):
@@ -181,7 +181,7 @@ class TestCrowdMedianSort:
 
 
 class TestPairOracle:
-    @pytest.mark.parametrize("a", [(0, 99), (1.5, 2), (2.0, 3)])
+    @pytest.mark.parametrize("a", [(0, 99), (-1, 2), (1.5, 2), (2.0, 3)])
     def test_rejected_query_not_counted(self, a):
         oracle = PairDistanceOracle(line_points(0.0, 1.0, 3.0, 7.0, 15.0))
         with pytest.raises(InvalidQueryError):
@@ -199,18 +199,76 @@ class TestPairOracle:
             pair_id(3, 3)
 
 
+# Each set ends in one id that five points on a line cannot answer for.
+BAD_IDS = {
+    "out-of-range": (0, 1, 5),
+    "negative": (0, 1, -1),
+    "float": (0, 1, 2.5),
+    "integral-float": (0, 1, 2.0),
+    "string": (0, 1, "2"),
+    "bool": (0, 2, True),
+}
+
+
+class TestBadIds:
+    """Ids are rows of the embedding: anything but an integer in [0, n) is
+    refused with InvalidQueryError, never read as another row."""
+
+    points = line_points(0.0, 1.0, 3.0, 7.0, 15.0)
+
+    @pytest.mark.parametrize("bad", BAD_IDS)
+    def test_distance_refuses(self, bad):
+        s = BAD_IDS[bad]
+        with pytest.raises(InvalidQueryError):
+            self.points.distance(s[0], s[2])
+        with pytest.raises(InvalidQueryError):
+            self.points.distance(s[2], s[1])
+        with pytest.raises(InvalidQueryError):
+            self.points.pair_distance((s[0], s[2]))
+
+    @pytest.mark.parametrize("bad", BAD_IDS)
+    @pytest.mark.parametrize("rule", [median_choice, outlier_choice, sum_of_distances_minimizer])
+    def test_rules_refuse(self, bad, rule):
+        with pytest.raises(InvalidQueryError):
+            rule(self.points, BAD_IDS[bad])
+
+    @pytest.mark.parametrize("bad", BAD_IDS)
+    def test_larger_refuses_uncounted(self, bad):
+        oracle = PairDistanceOracle(self.points)
+        assert oracle.larger((0, 1), (2, 3)) == (2, 3)
+        s = BAD_IDS[bad]
+        for a, b in (((s[0], s[2]), (1, 2)), ((1, 2), (s[2], s[1]))):
+            with pytest.raises(InvalidQueryError):
+                oracle.larger(a, b)
+        assert oracle.query_count == 1
+
+
 class TestMetricPoints:
+    def test_rows_are_ids(self):
+        pts = MetricPoints([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
+        assert (pts.n, pts.dim) == (3, 2)
+        assert pts.distance(0, 1) == 5.0 and pts.pair_distance((0, 2)) == 1.0
+
+    def test_single_point(self):
+        pts = MetricPoints([[1.0, 2.0]])
+        assert pts.n == 1 and pts.distance(0, 0) == 0.0
+
+    @pytest.mark.parametrize("coords", [[], np.zeros((0, 2)), np.zeros((2, 2, 2))])
+    def test_no_points_or_wrong_shape_rejected(self, coords):
+        with pytest.raises(ValueError):
+            MetricPoints(coords)
+
     def test_dimension_consistency(self):
         with pytest.raises(ValueError):
-            MetricPoints({0: [0.0], 1: [1.0, 2.0]})
+            MetricPoints([[0.0], [1.0, 2.0]])
 
     def test_nan_coordinate_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            MetricPoints({0: [np.nan], 1: [1.0], 2: [2.0]})
+            MetricPoints([[np.nan], [1.0], [2.0]])
 
     def test_infinite_coordinate_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            MetricPoints({0: [0.0, 1.0], 1: [np.inf, 0.0], 2: [3.0, 2.5]})
+            MetricPoints([[0.0, 1.0], [np.inf, 0.0], [3.0, 2.5]])
 
 
 class TestFeasibility:

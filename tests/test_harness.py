@@ -93,8 +93,22 @@ class TestRunners:
     def test_distance_modes(self):
         med = run(cfg(mode="distance-median", k=3, dim=2, trials=10, seed=6))
         assert all(r.success for r in med.rows)
+        assert all(r.frac_correct == 1.0 for r in med.rows)  # the exact regime
         srt = run(cfg(mode="distance-sort", n=10, dim=1, trials=3, seed=7))
         assert all(r.success for r in srt.rows)
+
+
+@pytest.mark.parametrize("k, dim", [(5, 3), (5, 1), (7, 1)])
+def test_distance_median_scores_agreement(k, dim):
+    # success means no exactness promise broken; frac_correct records, on
+    # every trial, whether removal agreed with the sum-of-distances minimizer
+    report = run(cfg(mode="distance-median", k=k, dim=dim, trials=40, seed=9))
+    assert all(r.success for r in report.rows)
+    assert {r.frac_correct for r in report.rows} <= {0.0, 1.0}
+    if dim == 1:
+        assert all(r.frac_correct == 1.0 for r in report.rows)
+    else:  # dim 3, outside the exact regime
+        assert any(r.frac_correct == 0.0 for r in report.rows)
 
 
 @pytest.mark.parametrize(

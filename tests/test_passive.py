@@ -168,7 +168,6 @@ class TestBuildPartialOrder:
         )
         want = build_partial_order(anchored, n, anchors, position)
         got = build_partial_order(mixed, n, anchors, position)
-        assert np.array_equal(got.elements, want.elements)
         assert np.array_equal(got.beats, want.beats)
 
 
@@ -267,14 +266,14 @@ def answer_rows_by_wins(po, sets, positions):
     each position the member with position - 1 wins; -1 where a row holds
     an anchor or an incomparable pair."""
     m, k = sets.shape
-    idx = po.index[sets.T]
-    # an anchor's index -1 reads the last row of beats; such rows start unresolved
-    resolved = np.all(idx >= 0, axis=0)
+    columns = sets.T
+    # an anchor's row and column of beats are empty, so rows holding one stay unresolved
+    resolved = np.ones(m, dtype=bool)
     wins = np.zeros((k, m), dtype=np.int64)
     for a in range(k):
         for b in range(a + 1, k):
-            ab = po.beats[idx[a], idx[b]]
-            ba = po.beats[idx[b], idx[a]]
+            ab = po.beats[columns[a], columns[b]]
+            ba = po.beats[columns[b], columns[a]]
             resolved &= ab | ba
             wins[a] += ab
             wins[b] += ba
@@ -826,11 +825,9 @@ def test_answer_query_is_answer_many_and_sound(case):
 
 def reference_partial_order(batch, n, anchors):
     """build_partial_order record by record: the closed beats over the
-    non-anchor ids, or the start of the InconsistentStreamError message
-    that the kernel raises first."""
+    universe ids, or the start of the InconsistentStreamError message that
+    the kernel raises first."""
     anchors = set(anchors)
-    elements = [x for x in range(n) if x not in anchors]
-    index = {x: i for i, x in enumerate(elements)}
     edges = []
     for row, choice in zip(batch.sets.tolist(), batch.choices.tolist()):
         if not anchors <= set(row):
@@ -838,21 +835,20 @@ def reference_partial_order(batch, n, anchors):
         u, v = (x for x in row if x not in anchors)
         if choice not in (u, v):
             return "an anchored record chose an anchor"
-        edges.append((index[choice], index[v if choice == u else u]))
-    size = len(elements)
-    reach = [[False] * size for _ in range(size)]
+        edges.append((choice, v if choice == u else u))
+    reach = [[False] * n for _ in range(n)]
     for w, l in edges:
         reach[w][l] = True
-    if any(reach[i][j] and reach[j][i] for i in range(size) for j in range(size)):
+    if any(reach[i][j] and reach[j][i] for i in range(n) for j in range(n)):
         return "contradictory orientations"
-    for via in range(size):  # Warshall
-        for i in range(size):
+    for via in range(n):  # Warshall
+        for i in range(n):
             if reach[i][via]:
-                for j in range(size):
+                for j in range(n):
                     reach[i][j] = reach[i][j] or reach[via][j]
-    if any(reach[i][i] for i in range(size)):
+    if any(reach[i][i] for i in range(n)):
         return "orientation cycle"
-    return np.array(reach, dtype=bool).reshape(size, size)
+    return np.array(reach, dtype=bool).reshape(n, n)
 
 
 def reference_stream(n, k, anchors, rule, seed):
@@ -905,13 +901,16 @@ def test_invalid_records_rejected(source, bad):
             read(ObservationBatch(sets, choices))
 
 
+REFERENCE_CASES = pytest.mark.parametrize(
+    "k, anchors",
+    [(3, (0,)), (3, (4,)), (3, (8,)), (4, (0, 8)), (4, (2, 5)), (4, (0, 1)), (4, (7, 8))],
+)
+
+
 class TestBuildPartialOrderReference:
     N = 9
 
-    @pytest.mark.parametrize(
-        "k, anchors",
-        [(3, (0,)), (3, (4,)), (3, (8,)), (4, (0, 8)), (4, (2, 5)), (4, (0, 1)), (4, (7, 8))],
-    )
+    @REFERENCE_CASES
     @pytest.mark.parametrize("rule", ["oracle", "ranked", "noisy", "repeated"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_record_by_record_reference(self, k, anchors, rule, seed):
@@ -935,3 +934,19 @@ class TestBuildPartialOrderReference:
         anchored = held[held.sum(axis=1) == k - 2]
         assert anchored.any(axis=0).all()
         assert k == 3 or (held.sum(axis=1) == 1).any()
+
+    @REFERENCE_CASES
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_anchors_comparable_to_nothing(self, k, anchors, seed):
+        # beats is indexed by universe id; an anchor's row and column stay
+        # empty. "ranked" streams close under any anchors
+        batch = reference_stream(self.N, k, anchors, "ranked", seed)
+        want = reference_partial_order(batch, self.N, anchors)
+        po = build_partial_order(batch, self.N, anchors, 2)
+        assert po.beats.shape == (self.N, self.N)
+        for anchor in anchors:
+            assert not po.beats[anchor].any() and not po.beats[:, anchor].any()
+            assert not any(po.resolved(anchor, x) for x in range(self.N) if x != anchor)
+        free = [x for x in range(self.N) if x not in anchors]
+        unresolved = sum(not (want[u, v] or want[v, u]) for u, v in itertools.combinations(free, 2))
+        assert po.unresolved_pair_count == unresolved

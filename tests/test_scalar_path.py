@@ -14,7 +14,7 @@ from choicelab.core import (
     LatentOrder,
     PositionSelector,
     _check_query,
-    _ranked3,
+    _ranked,
     evaluate,
     evaluate_many,
 )
@@ -145,7 +145,7 @@ def test_kernel_answers_match_general_path(form):
         # every 3-subset, in each of its six input orders
         for s in itertools.permutations(range(7), 3):
             want = reference_ranked3(order, make(s))
-            got = _ranked3(order, make(s))
+            got = _ranked(3, order, make(s))
             assert list(got) == want
             assert all(type(x) is int for x in got)
             for position in (1, 2, 3):
@@ -185,7 +185,7 @@ def test_kernel_rejects_as_general_path(bad):
     with pytest.raises(InvalidQueryError) as want:
         reference_ranked3(order, make())
     with pytest.raises(InvalidQueryError) as got:
-        _ranked3(order, make())
+        _ranked(3, order, make())
     assert str(got.value) == str(want.value)
     for entry in ENTRY_POINTS:
         oracle_for, call = ENTRY_POINTS[entry]
