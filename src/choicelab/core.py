@@ -11,7 +11,6 @@ smallest member of each k-set.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -40,17 +39,6 @@ def kset(members: Iterable[int]) -> KSet:
     if len(set(ids)) != len(ids):
         raise InvalidQueryError(f"duplicate ids in k-set: {ids}")
     return tuple(ids)
-
-
-def all_ksets(n: int, k: int) -> np.ndarray:
-    """Every k-subset of [0, n) as a (C(n,k), k) array of sorted rows, in
-    lexicographic order."""
-    total = math.comb(n, k)
-    return np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-        dtype=np.int64,
-        count=total * k,
-    ).reshape(total, k)
 
 
 @dataclass(frozen=True)

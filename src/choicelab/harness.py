@@ -21,7 +21,6 @@ from .core import (
     LatentOrder,
     PositionSelector,
     _select_many,
-    all_ksets,
     canonical_position,
     evaluate_many,
 )
@@ -31,6 +30,7 @@ from .oracles import (
     MixedOracle,
     MixtureDistribution,
     StreamConfig,
+    all_ksets,
     largest_binomial,
     sample_phase,
     unrank_combinations,

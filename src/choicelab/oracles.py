@@ -35,14 +35,14 @@ a full phase. Phase 1 is read only through how often each id is chosen,
 and the sampler can draw just that: counts_only draws each id's choice
 count as one binomial over the revealing_counts sets that select it,
 with no set drawn, unranked or answered. That is equal in law to
-counting a full phase's choices, not the same draw. unrank_combinations
-builds its rows column by column and returns them as a column-major
-(m, k) view, so every per-column pass downstream reads contiguous memory.
-Ascending ranks decode block by block, one search per top member and one
-table gather per lower column, whenever they are at least as many as the
-C(n-1, k-1) rows of that table, as in every phase and in the sampled
-scoring of a passive run. Other ranks take one search per level and row.
-Both give the same rows.
+counting a full phase's choices, not the same draw.
+
+Every k-set row in the package comes from one decoder, unrank_combinations,
+which maps colex ranks to sets through the combinatorial number system
+(Knuth, TAOCP 4A, 7.2.1.3) with one search per level and row. all_ksets
+unranks the whole rank range, so it enumerates in colex order. The decoder
+builds its rows column by column and returns them as a column-major (m, k)
+view, so every per-column pass downstream reads contiguous memory.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ __all__ = [
     "sample_phase",
     "revealing_counts",
     "unrank_combinations",
+    "all_ksets",
 ]
 
 
@@ -238,7 +239,10 @@ class MixedOracle:
         """
         members = _ranked(self.k, self.order, s)
         try:
-            u, v = map(operator.index, pair)
+            u, v = pair
+            if bool in (type(u), type(v)):  # operator.index would read True as 1
+                raise TypeError
+            u, v = operator.index(u), operator.index(v)
         except (TypeError, ValueError):
             raise InvalidQueryError(f"pair {pair!r} must be two integer ids") from None
         if u not in members or v not in members or u == v:
@@ -443,18 +447,10 @@ def unrank_combinations(indices: np.ndarray, n: int, k: int) -> np.ndarray:
     """Map colex ranks in [0, C(n,k)) to sorted k-subsets of [0, n), vectorized.
 
     Row i is the subset of rank indices[i], so ascending ranks give rows in
-    colex order. Pass ranks sorted when the order is free. A rank outside
-    [0, C(n,k)), or ranks of a non-integer dtype, raise ValueError.
-
-    Ascending ranks (duplicates allowed, all in range) at k >= 2 decode
-    block by block when there are at least C(n-1, k-1) of them: the ranks
-    with top member c form the block [C(c,k), C(c+1,k)), so one search of
-    the n+1 block bounds and a repeat of the block sizes give the top
-    column, and each lower column is one gather, at r - C(c,k), from the
-    table of all (k-1)-subsets of [0, n-1), itself unranked the same way.
-    Other ranks take one searchsorted per level and row, about 3x faster
-    when the keys ascend, because numpy narrows each search with the
-    previous key's result.
+    colex order. Pass ranks sorted when the order is free: one searchsorted
+    per level and row is about 3x faster when the keys ascend, because
+    numpy narrows each search with the previous key's result. A rank
+    outside [0, C(n,k)), or ranks of a non-integer dtype, raise ValueError.
 
     The result is a column-major view: column j is one contiguous row of a
     (k, m) buffer.
@@ -462,32 +458,13 @@ def unrank_combinations(indices: np.ndarray, n: int, k: int) -> np.ndarray:
     indices = np.asarray(indices)
     if indices.size and indices.dtype.kind not in "iu":
         raise ValueError(f"colex ranks must be integers, got dtype {indices.dtype}")
-    return _unrank(indices.astype(np.int64, copy=False), n, k)
-
-
-def _unrank(indices: np.ndarray, n: int, k: int) -> np.ndarray:
-    """unrank_combinations on int64 ranks. The block decoder unranks its
-    (k-1)-table through this function, so a wrapper of the public name
-    sees only its callers' rows."""
+    indices = indices.astype(np.int64, copy=False)
     table = _binomial_table(n, k)
-    out = np.empty((k, indices.size), dtype=np.int64)  # column j of the result is out[j]
-    if (
-        2 <= k <= n
-        and math.comb(n - 1, k - 1) <= indices.size
-        and indices[0] >= 0
-        and indices[-1] < table[k, n]
-        and (indices[1:] >= indices[:-1]).all()
-    ):
-        # the ranks below C(c, k), for c in [0, n], differ by the size of block c
-        sizes = np.diff(np.searchsorted(indices, table[k]))
-        out[k - 1] = np.repeat(np.arange(n), sizes)
-        lower = indices - np.repeat(table[k, :n], sizes)
-        below = _unrank(np.arange(math.comb(n - 1, k - 1)), n - 1, k - 1).T
-        for j in range(k - 1):
-            np.take(below[j], lower, out=out[j])
-        return out.T
     if indices.size and (indices.min() < 0 or indices.max() >= table[k, n]):
         raise ValueError(f"colex ranks must lie in [0, C({n}, {k})) = [0, {table[k, n]})")
+    out = np.empty((k, indices.size), dtype=np.int64)  # column j of the result is out[j]
+    if k == 0:
+        return out.T  # the empty set, once per rank
     # The running remainder lives in column 0 and ends there as the lowest
     # member; each level writes its column in place.
     remaining = out[0]
@@ -499,6 +476,13 @@ def _unrank(indices: np.ndarray, n: int, k: int) -> np.ndarray:
         remaining -= np.take(table[j], out[j - 1], out=c)
     # C(c, 1) = c, so what remains is the lowest member, already in out[0]
     return out.T
+
+
+def all_ksets(n: int, k: int) -> np.ndarray:
+    """Every k-subset of [0, n) as a (C(n,k), k) array of sorted rows, in
+    colex order: the unranking of every rank. Raises OverflowError as
+    _binomial_table(n, k) does."""
+    return unrank_combinations(np.arange(math.comb(n, k)), n, k)
 
 
 def _sample_ranks(total: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -550,11 +534,11 @@ def sample_phase(
     of Geometric(p) gaps (_sample_ranks), so they come out ascending. Pass
     independent rngs for phases 1 and 2.
 
-    Rows come back in ascending colex rank, because ascending ranks
-    unrank block by block (see unrank_combinations); no reader of a batch
-    depends on its row order. The choices are the oracle's answers to the
-    rows, which query_many has validated, and members by construction, so
-    the batch checks nothing again.
+    Rows come back in ascending colex rank, which unranks fastest (see
+    unrank_combinations); no reader of a batch depends on its row order.
+    The choices are the oracle's answers to the rows, which query_many has
+    validated, and members by construction, so the batch checks nothing
+    again.
 
     With anchors, k-2 distinct ids, only the sets that hold every anchor
     are drawn, as the anchors plus pairs of the other ids whose ranks are

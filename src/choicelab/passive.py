@@ -34,10 +34,9 @@ from .core import (
     _check_query,
     _check_sets,
     _select_many,
-    all_ksets,
     evaluate_many,
 )
-from .oracles import ObservationBatch, revealing_counts, unrank_combinations
+from .oracles import ObservationBatch, all_ksets, revealing_counts, unrank_combinations
 from .stats import clopper_pearson
 
 __all__ = [
@@ -164,12 +163,10 @@ def _transitive_closure(direct: np.ndarray) -> np.ndarray:
     indegree = direct.sum(axis=0)
     queue = [i for i in range(v) if indegree[i] == 0]
     topo = []
-    remaining = direct.copy()
-    while queue:
+    while queue:  # Kahn's algorithm pops each node once
         node = queue.pop()
         topo.append(node)
-        children = np.nonzero(remaining[node])[0]
-        remaining[node, :] = False
+        children = np.nonzero(direct[node])[0]
         indegree[children] -= 1
         queue.extend(children[indegree[children] == 0].tolist())
     if len(topo) != v:

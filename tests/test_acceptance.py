@@ -26,7 +26,6 @@ from choicelab.active import (
 from choicelab.core import (
     LatentOrder,
     PositionSelector,
-    all_ksets,
     canonical_position,
     evaluate_many,
     ineligible_set,
@@ -54,6 +53,7 @@ from choicelab.oracles import (
     MixedOracle,
     MixtureDistribution,
     StreamConfig,
+    all_ksets,
     sample_phase,
 )
 from choicelab.passive import (

@@ -21,7 +21,6 @@ from choicelab.core import (
     InvalidQueryError,
     LatentOrder,
     PositionSelector,
-    all_ksets,
     canonical_position,
     evaluate,
     evaluate_many,
@@ -29,7 +28,7 @@ from choicelab.core import (
     kset,
 )
 from choicelab.harness import sorting_lower_bound
-from choicelab.oracles import DeterministicOracle
+from choicelab.oracles import DeterministicOracle, all_ksets
 
 
 class RecordingOracle(DeterministicOracle):

@@ -96,6 +96,7 @@ def test_mixture_precondition_usage_error(args, message):
         (["recover-active", "--n", "400", "--k", "12", "--ell", "3"], "int64 limit"),
         (["recover-passive", "--n", "100", "--k", "90", "--ell", "2", "--p1", "1e-9",
           "--p2", "1e-9"], "C(100, 50) = "),
+        (["recover-passive", "--n", "70", "--k", "68", "--ell", "2"], "C(70, 35) = "),
         (["classify", "--n", "3", "--k", "3", "--ell", "2"], "need n >= k+1"),
         (["recover-passive", "--n", "5", "--k", "6", "--ell", "3", "--p1", "0.5",
           "--p2", "0.5"], "need n >= k"),
@@ -114,6 +115,7 @@ def test_mixture_precondition_usage_error(args, message):
     ids=[
         "passive-ell-1", "active-ell-4", "classify-k-1", "median-even-k",
         "active-too-few-eligibles", "passive-rank-overflow", "active-rank-overflow", "passive-table-overflow",
+        "passive-enumeration-table-overflow",
         "classify-small-n", "passive-n-below-k", "passive-coverage-small-n",
         "passive-p1-alone", "feasibility-small-n", "negative-seed", "median-dim-0",
         "passive-epsilon-2", "distance-sort-n-0",

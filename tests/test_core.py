@@ -12,7 +12,6 @@ from choicelab.core import (
     LatentOrder,
     PositionSelector,
     _select_many,
-    all_ksets,
     canonical_position,
     evaluate,
     evaluate_many,
@@ -208,13 +207,6 @@ class TestKSet:
             PositionSelector(3, 0)
         with pytest.raises(ValueError):
             PositionSelector(3, 4)
-
-
-@pytest.mark.parametrize("n, k", [(6, 1), (7, 3), (9, 4), (5, 5)])
-def test_all_ksets_lexicographic(n, k):
-    sets = all_ksets(n, k)
-    assert sets.dtype == np.int64 and sets.shape == (len(sets), k)
-    assert [tuple(r) for r in sets.tolist()] == list(itertools.combinations(range(n), k))
 
 
 def reference_select_many(position, order, sets):

@@ -19,6 +19,7 @@ from choicelab.oracles import (
     MixtureDistribution,
     ObservationBatch,
     StreamConfig,
+    all_ksets,
     feasible_gamma,
     sample_phase,
     unrank_combinations,
@@ -189,6 +190,23 @@ class TestMixedOracle:
         with pytest.raises(InvalidQueryError):
             oracle.query((0, 1, 2))
         assert oracle.query_count == 0
+
+    @pytest.mark.parametrize(
+        "pair",
+        [(True, 2), (2, False), (np.int64(1), True), (1.0, 2), (1,), (0, 1, 2), 5],
+        ids=["bool-first", "bool-second", "numpy-and-bool", "float", "one-id", "three-ids",
+             "not-a-pair"],
+    )
+    def test_query_until_rejects_non_integer_pair_ids(self, pair):
+        # the set refuses a bool id through kset; the pair refuses it too,
+        # where operator.index alone would read True as id 1
+        mix = MixtureDistribution((0.2, 0.3, 0.5), 0.05)
+        oracle = MixedOracle(LatentOrder.identity(5), mix, 0)
+        with pytest.raises(InvalidQueryError, match="must be two integer ids"):
+            oracle.query_until((1, 2, 3), pair, 5)
+        assert oracle.query_count == 0
+        answers, _ = oracle.query_until((1, 2, 3), (np.int64(1), 2), 5)
+        assert answers.members == (1, 2) and len(answers) == 5
 
 
 def reference_repeated_counts(probs, count, rng):
@@ -709,9 +727,14 @@ class TestSampleRanks:
 
 
 class TestUnranking:
-    @pytest.mark.parametrize("n, k", [(7, 1), (7, 2), (9, 4), (12, 6), (10, 10)])
-    def test_colex_bijection_exhaustive(self, n, k):
-        rows = unrank_combinations(np.arange(math.comb(n, k)), n, k)
+    @pytest.mark.parametrize(
+        "n, k",
+        [(6, 1), (7, 1), (7, 2), (7, 3), (9, 4), (12, 6), (10, 10), (5, 5), (5, 0), (3, 4)],
+    )
+    def test_all_ksets_colex(self, n, k):
+        # every rank unranked: colex order, one (0, k) array when k > n
+        rows = all_ksets(n, k)
+        assert rows.dtype == np.int64 and rows.shape == (math.comb(n, k), k)
         colex = sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
         assert [tuple(r) for r in rows.tolist()] == colex
 
@@ -767,13 +790,12 @@ class TestUnranking:
         assert as_tuples == set(itertools.combinations(range(n), k))
         assert (np.diff(rows, axis=1) > 0).all()
 
-    # Ascending ranks decode block by block when there are at least
-    # C(n-1, k-1) of them; every other input takes the per-level search.
+    # Ascending ranks, as the samplers and sampled scoring pass them
 
     @pytest.mark.parametrize(
         "n, k, p", [(30, 3, 0.3), (40, 4, 0.2), (12, 6, 0.9), (200, 3, 0.02), (25, 2, 0.5)]
     )
-    def test_block_decode_bernoulli_ranks(self, n, k, p):
+    def test_ascending_bernoulli_ranks(self, n, k, p):
         # ascending distinct ranks, drawn as sample_phase draws them
         total = math.comb(n, k)
         ranks = np.flatnonzero(np.random.default_rng(n + k).random(total) < p)
@@ -783,44 +805,24 @@ class TestUnranking:
         assert rows.T.flags.c_contiguous
 
     @pytest.mark.parametrize("n, k", [(30, 3), (15, 5), (60, 2)])
-    def test_block_decode_sorted_ranks_with_duplicates(self, n, k):
+    def test_sorted_ranks_with_duplicates(self, n, k):
         # sorted draws with replacement, as sampled scoring draws them
         total = math.comb(n, k)
         ranks = np.sort(np.random.default_rng(n * k).integers(0, total, size=2 * total))
         assert (np.diff(ranks) == 0).any()
         assert np.array_equal(unrank_combinations(ranks, n, k), reference_unrank(ranks, n, k))
 
-    @pytest.mark.parametrize("n, k", [(30, 3), (12, 5), (9, 2)])
-    @pytest.mark.parametrize("short", [0, 1])
-    def test_block_decode_threshold(self, n, k, short, monkeypatch):
-        # m = C(n-1, k-1) decodes block by block, one rank fewer by search; the
-        # block path unranks its (k-1)-table through the private decoder
-        calls = []
-        decode = oracles._unrank
-
-        def spy(indices, n, k):
-            calls.append((n, k))
-            return decode(indices, n, k)
-
-        monkeypatch.setattr(oracles, "_unrank", spy)
-        m = math.comb(n - 1, k - 1) - short
-        ranks = np.sort(np.random.default_rng(m).choice(math.comb(n, k), size=m, replace=False))
-        rows = unrank_combinations(ranks, n, k)
-        assert np.array_equal(rows, reference_unrank(ranks, n, k))
-        assert rows.T.flags.c_contiguous
-        assert ((n - 1, k - 1) in calls) == (short == 0)
-
     @pytest.mark.parametrize(
         "n, k, ranks",
         [
-            (8, 2, np.arange(28)),  # its (k-1)-table is unranked at k = 1
-            (5, 5, np.array([0])),  # n = k: one k-set, a table of one row
+            (8, 2, np.arange(28)),
+            (5, 5, np.array([0])),  # n = k: one k-set
             (5, 5, np.array([0, 0, 0])),
             (6, 6, np.empty(0, dtype=np.int64)),  # m = 0
             (9, 3, np.empty(0, dtype=np.int64)),
         ],
     )
-    def test_block_decode_edges(self, n, k, ranks):
+    def test_ascending_rank_edges(self, n, k, ranks):
         rows = unrank_combinations(ranks, n, k)
         assert rows.shape == (ranks.size, k) and rows.dtype == np.int64
         assert np.array_equal(rows, reference_unrank(ranks, n, k))
@@ -830,11 +832,10 @@ class TestUnranking:
         "ranks",
         [[-1], [10], [11], [0, 10], [9, -1], list(range(11)), [-1, *range(9)]],
         ids=["negative", "at-total", "past-total", "among-valid", "unsorted",
-             "ascending-block", "negative-block"],
+             "ascending-past-total", "ascending-negative"],
     )
     def test_out_of_range_ranks_rejected(self, ranks):
-        # C(5, 3) = 10; block-sized ascending inputs out of range fall back
-        # to the per-level search, which checks them
+        # C(5, 3) = 10
         with pytest.raises(ValueError, match=r"colex ranks must lie in \[0, C\(5, 3\)\)"):
             unrank_combinations(np.array(ranks), 5, 3)
 
@@ -847,6 +848,21 @@ class TestUnranking:
 
     def test_empty_ranks_of_any_dtype(self):
         assert unrank_combinations(np.array([]), 5, 3).shape == (0, 3)
+
+    @pytest.mark.parametrize("ranks", [[0], [0, 0, 0], []])
+    def test_k0_gives_empty_rows(self, ranks):
+        # C(n, 0) = 1: rank 0 is the empty set
+        rows = unrank_combinations(np.array(ranks, dtype=np.int64), 5, 0)
+        assert rows.shape == (len(ranks), 0) and rows.dtype == np.int64
+        with pytest.raises(ValueError, match=r"colex ranks must lie in \[0, C\(5, 0\)\)"):
+            unrank_combinations(np.array([1]), 5, 0)
+
+    def test_all_ksets_table_overflow_rejected(self):
+        # C(70, 68) = 2,415 rows, but the unranking table's C(70, 35) does
+        # not fit in int64; recover-passive refuses the same n and k up front
+        assert math.comb(70, 68) == 2_415 and math.comb(70, 35) > INT64_MAX
+        with pytest.raises(OverflowError, match="int64"):
+            all_ksets(70, 68)
 
     def test_unsorted_ranks_keep_the_search(self):
         # the same ranks, shuffled, give the same rows in the shuffled order

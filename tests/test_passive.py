@@ -15,7 +15,6 @@ from choicelab.core import (
     InvalidQueryError,
     LatentOrder,
     PositionSelector,
-    all_ksets,
     evaluate,
     evaluate_many,
     ineligible_set,
@@ -24,6 +23,7 @@ from choicelab.oracles import (
     DeterministicOracle,
     ObservationBatch,
     StreamConfig,
+    all_ksets,
     revealing_counts,
     sample_phase,
     unrank_combinations,
