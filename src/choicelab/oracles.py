@@ -47,6 +47,7 @@ view, so every per-column pass downstream reads contiguous memory.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -192,6 +193,7 @@ class MixedOracle:
             raise ValueError("universe smaller than k")
         self.order = order
         self.mixture = mixture
+        self.k = mixture.k  # read on every query; a property would cost a call
         self._rng = np.random.default_rng(seed)
         self._probs = np.asarray(mixture.probs)
         self._prob_list = self._probs.tolist()  # the same doubles, no numpy scalar costs
@@ -200,10 +202,6 @@ class MixedOracle:
     @property
     def n(self) -> int:
         return self.order.n
-
-    @property
-    def k(self) -> int:
-        return self.mixture.k
 
     @property
     def query_count(self) -> int:
@@ -415,11 +413,14 @@ def largest_binomial(n: int, k: int) -> int:
     return math.comb(n, min(k, n // 2))
 
 
+@functools.lru_cache(maxsize=32)
 def _binomial_table(n: int, k: int) -> np.ndarray:
-    """table[j, c] = C(c, j) for j in [0, k], c in [0, n].
+    """table[j, c] = C(c, j) for j in [0, k], c in [0, n], read-only.
 
-    Raises OverflowError when the largest entry, C(n, min(k, n//2)), does
-    not fit in int64; for k > n/2 that can happen while C(n, k) fits.
+    Built once per (n, k) and shared by every later call, so no caller may
+    write to it. Raises OverflowError when the largest entry,
+    C(n, min(k, n//2)), does not fit in int64; for k > n/2 that can happen
+    while C(n, k) fits.
     """
     if largest_binomial(n, k) > INT64_MAX:
         raise OverflowError(f"C({n}, j) for j <= {k} exceeds the int64 limit {INT64_MAX}")
@@ -428,6 +429,7 @@ def _binomial_table(n: int, k: int) -> np.ndarray:
     for j in range(1, k + 1):
         # C(c, j) = C(c-1, j) + C(c-1, j-1)
         table[j, 1:] = np.cumsum(table[j - 1, :-1])
+    table.setflags(write=False)
     return table
 
 

@@ -210,7 +210,8 @@ def test_criterion_06_mixed_recovery():
         "mixed recovery",
         ok,
         f"{hits}/{trials} recovered; normalized queries/(n lg^2 n) = "
-        + ", ".join(f"{v:.0f}" for v in normalized),
+        + ", ".join(f"{v:.0f}" for v in normalized)
+        + f"; band max/min = {max(normalized) / min(normalized):.3f} (limit 1.5)",
     )
     assert ok, (hits, normalized)
 

@@ -1,6 +1,7 @@
 """Source hygiene: every exported name exists, no module imports what it
-never reads, every private module-level name is read somewhere else, and
-only the report writer and the CLI import json."""
+never reads, every private module-level name is read somewhere else, only
+the report writer and the CLI import json, and only the CLI reads the
+environment."""
 
 import ast
 import importlib
@@ -61,6 +62,34 @@ def test_only_the_report_writer_and_cli_import_json():
         if _imports_json(ast.parse(path.read_text(), filename=str(path)))
     }
     assert importers <= {"cli", "harness"}, f"modules importing json: {sorted(importers)}"
+
+
+def _reads_environ(tree: ast.Module) -> bool:
+    """Whether the module names environ or getenv at any depth: as an
+    attribute (os.environ), a bare name or an imported name."""
+    return any(
+        isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+        or isinstance(node, ast.Name) and node.id in ("environ", "getenv")
+        or isinstance(node, ast.alias) and node.name in ("environ", "getenv")
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_the_cli_reads_the_environment():
+    # a tuning constant read from the environment would be a knob no
+    # config or report records
+    readers = {
+        path.stem for path in PACKAGE_DIR.glob("*.py")
+        if _reads_environ(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert readers <= {"cli"}, f"modules reading the environment: {sorted(readers)}"
+
+
+def test_scanner_flags_an_environment_read():
+    assert _reads_environ(ast.parse("import os\nSLACK = float(os.environ['SLACK'])\n"))
+    assert _reads_environ(ast.parse("def f():\n    return os.getenv('X')\n"))
+    assert _reads_environ(ast.parse("from os import environ\n"))
+    assert not _reads_environ(ast.parse("import os\npath = os.path.join('a', 'b')\n"))
 
 
 def test_scanner_flags_a_json_import_inside_a_function():

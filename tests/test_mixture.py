@@ -3,6 +3,7 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from choicelab import active, mixture
 from choicelab.core import InvalidQueryError, LatentOrder, PositionSelector, evaluate_many
 from choicelab.mixture import (
     AlignmentFailureError,
+    MixtureEstimate,
     NoisyComparator,
     align_frequency_tables,
     answer_frequencies,
@@ -341,7 +343,9 @@ class TestNoisySort:
 
 
 class _RecordingComparator(_SyntheticComparator):
-    """Synthetic comparator that totals the outcomes each vote reads.
+    """Synthetic comparator that records each vote: its pair, the outcomes
+    it reads, its calls, its first call's count and the wins of the pair's
+    first member.
 
     A merge sort compares a pair at most once, so consecutive calls on one
     pair belong to one vote.
@@ -349,14 +353,31 @@ class _RecordingComparator(_SyntheticComparator):
 
     def __init__(self, win_prob, seed):
         super().__init__(win_prob, seed)
-        self.votes = []  # [pair, outcomes read, calls]
+        self.votes = []  # [pair, outcomes read, calls, opening, wins]
 
     def compare_wins(self, u, v, count):
         if not self.votes or self.votes[-1][0] != (u, v):
-            self.votes.append([(u, v), 0, 0])
+            self.votes.append([(u, v), 0, 0, count, 0])
+        wins = super().compare_wins(u, v, count)
         self.votes[-1][1] += count
         self.votes[-1][2] += 1
-        return super().compare_wins(u, v, count)
+        self.votes[-1][4] += wins
+        return wins
+
+    def wrong_votes(self):
+        """Votes whose majority reads the pair against the true order."""
+        return [
+            vote for vote in self.votes
+            if (2 * vote[4] < vote[1]) != (vote[0][0] < vote[0][1])
+        ]
+
+
+def opening_count(m, epsilon_sort, margin):
+    """Where a vote of a noisy sort over m items opens: _VOTE_SLACK times
+    the count at which a first check's radius sqrt(ln(4/d)/(2N)) falls to
+    the margin, d being half a comparison's share of epsilon_sort."""
+    d = epsilon_sort / (4 * m * max(1, (m - 1).bit_length()))
+    return math.ceil(mixture._VOTE_SLACK * math.log(4 / d) / (2 * margin**2))
 
 
 class TestSequentialVote:
@@ -375,47 +396,77 @@ class TestSequentialVote:
         slack = 3 * math.sqrt(budget * (1 - budget) / votes)
         assert wrong / votes <= budget + slack
 
-    def test_noiseless_votes_stop_where_the_radius_is_first_crossed(self):
-        # every answer is a win, so after t batches of N = 2^(t-1) answers
-        # the vote stops at the first N with N^2 > 2N ln(2t(t+1)/d)
-        gamma, epsilon_sort, m = 0.2, 0.05, 3
-        d = epsilon_sort / (4 * m * 2)  # half the share over m*ceil(lg m) votes
-        t = 1
-        while 2 ** (t - 1) <= 2 * math.log(2 * t * (t + 1) / d):
-            t += 1
+    @pytest.mark.parametrize("margin", [0.5, 0.2, 0.1])
+    def test_every_vote_opens_at_the_count_its_margin_needs(self, margin):
+        # every answer is a win, so each vote ends on its first batch, which
+        # is the one count the sort fixed from the margin before it started
+        gamma, epsilon_sort, m = 0.2, 0.05, 8
         comp = _RecordingComparator(1.0, 27)
-        assert noisy_sort(comp, [2, 1, 0], gamma, epsilon_sort) == [0, 1, 2]
-        first, *later = comp.votes
-        assert first[1:] == [2 ** (t - 1), t]
-        # a later vote opens with the first vote's stopping count and is done
-        assert later and all(vote[1:] == [2 ** (t - 1), 1] for vote in later)
+        elements = list(np.random.default_rng(28).permutation(m))
+        assert noisy_sort(comp, elements, gamma, epsilon_sort, margin) == sorted(elements)
+        assert {(opening, calls) for *_, calls, opening, _ in comp.votes} == {
+            (opening_count(m, epsilon_sort, margin), 1)
+        }
+
+    @pytest.mark.parametrize("margin", [0.0, 0.03, 0.05])
+    def test_a_margin_at_or_below_the_floor_opens_at_the_cap(self, margin):
+        # the margin is floored at gamma/4 = 0.05, where a first check needs
+        # more outcomes than the cap's majority
+        gamma, epsilon_sort, m = 0.2, 0.05, 8
+        cap = majority_repetitions(m, gamma, epsilon_sort)
+        assert opening_count(m, epsilon_sort, gamma / 4) > cap
+        comp = _RecordingComparator(1.0, 29)
+        elements = list(range(m))
+        assert noisy_sort(comp, elements[::-1], gamma, epsilon_sort, margin) == elements
+        assert {(total, calls) for _, total, calls, *_ in comp.votes} == {(cap, 1)}
 
     def test_no_vote_reads_past_the_cap(self):
         # at win probability 1/2 the sequential test rarely stops, so votes
-        # run to the cap and fall back to its majority
-        gamma, epsilon_sort = 0.8, 0.05
+        # opened well below the cap run to it and fall back to its majority
+        gamma, epsilon_sort, margin = 0.8, 0.05, 0.5
         cap = majority_repetitions(20, gamma, epsilon_sort)
+        assert 2 * opening_count(20, epsilon_sort, margin) < cap
         rng = np.random.default_rng(23)
         reads = []
         for _ in range(20):
             comp = _RecordingComparator(0.5, rng)
-            noisy_sort(comp, list(rng.permutation(20)), gamma, epsilon_sort)
-            reads += [total for _, total, _ in comp.votes]
+            noisy_sort(comp, list(rng.permutation(20)), gamma, epsilon_sort, margin)
+            reads += [vote[1] for vote in comp.votes]
         assert max(reads) <= cap
         assert reads.count(cap) > len(reads) // 2
 
-    def test_votes_stop_early_at_a_wide_margin(self):
+    def test_votes_stop_early_at_the_true_margin(self):
         # mixed-n100's main-sort size and budget (98 items, epsilon/5 = 0.02)
-        # at its scrap sort's margin, 0.125
-        gamma, epsilon_sort, m = 0.09, 0.02, 98
-        comp = _RecordingComparator(0.625, 25)
+        # at its main sort's win rate, 0.3/(0.3 + 0.2) = 0.6
+        gamma, epsilon_sort, m, margin = 0.09, 0.02, 98, 0.1
+        comp = _RecordingComparator(0.5 + margin, 25)
         elements = list(np.random.default_rng(26).permutation(m))
-        assert noisy_sort(comp, elements, gamma, epsilon_sort) == sorted(elements)
-        reads = [total for _, total, _ in comp.votes]
+        assert noisy_sort(comp, elements, gamma, epsilon_sort, margin) == sorted(elements)
+        assert not comp.wrong_votes()
+        assert {vote[3] for vote in comp.votes} == {opening_count(m, epsilon_sort, margin)}
+        reads = [vote[1] for vote in comp.votes]
         assert np.mean(reads) <= majority_repetitions(m, gamma, epsilon_sort) / 4
-        # later votes open at the previous vote's stopping count, so the
-        # oracle calls stay close to one per vote
-        assert sum(calls for _, _, calls in comp.votes) <= 1.1 * len(comp.votes)
+        # the opening leaves room for the noise, so oracle calls stay close
+        # to one per vote
+        assert sum(vote[2] for vote in comp.votes) <= 1.1 * len(comp.votes)
+
+    def test_a_margin_above_the_truth_only_costs_batches(self):
+        # told 0.3 where the win rate is 0.6, every vote opens too small and
+        # doubles its way to a decision; none decides wrong
+        gamma, epsilon_sort, m = 0.09, 0.02, 98
+        cap = majority_repetitions(m, gamma, epsilon_sort)
+        rng = np.random.default_rng(24)
+        calls = votes = 0
+        for _ in range(5):
+            comp = _RecordingComparator(0.6, rng)
+            elements = list(rng.permutation(m))
+            assert noisy_sort(comp, elements, gamma, epsilon_sort, 0.3) == sorted(elements)
+            assert not comp.wrong_votes()
+            assert {vote[3] for vote in comp.votes} == {opening_count(m, epsilon_sort, 0.3)}
+            assert max(vote[1] for vote in comp.votes) <= cap
+            calls += sum(vote[2] for vote in comp.votes)
+            votes += len(comp.votes)
+        assert calls >= 2 * votes
 
 
 class TestDiscardDecisionRule:
@@ -559,6 +610,45 @@ class TestRecoverMixed:
             if orders_match_up_to_reflection(recovered, order):
                 good += 1
         assert good >= trials - 1
+
+    @pytest.mark.parametrize("pi, gamma", [
+        ((0.2, 0.3, 0.5), 0.09), ((0.5, 0.3, 0.2), 0.09),
+        ((0.1, 0.2, 0.3, 0.4), 0.09), ((0.4, 0.3, 0.2, 0.1), 0.09),
+        ((0.1, 0.15, 0.2, 0.25, 0.3), 0.04), ((0.3, 0.25, 0.2, 0.15, 0.1), 0.04),
+    ], ids=["k3-up", "k3-down", "k4-up", "k4-down", "k5-up", "k5-down"])
+    def test_sorts_open_at_the_true_margin_given_the_true_mixture(self, pi, gamma, monkeypatch):
+        # with the estimate replaced by the truth, each sort is given the
+        # distance from 1/2 of the win rate of every pair it compares: by
+        # exact arithmetic over the pair's positions in the padded set, and
+        # as counted over a million informative outcomes
+        mix = MixtureDistribution(pi, gamma)
+        truth = canonical(mix.probs)
+        monkeypatch.setattr(
+            mixture, "estimate_mixture",
+            lambda oracle, gamma, delta, epsilon: MixtureEstimate(truth, delta, epsilon, 0),
+        )
+        sorts = []
+
+        def recorded(comparator, elements, gamma, epsilon_sort, margin):
+            sorts.append((comparator, list(elements), margin))
+            return noisy_sort(comparator, elements, gamma, epsilon_sort, margin)
+
+        monkeypatch.setattr(mixture, "noisy_sort", recorded)
+        order = LatentOrder.random(14, np.random.default_rng(50))
+        oracle = MixedOracle(order, mix, 51)
+        recovered, _ = recover_mixed(oracle, gamma, 0.1)
+        assert orders_match_up_to_reflection(recovered, order)
+        assert len(sorts) == 2
+        exact = [Fraction(p) for p in mix.probs]
+        for comparator, elements, margin in sorts:
+            for u, v in itertools.combinations(elements, 2):
+                pu, pv = (exact[p - 1] for p in true_positions(comparator, u, v))
+                rate = pu / (pu + pv)
+                assert float(abs(rate - Fraction(1, 2))) == pytest.approx(margin, abs=1e-12)
+            u, v = elements[:2]
+            count = 10**6
+            rate = comparator.compare_wins(u, v, count) / count
+            assert abs(abs(rate - 0.5) - margin) < 5 * 0.5 / math.sqrt(count)
 
     def test_discard_runs_outside_the_active_discard(self, monkeypatch):
         # the mixture's discard rounds are its own queries, not active.discard's

@@ -94,6 +94,12 @@ class TestMixedOracle:
         assert abs(freq[3] - 0.2) < 0.01
         assert oracle.query_count == 100_000
 
+    def test_k_is_a_plain_attribute(self):
+        # every query reads k; it is stored once, as LatentOrder.n is
+        mix = MixtureDistribution((0.1, 0.2, 0.3, 0.4), 0.09)
+        oracle = MixedOracle(LatentOrder.identity(6), mix, 1)
+        assert vars(oracle)["k"] == 4 and "k" not in vars(MixedOracle)
+
     def test_chi_square_goodness_of_fit(self):
         # answers on a fixed set are iid categorical with pi permuted to the
         # set's internal order
@@ -780,6 +786,22 @@ class TestUnranking:
         assert math.comb(100, 90) < 2**63 <= math.comb(100, 50)
         with pytest.raises(OverflowError, match="int64"):
             unrank_combinations(np.array([0, 1]), 100, 90)
+        with pytest.raises(OverflowError, match="int64"):  # a failed build is not cached
+            unrank_combinations(np.array([0, 1]), 100, 90)
+
+    def test_binomial_table_is_shared_and_read_only(self):
+        # one table per (n, k), reused by every call; a write would corrupt
+        # every later unranking, so the table refuses it
+        table = oracles._binomial_table(7, 3)
+        assert oracles._binomial_table(7, 3) is table
+        assert table.tolist() == [[math.comb(c, j) for c in range(8)] for j in range(4)]
+        with pytest.raises(ValueError, match="read-only"):
+            table[3, 7] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] += 1
+        assert list(map(tuple, all_ksets(7, 3).tolist())) == sorted(
+            itertools.combinations(range(7), 3), key=lambda s: s[::-1]
+        )
 
     def test_bijection_small(self):
         n, k = 7, 3
