@@ -11,13 +11,17 @@ first check from the estimate of pi (a round from the gap between
 frequencies, every vote of a sort from the win margin its pairs share)
 and takes a fixed-count decision at a cap sized for the worst case
 (radius gamma/2 on a round's frequencies, win margin gamma/4 for a vote).
-The noisy sort replaces the noisy-sorting subroutine the analysis usually
-delegates to; it costs O(n log^2 n) queries instead of O(n log n) with the
-same success guarantee.
+Neither reads its own answers to schedule its checks, so each fixes every
+check's count and threshold before its first query: a vote tests its wins
+against an integer band, and a round its ranked distances against one
+precomputed radius. The noisy sort replaces the noisy-sorting subroutine
+the analysis usually delegates to; it costs O(n log^2 n) queries instead
+of O(n log n) with the same success guarantee.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -197,10 +201,9 @@ class NoisyComparator:
         return (u, v) + self.anchors
 
     def compare_wins(self, u: int, v: int, count: int) -> int:
-        """Number of times u wins among count informative outcomes, read
-        from query_until's answer counts."""
-        outcomes, _ = self.oracle.query_until(self.padded(u, v), (u, v), count)
-        return outcomes.count(u)
+        """Number of times u wins among count informative outcomes: the
+        first of query_until's answer counts, which come in (u, v) order."""
+        return self.oracle.query_until(self.padded(u, v), (u, v), count)[0].counts[0]
 
 
 def _anytime_radius(total: int, t: int, tails: int, budget: float) -> float:
@@ -248,6 +251,73 @@ def majority_repetitions(m: int, gamma: float, epsilon_sort: float) -> int:
 _VOTE_SLACK = 2.0
 
 
+def _checks(opening: int, cap: int, growth: float) -> list:
+    """The (batch, N) of each call of a capped sequential test, N being the
+    count read after the call: the first call reads opening, each later
+    call brings the count read to ceil(growth N), and the last call is cut
+    to end at the cap."""
+    checks = []
+    total, batch = 0, opening
+    while total < cap:
+        batch = min(batch, cap - total)
+        total += batch
+        checks.append((batch, total))
+        batch = math.ceil(total * growth) - total
+    return checks
+
+
+def _vote_band(total: int, radius: float) -> tuple:
+    """The wins w in [0, total] with abs(w/total - 0.5) <= radius, as the
+    integer band [low, high], low = high + 1 when it is empty.
+
+    w/total - 0.5 is nondecreasing in w in floating point too, so the wins
+    that pass the float test are one run of integers; the band starts from
+    the real-number bounds and steps each end to where the float test
+    itself changes. A w below low reads below 1/2 and one above high
+    above it, also when the band is empty.
+    """
+    def above(w):
+        return w / total - 0.5 > radius
+
+    def below(w):
+        return w / total - 0.5 < -radius
+
+    high = min(total, max(0, math.floor(total * (0.5 + radius))))
+    while high < total and not above(high + 1):
+        high += 1
+    while above(high):
+        high -= 1
+    low = min(total, max(0, math.ceil(total * (0.5 - radius))))
+    while low > 0 and not below(low - 1):
+        low -= 1
+    while below(low):
+        low += 1
+    return low, high
+
+
+def _vote_schedule(m: int, gamma: float, epsilon_sort: float, margin: float) -> tuple:
+    """The checks every vote of a noisy sort of m >= 2 items makes, fixed
+    before the first query: one (batch, low, high) per compare_wins call.
+
+    batch is the call's count: the opening, then as many as read so far,
+    cut at the cap. After the t-th call, with N outcomes read, the vote
+    goes on while the wins lie in [low, high], the integer band where the
+    win rate is within _anytime_radius(N, t, 2, d) of 1/2 (_vote_band).
+    The last call reaches the cap, where the band is empty and splits at
+    the majority: fewer than half wins reads less.
+    """
+    cap = majority_repetitions(m, gamma, epsilon_sort)
+    budget = _vote_budget(m, epsilon_sort)
+    radius = _anytime_radius(1, 1, 2, budget)  # of a first check after one outcome
+    opening = math.ceil(_VOTE_SLACK * (radius / max(margin, gamma / 4)) ** 2)
+    *checks, (last, _) = _checks(opening, cap, 2)
+    majority = (cap + 1) // 2
+    return tuple(
+        (batch,) + _vote_band(total, _anytime_radius(total, t, 2, budget))
+        for t, (batch, total) in enumerate(checks, 1)
+    ) + ((last, majority, majority - 1),)
+
+
 def noisy_sort(comparator, elements, gamma: float, epsilon_sort: float, margin: float = 0.0):
     """Sort ascending under the comparator's winner-is-greater reading.
 
@@ -261,38 +331,38 @@ def noisy_sort(comparator, elements, gamma: float, epsilon_sort: float, margin: 
     probability <= d over all t. At the cap, majority_repetitions(), it
     takes the majority, which errs with probability <= d too.
 
-    margin is the win probability's expected distance from 1/2, floored
-    at gamma/4. Every vote of the sort opens at _VOTE_SLACK times the
-    count N at which the radius of a first check falls to that margin,
-    N = ln(4/d)/(2 margin^2), and each further batch doubles the count
-    read. The schedule is fixed before the sort starts and never reads a
-    vote's own outcomes, so the bound holds whatever margin is given; a
-    margin above the truth only costs extra batches. At the floor the
-    opening reaches the cap, so every vote is the cap's majority.
-    majority_repetitions() checks gamma and epsilon_sort before any query.
+    margin, in [0, 1/2], is the win probability's expected distance from
+    1/2, floored at gamma/4. Every vote of the sort opens at _VOTE_SLACK
+    times the count N at which the radius of a first check falls to that
+    margin, N = ln(4/d)/(2 margin^2), and each further batch doubles the
+    count read. The schedule never reads a vote's own outcomes, so the
+    bound holds whatever margin is given; a margin above the truth only
+    costs extra batches. At the floor the opening reaches the cap, so
+    every vote is the cap's majority.
+
+    The schedule is fixed before the first query (_vote_schedule): each
+    batch's count and the integer band of wins in which the vote goes on,
+    which equals the float test on the win rate at every count of wins, so
+    a vote compares two ints per batch. majority_repetitions() checks gamma
+    and epsilon_sort, and a margin that is NaN or outside [0, 1/2] raises
+    ValueError, before any query.
     """
+    if not 0 <= margin <= 0.5:  # NaN fails this too
+        raise ValueError(f"margin must lie in [0, 1/2], got {margin}")
     elements = list(elements)
-    cap = majority_repetitions(len(elements), gamma, epsilon_sort)
+    majority_repetitions(len(elements), gamma, epsilon_sort)  # checks both
     if len(elements) <= 1:
         return elements
-    budget = _vote_budget(len(elements), epsilon_sort)
-    radius = _anytime_radius(1, 1, 2, budget)  # of a first check after one outcome
-    opening = math.ceil(_VOTE_SLACK * (radius / max(margin, gamma / 4)) ** 2)
+    schedule = _vote_schedule(len(elements), gamma, epsilon_sort, margin)
 
     def less(u, v):
-        wins = total = t = 0
-        batch = opening
-        while True:
-            batch = min(batch, cap - total)
+        wins = 0
+        for batch, low, high in schedule:
             wins += comparator.compare_wins(u, v, batch)
-            total += batch
-            t += 1
-            if total == cap:
-                break
-            if abs(wins / total - 0.5) > _anytime_radius(total, t, 2, budget):
-                break
-            batch = total
-        return 2 * wins < total
+            if wins < low:
+                return True
+            if wins > high:
+                return False
 
     ordered, _ = merge_sort(elements, less)
     return ordered
@@ -358,6 +428,30 @@ def pick_round_winner(freqs: dict, target: float) -> int:
     return min(freqs, key=lambda e: (abs(freqs[e] - target), -freqs[e], e))
 
 
+@functools.lru_cache(maxsize=32, typed=True)
+def _round_schedule(size: int, gap: float, cap: int, budget: float) -> tuple:
+    """The checks of a discard round over size members, fixed before its
+    first query: one (batch, 2r) per query_repeated call.
+
+    batch is the call's count: the opening, where twice the radius of a
+    first check is gap/_ROUND_SLACK (the cap when gap is not positive),
+    then _ROUND_GROWTH times the count read so far, cut at the cap. 2r is
+    twice _anytime_radius(N, t, 2 size, budget) after the t-th call with N
+    answers read; at the cap it is -inf, so the round decides there
+    whatever it read. Built once per (size, gap, cap, budget) and shared,
+    hence a tuple; typed, so a float cap keeps its own schedule and meets
+    the oracle's count check as it would uncached.
+    """
+    tails = 2 * size
+    first = 2 * _ROUND_SLACK * _anytime_radius(1, 1, tails, budget)
+    opening = math.ceil((first / gap) ** 2) if gap > 0 else cap
+    *checks, (last, _) = _checks(opening, cap, _ROUND_GROWTH)
+    return tuple(
+        (batch, 2 * _anytime_radius(total, t, tails, budget))
+        for t, (batch, total) in enumerate(checks, 1)
+    ) + ((last, -math.inf),)
+
+
 def discard_round(
     oracle: MixedOracle, members, tracked: float, gap: float, cap: int, budget: float
 ) -> int:
@@ -380,25 +474,27 @@ def discard_round(
     member's frequency. The first check falls at the count where 2r is
     gap/_ROUND_SLACK, and each later check at _ROUND_GROWTH times the last
     check's count. The schedule never reads the round's own answers, so
-    the bound holds.
+    the bound holds; it is fixed before the first query (_round_schedule),
+    and each check ranks the members once by pick_round_winner's key, with
+    the count standing in for the frequency it divides. cap below 1, or a
+    budget that is NaN or outside (0, 1), raises ValueError before any
+    query.
     """
+    if not cap >= 1:  # NaN fails this too
+        raise ValueError(f"cap must be at least 1, got {cap}")
+    if not 0 < budget < 1:
+        raise ValueError(f"budget must lie in (0, 1), got {budget}")
     members = list(members)
-    tails = 2 * len(members)
     counts = [0] * len(members)
-    total = t = 0
-    first = 2 * _ROUND_SLACK * _anytime_radius(1, 1, tails, budget)
-    batch = math.ceil((first / gap) ** 2) if gap > 0 else cap
-    while True:
-        batch = min(batch, cap - total)
+    total = 0
+    for batch, two_r in _round_schedule(len(members), gap, cap, budget):
         answers = oracle.query_repeated(members, batch)
         counts = [c + answers.count(m) for c, m in zip(counts, members)]
         total += batch
-        t += 1
-        freqs = {m: c / total for m, c in zip(members, counts)}
-        nearest, runner_up = sorted(abs(f - tracked) for f in freqs.values())[:2]
-        if total == cap or runner_up - nearest > 2 * _anytime_radius(total, t, tails, budget):
-            return pick_round_winner(freqs, tracked)
-        batch = math.ceil(total * _ROUND_GROWTH) - total
+        ranked = sorted((abs(c / total - tracked), -c, m) for c, m in zip(counts, members))
+        if ranked[1][0] - ranked[0][0] > two_r:
+            break
+    return ranked[0][2]
 
 
 def recover_mixed(oracle: MixedOracle, gamma: float, epsilon: float):

@@ -158,7 +158,6 @@ def feasible_gamma(probs: Sequence[float]) -> float:
     return float(np.diff(np.sort(np.asarray(probs, dtype=float))).min())
 
 
-@dataclass(frozen=True)
 class AnswerCounts:
     """The answers to a run of repeated queries, held as counts: a multiset.
 
@@ -166,21 +165,47 @@ class AnswerCounts:
     often members[i] was the answer. len() is the number of answers, the
     sum of the counts, and count(x) how many of them are x (0 for an id
     that is not a member). Only the counts are random; read the answers
-    through count(), never through the order of members.
+    through count(), never through the order of members. Both attributes
+    are read-only, and two AnswerCounts are equal when their members and
+    counts are. The oracle builds one per call, so it is a slotted class
+    with plain assignments, not a frozen dataclass, whose guarded
+    assignments cost about as much as the rest of the call's checks.
     """
 
-    members: tuple
-    counts: tuple
+    __slots__ = ("_members", "_counts")
+
+    def __init__(self, members: tuple, counts: tuple):
+        self._members = members
+        self._counts = counts
+
+    @property
+    def members(self) -> tuple:
+        return self._members
+
+    @property
+    def counts(self) -> tuple:
+        return self._counts
 
     def count(self, member) -> int:
         """How many of the answers are member."""
         try:
-            return self.counts[self.members.index(member)]
+            return self._counts[self._members.index(member)]
         except ValueError:
             return 0
 
     def __len__(self) -> int:
-        return sum(self.counts)
+        return sum(self._counts)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._members == other._members and self._counts == other._counts
+
+    def __hash__(self) -> int:
+        return hash((self._members, self._counts))
+
+    def __repr__(self) -> str:
+        return f"AnswerCounts(members={self._members!r}, counts={self._counts!r})"
 
 
 class MixedOracle:
@@ -228,28 +253,36 @@ class MixedOracle:
         """Repeat the query until the answer lands in ``pair``, ``count`` times over.
 
         Returns (informative answers, raw queries issued), the answers as an
-        AnswerCounts over (u, v) whose len() is count. Distribution and
+        AnswerCounts whose members are (u, v) in that order, so counts[0]
+        is u's wins, and whose len() is count. Distribution and
         accounting match the sequential repeat-until loop: retry lengths are
         geometric in the probability mass p of the pair's positions, so the
         raw total is count plus one negative-binomial(count, p) draw of
         uninformative answers, and the wins of u are one
-        binomial(count, pu/p) draw.
+        binomial(count, pu/p) draw. Ids and a count of type int skip the
+        conversion that other integer types take; every input meets the
+        same checks.
         """
         members = _ranked(self.k, self.order, s)
         try:
             u, v = pair
-            if bool in (type(u), type(v)):  # operator.index would read True as 1
-                raise TypeError
-            u, v = operator.index(u), operator.index(v)
+            if u.__class__ is not int or v.__class__ is not int:
+                if bool in (type(u), type(v)):  # operator.index would read True as 1
+                    raise TypeError
+                u, v = operator.index(u), operator.index(v)
         except (TypeError, ValueError):
             raise InvalidQueryError(f"pair {pair!r} must be two integer ids") from None
-        if u not in members or v not in members or u == v:
-            raise InvalidQueryError(f"pair {pair} must be two distinct members of {s}")
-        count = _check_count(count)
-        if count == 0:
-            return AnswerCounts((u, v), (0, 0)), 0
-        pu = self._prob_list[members.index(u)]
-        pv = self._prob_list[members.index(v)]
+        try:
+            if u == v:
+                raise ValueError
+            pu = self._prob_list[members.index(u)]
+            pv = self._prob_list[members.index(v)]
+        except ValueError:
+            raise InvalidQueryError(f"pair {pair} must be two distinct members of {s}") from None
+        if count.__class__ is not int or count <= 0:
+            count = _check_count(count)
+            if count == 0:
+                return AnswerCounts((u, v), (0, 0)), 0
         informative = pu + pv
         raw = count + int(self._rng.negative_binomial(count, informative))
         wins_u = int(self._rng.binomial(count, pu / informative))

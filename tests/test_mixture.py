@@ -28,6 +28,7 @@ from choicelab.mixture import (
     repetition_count,
 )
 from choicelab.oracles import AnswerCounts, MixedOracle, MixtureDistribution
+from choicelab.sorting import merge_sort
 
 
 def exact_tables(pi):
@@ -341,6 +342,19 @@ class TestNoisySort:
         assert oracle.query_count == 0
         assert oracle._rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("elements", [[0, 1, 2], [0]])
+    @pytest.mark.parametrize("margin", [math.inf, math.nan, -0.1, 0.6])
+    def test_noisy_sort_rejects_a_margin_outside_the_unit_half(self, elements, margin):
+        # inf opened every vote at 0 outcomes and divided by it; nan failed
+        # inside math.ceil
+        mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)
+        oracle = MixedOracle(LatentOrder.identity(6), mix, 9)
+        state = oracle._rng.bit_generator.state
+        with pytest.raises(ValueError, match="margin"):
+            noisy_sort(NoisyComparator(oracle, (5,)), elements, 0.09, 0.05, margin)
+        assert oracle.query_count == 0
+        assert oracle._rng.bit_generator.state == state
+
 
 class _RecordingComparator(_SyntheticComparator):
     """Synthetic comparator that records each vote: its pair, the outcomes
@@ -595,6 +609,188 @@ class TestSequentialDiscardRound:
         crossed = [2 * math.sqrt(math.log(6 * t * (t + 1) / d) / (2 * total)) < 0.1
                    for t, total in enumerate(totals, 1)]
         assert len(totals) > 2 and crossed[-1] and not any(crossed[:-1])
+
+    @pytest.mark.parametrize("cap, budget", [
+        (0, 0.01), (-1, 0.01), (math.nan, 0.01),
+        (100, 0.0), (100, 1.0), (100, -0.1), (100, math.nan),
+    ])
+    def test_rejects_a_bad_cap_or_budget_before_any_query(self, cap, budget):
+        # cap 0 and budget 0 used to divide by zero, budget nan to fail in
+        # math.ceil; a schedule fixed in advance would return no winner at cap 0
+        oracle = self.oracle(41)
+        state = oracle._rng.bit_generator.state
+        with pytest.raises(ValueError, match="cap|budget"):
+            discard_round(oracle, (0, 1, 2), 0.2, 0.1, cap, budget)
+        assert oracle.query_count == 0
+        assert oracle._rng.bit_generator.state == state
+
+    def test_a_float_cap_meets_the_oracle_count_check_after_an_int_cap(self):
+        # the schedule is cached per (size, gap, cap, budget), and 100.0
+        # hashes as 100 does; it must not borrow the int cap's schedule
+        oracle = self.oracle(42)
+        discard_round(oracle, (0, 1, 2), 0.2, 0.0, 100, 0.01)
+        before = oracle.query_count
+        with pytest.raises(InvalidQueryError, match="integer"):
+            discard_round(oracle, (0, 1, 2), 0.2, 0.0, 100.0, 0.01)
+        assert oracle.query_count == before
+
+
+def reference_vote_parameters(m, gamma, epsilon_sort, margin):
+    """Reference: the cap, budget and opening count of a noisy sort's
+    votes, computed as the vote loop computed them."""
+    cap = majority_repetitions(m, gamma, epsilon_sort)
+    budget = mixture._vote_budget(m, epsilon_sort)
+    radius = mixture._anytime_radius(1, 1, 2, budget)
+    opening = math.ceil(mixture._VOTE_SLACK * (radius / max(margin, gamma / 4)) ** 2)
+    return cap, budget, opening
+
+
+def reference_vote_batches(cap, opening):
+    """Reference: the batch counts of a vote that no check stops, from the
+    vote loop that recomputed them call by call."""
+    batches, total, batch = [], 0, opening
+    while True:
+        batch = min(batch, cap - total)
+        batches.append(batch)
+        total += batch
+        if total == cap:
+            return batches
+        batch = total
+
+
+def reference_noisy_sort(comparator, elements, gamma, epsilon_sort, margin=0.0):
+    """Reference: the noisy sort whose votes recompute the radius and read
+    the win rate as a float after every batch."""
+    elements = list(elements)
+    if len(elements) <= 1:
+        return elements
+    cap, budget, opening = reference_vote_parameters(len(elements), gamma, epsilon_sort, margin)
+
+    def less(u, v):
+        wins = total = t = 0
+        batch = opening
+        while True:
+            batch = min(batch, cap - total)
+            wins += comparator.compare_wins(u, v, batch)
+            total += batch
+            t += 1
+            if total == cap:
+                break
+            if abs(wins / total - 0.5) > mixture._anytime_radius(total, t, 2, budget):
+                break
+            batch = total
+        return 2 * wins < total
+
+    ordered, _ = merge_sort(elements, less)
+    return ordered
+
+
+def reference_discard_round(oracle, members, tracked, gap, cap, budget):
+    """Reference: the discard round that recomputes its batch and radius
+    and builds a frequency dict after every batch."""
+    members = list(members)
+    tails = 2 * len(members)
+    counts = [0] * len(members)
+    total = t = 0
+    first = 2 * mixture._ROUND_SLACK * mixture._anytime_radius(1, 1, tails, budget)
+    batch = math.ceil((first / gap) ** 2) if gap > 0 else cap
+    while True:
+        batch = min(batch, cap - total)
+        answers = oracle.query_repeated(members, batch)
+        counts = [c + answers.count(m) for c, m in zip(counts, members)]
+        total += batch
+        t += 1
+        freqs = {m: c / total for m, c in zip(members, counts)}
+        nearest, runner_up = sorted(abs(f - tracked) for f in freqs.values())[:2]
+        if total == cap or runner_up - nearest > 2 * mixture._anytime_radius(
+            total, t, tails, budget
+        ):
+            return pick_round_winner(freqs, tracked)
+        batch = math.ceil(total * mixture._ROUND_GROWTH) - total
+
+
+class _LoggingComparator(NoisyComparator):
+    """Noisy comparator that logs every call as (u, v, count, wins)."""
+
+    def __init__(self, oracle, anchors):
+        super().__init__(oracle, anchors)
+        self.log = []
+
+    def compare_wins(self, u, v, count):
+        wins = super().compare_wins(u, v, count)
+        self.log.append((u, v, count, wins))
+        return wins
+
+
+class TestFixedSchedules:
+    @pytest.mark.parametrize("gamma", [0.09, 0.2, 0.8])
+    @pytest.mark.parametrize("m", [2, 3, 98, 300])
+    def test_vote_bands_equal_the_float_test(self, m, gamma):
+        # every check of every schedule passes exactly the wins the float
+        # test on the win rate passes, at every count of wins, and a vote
+        # that stops reads less exactly when its wins are under half
+        for epsilon_sort, margin in itertools.product((0.02, 0.05), (0, 0.05, 0.1, 0.3, 0.5)):
+            cap, budget, opening = reference_vote_parameters(m, gamma, epsilon_sort, margin)
+            schedule = mixture._vote_schedule(m, gamma, epsilon_sort, margin)
+            assert [batch for batch, _, _ in schedule] == reference_vote_batches(cap, opening)
+            total = 0
+            for t, (batch, low, high) in enumerate(schedule, 1):
+                total += batch
+                if t == len(schedule):
+                    assert total == cap and low == high + 1
+                    assert all((w < low) == (2 * w < total) for w in range(total + 1))
+                    continue
+                radius = mixture._anytime_radius(total, t, 2, budget)
+                for w in range(total + 1):
+                    inside = abs(w / total - 0.5) <= radius
+                    assert (low <= w <= high) == inside
+                    if not inside:
+                        assert (w < low) == (2 * w < total)
+
+    @pytest.mark.parametrize("pi, gamma, margin", [
+        ((0.2, 0.3, 0.5), 0.09, 0.0), ((0.2, 0.3, 0.5), 0.09, 0.1),
+        ((0.2, 0.3, 0.5), 0.09, 0.3), ((0.3, 0.33, 0.37), 0.8, 0.5),
+        ((0.1, 0.2, 0.3, 0.4), 0.2, 0.05),
+    ], ids=["cap", "true-margin", "margin-above", "near-half", "k4"])
+    def test_votes_draw_as_the_reference_loop(self, pi, gamma, margin):
+        # same seed, same calls: the same counts asked, wins read, order,
+        # queries and generator state
+        mix = MixtureDistribution(pi, min(gamma, 0.02))
+        order = LatentOrder.random(30, np.random.default_rng(60))
+        anchors = tuple(order.ascending[: mix.k - 2])
+        elements = [x for x in np.random.default_rng(61).permutation(30).tolist()
+                    if x not in anchors]
+        runs = []
+        for sort in (noisy_sort, reference_noisy_sort):
+            oracle = MixedOracle(order, mix, 62)
+            comparator = _LoggingComparator(oracle, anchors)
+            ordered = sort(comparator, elements, gamma, 0.05, margin)
+            runs.append((ordered, comparator.log, oracle.query_count,
+                         oracle._rng.bit_generator.state))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) > len(elements)
+
+    def test_discard_rounds_draw_as_the_reference_loop(self):
+        mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)
+        order = LatentOrder.random(12, np.random.default_rng(63))
+        oracle, reference = MixedOracle(order, mix, 64), MixedOracle(order, mix, 64)
+        script = np.random.default_rng(65)
+        cap = discard_round_repetitions(0.09, 0.1, 100)
+        caps, stops = set(), set()
+        for i in range(300):
+            members = script.choice(12, 3, replace=False).tolist()
+            tracked = (float(script.uniform(0, 0.6)), 0.25)[i % 3 == 0]  # 0.25: ties
+            gap = (0.0, -0.1, float(script.uniform(0, 0.3)))[min(i % 10, 2)]
+            round_cap = (cap, 1, 7, int(script.integers(1, 3000)))[i % 4]
+            budget = (0.1 / 980, 0.3)[i % 2]
+            before = oracle.query_count
+            got = discard_round(oracle, members, tracked, gap, round_cap, budget)
+            want = reference_discard_round(reference, members, tracked, gap, round_cap, budget)
+            assert got == want
+            assert oracle.query_count == reference.query_count
+            (caps if oracle.query_count - before == round_cap else stops).add(i % 4)
+        assert oracle._rng.bit_generator.state == reference._rng.bit_generator.state
+        assert caps and stops  # rounds both ran to the cap and stopped early
 
 
 class TestRecoverMixed:

@@ -81,6 +81,30 @@ class TestMixtureDistribution:
         assert feasible_gamma((0.2, 0.3, 0.5)) == pytest.approx(0.1)
 
 
+class TestAnswerCounts:
+    def test_len_and_count(self):
+        answers = AnswerCounts((4, 1, 7), (3, 0, 5))
+        assert len(answers) == 8
+        assert [answers.count(x) for x in (4, 1, 7)] == [3, 0, 5]
+        assert answers.count(9) == 0  # not a member
+        assert len(AnswerCounts((1, 2), (0, 0))) == 0
+
+    def test_equality_and_hash(self):
+        answers = AnswerCounts((4, 1, 7), (3, 0, 5))
+        same = AnswerCounts((4, 1, 7), (3, 0, 5))
+        assert answers == same and hash(answers) == hash(same)
+        assert answers != AnswerCounts((4, 1, 7), (3, 1, 4))
+        assert answers != AnswerCounts((1, 4, 7), (3, 0, 5))
+        assert answers != ((4, 1, 7), (3, 0, 5))
+
+    @pytest.mark.parametrize("name", ["members", "counts", "other"])
+    def test_refuses_attribute_assignment(self, name):
+        answers = AnswerCounts((4, 1), (3, 0))
+        with pytest.raises(AttributeError):
+            setattr(answers, name, (1,))
+        assert (answers.members, answers.counts) == ((4, 1), (3, 0))
+
+
 class TestMixedOracle:
     def test_answers_follow_mixture(self):
         mix = MixtureDistribution((0.5, 0.3, 0.2), 0.09)

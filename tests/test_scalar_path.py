@@ -245,7 +245,10 @@ BAD_PAIRS = {
     "three-ids": (0, 1, 2),
     "not-a-pair": 1,
     "outside-the-set": (1, 3),
+    "numpy-outside-the-set": (np.int64(1), np.int64(3)),
     "same-id": (2, 2),
+    "same-id-outside-the-set": (3, 3),
+    "same-id-numpy-and-int": (np.int64(2), 2),
 }
 
 
