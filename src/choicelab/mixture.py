@@ -12,11 +12,10 @@ frequencies, every vote of a sort from the win margin its pairs share)
 and takes a fixed-count decision at a cap sized for the worst case
 (radius gamma/2 on a round's frequencies, win margin gamma/4 for a vote).
 Neither reads its own answers to schedule its checks, so each fixes every
-check's count and threshold before its first query: a vote tests its wins
-against an integer band, and a round its ranked distances against one
-precomputed radius. The noisy sort replaces the noisy-sorting subroutine
-the analysis usually delegates to; it costs O(n log^2 n) queries instead
-of O(n log n) with the same success guarantee.
+check's count and radius before its first query (_schedule). The noisy
+sort replaces the noisy-sorting subroutine the analysis usually delegates
+to; it costs O(n log^2 n) queries instead of O(n log n) with the same
+success guarantee.
 """
 
 from __future__ import annotations
@@ -74,6 +73,20 @@ class MixtureEstimate:
         return len(self.probs_hat)
 
 
+def _int64_count(scale: float, name: str, radius: float, log_term: float) -> int:
+    """ceil(scale / radius**2 * log_term), the form of every query count
+    here, as an int. ValueError, naming the radius, when the count passes
+    the int64 limit of the oracle's draws or radius**2 leaves float range."""
+    try:
+        count = math.ceil(scale / radius**2 * log_term)
+    except (OverflowError, ZeroDivisionError):  # radius**2 overflowed, or underflowed to 0
+        count = math.inf
+    if count > INT64_MAX:
+        raise ValueError(f"{name}={radius} puts the query count out of float range "
+                         f"or past the int64 limit {INT64_MAX}")
+    return count
+
+
 def repetition_count(delta: float, epsilon: float, k: int) -> int:
     """Per-subset query count guaranteeing coordinate error <= delta with
     probability >= 1 - epsilon, by a two-sided Chernoff bound union-bounded
@@ -81,10 +94,7 @@ def repetition_count(delta: float, epsilon: float, k: int) -> int:
     limit of the oracle's draws raises ValueError."""
     if delta <= 0 or epsilon <= 0 or epsilon >= 1:
         raise ValueError("need delta > 0 and epsilon in (0, 1)")
-    reps = math.ceil((2 + delta) / delta**2 * math.log(2 * k * (k + 1) / epsilon))
-    if reps > INT64_MAX:
-        raise ValueError(f"delta={delta} asks {reps:.3e} queries per subset, past the int64 limit")
-    return reps
+    return _int64_count(2 + delta, "delta", delta, math.log(2 * k * (k + 1) / epsilon))
 
 
 def answer_frequencies(oracle: MixedOracle, s, reps: int) -> dict:
@@ -230,7 +240,8 @@ def majority_repetitions(m: int, gamma: float, epsilon_sort: float) -> int:
     A majority over r outcomes at win margin gamma/4 errs with probability
     <= exp(-r*gamma^2/8) (Hoeffding); r keeps that within the cap's half
     of the comparison's share, rounded up to odd so no majority ties occur.
-    gamma must be positive and epsilon_sort lie in (0, 1), else ValueError.
+    gamma must be positive and epsilon_sort lie in (0, 1), and the cap
+    within the int64 limit, else ValueError.
     """
     if not gamma > 0:  # NaN fails this too
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -238,7 +249,7 @@ def majority_repetitions(m: int, gamma: float, epsilon_sort: float) -> int:
         raise ValueError(f"epsilon_sort must lie in (0, 1), got {epsilon_sort}")
     if m < 2:
         return 1
-    r = math.ceil(8.0 / gamma**2 * math.log(1 / _vote_budget(m, epsilon_sort)))
+    r = _int64_count(8.0, "gamma", gamma, math.log(1 / _vote_budget(m, epsilon_sort)))
     return r + 1 if r % 2 == 0 else r
 
 
@@ -251,71 +262,36 @@ def majority_repetitions(m: int, gamma: float, epsilon_sort: float) -> int:
 _VOTE_SLACK = 2.0
 
 
-def _checks(opening: int, cap: int, growth: float) -> list:
-    """The (batch, N) of each call of a capped sequential test, N being the
-    count read after the call: the first call reads opening, each later
-    call brings the count read to ceil(growth N), and the last call is cut
-    to end at the cap."""
-    checks = []
-    total, batch = 0, opening
+def _schedule(opening: int, cap: int, growth: float, tails: int, budget: float) -> tuple:
+    """The checks of a capped sequential test, fixed before its first
+    query: one (batch, N, r) per oracle call, N being the count read after
+    the call and r the _anytime_radius(N, t, tails, budget) of the t-th.
+
+    The first call reads opening, floored at 1, each later call brings the
+    count read to ceil(growth N), and the last call is cut to end at the
+    cap, where r is 0.0: the test decides there whatever it read. Neither
+    the counts nor the radii read the test's own samples, so the radii
+    hold as _anytime_radius states.
+    """
+    checks, total, batch = [], 0, max(opening, 1)
     while total < cap:
         batch = min(batch, cap - total)
         total += batch
-        checks.append((batch, total))
+        t = len(checks) + 1
+        radius = _anytime_radius(total, t, tails, budget) if total < cap else 0.0
+        checks.append((batch, total, radius))
         batch = math.ceil(total * growth) - total
-    return checks
-
-
-def _vote_band(total: int, radius: float) -> tuple:
-    """The wins w in [0, total] with abs(w/total - 0.5) <= radius, as the
-    integer band [low, high], low = high + 1 when it is empty.
-
-    w/total - 0.5 is nondecreasing in w in floating point too, so the wins
-    that pass the float test are one run of integers; the band starts from
-    the real-number bounds and steps each end to where the float test
-    itself changes. A w below low reads below 1/2 and one above high
-    above it, also when the band is empty.
-    """
-    def above(w):
-        return w / total - 0.5 > radius
-
-    def below(w):
-        return w / total - 0.5 < -radius
-
-    high = min(total, max(0, math.floor(total * (0.5 + radius))))
-    while high < total and not above(high + 1):
-        high += 1
-    while above(high):
-        high -= 1
-    low = min(total, max(0, math.ceil(total * (0.5 - radius))))
-    while low > 0 and not below(low - 1):
-        low -= 1
-    while below(low):
-        low += 1
-    return low, high
+    return tuple(checks)
 
 
 def _vote_schedule(m: int, gamma: float, epsilon_sort: float, margin: float) -> tuple:
-    """The checks every vote of a noisy sort of m >= 2 items makes, fixed
-    before the first query: one (batch, low, high) per compare_wins call.
-
-    batch is the call's count: the opening, then as many as read so far,
-    cut at the cap. After the t-th call, with N outcomes read, the vote
-    goes on while the wins lie in [low, high], the integer band where the
-    win rate is within _anytime_radius(N, t, 2, d) of 1/2 (_vote_band).
-    The last call reaches the cap, where the band is empty and splits at
-    the majority: fewer than half wins reads less.
-    """
+    """The _schedule of every vote of a noisy sort of m >= 2 items, up to
+    the odd cap majority_repetitions(); see noisy_sort."""
     cap = majority_repetitions(m, gamma, epsilon_sort)
     budget = _vote_budget(m, epsilon_sort)
     radius = _anytime_radius(1, 1, 2, budget)  # of a first check after one outcome
     opening = math.ceil(_VOTE_SLACK * (radius / max(margin, gamma / 4)) ** 2)
-    *checks, (last, _) = _checks(opening, cap, 2)
-    majority = (cap + 1) // 2
-    return tuple(
-        (batch,) + _vote_band(total, _anytime_radius(total, t, 2, budget))
-        for t, (batch, total) in enumerate(checks, 1)
-    ) + ((last, majority, majority - 1),)
+    return _schedule(opening, cap, 2, 2, budget)
 
 
 def noisy_sort(comparator, elements, gamma: float, epsilon_sort: float, margin: float = 0.0):
@@ -332,20 +308,15 @@ def noisy_sort(comparator, elements, gamma: float, epsilon_sort: float, margin: 
     takes the majority, which errs with probability <= d too.
 
     margin, in [0, 1/2], is the win probability's expected distance from
-    1/2, floored at gamma/4. Every vote of the sort opens at _VOTE_SLACK
-    times the count N at which the radius of a first check falls to that
-    margin, N = ln(4/d)/(2 margin^2), and each further batch doubles the
-    count read. The schedule never reads a vote's own outcomes, so the
-    bound holds whatever margin is given; a margin above the truth only
-    costs extra batches. At the floor the opening reaches the cap, so
-    every vote is the cap's majority.
-
-    The schedule is fixed before the first query (_vote_schedule): each
-    batch's count and the integer band of wins in which the vote goes on,
-    which equals the float test on the win rate at every count of wins, so
-    a vote compares two ints per batch. majority_repetitions() checks gamma
-    and epsilon_sort, and a margin that is NaN or outside [0, 1/2] raises
-    ValueError, before any query.
+    1/2, floored at gamma/4: every vote opens at _VOTE_SLACK times the
+    count N = ln(4/d)/(2 margin^2) where a first check's radius falls to
+    it, and each further batch doubles the count read, on one
+    _vote_schedule fixed before the first query. It reads no vote's own
+    outcomes, so the bound holds whatever margin is given; a margin above
+    the truth only costs extra batches, and at the floor every vote is the
+    cap's majority. majority_repetitions() checks gamma and epsilon_sort,
+    and a margin that is NaN or outside [0, 1/2] raises ValueError, before
+    any query.
     """
     if not 0 <= margin <= 0.5:  # NaN fails this too
         raise ValueError(f"margin must lie in [0, 1/2], got {margin}")
@@ -357,12 +328,11 @@ def noisy_sort(comparator, elements, gamma: float, epsilon_sort: float, margin: 
 
     def less(u, v):
         wins = 0
-        for batch, low, high in schedule:
+        for batch, total, radius in schedule:
             wins += comparator.compare_wins(u, v, batch)
-            if wins < low:
-                return True
-            if wins > high:
-                return False
+            if abs(wins / total - 0.5) > radius:
+                break
+        return 2 * wins < total
 
     ordered, _ = merge_sort(elements, less)
     return ordered
@@ -400,7 +370,8 @@ def discard_round_repetitions(gamma: float, epsilon: float, n: int, k: int = 3) 
     that radius, which covers all k members for any k <= 8/b^3. That
     bounds the round's own error only; see pick_round_winner for what a
     round decided at the cap needs besides. gamma must be positive,
-    epsilon lie in (0, 1) and n be at least k, else ValueError.
+    epsilon lie in (0, 1), n be at least k and the cap within the int64
+    limit, else ValueError.
     """
     if not gamma > 0:  # NaN fails this too
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -408,8 +379,8 @@ def discard_round_repetitions(gamma: float, epsilon: float, n: int, k: int = 3) 
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if n < k:
         raise ValueError(f"need n >= k for a discard round, got n={n}, k={k}")
-    return math.ceil(
-        (8 + 2 * gamma) / gamma**2 * math.log(2 / _discard_budget(n, k, epsilon))
+    return _int64_count(
+        8 + 2 * gamma, "gamma", gamma, math.log(2 / _discard_budget(n, k, epsilon))
     )
 
 
@@ -430,26 +401,16 @@ def pick_round_winner(freqs: dict, target: float) -> int:
 
 @functools.lru_cache(maxsize=32, typed=True)
 def _round_schedule(size: int, gap: float, cap: int, budget: float) -> tuple:
-    """The checks of a discard round over size members, fixed before its
-    first query: one (batch, 2r) per query_repeated call.
-
-    batch is the call's count: the opening, where twice the radius of a
-    first check is gap/_ROUND_SLACK (the cap when gap is not positive),
-    then _ROUND_GROWTH times the count read so far, cut at the cap. 2r is
-    twice _anytime_radius(N, t, 2 size, budget) after the t-th call with N
-    answers read; at the cap it is -inf, so the round decides there
-    whatever it read. Built once per (size, gap, cap, budget) and shared,
-    hence a tuple; typed, so a float cap keeps its own schedule and meets
-    the oracle's count check as it would uncached.
-    """
+    """The _schedule of a discard round over size members, with 2 size
+    tails: it opens where twice a first check's radius is gap/_ROUND_SLACK
+    (at the cap when gap is not positive) and grows the count read by
+    _ROUND_GROWTH at each later call. Cached, hence a tuple; typed, so a
+    float cap keeps its own schedule and meets the oracle's count check as
+    it would uncached."""
     tails = 2 * size
     first = 2 * _ROUND_SLACK * _anytime_radius(1, 1, tails, budget)
     opening = math.ceil((first / gap) ** 2) if gap > 0 else cap
-    *checks, (last, _) = _checks(opening, cap, _ROUND_GROWTH)
-    return tuple(
-        (batch, 2 * _anytime_radius(total, t, tails, budget))
-        for t, (batch, total) in enumerate(checks, 1)
-    ) + ((last, -math.inf),)
+    return _schedule(opening, cap, _ROUND_GROWTH, tails, budget)
 
 
 def discard_round(
@@ -471,28 +432,24 @@ def discard_round(
     answers, with only pick_round_winner's guarantee.
 
     gap is the expected distance from the nearest member's to the next
-    member's frequency. The first check falls at the count where 2r is
-    gap/_ROUND_SLACK, and each later check at _ROUND_GROWTH times the last
-    check's count. The schedule never reads the round's own answers, so
-    the bound holds; it is fixed before the first query (_round_schedule),
-    and each check ranks the members once by pick_round_winner's key, with
-    the count standing in for the frequency it divides. cap below 1, or a
-    budget that is NaN or outside (0, 1), raises ValueError before any
-    query.
+    member's frequency: the round's _round_schedule opens from it. That
+    schedule reads none of the round's own answers, so the bound holds;
+    each check ranks the members once by pick_round_winner's key, with the
+    count standing in for the frequency it divides. A cap outside [1,
+    INT64_MAX], or a budget that is NaN or outside (0, 1), raises
+    ValueError before any query.
     """
-    if not cap >= 1:  # NaN fails this too
-        raise ValueError(f"cap must be at least 1, got {cap}")
+    if not 1 <= cap <= INT64_MAX:  # NaN fails this too
+        raise ValueError(f"cap must lie in [1, {INT64_MAX}], got {cap}")
     if not 0 < budget < 1:
         raise ValueError(f"budget must lie in (0, 1), got {budget}")
     members = list(members)
     counts = [0] * len(members)
-    total = 0
-    for batch, two_r in _round_schedule(len(members), gap, cap, budget):
+    for batch, total, radius in _round_schedule(len(members), gap, cap, budget):
         answers = oracle.query_repeated(members, batch)
         counts = [c + answers.count(m) for c, m in zip(counts, members)]
-        total += batch
         ranked = sorted((abs(c / total - tracked), -c, m) for c, m in zip(counts, members))
-        if ranked[1][0] - ranked[0][0] > two_r:
+        if ranked[1][0] - ranked[0][0] > 2 * radius:
             break
     return ranked[0][2]
 

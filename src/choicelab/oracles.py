@@ -279,7 +279,7 @@ class MixedOracle:
             pv = self._prob_list[members.index(v)]
         except ValueError:
             raise InvalidQueryError(f"pair {pair} must be two distinct members of {s}") from None
-        if count.__class__ is not int or count <= 0:
+        if count.__class__ is not int or not 0 < count <= INT64_MAX:
             count = _check_count(count)
             if count == 0:
                 return AnswerCounts((u, v), (0, 0)), 0
@@ -291,16 +291,17 @@ class MixedOracle:
 
 
 def _check_count(count) -> int:
-    """A repeat count as a non-negative int; floats and bools are rejected,
-    never truncated or read as 0 and 1."""
+    """A repeat count as an int in [0, INT64_MAX], the range of numpy's
+    draws; floats and bools are rejected, never truncated or read as 0
+    and 1."""
     if isinstance(count, bool):
         raise InvalidQueryError(f"count must be an integer, got {count!r}")
     try:
         count = operator.index(count)
     except TypeError:
         raise InvalidQueryError(f"count must be an integer, got {count!r}") from None
-    if count < 0:
-        raise InvalidQueryError(f"count must be non-negative, got {count}")
+    if not 0 <= count <= INT64_MAX:
+        raise InvalidQueryError(f"count must lie in [0, {INT64_MAX}], got {count}")
     return count
 
 

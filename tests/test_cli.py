@@ -10,7 +10,7 @@ import pytest
 
 import choicelab
 from choicelab import mixture
-from choicelab.cli import build_parser
+from choicelab.cli import build_parser, main
 from choicelab.harness import PASSIVE_EPSILON, ExperimentConfig
 
 BASE = [sys.executable, "-m", "choicelab"]
@@ -75,6 +75,11 @@ MIXED = ["--pi", "0.2,0.3,0.5", "--gamma", "0.09"]
         (["estimate-mixture", *MIXED, "--delta", "1e-9", "--epsilon", "0.1"], "int64 limit"),
         (["recover-mixed", "--n", "20", "--pi", "0.2,0.3,0.5", "--gamma", "1e-9",
           "--epsilon", "0.1"], "int64 limit"),
+        # the count's float overflowed: math.ceil(inf) raised OverflowError
+        (["estimate-mixture", *MIXED, "--delta", "1e-300", "--epsilon", "0.1"], "int64 limit"),
+        # gamma/2 squared underflowed to 0: ZeroDivisionError
+        (["recover-mixed", "--n", "6", "--pi", "0.2,0.3,0.5", "--gamma", "1e-200",
+          "--epsilon", "0.1"], "int64 limit"),
     ],
 )
 def test_mixture_precondition_usage_error(args, message):
@@ -129,6 +134,38 @@ def assert_usage_error(proc, message):
     assert proc.returncode == 2
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+PASSIVE = ["recover-passive", "--n", "30", "--k", "3", "--ell", "2"]
+# one small run of a mode that reads each float flag, X marking its value
+FLOAT_FLAG_RUNS = {
+    "gamma": ["recover-mixed", "--n", "6", "--pi", "0.2,0.3,0.5", "--gamma", "X",
+              "--epsilon", "0.1"],
+    "delta": ["estimate-mixture", *MIXED, "--delta", "X", "--epsilon", "0.1"],
+    "epsilon": ["recover-mixed", "--n", "6", *MIXED, "--epsilon", "X"],
+    "b": [*PASSIVE, "--b", "X"],
+    "p1": [*PASSIVE, "--p1", "X", "--p2", "0.9"],
+    "p2": [*PASSIVE, "--p1", "0.9", "--p2", "X"],
+    "alpha": [*PASSIVE, "--alpha", "X", "--t1", "2.5", "--t2", "2.5"],
+    "t1": [*PASSIVE, "--alpha", "1.0", "--t1", "X", "--t2", "2.5"],
+    "t2": [*PASSIVE, "--alpha", "1.0", "--t1", "2.5", "--t2", "X"],
+    "pi": ["estimate-mixture", "--pi", "X,0.3,0.5", "--gamma", "0.09", "--delta", "0.04",
+           "--epsilon", "0.1"],
+}
+
+
+@pytest.mark.parametrize("value", ["1e-300", "1e300", "inf", "nan"])
+@pytest.mark.parametrize("flag", list(FLOAT_FLAG_RUNS))
+def test_float_flag_extremes_exit_zero_or_two(flag, value, capsys):
+    # in process, so that an escaping exception fails here with its traceback
+    args = [value if a == "X" else a.replace("X,", f"{value},")
+            for a in FLOAT_FLAG_RUNS[flag]]
+    try:
+        code = main([*args, "--trials", "1", "--seed", "3"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_passive_nan_coverage_usage_error():

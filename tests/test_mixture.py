@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -72,6 +75,13 @@ class TestRepetitionCount:
         with pytest.raises(ValueError, match="int64 limit"):
             repetition_count(1e-9, 0.1, 3)
 
+    @pytest.mark.parametrize("delta", [1e-155, 1e-200])
+    def test_a_delta_whose_square_leaves_float_range_is_refused(self, delta):
+        # 1e-155: the count overflowed to inf and math.ceil raised
+        # OverflowError; 1e-200: delta**2 underflowed to 0, ZeroDivisionError
+        with pytest.raises(ValueError, match="int64 limit"):
+            repetition_count(delta, 0.1, 3)
+
 
 class TestAlignment:
     def test_exact_on_permutation_grid(self):
@@ -135,6 +145,17 @@ class TestEstimateMixture:
         oracle = MixedOracle(LatentOrder.identity(6), mix, 4)
         state = oracle._rng.bit_generator.state
         with pytest.raises(ValueError, match="reps"):
+            answer_frequencies(oracle, (0, 1, 2), reps)
+        assert oracle.query_count == 0
+        assert oracle._rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("reps", [2**63, 2**70])
+    def test_answer_frequencies_refuses_reps_past_int64_before_any_query(self, reps):
+        # past the int64 limit the multinomial draw raised OverflowError
+        mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)
+        oracle = MixedOracle(LatentOrder.identity(6), mix, 4)
+        state = oracle._rng.bit_generator.state
+        with pytest.raises(InvalidQueryError, match="count must lie in"):
             answer_frequencies(oracle, (0, 1, 2), reps)
         assert oracle.query_count == 0
         assert oracle._rng.bit_generator.state == state
@@ -328,6 +349,20 @@ class TestNoisySort:
         # a zero gamma or epsilon_sort used to end in ZeroDivisionError
         with pytest.raises(ValueError):
             majority_repetitions(m, gamma, epsilon_sort)
+
+    @pytest.mark.parametrize("gamma", [1e-155, 1e-200, 1e300])
+    def test_a_gamma_whose_square_leaves_float_range_is_refused(self, gamma):
+        # these ended in OverflowError from math.ceil or gamma**2, or in
+        # ZeroDivisionError from a gamma**2 that underflowed to 0
+        with pytest.raises(ValueError, match="int64 limit"):
+            majority_repetitions(5, gamma, 0.05)
+        mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)
+        oracle = MixedOracle(LatentOrder.identity(6), mix, 9)
+        state = oracle._rng.bit_generator.state
+        with pytest.raises(ValueError, match="int64 limit"):
+            noisy_sort(NoisyComparator(oracle, (5,)), [0, 1, 2], gamma, 0.05)
+        assert oracle.query_count == 0
+        assert oracle._rng.bit_generator.state == state
 
     @pytest.mark.parametrize("elements", [[0, 1, 2], [0]])
     @pytest.mark.parametrize("gamma, epsilon_sort", [(0.09, 0), (0, 0.1)])
@@ -611,7 +646,7 @@ class TestSequentialDiscardRound:
         assert len(totals) > 2 and crossed[-1] and not any(crossed[:-1])
 
     @pytest.mark.parametrize("cap, budget", [
-        (0, 0.01), (-1, 0.01), (math.nan, 0.01),
+        (0, 0.01), (-1, 0.01), (math.nan, 0.01), (2**63, 0.01), (math.inf, 0.01),
         (100, 0.0), (100, 1.0), (100, -0.1), (100, math.nan),
     ])
     def test_rejects_a_bad_cap_or_budget_before_any_query(self, cap, budget):
@@ -623,6 +658,34 @@ class TestSequentialDiscardRound:
             discard_round(oracle, (0, 1, 2), 0.2, 0.1, cap, budget)
         assert oracle.query_count == 0
         assert oracle._rng.bit_generator.state == state
+
+    def test_a_huge_gap_opens_at_one_answer(self):
+        # (first/gap)**2 underflows to an opening of 0, which scheduled
+        # empty batches until memory ran out; run under an address-space
+        # cap so that such a schedule fails fast
+        script = """
+import math, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from choicelab import mixture
+from choicelab.core import LatentOrder
+from choicelab.oracles import MixedOracle, MixtureDistribution
+mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)
+for gap in (1e200, math.inf):
+    oracle = MixedOracle(LatentOrder.identity(3), mix, 43)
+    winner = mixture.discard_round(oracle, (0, 1, 2), 0.5, gap, 1000, 0.01)
+    first = mixture._round_schedule(3, gap, 1000, 0.01)[0][0]
+    print(winner, first, oracle.query_count)
+"""
+        threads = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"), "1")
+        src = os.path.dirname(os.path.dirname(mixture.__file__))
+        env = {**os.environ, **threads, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        for line in proc.stdout.splitlines():
+            winner, first, queries = map(int, line.split())
+            assert winner in (0, 1, 2) and first == 1 and 1 <= queries <= 1000
+        assert len(proc.stdout.splitlines()) == 2
 
     def test_a_float_cap_meets_the_oracle_count_check_after_an_int_cap(self):
         # the schedule is cached per (size, gap, cap, budget), and 100.0
@@ -709,6 +772,18 @@ def reference_discard_round(oracle, members, tracked, gap, cap, budget):
         batch = math.ceil(total * mixture._ROUND_GROWTH) - total
 
 
+def assert_checks(schedule, cap, tails, budget):
+    """Each (batch, N, r) of a schedule reads N, the batches summed so far;
+    r is the t-th check's anytime radius at N, except at the last check,
+    which reads the cap at radius 0.0."""
+    totals = list(itertools.accumulate(batch for batch, _, _ in schedule))
+    assert [total for _, total, _ in schedule] == totals
+    *checks, (_, last, radius) = schedule
+    assert last == cap and radius == 0.0
+    for t, (_, total, radius) in enumerate(checks, 1):
+        assert total < cap and radius == mixture._anytime_radius(total, t, tails, budget)
+
+
 class _LoggingComparator(NoisyComparator):
     """Noisy comparator that logs every call as (u, v, count, wins)."""
 
@@ -725,27 +800,36 @@ class _LoggingComparator(NoisyComparator):
 class TestFixedSchedules:
     @pytest.mark.parametrize("gamma", [0.09, 0.2, 0.8])
     @pytest.mark.parametrize("m", [2, 3, 98, 300])
-    def test_vote_bands_equal_the_float_test(self, m, gamma):
-        # every check of every schedule passes exactly the wins the float
-        # test on the win rate passes, at every count of wins, and a vote
-        # that stops reads less exactly when its wins are under half
+    def test_vote_schedules_fix_every_check(self, m, gamma):
+        # every vote's batches are the reference loop's, each check but the
+        # last sits at the anytime radius of its count, and the last reads
+        # the odd cap at radius 0.0, where the vote takes the majority
         for epsilon_sort, margin in itertools.product((0.02, 0.05), (0, 0.05, 0.1, 0.3, 0.5)):
             cap, budget, opening = reference_vote_parameters(m, gamma, epsilon_sort, margin)
             schedule = mixture._vote_schedule(m, gamma, epsilon_sort, margin)
             assert [batch for batch, _, _ in schedule] == reference_vote_batches(cap, opening)
-            total = 0
-            for t, (batch, low, high) in enumerate(schedule, 1):
-                total += batch
-                if t == len(schedule):
-                    assert total == cap and low == high + 1
-                    assert all((w < low) == (2 * w < total) for w in range(total + 1))
-                    continue
-                radius = mixture._anytime_radius(total, t, 2, budget)
-                for w in range(total + 1):
-                    inside = abs(w / total - 0.5) <= radius
-                    assert (low <= w <= high) == inside
-                    if not inside:
-                        assert (w < low) == (2 * w < total)
+            assert cap % 2 == 1
+            assert_checks(schedule, cap, 2, budget)
+
+    @pytest.mark.parametrize("size", [3, 4])
+    @pytest.mark.parametrize("gap", [-0.1, 0.0, 0.01, 0.09, 0.3])
+    def test_round_schedules_fix_every_check(self, size, gap):
+        # each round opens where twice a first check's radius is gap/1.2 (at
+        # the cap when gap is not positive) and grows the count read 1.25x
+        for cap, budget in itertools.product(
+            (1, 7, 2999, discard_round_repetitions(0.09, 0.1, 100)), (0.1 / 980, 0.3)
+        ):
+            tails = 2 * size
+            first = 2 * 1.2 * mixture._anytime_radius(1, 1, tails, budget)
+            batches, total = [], 0
+            batch = math.ceil((first / gap) ** 2) if gap > 0 else cap
+            while total < cap:
+                batches.append(min(batch, cap - total))
+                total += batches[-1]
+                batch = math.ceil(total * 1.25) - total
+            schedule = mixture._round_schedule(size, gap, cap, budget)
+            assert [batch for batch, _, _ in schedule] == batches
+            assert_checks(schedule, cap, tails, budget)
 
     @pytest.mark.parametrize("pi, gamma, margin", [
         ((0.2, 0.3, 0.5), 0.09, 0.0), ((0.2, 0.3, 0.5), 0.09, 0.1),
@@ -977,6 +1061,11 @@ class TestRecoverMixed:
         # a zero gamma or epsilon used to end in ZeroDivisionError
         with pytest.raises(ValueError):
             discard_round_repetitions(gamma, epsilon, 100)
+
+    @pytest.mark.parametrize("gamma", [1e-155, 1e-200, 1e300])
+    def test_round_repetitions_refuse_a_gamma_whose_square_leaves_float_range(self, gamma):
+        with pytest.raises(ValueError, match="int64 limit"):
+            discard_round_repetitions(gamma, 0.1, 100)
 
     @pytest.mark.parametrize("n, k", [(2, 3), (1, 3), (3, 4)])
     def test_round_repetitions_reject_universe_below_k(self, n, k):

@@ -214,6 +214,21 @@ class TestMixedOracle:
             assert raw == count
         assert oracle.query_count == 1008
 
+    @pytest.mark.parametrize("count", [INT64_MAX + 1, 2**70, np.uint64(INT64_MAX + 1)])
+    def test_counts_past_int64_refused_before_any_draw(self, count):
+        # numpy draws at most INT64_MAX: past it query_repeated raised
+        # OverflowError and query_until numpy's "n too large", after the set's checks
+        mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)
+        oracle = MixedOracle(LatentOrder.identity(5), mix, 0)
+        state = oracle._rng.bit_generator.state
+        with pytest.raises(InvalidQueryError, match="count must lie in"):
+            oracle.query_repeated((1, 2, 3), count)
+        with pytest.raises(InvalidQueryError, match="count must lie in"):
+            oracle.query_until((1, 2, 3), (1, 2), count)
+        assert oracle.query_count == 0
+        assert oracle._rng.bit_generator.state == state
+        assert len(oracle.query_repeated((1, 2, 3), INT64_MAX)) == INT64_MAX
+
     def test_wrong_size_rejected_uncounted(self):
         mix = MixtureDistribution((0.7, 0.3), 0.3)
         oracle = MixedOracle(LatentOrder.identity(4), mix, 0)
