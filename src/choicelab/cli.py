@@ -17,6 +17,7 @@ import json
 import os
 import sys
 
+from .distance import AmbiguousDistancesError
 from .harness import MODES, PASSIVE_EPSILON, ExperimentConfig, emit, run
 
 
@@ -108,7 +109,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    report = run(config)
+    try:
+        report = run(config)
+    except AmbiguousDistancesError as exc:  # no draw of the points was in general position
+        parser.error(str(exc))
 
     try:
         emit(report, config.fmt, config.out)

@@ -16,6 +16,7 @@ InvalidQueryError before any distance is read.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -63,6 +64,18 @@ def pair_id(i: int, j: int) -> PairId:
     return (i, j) if i < j else (j, i)
 
 
+@functools.lru_cache(maxsize=16)
+def _pair_indices(n: int) -> tuple:
+    """np.triu_indices(n, 1), read-only: the rows and the columns of the
+    C(n, 2) pairs i < j. Built once per n, since a sweep builds many small
+    point sets of one size and the build costs as much as the rest of a
+    3-point MetricPoints."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 class MetricPoints:
     """Euclidean embedding of the alternatives [0, n), in general position.
 
@@ -88,7 +101,7 @@ class MetricPoints:
         self.n = len(mat)  # a plain attribute, read on every distance() call
         diffs = mat[:, None, :] - mat[None, :, :]
         dmat = np.sqrt((diffs**2).sum(axis=2))
-        dists = np.sort(dmat[np.triu_indices(self.n, 1)])
+        dists = np.sort(dmat[_pair_indices(self.n)])
         if np.min(np.diff(dists), initial=np.inf) <= self.TOLERANCE:
             raise AmbiguousDistancesError(
                 "two pairwise distances coincide within 1e-9; points must "

@@ -8,6 +8,7 @@ informational only and never part of acceptance).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -20,6 +21,7 @@ from . import active, distance, mixture, passive
 from .core import (
     LatentOrder,
     PositionSelector,
+    _check_sets,
     _select_many,
     canonical_position,
     evaluate_many,
@@ -55,6 +57,9 @@ PASSIVE_EPSILON = 0.05
 # prediction checks compare every k-set up to this many, else a uniform sample
 _EXHAUSTIVE_CHECK_SETS = 200_000
 _SAMPLED_CHECK_SETS = 10_000
+# an exhaustive check of at most this many ids (C(n, k) sets of k) reads one
+# shared enumeration: 256 KB of int64 ids, 16 MB over the cache's 64 entries
+_SHARED_CHECK_IDS = 32_768
 
 
 @dataclass
@@ -220,14 +225,35 @@ def _trial_seeds(master_seed: int, trials: int) -> list:
     ]
 
 
+@functools.lru_cache(maxsize=64)
+def _shared_ksets(n: int, k: int) -> np.ndarray:
+    """all_ksets(n, k), passed once through _check_sets and read-only, so
+    every trial at this (n, k) can read the same array."""
+    sets = _check_sets(k, n, all_ksets(n, k))
+    sets.setflags(write=False)
+    return sets
+
+
 def _check_predictions(model, selector, order, rng):
+    """Whether the model predicts the selector's choice on every k-set, or
+    on _SAMPLED_CHECK_SETS uniform k-sets when C(n, k) exceeds
+    _EXHAUSTIVE_CHECK_SETS.
+
+    The sets are validated once: an enumeration of at most
+    _SHARED_CHECK_IDS ids is validated when _shared_ksets first builds it
+    for its (n, k), and is shared by every later trial; any other set
+    array is validated by evaluate_many."""
     n, k = order.n, selector.k
     total = math.comb(n, k)
-    if total <= _EXHAUSTIVE_CHECK_SETS:
-        sets = all_ksets(n, k)
+    if total * k <= _SHARED_CHECK_IDS:
+        sets = _shared_ksets(n, k)
+        truth = _select_many(selector.position, order, sets)
     else:
-        sets = unrank_combinations(rng.integers(0, total, size=_SAMPLED_CHECK_SETS), n, k)
-    truth = evaluate_many(selector, order, sets)  # the one validation of sets
+        if total <= _EXHAUSTIVE_CHECK_SETS:
+            sets = all_ksets(n, k)
+        else:
+            sets = unrank_combinations(rng.integers(0, total, size=_SAMPLED_CHECK_SETS), n, k)
+        truth = evaluate_many(selector, order, sets)
     predicted = _select_many(model.position_hat, model.full_order(), sets)
     return bool((predicted == truth).all())
 
@@ -313,12 +339,28 @@ def _run_recover_passive(cfg, rng):
     return observations, ok, report.frac_correct, report.frac_unresolved
 
 
+# Draws of a distance mode's points before _random_points gives up. With
+# normal coordinates in dim 2 about 1 draw in 5 is in general position at
+# n=300, and none of 20 at n=500: 64 draws almost never all fail where one
+# in five passes, and cost about 3 s at n=1000, where none passes.
+_POINT_DRAWS = 64
+
+
 def _random_points(count, dim, rng):
-    while True:
+    """count standard-normal points in dim dimensions, drawn again until
+    they are in general position. After _POINT_DRAWS draws that are not,
+    raises AmbiguousDistancesError naming count and the tolerance; the
+    CLI exits 2 on it."""
+    for _ in range(_POINT_DRAWS):
         try:
             return distance.MetricPoints(rng.normal(size=(count, dim)))
-        except distance.AmbiguousDistancesError:  # pragma: no cover - measure zero
+        except distance.AmbiguousDistancesError:
             continue
+    raise distance.AmbiguousDistancesError(
+        f"none of {_POINT_DRAWS} draws of n={count} points in dim {dim} had every two "
+        f"pairwise distances more than {distance.MetricPoints.TOLERANCE:g} apart; "
+        f"use fewer points"
+    )
 
 
 def _run_distance_median(cfg, rng):

@@ -403,13 +403,17 @@ def pick_round_winner(freqs: dict, target: float) -> int:
 def _round_schedule(size: int, gap: float, cap: int, budget: float) -> tuple:
     """The _schedule of a discard round over size members, with 2 size
     tails: it opens where twice a first check's radius is gap/_ROUND_SLACK
-    (at the cap when gap is not positive) and grows the count read by
+    (at the cap when gap is not positive, or so small that the opening
+    leaves float range, past every cap) and grows the count read by
     _ROUND_GROWTH at each later call. Cached, hence a tuple; typed, so a
     float cap keeps its own schedule and meets the oracle's count check as
     it would uncached."""
     tails = 2 * size
     first = 2 * _ROUND_SLACK * _anytime_radius(1, 1, tails, budget)
-    opening = math.ceil((first / gap) ** 2) if gap > 0 else cap
+    try:
+        opening = math.ceil((first / gap) ** 2) if gap > 0 else cap
+    except OverflowError:  # a gap below about 1e-154
+        opening = cap
     return _schedule(opening, cap, _ROUND_GROWTH, tails, budget)
 
 

@@ -222,6 +222,10 @@ class MixedOracle:
         self._rng = np.random.default_rng(seed)
         self._probs = np.asarray(mixture.probs)
         self._prob_list = self._probs.tolist()  # the same doubles, no numpy scalar costs
+        # query_until's largest count: c + 10 sqrt(c) = p * _POISSON_LAM_MAX
+        # at the least pair mass p
+        least = sum(sorted(self._prob_list)[:2])
+        self._count_limit = int((math.sqrt(25 + least * _POISSON_LAM_MAX) - 5) ** 2)
         self._count = 0
 
     @property
@@ -262,6 +266,16 @@ class MixedOracle:
         binomial(count, pu/p) draw. Ids and a count of type int skip the
         conversion that other integer types take; every input meets the
         same checks.
+
+        A count is accepted up to _count_limit, set when the oracle is
+        built: the largest count whose (count + 10 sqrt(count))/p stays
+        within _POISSON_LAM_MAX at the least pair mass p. numpy draws the
+        negative binomial as a Poisson draw at a gamma-distributed mean, and
+        refuses a count whose mean, padded by ten of the gamma's deviations,
+        passes that limit: (count + 10 sqrt(count)) (1 - p)/p. The limit
+        passes that check at every pair and keeps count plus the draw within
+        int64 unless a draw lands about ten deviations out. A larger count
+        raises InvalidQueryError before any draw or counting.
         """
         members = _ranked(self.k, self.order, s)
         try:
@@ -279,10 +293,15 @@ class MixedOracle:
             pv = self._prob_list[members.index(v)]
         except ValueError:
             raise InvalidQueryError(f"pair {pair} must be two distinct members of {s}") from None
-        if count.__class__ is not int or not 0 < count <= INT64_MAX:
+        if count.__class__ is not int or not 0 < count <= self._count_limit:
             count = _check_count(count)
             if count == 0:
                 return AnswerCounts((u, v), (0, 0)), 0
+            if count > self._count_limit:
+                raise InvalidQueryError(
+                    f"count {count} is past {self._count_limit}, the largest whose raw "
+                    f"total stays within the int64 limit {INT64_MAX} at every pair"
+                )
         informative = pu + pv
         raw = count + int(self._rng.negative_binomial(count, informative))
         wins_u = int(self._rng.binomial(count, pu / informative))
@@ -439,6 +458,10 @@ class ObservationBatch:
 
 
 INT64_MAX = int(np.iinfo(np.int64).max)
+
+# The largest mean numpy's Poisson draw takes: INT64_MAX less ten of its
+# standard deviations.
+_POISSON_LAM_MAX = INT64_MAX - 10 * math.sqrt(INT64_MAX)
 
 
 def largest_binomial(n: int, k: int) -> int:

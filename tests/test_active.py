@@ -346,3 +346,84 @@ class TestExhaustiveCorrectnessSweep:
                     model = recover_choice_function(oracle)
                     want = evaluate_many(oracle.selector, order, sets)
                     assert (predict_many(model, sets) == want).all()
+
+
+class TamperedOracle(DeterministicOracle):
+    """Answers as DeterministicOracle, except that the query numbered `at`
+    (from 0) is answered by tamper(s, answer), s as the recovery passed it."""
+
+    def __init__(self, selector, order, at, tamper):
+        super().__init__(selector, order)
+        self.at, self.tamper, self.asked = at, tamper, 0
+
+    def query(self, s):
+        answer = super().query(s)
+        self.asked += 1
+        return self.tamper(list(s), answer) if self.asked == self.at + 1 else answer
+
+
+class TestInconsistentOracle:
+    """Each raise of recover_choice_function, reached by one tampered answer
+    of an otherwise honest k=4, position-2 oracle on the identity order of
+    9. Recovery reads that order reflected, so its position_hat is 3: the
+    ineligibles 7 and 8 lie below the eligibles, 0 above."""
+
+    N, K, POSITION = 9, 4, 2
+
+    def recover(self, at, tamper):
+        selector, order = PositionSelector(self.K, self.POSITION), LatentOrder.identity(self.N)
+        return recover_choice_function(TamperedOracle(selector, order, at, tamper))
+
+    @property
+    def position_query(self):
+        # the first query after the discard pass that holds no ineligible:
+        # the seed sort pads each of its comparisons with two
+        honest = RecordingOracle(PositionSelector(self.K, self.POSITION),
+                                 LatentOrder.identity(self.N))
+        model = recover_choice_function(honest)
+        assert model.position_hat == 3
+        discard = self.N - self.K + 1
+        return next(i for i, s in enumerate(honest.log)
+                    if i >= discard and not set(s) & {0, 7, 8})
+
+    def test_an_untampered_oracle_recovers(self):
+        model = self.recover(-1, None)
+        assert (model.position_hat, model.bottom_ineligible, model.top_ineligible) == (3, (7, 8), (0,))
+
+    def test_a_padded_comparison_answered_with_an_anchor(self):
+        first_comparison = self.N - self.K + 1
+        with pytest.raises(InconsistentOracleError,
+                           match=r"^padded comparison \(2, 1, 0, 7\) answered with an anchor: 7$"):
+            self.recover(first_comparison, lambda s, answer: s[-1])
+
+    def test_a_position_answer_outside_its_set(self):
+        def outside(s, answer):
+            return next(x for x in range(self.N) if x not in s)
+
+        with pytest.raises(InconsistentOracleError,
+                           match=r"^position query answered outside its set$"):
+            self.recover(self.position_query, outside)
+
+    def test_a_classification_answer_matching_neither_placement(self):
+        # the query is [x] + low_block; at position_hat 3 an answer of
+        # low_block[1] puts x below and low_block[2] above: low_block[0] is neither
+        with pytest.raises(InconsistentOracleError, match=(
+                r"^classification query \[0, 4, 3, 2\] answered 4, which matches "
+                r"neither placement of 0$")):
+            self.recover(self.position_query + 1, lambda s, answer: s[1])
+
+    def test_an_impossible_ineligible_split(self):
+        # 0 placed below instead of above: three below, none above
+        def swap(s, answer):
+            return s[2] if answer == s[3] else s[3]
+
+        with pytest.raises(InconsistentOracleError, match=(
+                r"^ineligible split \(bottom=3, top=0\) is impossible for position 3 of 4$")):
+            self.recover(self.position_query + 1, swap)
+
+    def test_an_insertion_answer_outside_x_p_q(self):
+        # the first insertion query follows the K - 1 classification queries;
+        # its last member is padding
+        with pytest.raises(InconsistentOracleError,
+                           match=r"^insertion query \(5, 3, 1, 7\) answered 7$"):
+            self.recover(self.position_query + self.K, lambda s, answer: s[3])

@@ -18,13 +18,13 @@ BASE = [sys.executable, "-m", "choicelab"]
 SRC = os.path.dirname(os.path.dirname(choicelab.__file__))
 
 
-def run_cli(*args, env_extra=None, base=BASE):
+def run_cli(*args, env_extra=None, base=BASE, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        base + list(args), capture_output=True, text=True, env=env
+        base + list(args), capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -166,6 +166,14 @@ def test_float_flag_extremes_exit_zero_or_two(flag, value, capsys):
         code = exc.code
     assert code in (0, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_distance_sort_past_general_position_exits_two():
+    # no draw of 1,000 normal points keeps its 499,500 distances 1e-9
+    # apart, and an unbounded redraw loop never returned
+    proc = run_cli("distance-sort", "--n", "1000", "--trials", "1", "--seed", "1", timeout=60)
+    assert_usage_error(proc, "none of 64 draws of n=1000 points in dim 2")
+    assert "1e-09" in proc.stderr
 
 
 def test_passive_nan_coverage_usage_error():

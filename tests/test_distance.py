@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from choicelab import distance
 from choicelab.distance import (
     AmbiguousDistancesError,
     InvalidArityError,
@@ -269,6 +270,14 @@ class TestMetricPoints:
     def test_infinite_coordinate_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             MetricPoints([[0.0, 1.0], [np.inf, 0.0], [3.0, 2.5]])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 40])
+    def test_pair_indices_are_triu_indices_shared_and_read_only(self, n):
+        rows, cols = distance._pair_indices(n)
+        want_rows, want_cols = np.triu_indices(n, 1)
+        assert rows.tolist() == want_rows.tolist() and cols.tolist() == want_cols.tolist()
+        assert distance._pair_indices(n)[0] is rows
+        assert not rows.flags.writeable and not cols.flags.writeable
 
 
 class TestFeasibility:

@@ -1,12 +1,15 @@
 """Experiment harness: runners, report emission, determinism, query curves."""
 
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from choicelab import mixture
+from choicelab import active, harness, mixture
+from choicelab.core import LatentOrder, PositionSelector
 from choicelab.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -17,6 +20,7 @@ from choicelab.harness import (
     run,
     sorting_lower_bound,
 )
+from choicelab.oracles import DeterministicOracle, all_ksets
 from choicelab.stats import clopper_pearson
 
 
@@ -90,6 +94,38 @@ class TestRunners:
         assert all(r.success for r in report.rows)
         assert all(r.frac_correct is not None for r in report.rows)
 
+    def test_points_redrawn_until_in_general_position(self):
+        # the first of three draws repeats two pairwise distances, the
+        # second and third do not: the second is kept
+        tied = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+        class Draws:
+            def __init__(self):
+                self.draws = [tied, tied + [[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]], tied * 3]
+
+            def normal(self, size):
+                return self.draws.pop(0)
+
+        rng = Draws()
+        points = harness._random_points(3, 2, rng)
+        assert points.coords[1].tolist() == [1.5, 0.0] and len(rng.draws) == 1
+
+    def test_points_never_in_general_position_refused_after_the_draw_bound(self):
+        class Tied:
+            calls = 0
+
+            def normal(self, size):
+                self.calls += 1
+                if self.calls > 1000:  # an unbounded loop fails here, not by hanging
+                    raise RuntimeError("redraws past any bound")
+                return np.arange(float(size[0] * size[1])).reshape(size)
+
+        rng = Tied()
+        with pytest.raises(harness.distance.AmbiguousDistancesError,
+                           match=r"none of 64 draws of n=4 points in dim 1 .* 1e-09 apart"):
+            harness._random_points(4, 1, rng)
+        assert rng.calls == harness._POINT_DRAWS == 64
+
     def test_distance_modes(self):
         med = run(cfg(mode="distance-median", k=3, dim=2, trials=10, seed=6))
         assert all(r.success for r in med.rows)
@@ -133,6 +169,75 @@ def test_alignment_failure_fails_one_trial_only(monkeypatch, mode, entry, extra)
     report = run(cfg(mode=mode, pi=(0.2, 0.3, 0.5), gamma=0.09, epsilon=0.1,
                      trials=3, seed=16, **extra))
     assert [r.success for r in report.rows] == [True, False, True]
+
+
+class TestSharedCheckSets:
+    """An exhaustive check of at most harness._SHARED_CHECK_IDS ids reads one
+    enumeration per (n, k), validated when it is built and read-only."""
+
+    @pytest.mark.parametrize("n, k", [(3, 2), (7, 3), (12, 5), (14, 7)])
+    def test_shared_sets_are_all_ksets_and_read_only(self, n, k):
+        sets = harness._shared_ksets(n, k)
+        assert sets.dtype == np.int64
+        np.testing.assert_array_equal(sets, all_ksets(n, k))
+        assert harness._shared_ksets(n, k) is sets
+        with pytest.raises(ValueError, match="read-only"):
+            sets[0, 0] = sets[0, 1]
+
+    def test_retained_bytes_stay_under_the_bound(self):
+        # every cacheable shape of k <= 8, the largest last, so that the
+        # cache ends full of the largest
+        shapes = sorted(
+            ((n, k) for k in range(2, 9) for n in range(k + 1, 200)
+             if math.comb(n, k) * k <= harness._SHARED_CHECK_IDS),
+            key=lambda nk: math.comb(*nk) * nk[1],
+        )
+        assert len(shapes) > 2 * harness._shared_ksets.cache_info().maxsize
+        harness._shared_ksets.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n, k in shapes:
+                harness._shared_ksets(n, k)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            harness._shared_ksets.cache_clear()
+        assert 8 * 2**20 < retained <= 16 * 2**20  # the 16 MB the cache is documented to hold
+
+    def test_every_desk_scale_check_is_shared(self):
+        # criterion 1's grid: k in 2..5, n up to 12
+        assert max(math.comb(12, k) * k for k in range(2, 6)) <= harness._SHARED_CHECK_IDS
+
+    def test_a_wrong_model_fails_through_the_shared_path(self, monkeypatch):
+        def unvalidated(*args):
+            raise AssertionError("a shared enumeration is not validated again")
+
+        monkeypatch.setattr(harness, "evaluate_many", unvalidated)
+        rng = np.random.default_rng(31)
+        selector, order = PositionSelector(3, 2), LatentOrder.random(9, rng)
+        model = active.recover_choice_function(DeterministicOracle(selector, order))
+        assert harness._check_predictions(model, selector, order, rng)
+        first, second, *rest = model.eligible_order
+        wrong = [
+            dataclasses.replace(model, eligible_order=(second, first, *rest)),
+            dataclasses.replace(model, position_hat=1),
+        ]
+        for model in wrong:
+            assert not harness._check_predictions(model, selector, order, rng)
+
+    @pytest.mark.parametrize("n, shape", [(60, (34_220, 3)), (200, (10_000, 3))],
+                             ids=["exhaustive", "sampled"])
+    def test_larger_checks_are_validated_by_evaluate_many(self, monkeypatch, n, shape):
+        shapes, real = [], harness.evaluate_many
+
+        def recording(selector, order, sets):
+            shapes.append(sets.shape)
+            return real(selector, order, sets)
+
+        monkeypatch.setattr(harness, "evaluate_many", recording)
+        report = run(cfg(mode="recover-active", n=n, k=3, position=2, trials=1, seed=3))
+        assert report.rows[0].success and shapes == [shape]
 
 
 class TestReports:

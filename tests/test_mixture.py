@@ -659,6 +659,14 @@ class TestSequentialDiscardRound:
         assert oracle.query_count == 0
         assert oracle._rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("gap", [1e-200, 5e-324])
+    def test_a_tiny_gap_opens_at_the_cap(self, gap):
+        # (first/gap)**2 raised OverflowError for a gap below about 1e-154
+        oracle = self.oracle(44)
+        assert discard_round(oracle, (0, 1, 2), 0.5, gap, 1000, 0.01) in (0, 1, 2)
+        assert oracle.query_count == 1000
+        assert mixture._round_schedule(3, gap, 1000, 0.01) == ((1000, 1000, 0.0),)
+
     def test_a_huge_gap_opens_at_one_answer(self):
         # (first/gap)**2 underflows to an opening of 0, which scheduled
         # empty batches until memory ran out; run under an address-space

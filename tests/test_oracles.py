@@ -229,6 +229,39 @@ class TestMixedOracle:
         assert oracle._rng.bit_generator.state == state
         assert len(oracle.query_repeated((1, 2, 3), INT64_MAX)) == INT64_MAX
 
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 2)])
+    @pytest.mark.parametrize("count", [INT64_MAX, 2**62 + 2**61])
+    def test_counts_whose_raw_total_leaves_int64_refused_before_any_draw(self, count, pair):
+        # at pair mass 0.5, INT64_MAX failed inside numpy's negative-binomial
+        # draw with "n too large or p too small", and 2**62 + 2**61 returned
+        # a raw total of 13,835,058,054,236,304,384, past INT64_MAX; the
+        # limit is the oracle's, so the pair of mass 0.8 refuses them too
+        mix = MixtureDistribution((0.2, 0.3, 0.5), 0.09)
+        oracle = MixedOracle(LatentOrder.identity(3), mix, 0)
+        state = oracle._rng.bit_generator.state
+        with pytest.raises(InvalidQueryError, match="raw total stays within the int64 limit"):
+            oracle.query_until((0, 1, 2), pair, count)
+        assert oracle.query_count == 0
+        assert oracle._rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("probs, gamma", [((0.2, 0.3, 0.5), 0.09),
+                                              ((1e-12, 0.4, 0.6 - 1e-12), 0.1),
+                                              ((0.7, 0.3), 0.3)])
+    def test_the_count_limit_is_drawn_at_the_least_pair_mass(self, probs, gamma):
+        oracle = MixedOracle(LatentOrder.identity(3), MixtureDistribution(probs, gamma), 0)
+        limit, lam_max = oracle._count_limit, oracles._POISSON_LAM_MAX
+        least = sum(sorted(oracle._prob_list)[:2])
+        # the largest such count, to float rounding
+        assert (limit + 10 * math.sqrt(limit)) / least == pytest.approx(lam_max, rel=1e-15)
+        s = tuple(range(len(probs)))
+        pair = tuple(sorted(s, key=lambda x: oracle._prob_list[x])[:2])
+        answers, raw = oracle.query_until(s, pair, limit)
+        assert len(answers) == sum(answers.counts) == limit
+        assert limit <= raw <= INT64_MAX and oracle.query_count == raw
+        with pytest.raises(InvalidQueryError, match="raw total stays within"):
+            oracle.query_until(s, pair, limit + 1)
+        assert oracle.query_count == raw
+
     def test_wrong_size_rejected_uncounted(self):
         mix = MixtureDistribution((0.7, 0.3), 0.3)
         oracle = MixedOracle(LatentOrder.identity(4), mix, 0)
