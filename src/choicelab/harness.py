@@ -8,7 +8,6 @@ informational only and never part of acceptance).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -57,9 +56,8 @@ PASSIVE_EPSILON = 0.05
 # prediction checks compare every k-set up to this many, else a uniform sample
 _EXHAUSTIVE_CHECK_SETS = 200_000
 _SAMPLED_CHECK_SETS = 10_000
-# an exhaustive check of at most this many ids (C(n, k) sets of k) reads one
-# shared enumeration: 256 KB of int64 ids, 16 MB over the cache's 64 entries
-_SHARED_CHECK_IDS = 32_768
+# k -> all_ksets(n, k) at the largest n an exhaustive check has read
+_CHECK_KSETS: dict = {}
 
 
 @dataclass
@@ -133,19 +131,15 @@ class ExperimentConfig:
             if self.gamma is None:
                 raise ValueError("pi requires gamma")
             MixtureDistribution(self.pi, self.gamma)  # raises on any bad pi or gamma
-        if self.mode in ("estimate-mixture", "recover-mixed"):
+        if self.mode == "recover-mixed":  # n >= 2k, and every count within int64
+            mixture.recovery_split(self.n, len(self.pi), self.gamma, self.epsilon)
+        if self.mode == "estimate-mixture":
             k = len(self.pi)
-            if self.mode == "recover-mixed" and self.n < 2 * k:
-                raise ValueError(f"need n >= 2k, got n={self.n}, k={k}")
-            if self.mode == "estimate-mixture":
-                if not 0 < self.delta <= self.gamma / 2:
-                    raise ValueError(f"delta must lie in (0, gamma/2], got {self.delta}")
-                if self.n is not None and self.n < k + 1:
-                    raise ValueError(f"need n >= k+1, got n={self.n}, k={k}")
-                delta, epsilon = self.delta, self.epsilon
-            else:  # recover_mixed estimates pi at delta = gamma/2 with epsilon/5
-                delta, epsilon = self.gamma / 2, self.epsilon / 5
-            mixture.repetition_count(delta, epsilon, k)  # raises past the int64 limit
+            if not 0 < self.delta <= self.gamma / 2:
+                raise ValueError(f"delta must lie in (0, gamma/2], got {self.delta}")
+            if self.n is not None and self.n < k + 1:
+                raise ValueError(f"need n >= k+1, got n={self.n}, k={k}")
+            mixture.repetition_count(self.delta, self.epsilon, k)  # raises past the int64 limit
 
 
 @dataclass(frozen=True)
@@ -225,13 +219,18 @@ def _trial_seeds(master_seed: int, trials: int) -> list:
     ]
 
 
-@functools.lru_cache(maxsize=64)
-def _shared_ksets(n: int, k: int) -> np.ndarray:
-    """all_ksets(n, k), passed once through _check_sets and read-only, so
-    every trial at this (n, k) can read the same array."""
-    sets = _check_sets(k, n, all_ksets(n, k))
-    sets.setflags(write=False)
-    return sets
+def _exhaustive_ksets(n: int, k: int) -> np.ndarray:
+    """all_ksets(n, k), validated and read-only: the first C(n, k) rows of
+    the colex enumeration kept for k, which lists every k-subset of [0, n)
+    before any set with an id >= n. It is rebuilt, and passed through
+    _check_sets, only when a check needs more rows than it holds."""
+    total = math.comb(n, k)
+    sets = _CHECK_KSETS.get(k)
+    if sets is None or len(sets) < total:
+        sets = _check_sets(k, n, all_ksets(n, k))
+        sets.setflags(write=False)
+        _CHECK_KSETS[k] = sets
+    return sets[:total]
 
 
 def _check_predictions(model, selector, order, rng):
@@ -239,20 +238,16 @@ def _check_predictions(model, selector, order, rng):
     on _SAMPLED_CHECK_SETS uniform k-sets when C(n, k) exceeds
     _EXHAUSTIVE_CHECK_SETS.
 
-    The sets are validated once: an enumeration of at most
-    _SHARED_CHECK_IDS ids is validated when _shared_ksets first builds it
-    for its (n, k), and is shared by every later trial; any other set
-    array is validated by evaluate_many."""
+    An exhaustive check reads a prefix of the one enumeration kept for k
+    (_exhaustive_ksets), validated when it was built, and takes the truth
+    from _select_many; a sample is validated by evaluate_many."""
     n, k = order.n, selector.k
     total = math.comb(n, k)
-    if total * k <= _SHARED_CHECK_IDS:
-        sets = _shared_ksets(n, k)
+    if total <= _EXHAUSTIVE_CHECK_SETS:
+        sets = _exhaustive_ksets(n, k)
         truth = _select_many(selector.position, order, sets)
     else:
-        if total <= _EXHAUSTIVE_CHECK_SETS:
-            sets = all_ksets(n, k)
-        else:
-            sets = unrank_combinations(rng.integers(0, total, size=_SAMPLED_CHECK_SETS), n, k)
+        sets = unrank_combinations(rng.integers(0, total, size=_SAMPLED_CHECK_SETS), n, k)
         truth = evaluate_many(selector, order, sets)
     predicted = _select_many(model.position_hat, model.full_order(), sets)
     return bool((predicted == truth).all())
@@ -411,24 +406,13 @@ def run(config: ExperimentConfig) -> TrialReport:
     config.validate()
     runner, _ = _MODES[config.mode]
     report = TrialReport(config=config)
-    for trial, (seed_int, seed_seq) in enumerate(
-        _trial_seeds(config.seed, config.trials)
-    ):
+    for trial, (seed_int, seed_seq) in enumerate(_trial_seeds(config.seed, config.trials)):
         rng = np.random.default_rng(seed_seq)
         start = time.perf_counter()
         queries, success, frac_c, frac_u = runner(config, rng)
         wall_ms = int(round((time.perf_counter() - start) * 1000))
-        report.rows.append(
-            TrialRow(
-                trial=trial,
-                seed=seed_int,
-                queries=queries,
-                success=bool(success),
-                frac_correct=frac_c,
-                frac_unresolved=frac_u,
-                wall_ms=wall_ms,
-            )
-        )
+        row = TrialRow(trial, seed_int, queries, bool(success), frac_c, frac_u, wall_ms)
+        report.rows.append(row)
     return report
 
 
@@ -470,12 +454,6 @@ def query_curve(mode: str, n_values, trials: int = 3, seed: int = 0, **params):
         lg = math.log2(n)
         denom = n * lg if mode == "recover-active" else n * lg * lg
         k = cfg.k if cfg.k is not None else len(cfg.pi)
-        rows.append(
-            {
-                "n": n,
-                "mean_queries": mean_q,
-                "normalized": mean_q / denom,
-                "lower_bound_ratio": sorting_lower_bound(n, k) / mean_q,
-            }
-        )
+        rows.append({"n": n, "mean_queries": mean_q, "normalized": mean_q / denom,
+                     "lower_bound_ratio": sorting_lower_bound(n, k) / mean_q})
     return rows

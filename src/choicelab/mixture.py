@@ -43,6 +43,7 @@ __all__ = [
     "majority_repetitions",
     "noisy_sort",
     "discard_round_repetitions",
+    "recovery_split",
     "pick_round_winner",
     "discard_round",
     "recover_mixed",
@@ -458,6 +459,21 @@ def discard_round(
     return ranked[0][2]
 
 
+def recovery_split(n: int, k: int, gamma: float, epsilon: float) -> tuple:
+    """recover_mixed's split, checked before its first query: (delta,
+    epsilon_stage, cap) = (gamma/2, epsilon/5, the discard rounds' cap).
+    ValueError when n < 2k or when a count recover_mixed fixes passes the
+    int64 limit: the estimate's, the cap, or the main sort's vote cap,
+    which bounds the scrap sort's (k < n-k+1 items)."""
+    if n < 2 * k:
+        raise ValueError(f"need n >= 2k, got n={n}, k={k}")
+    delta, epsilon_stage = gamma / 2, epsilon / 5
+    repetition_count(delta, epsilon_stage, k)
+    cap = discard_round_repetitions(gamma, epsilon, n, k)
+    majority_repetitions(n - k + 1, gamma, epsilon_stage)
+    return delta, epsilon_stage, cap
+
+
 def recover_mixed(oracle: MixedOracle, gamma: float, epsilon: float):
     """Recover the full latent order (up to reflection) and the mixture.
 
@@ -491,15 +507,13 @@ def recover_mixed(oracle: MixedOracle, gamma: float, epsilon: float):
     behavior for every k-set.
     """
     n, k = oracle.n, oracle.k
-    if n < 2 * k:
-        raise ValueError(f"need n >= 2k, got n={n}, k={k}")
+    delta, epsilon_stage, cap = recovery_split(n, k, gamma, epsilon)
 
-    estimate = estimate_mixture(oracle, gamma, gamma / 2, epsilon / 5)
+    estimate = estimate_mixture(oracle, gamma, delta, epsilon_stage)
     pi = estimate.probs_hat
     tracked = pi[-1]  # probability of the end position the discard follows
     gap = min(abs(p - tracked) for p in pi[:-1])
 
-    cap = discard_round_repetitions(gamma, epsilon, n, k)
     budget = _discard_budget(n, k, epsilon)
     discarded_block = sorted(discard_pass(
         n, k, lambda members: discard_round(oracle, members, tracked, gap, cap, budget)
@@ -508,7 +522,7 @@ def recover_mixed(oracle: MixedOracle, gamma: float, epsilon: float):
     anchors = tuple(discarded_block[: k - 2])
     eligible = [x for x in range(n) if x not in discarded_block]
     order_eligible = noisy_sort(
-        NoisyComparator(oracle, anchors), eligible, gamma, epsilon / 5,
+        NoisyComparator(oracle, anchors), eligible, gamma, epsilon_stage,
         margin=_win_margin(pi, k - 2),
     )
     # winner-is-greater matches the tracked end iff its probability exceeds
@@ -520,7 +534,7 @@ def recover_mixed(oracle: MixedOracle, gamma: float, epsilon: float):
     scrap = discarded_block + [known]
     far_anchors = tuple(order_eligible[-(k - 2) :]) if k > 2 else ()
     scrap_sorted = noisy_sort(
-        NoisyComparator(oracle, far_anchors), scrap, gamma, epsilon / 5,
+        NoisyComparator(oracle, far_anchors), scrap, gamma, epsilon_stage,
         margin=_win_margin(pi, 0),
     )
     # the known element sits above the whole discarded block; orient so it

@@ -80,6 +80,10 @@ MIXED = ["--pi", "0.2,0.3,0.5", "--gamma", "0.09"]
         # gamma/2 squared underflowed to 0: ZeroDivisionError
         (["recover-mixed", "--n", "6", "--pi", "0.2,0.3,0.5", "--gamma", "1e-200",
           "--epsilon", "0.1"], "int64 limit"),
+        # the estimate's count fits, the sorts' vote cap does not: a
+        # traceback once the estimate had spent its queries
+        (["recover-mixed", "--n", "30", "--pi", "0.2,0.3,0.5", "--gamma", "2.5e-9",
+          "--epsilon", "0.1"], "int64 limit"),
     ],
 )
 def test_mixture_precondition_usage_error(args, message):
@@ -174,6 +178,13 @@ def test_distance_sort_past_general_position_exits_two():
     proc = run_cli("distance-sort", "--n", "1000", "--trials", "1", "--seed", "1", timeout=60)
     assert_usage_error(proc, "none of 64 draws of n=1000 points in dim 2")
     assert "1e-09" in proc.stderr
+
+
+def test_feasibility_at_large_n_runs_in_time():
+    # the exact factorial of C(n, 2) took minutes from n = 3000
+    proc = run_cli("feasibility", "--n", "100000", "--trials", "1", timeout=60)
+    assert proc.returncode == 0
+    assert ",false," in proc.stdout
 
 
 def test_passive_nan_coverage_usage_error():

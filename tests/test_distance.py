@@ -292,6 +292,11 @@ class TestFeasibility:
     def test_n5_margin(self):
         assert math.log2(math.factorial(10)) - 1 == pytest.approx(20.7919, abs=1e-3)
 
+    def test_matches_the_exact_factorial(self):
+        for n in range(3, 121):
+            exact = math.log2(math.factorial(math.comb(n, 2))) - 1
+            assert feasibility_check(n) == (2 * math.comb(n, 3) < exact)
+
     def test_precondition(self):
         with pytest.raises(ValueError):
             feasibility_check(2)

@@ -171,51 +171,52 @@ def test_alignment_failure_fails_one_trial_only(monkeypatch, mode, entry, extra)
     assert [r.success for r in report.rows] == [True, False, True]
 
 
-class TestSharedCheckSets:
-    """An exhaustive check of at most harness._SHARED_CHECK_IDS ids reads one
-    enumeration per (n, k), validated when it is built and read-only."""
+class TestExhaustiveCheckSets:
+    """An exhaustive check reads the first C(n, k) rows of the one colex
+    enumeration harness keeps for k, validated when it is built and
+    read-only."""
 
-    @pytest.mark.parametrize("n, k", [(3, 2), (7, 3), (12, 5), (14, 7)])
-    def test_shared_sets_are_all_ksets_and_read_only(self, n, k):
-        sets = harness._shared_ksets(n, k)
-        assert sets.dtype == np.int64
-        np.testing.assert_array_equal(sets, all_ksets(n, k))
-        assert harness._shared_ksets(n, k) is sets
-        with pytest.raises(ValueError, match="read-only"):
-            sets[0, 0] = sets[0, 1]
+    @pytest.fixture(autouse=True)
+    def fresh_enumerations(self, monkeypatch):
+        monkeypatch.setattr(harness, "_CHECK_KSETS", {})
 
-    def test_retained_bytes_stay_under_the_bound(self):
-        # every cacheable shape of k <= 8, the largest last, so that the
-        # cache ends full of the largest
-        shapes = sorted(
-            ((n, k) for k in range(2, 9) for n in range(k + 1, 200)
-             if math.comb(n, k) * k <= harness._SHARED_CHECK_IDS),
-            key=lambda nk: math.comb(*nk) * nk[1],
-        )
-        assert len(shapes) > 2 * harness._shared_ksets.cache_info().maxsize
-        harness._shared_ksets.cache_clear()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for n, k in shapes:
-                harness._shared_ksets(n, k)
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-            harness._shared_ksets.cache_clear()
-        assert 8 * 2**20 < retained <= 16 * 2**20  # the 16 MB the cache is documented to hold
+    @pytest.mark.parametrize("k, sizes", [(2, (40, 3, 17, 2)), (3, (60, 4, 25, 59)),
+                                          (5, (20, 5, 11, 19)), (7, (14, 7, 13))])
+    def test_prefix_is_all_ksets_after_a_larger_n(self, k, sizes):
+        kept = harness._exhaustive_ksets(sizes[0], k)
+        for n in sizes[1:]:
+            sets = harness._exhaustive_ksets(n, k)
+            assert sets.dtype == np.int64
+            np.testing.assert_array_equal(sets, all_ksets(n, k))
+            assert np.shares_memory(sets, kept)  # a prefix, not a new enumeration
 
-    def test_every_desk_scale_check_is_shared(self):
-        # criterion 1's grid: k in 2..5, n up to 12
-        assert max(math.comb(12, k) * k for k in range(2, 6)) <= harness._SHARED_CHECK_IDS
+    def test_prefix_is_read_only(self):
+        harness._exhaustive_ksets(9, 3)
+        for n in (9, 5):
+            sets = harness._exhaustive_ksets(n, 3)
+            with pytest.raises(ValueError, match="read-only"):
+                sets[0, 0] = sets[0, 1]
 
-    def test_a_wrong_model_fails_through_the_shared_path(self, monkeypatch):
+    def test_sets_are_validated_once_per_growth(self, monkeypatch):
+        calls, real = [], harness._check_sets
+
+        def counted(k, n, sets):
+            calls.append((n, k))
+            return real(k, n, sets)
+
+        monkeypatch.setattr(harness, "_check_sets", counted)
+        for n, k in [(6, 3), (5, 3), (9, 3), (6, 4), (7, 3), (9, 3), (12, 3), (4, 3), (8, 4)]:
+            harness._exhaustive_ksets(n, k)
+        assert calls == [(6, 3), (9, 3), (6, 4), (12, 3), (8, 4)]
+
+    @pytest.mark.parametrize("n", [9, 60])
+    def test_a_wrong_model_fails_through_the_exhaustive_path(self, monkeypatch, n):
         def unvalidated(*args):
-            raise AssertionError("a shared enumeration is not validated again")
+            raise AssertionError("an exhaustive check is not validated again")
 
         monkeypatch.setattr(harness, "evaluate_many", unvalidated)
         rng = np.random.default_rng(31)
-        selector, order = PositionSelector(3, 2), LatentOrder.random(9, rng)
+        selector, order = PositionSelector(3, 2), LatentOrder.random(n, rng)
         model = active.recover_choice_function(DeterministicOracle(selector, order))
         assert harness._check_predictions(model, selector, order, rng)
         first, second, *rest = model.eligible_order
@@ -226,18 +227,34 @@ class TestSharedCheckSets:
         for model in wrong:
             assert not harness._check_predictions(model, selector, order, rng)
 
-    @pytest.mark.parametrize("n, shape", [(60, (34_220, 3)), (200, (10_000, 3))],
+    @pytest.mark.parametrize("n, shapes", [(60, []), (200, [(10_000, 3)])],
                              ids=["exhaustive", "sampled"])
-    def test_larger_checks_are_validated_by_evaluate_many(self, monkeypatch, n, shape):
-        shapes, real = [], harness.evaluate_many
+    def test_only_sampled_checks_go_through_evaluate_many(self, monkeypatch, n, shapes):
+        seen, real = [], harness.evaluate_many
 
         def recording(selector, order, sets):
-            shapes.append(sets.shape)
+            seen.append(sets.shape)
             return real(selector, order, sets)
 
         monkeypatch.setattr(harness, "evaluate_many", recording)
         report = run(cfg(mode="recover-active", n=n, k=3, position=2, trials=1, seed=3))
-        assert report.rows[0].success and shapes == [shape]
+        assert report.rows[0].success and seen == shapes
+
+    def test_the_desk_scale_grid_retains_under_100_kb(self):
+        # acceptance criterion 1's grid, as the desk-sweep workload runs it:
+        # k in 2..5, n from max(k+1, 2k-1) to 12, smallest n last
+        grid = [(n, k) for k in range(2, 6) for n in range(12, max(k + 1, 2 * k - 1) - 1, -1)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n, k in grid:
+                harness._exhaustive_ksets(n, k)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        kept = sum(math.comb(12, k) * k * 8 for k in range(2, 6))  # 54,208 bytes of ids
+        assert kept <= retained < 100 * 1024
+        assert sorted(harness._CHECK_KSETS) == [2, 3, 4, 5]
 
 
 class TestReports:

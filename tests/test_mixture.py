@@ -28,6 +28,7 @@ from choicelab.mixture import (
     orders_match_up_to_reflection,
     pick_round_winner,
     recover_mixed,
+    recovery_split,
     repetition_count,
 )
 from choicelab.oracles import AnswerCounts, MixedOracle, MixtureDistribution
@@ -1011,6 +1012,66 @@ class TestRecoverMixed:
         oracle = MixedOracle(LatentOrder.identity(5), mix, 0)
         with pytest.raises(ValueError):
             recover_mixed(oracle, 0.09, 0.1)
+
+    def test_split_fixes_the_counts_recover_mixed_uses(self):
+        n, k, gamma, epsilon = 30, 3, 0.09, 0.1
+        assert recovery_split(n, k, gamma, epsilon) == (
+            gamma / 2, epsilon / 5, discard_round_repetitions(gamma, epsilon, n, k))
+        with pytest.raises(ValueError, match="need n >= 2k, got n=5, k=3"):
+            recovery_split(5, k, gamma, epsilon)
+
+    @pytest.mark.parametrize("n, gamma", [(30, 2.5e-9), (30, 2.97e-9), (100, 3.1e-9)])
+    def test_a_count_past_int64_is_refused_before_any_query(self, n, gamma):
+        # the estimate's count fits here; the vote or discard cap does not
+        repetition_count(gamma / 2, 0.1 / 5, 3)
+        mix = MixtureDistribution((0.2, 0.3, 0.5), gamma)
+        oracle = MixedOracle(LatentOrder.identity(n), mix, 0)
+        with pytest.raises(ValueError, match="int64 limit"):
+            recover_mixed(oracle, gamma, 0.1)
+        assert oracle.query_count == 0
+
+    @staticmethod
+    def record_sorts(monkeypatch, strand=False):
+        """Record each noisy sort's input and output; with strand, the scrap
+        sort (every second sort) moves the known element, last in its
+        input, to the middle of its output."""
+        sorts = []
+
+        def recorded(comparator, elements, gamma, epsilon_sort, margin):
+            ordered = noisy_sort(comparator, elements, gamma, epsilon_sort, margin)
+            if strand and len(sorts) % 2:
+                known = elements[-1]
+                ordered = [x for x in ordered if x != known]
+                ordered.insert(len(ordered) // 2, known)
+            sorts.append((list(elements), ordered))
+            return ordered
+
+        monkeypatch.setattr(mixture, "noisy_sort", recorded)
+        return sorts
+
+    def test_scrap_sort_with_the_known_element_last_is_kept(self, monkeypatch):
+        # at pi = (0.3, 0.5, 0.2) the scrap sort's winner-is-greater reading
+        # puts the known element, above the discarded block, on top
+        sorts = self.record_sorts(monkeypatch)
+        mix = MixtureDistribution((0.3, 0.5, 0.2), 0.09)
+        for seed in range(3):
+            order = LatentOrder.random(12, np.random.default_rng(seed))
+            recovered, _ = recover_mixed(MixedOracle(order, mix, 100 + seed), 0.09, 0.1)
+            assert orders_match_up_to_reflection(recovered, order)
+            scrap, ordered = sorts[-1]
+            assert ordered[-1] == scrap[-1]
+
+    @pytest.mark.parametrize("pi", [(0.2, 0.3, 0.5), (0.3, 0.5, 0.2)], ids=["flip", "keep"])
+    def test_a_stranded_known_element_falls_back_to_the_estimate(self, monkeypatch, pi):
+        # the scrap sort leaves the known element at neither end: the block
+        # is oriented by the estimated pi alone, here as the sort had it
+        sorts = self.record_sorts(monkeypatch, strand=True)
+        mix = MixtureDistribution(pi, 0.09)
+        order = LatentOrder.random(12, np.random.default_rng(7))
+        recovered, _ = recover_mixed(MixedOracle(order, mix, 8), 0.09, 0.1)
+        scrap, ordered = sorts[1]
+        assert ordered[0] != scrap[-1] != ordered[-1]
+        assert orders_match_up_to_reflection(recovered, order)
 
     @pytest.mark.parametrize(
         "pi, gamma",

@@ -815,6 +815,10 @@ class TestUnranking:
         assert rows.dtype == np.int64 and rows.shape == (math.comb(n, k), k)
         colex = sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
         assert [tuple(r) for r in rows.tolist()] == colex
+        # colex lists every k-subset of [0, n) before any set with an id >= n,
+        # so each larger enumeration starts with these rows
+        for larger in (n + 1, n + 4):
+            np.testing.assert_array_equal(all_ksets(larger, k)[: len(rows)], rows)
 
     @pytest.mark.parametrize("n, k", [(10_000, 3), (3000, 5)])
     def test_large_ranks_exact(self, n, k):
