@@ -11,6 +11,7 @@ smallest member of each k-set.
 from __future__ import annotations
 
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -54,12 +55,23 @@ class PositionSelector:
     position: int
 
     def __post_init__(self):
+        if not _is_integer(self.k):
+            raise ValueError(f"set size k must be an integer, got {self.k!r}")
         if self.k < 2:
             raise ValueError(f"set size k must be >= 2, got {self.k}")
-        if not 1 <= self.position <= self.k:
-            raise ValueError(
-                f"position must lie in [1, {self.k}], got {self.position}"
-            )
+        _check_position(self.k, self.position)
+
+
+def _is_integer(x) -> bool:
+    """Whether x is an integer of any integer type (Python or numpy); a
+    bool is not one, and no float is read as the integer it equals."""
+    return x.__class__ is not bool and isinstance(x, numbers.Integral)
+
+
+def _check_position(k: int, position, error: type = ValueError) -> None:
+    """Raise error unless position is an integer in [1, k]."""
+    if not (_is_integer(position) and 1 <= position <= k):
+        raise error(f"position must lie in [1, {k}], got {position!r}")
 
 
 class LatentOrder:
@@ -103,8 +115,10 @@ class LatentOrder:
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "LatentOrder":
-        """Order induced by real-valued embedding coordinates (must be distinct)."""
+        """Order induced by real-valued embedding coordinates (distinct, none NaN)."""
         vals = np.asarray(values, dtype=float)
+        if np.isnan(vals).any():
+            raise ValueError("embedding values must not be NaN")
         if np.unique(vals).size != vals.size:
             raise ValueError("embedding values must be distinct")
         return cls(np.argsort(vals))

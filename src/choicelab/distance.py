@@ -160,8 +160,11 @@ def median_choice(points: MetricPoints, s) -> int:
 
 def outlier_choice(points: MetricPoints, s) -> int:
     """The member farthest from the median member; on triplets this is
-    similarity aversion (two similar options lose to the dissimilar one)."""
+    similarity aversion (two similar options lose to the dissimilar one).
+    A set of fewer than 3 members has no outlier: InvalidArityError."""
     s = _check_members(points, s)
+    if len(s) < 3:
+        raise InvalidArityError(f"outlier rule needs at least 3 members, got {len(s)}")
     center = median_choice(points, s)
     return max((x for x in s if x != center), key=lambda x: points.distance(x, center))
 

@@ -59,6 +59,7 @@ from .core import (
     InvalidQueryError,
     LatentOrder,
     PositionSelector,
+    _check_position,
     _check_query,
     _check_sets,
     _ranked,
@@ -495,8 +496,10 @@ def revealing_counts(n: int, k: int, position: int) -> np.ndarray:
     C(n, k) k-subsets of an ordered universe of n select, at the given
     position, the member of rank r, which has r members below it. Each
     k-set selects one member, so the counts sum to C(n, k); ineligible
-    ranks count 0. Raises OverflowError as _binomial_table(n, k) does,
-    which bounds C(n, k) and so every count."""
+    ranks count 0. A position that is not an integer in [1, k], a bool
+    included, raises ValueError, and an (n, k) whose C(n, k) passes the
+    int64 limit OverflowError, as _binomial_table(n, k) does."""
+    _check_position(k, position)
     table = _binomial_table(n, k)
     ranks = np.arange(n)
     return table[position - 1, ranks] * table[k - position, n - 1 - ranks]

@@ -31,6 +31,7 @@ from .core import (
     InvalidQueryError,
     LatentOrder,
     PositionSelector,
+    _check_position,
     _check_query,
     _check_sets,
     _select_many,
@@ -82,6 +83,10 @@ class _Unresolved:
 
 
 UNRESOLVED = _Unresolved()
+
+# coverage reports score every k-set up to this many, else a uniform sample
+_EXHAUSTIVE_SCORE_SETS = 1_000_000
+_SAMPLED_SCORE_SETS = 100_000
 
 
 def find_ineligible_passive(batch: ObservationBatch, universe_size: int) -> frozenset:
@@ -234,11 +239,10 @@ def build_partial_order(
 
 
 def answer_query(po: InferredPartialOrder, s, position: int | None = None):
-    """The inferred choice for one k-set, or UNRESOLVED: answer_many on a
-    single row, validated once as a scalar query."""
+    """The inferred choice for one k-set, or UNRESOLVED: answer_many on the
+    single row of a valid scalar query."""
     s = _check_query(po.k, po.universe_size, s)
-    position = po.position if position is None else position
-    answer = int(_answer_rows(po, np.array([s]), (position,))[0][0])
+    answer = int(answer_many(po, [s], po.position if position is None else position)[0])
     return UNRESOLVED if answer == -1 else answer
 
 
@@ -247,36 +251,24 @@ def answer_many(po: InferredPartialOrder, sets: np.ndarray, position: int) -> np
     marks UNRESOLVED.
 
     A row is UNRESOLVED whenever it touches an anchor or contains an
-    unresolved pair; otherwise its answer is the member at the requested
-    position under the stored orientation, read from the order by closure
-    win count. Every resolved answer is correct under one global reading
-    (possibly the reflected position; the scorer tries both). A position
-    outside [1, k] raises InvalidQueryError.
+    unresolved pair. Any other row is totally ordered by the closure, and
+    so by closure win count, and its answer is the member at the requested
+    position in that order under the stored orientation. Every resolved
+    answer is correct under one global reading (possibly the reflected
+    position; the scorer tries both). A position that is not an integer
+    in [1, k], a bool included, raises InvalidQueryError.
     """
-    return _answer_rows(po, _check_sets(po.k, po.universe_size, sets), (position,))[0]
-
-
-def _answer_rows(po: InferredPartialOrder, sets: np.ndarray, positions) -> list:
-    """answer_many for sets that passed _check_sets, at each of positions:
-    a row with no anchor and every pair comparable is totally ordered by
-    the closure, and so by score, so its answer is selected by score."""
-    m, k = sets.shape
-    for position in positions:
-        if position not in range(1, k + 1):
-            raise InvalidQueryError(f"position must lie in [1, {k}], got {position}")
+    sets = _check_sets(po.k, po.universe_size, sets)
+    _check_position(po.k, position, InvalidQueryError)
     columns = sets.T  # k contiguous id columns
     base = columns * po.universe_size
     # an anchor is comparable to nothing, so every row that holds one is unresolved
-    resolved = np.ones(m, dtype=bool)
-    for a in range(k):
-        for b in range(a + 1, k):
-            resolved &= po._comparable[base[a] + columns[b]]
-    answers = {}
-    for position in positions:
-        if position not in answers:  # the two readings of an odd k's middle coincide
-            answers[position] = _select_many(position, po._score_order, sets)
-            answers[position][~resolved] = -1
-    return [answers[position] for position in positions]
+    resolved = np.ones(len(sets), dtype=bool)
+    for a, b in itertools.combinations(range(po.k), 2):
+        resolved &= po._comparable[base[a] + columns[b]]
+    answers = _select_many(position, po._score_order, sets)
+    answers[~resolved] = -1
+    return answers
 
 
 @dataclass(frozen=True)
@@ -299,17 +291,16 @@ def coverage_report(
     po: InferredPartialOrder,
     selector: PositionSelector,
     order: LatentOrder,
-    sample_size: int = 100_000,
-    rng: np.random.Generator | None = None,
-    exhaustive_limit: int = 1_000_000,
+    rng: np.random.Generator,
 ) -> CoverageReport:
     """Fraction of k-sets answered correctly, UNRESOLVED counted as incorrect.
 
-    Exhaustive when C(n,k) is at most exhaustive_limit, otherwise a
-    uniform sample of sample_size sets with a 95% Clopper-Pearson interval;
-    sampled scoring with no rng or a sample_size below 1 raises ValueError.
-    Both readings of the stored orientation (position and its reflection)
-    are scored globally and the consistent one is reported.
+    Exhaustive when C(n,k) is at most _EXHAUSTIVE_SCORE_SETS, otherwise a
+    uniform sample of _SAMPLED_SCORE_SETS sets drawn from rng, with a 95%
+    Clopper-Pearson interval. Both readings of the stored orientation
+    (position and its reflection) are scored globally by answer_many, once
+    when they coincide at an odd k's middle, and the consistent one is
+    reported.
     """
     n, k = order.n, selector.k
     if po.k != k or po.universe_size < n:
@@ -318,36 +309,30 @@ def coverage_report(
             f"{k}-sets over {n}"
         )
     total = math.comb(n, k)
-    if total <= exhaustive_limit:
+    exhaustive = total <= _EXHAUSTIVE_SCORE_SETS
+    if exhaustive:
         sets = all_ksets(n, k)
-        exhaustive = True
     else:
-        if rng is None:
-            raise ValueError("sampled scoring needs an rng")
-        if not sample_size > 0:
-            raise ValueError(f"sampled scoring needs a positive sample_size, got {sample_size}")
         # ascending ranks unrank faster; scoring is a mean, so row order is free
-        idx = np.sort(rng.integers(0, total, size=sample_size))
+        idx = np.sort(rng.integers(0, total, size=_SAMPLED_SCORE_SETS))
         sets = unrank_combinations(idx, n, k)
-        exhaustive = False
-
-    truth = evaluate_many(selector, order, sets)  # the one validation of sets
-    position = po.position
-    stored, reflected = _answer_rows(po, sets, (position, k - position + 1))
-    reading, answers, hits = "stored", stored, int((stored == truth).sum())
-    reflected_hits = int((reflected == truth).sum())
-    if reflected_hits > hits:
-        reading, answers, hits = "reflected", reflected, reflected_hits
+    truth = evaluate_many(selector, order, sets)
+    position, reflection = po.position, k - po.position + 1
+    reading, answers = "stored", answer_many(po, sets, position)
+    hits = int((answers == truth).sum())
+    if reflection != position:
+        reflected = answer_many(po, sets, reflection)
+        reflected_hits = int((reflected == truth).sum())
+        if reflected_hits > hits:
+            reading, answers, hits = "reflected", reflected, reflected_hits
     count = len(sets)
-    frac_correct = hits / count
-    frac_unresolved = float((answers == -1).mean())
     lo, hi = clopper_pearson(hits, count)
     return CoverageReport(
         n=n,
         k=k,
         position=position,
-        frac_correct=frac_correct,
-        frac_unresolved=frac_unresolved,
+        frac_correct=hits / count,
+        frac_unresolved=float((answers == -1).mean()),
         reading=reading,
         sample_size=count,
         exhaustive=exhaustive,
@@ -362,7 +347,8 @@ def revealing_set_count(n: int, k: int, position: int, rank: int) -> int:
     A revealing set contains the element plus exactly position-1 members
     below it and k-position above it; rank counts elements below. One
     entry of oracles.revealing_counts, the count the phase-1 sampler draws.
-    A rank outside [0, n) raises ValueError.
+    A rank outside [0, n), or a position that is not an integer in [1, k],
+    raises ValueError.
     """
     if not 0 <= rank < n:
         raise ValueError(f"rank must lie in [0, {n}), got {rank}")
@@ -377,7 +363,9 @@ def min_revealing_count(n: int, k: int, position: int) -> int:
 
 def count_revealing_brute_force(n: int, k: int, position: int, rank: int) -> int:
     """Independent oracle: enumerate every k-set containing the rank-th
-    element and count those whose selected member is that element."""
+    element and count those whose selected member is that element. A
+    position that is not an integer in [1, k] raises ValueError."""
+    _check_position(k, position)
     element = rank
     others = [x for x in range(n) if x != element]
     count = 0

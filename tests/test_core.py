@@ -162,6 +162,11 @@ class TestLatentOrder:
         with pytest.raises(ValueError, match="integers"):
             LatentOrder(ids)
 
+    @pytest.mark.parametrize("values", [[0.1, np.nan, 0.3], [np.nan], [np.nan, np.nan]])
+    def test_from_values_rejects_nan(self, values):
+        with pytest.raises(ValueError, match="NaN"):
+            LatentOrder.from_values(values)
+
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
     def test_accepts_numpy_integer_ids(self, dtype):
         order = LatentOrder(np.array([2, 0, 1], dtype=dtype))
@@ -207,6 +212,19 @@ class TestKSet:
             PositionSelector(3, 0)
         with pytest.raises(ValueError):
             PositionSelector(3, 4)
+
+    @pytest.mark.parametrize("k, position", [
+        (3, 2.0), (3.0, 2), (3, True), (True, 1), (3, np.float64(2.0)), (3, "2"), (3, None),
+    ])
+    def test_selector_rejects_bools_and_non_integers(self, k, position):
+        with pytest.raises(ValueError, match="integer|position must lie in"):
+            PositionSelector(k, position)
+
+    @pytest.mark.parametrize("dtype", [int, np.int64, np.int32, np.uint8])
+    def test_selector_accepts_any_integer_type(self, dtype):
+        selector = PositionSelector(dtype(3), dtype(2))
+        assert selector == PositionSelector(3, 2)
+        assert evaluate(selector, LatentOrder.identity(5), (4, 0, 2)) == 2
 
 
 def reference_select_many(position, order, sets):

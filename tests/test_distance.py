@@ -123,6 +123,12 @@ class TestOutlierChoice:
         pts = line_points(0.0, 1.0, 10.0)
         assert outlier_choice(pts, (0, 1, 2)) == 2
 
+    @pytest.mark.parametrize("s", [(1,), (0, 2)])
+    def test_fewer_than_three_members_rejected(self, s):
+        pts = MetricPoints([[0.0], [1.3], [3.7]])
+        with pytest.raises(InvalidArityError, match=f"at least 3 members, got {len(s)}"):
+            outlier_choice(pts, s)
+
     def test_outlier_is_complement_of_min_distance_pair(self):
         rng = np.random.default_rng(53)
         for _ in range(300):

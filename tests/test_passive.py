@@ -42,7 +42,7 @@ from choicelab.passive import (
     min_revealing_count,
     revealing_set_count,
 )
-from choicelab.passive import _answer_rows
+from choicelab import passive
 
 
 def anchored_batch(order, k, position, anchors, pairs):
@@ -233,7 +233,7 @@ class TestAnswerQuery:
     def test_unresolved_pair_propagates(self):
         assert answer_query(self.po, (4, 5, 8)) is UNRESOLVED
 
-    @pytest.mark.parametrize("position", [0, 4, 7, -1])
+    @pytest.mark.parametrize("position", [0, 4, 7, -1, True, False, 2.0, np.float64(2.0), "2"])
     def test_position_outside_1_k_rejected(self, position):
         with pytest.raises(InvalidQueryError, match=r"position must lie in \[1, 3\]"):
             answer_many(self.po, [[1, 3, 5], [2, 4, 6]], position)
@@ -251,6 +251,11 @@ class TestAnswerQuery:
         for bad in ([[2, 2, 3]], [[1, 3, 7], [4, 8, 4]]):
             with pytest.raises(InvalidQueryError, match="duplicate"):
                 answer_many(self.po, bad, self.position)
+
+    @pytest.mark.parametrize("position", [2, np.int64(2), np.uint8(2)])
+    def test_position_of_any_integer_type(self, position):
+        assert answer_query(self.po, (1, 3, 7), position) == 3
+        assert answer_many(self.po, [[1, 3, 7], [0, 2, 3]], position).tolist() == [3, -1]
 
     def test_vectorized_matches_scalar(self):
         sets = np.array(list(itertools.combinations(range(self.n), self.k)))
@@ -299,8 +304,14 @@ def closed_model(n, k, position, p, seed):
     return build_partial_order(batch, n, anchors, position), selector, order
 
 
+def score_sets(monkeypatch, exhaustive, sampled):
+    """Set coverage_report's exhaustive limit and sample size."""
+    monkeypatch.setattr(passive, "_EXHAUSTIVE_SCORE_SETS", exhaustive)
+    monkeypatch.setattr(passive, "_SAMPLED_SCORE_SETS", sampled)
+
+
 class TestAnswerRowsReference:
-    """_answer_rows, which reads answers from one score order, against the
+    """answer_many, which reads answers from one score order, against the
     wins-based kernel it replaced."""
 
     @pytest.mark.parametrize(
@@ -313,7 +324,7 @@ class TestAnswerRowsReference:
         po, _, _ = closed_model(n, k, position, p, 10 * seed + n)
         sets = all_ksets(n, k)
         positions = tuple(range(1, k + 1))
-        got = _answer_rows(po, sets, positions)
+        got = [answer_many(po, sets, position) for position in positions]
         want = answer_rows_by_wins(po, sets, positions)
         assert len(got) == k
         for got_answers, want_answers in zip(got, want):
@@ -335,15 +346,16 @@ class TestAnswerRowsReference:
         ],
         ids=["sampled-k3", "exhaustive-k4", "exhaustive-k5"],
     )
-    def test_coverage_report_fields_unchanged(self, n, k, position, p, seed, sampled, want):
+    def test_coverage_report_fields_unchanged(
+        self, monkeypatch, n, k, position, p, seed, sampled, want
+    ):
         # recorded from the wins-based kernel on the same models and rng;
         # sampled-k3 and exhaustive-k4 re-recorded, from that kernel, when
         # phases began drawing their ranks as geometric gaps: the models'
         # law is unchanged, the model per seed is not
         po, selector, order = closed_model(n, k, position, p, seed)
-        limit = 1000 if sampled else 10**6
-        report = coverage_report(po, selector, order, sample_size=20000,
-                                 rng=np.random.default_rng(11), exhaustive_limit=limit)
+        score_sets(monkeypatch, 1000 if sampled else 10**6, 20000)
+        report = coverage_report(po, selector, order, np.random.default_rng(11))
         frac_correct, frac_unresolved, reading, size, lo, hi = want
         assert report == CoverageReport(
             n=n, k=k, position=position, frac_correct=frac_correct,
@@ -361,7 +373,8 @@ class TestCoverage:
         batch = anchored_batch(order, k, position, anchors, pairs)
         po = build_partial_order(batch, n, anchors, position)
         # anchor-containing sets stay unresolved; everything in range is exact
-        report = coverage_report(po, PositionSelector(k, position), order)
+        rng = np.random.default_rng(0)
+        report = coverage_report(po, PositionSelector(k, position), order, rng)
         anchor_sets = math.comb(n - 1, k - 1) / math.comb(n, k)
         assert report.frac_correct == pytest.approx(1.0 - anchor_sets)
         assert report.frac_unresolved == pytest.approx(anchor_sets)
@@ -414,9 +427,10 @@ class TestCoverage:
         "position, seed, want", [(2, 0, "reflected"), (2, 3, "stored"), (3, 0, "stored")]
     )
     @pytest.mark.parametrize("exhaustive", [True, False], ids=["exhaustive", "sampled"])
-    def test_report_scores_both_answer_many_readings(self, exhaustive, position, seed, want):
-        # the report scores both readings from one comparability pass;
-        # its figures are those of one answer_many call per reading
+    def test_report_scores_both_answer_many_readings(
+        self, monkeypatch, exhaustive, position, seed, want
+    ):
+        # the report's figures are those of one answer_many call per reading
         n, k = 14, 4
         selector = PositionSelector(k, position)
         order = LatentOrder.random(n, np.random.default_rng(seed))
@@ -425,13 +439,12 @@ class TestCoverage:
         batch = sample_phase(stream, 2, n, k, oracle, np.random.default_rng(4))
         anchors = sorted(ineligible_set(selector, order))[: k - 2]
         po = build_partial_order(batch, n, anchors, position)
-        limit, size = (10**6, 0) if exhaustive else (10, 500)
-        report = coverage_report(po, selector, order, sample_size=size,
-                                 rng=np.random.default_rng(5), exhaustive_limit=limit)
+        score_sets(monkeypatch, 10**6 if exhaustive else 10, 500)
+        report = coverage_report(po, selector, order, np.random.default_rng(5))
         if exhaustive:
             sets = all_ksets(n, k)
         else:
-            ranks = np.random.default_rng(5).integers(0, math.comb(n, k), size=size)
+            ranks = np.random.default_rng(5).integers(0, math.comb(n, k), size=500)
             sets = unrank_combinations(np.sort(ranks), n, k)
         truth = evaluate_many(selector, order, sets)
         scores = {}
@@ -445,13 +458,18 @@ class TestCoverage:
         assert (report.frac_correct, report.frac_unresolved) == scores[want]
         assert (report.exhaustive, report.sample_size) == (exhaustive, len(sets))
 
-    @pytest.mark.parametrize("size", [0, -1])
-    def test_report_rejects_a_sample_size_below_one(self, size):
-        po, selector, order = closed_model(40, 3, 2, 0.5, 3)
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match=f"positive sample_size, got {size}"):
-            coverage_report(po, selector, order, sample_size=size, rng=rng, exhaustive_limit=1000)
-        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+    @pytest.mark.parametrize("k, position, calls", [(3, 2, [2]), (4, 2, [2, 3]), (5, 3, [3])])
+    def test_report_answers_each_distinct_reading_once(self, monkeypatch, k, position, calls):
+        po, selector, order = closed_model(12, k, position, 0.8, 7)
+        seen = []
+
+        def counted(po, sets, position):
+            seen.append((len(sets), position))
+            return answer_many(po, sets, position)
+
+        monkeypatch.setattr(passive, "answer_many", counted)
+        report = coverage_report(po, selector, order, np.random.default_rng(0))
+        assert seen == [(report.sample_size, p) for p in calls]
 
     def test_report_rejects_a_model_of_other_sets(self):
         order = LatentOrder.identity(8)
@@ -459,7 +477,7 @@ class TestCoverage:
         po = build_partial_order(batch, 8, (0,), 2)
         for selector, n in ((PositionSelector(4, 2), 8), (PositionSelector(3, 2), 9)):
             with pytest.raises(InvalidQueryError):
-                coverage_report(po, selector, LatentOrder.identity(n))
+                coverage_report(po, selector, LatentOrder.identity(n), np.random.default_rng(0))
 
     def test_report_fields(self):
         n, k, position = 8, 3, 2
@@ -469,7 +487,8 @@ class TestCoverage:
         po = build_partial_order(
             anchored_batch(order, k, position, anchors, pairs), n, anchors, position
         )
-        report = coverage_report(po, PositionSelector(k, position), order)
+        rng = np.random.default_rng(0)
+        report = coverage_report(po, PositionSelector(k, position), order, rng)
         assert [f.name for f in dataclasses.fields(report)] == [
             "n", "k", "position", "frac_correct", "frac_unresolved", "reading",
             "sample_size", "exhaustive", "ci_low", "ci_high",
@@ -788,6 +807,19 @@ class TestRevealingCounts:
     def test_k3_minimum_is_exactly_n_minus_2(self):
         for n in range(5, 31):
             assert min_revealing_count(n, 3, 2) == n - 2
+
+    @pytest.mark.parametrize("position", [0, 4, True, 2.0])
+    @pytest.mark.parametrize("count", [
+        lambda position: revealing_counts(10, 3, position),
+        lambda position: revealing_set_count(10, 3, position, 4),
+        lambda position: min_revealing_count(10, 3, position),
+        lambda position: count_revealing_brute_force(10, 3, position, 4),
+    ], ids=["revealing_counts", "revealing_set_count", "min_revealing_count", "brute_force"])
+    def test_position_outside_1_k_rejected(self, count, position):
+        # 0 would read the last row of the binomial table, and the brute
+        # force the maximum, through a negative index
+        with pytest.raises(ValueError, match=r"position must lie in \[1, 3\]"):
+            count(position)
 
 
 @st.composite
