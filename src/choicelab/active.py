@@ -137,15 +137,21 @@ def discard_pass(n: int, k: int, choose) -> frozenset:
     then discards that member and brings in a fresh id. A member that
     choose never picks is never discarded, so for a position selector the
     final set minus its choice is exactly the k-1 ineligible alternatives.
+    An answer outside its set raises InconsistentOracleError.
     """
     if n < k + 1:
         raise ValueError(f"need n >= k+1, got n={n}, k={k}")
     current = list(range(k))
-    for fresh in range(k, n):
-        current.remove(choose(current))
+    for fresh in range(k, n + 1):  # after the last round, n stands in for a fresh id
+        choice = choose(current)
+        try:
+            current.remove(choice)
+        except ValueError:  # cheaper than a membership test in every round
+            raise InconsistentOracleError(
+                f"set {current} answered with a non-member: {choice}"
+            ) from None
         current.append(fresh)
-    choice = choose(current)
-    return frozenset(x for x in current if x != choice)
+    return frozenset(current[:-1])
 
 
 def discard_ineligible(oracle: DeterministicOracle) -> frozenset:

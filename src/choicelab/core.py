@@ -242,13 +242,9 @@ def _select_many(position: int, order: LatentOrder, sets: np.ndarray) -> np.ndar
     Sort-free: a compare-exchange network over the k rank columns. Pass i
     moves the i-th smallest rank into column i and the larger ones right;
     the last pass only takes a minimum. From above the middle the same
-    passes run on maxima. Past three passes the network's O(passes * k)
-    array operations cost more than one np.partition of the rank rows.
+    passes run on maxima.
     """
     passes = min(position, sets.shape[1] - position + 1)
-    if passes > 3:
-        ranks = np.partition(order._rank[sets], position - 1, axis=1)
-        return order.ascending[ranks[:, position - 1]]
     rows = list(order._rank[sets.T])  # k contiguous rank columns
     k = len(rows)
     keep, drop = (np.minimum, np.maximum) if passes == position else (np.maximum, np.minimum)

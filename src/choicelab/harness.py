@@ -300,6 +300,8 @@ def _stream_config(cfg) -> StreamConfig:
     if cfg.p1 is not None or cfg.p2 is not None:
         if cfg.p1 is None or cfg.p2 is None:
             raise ValueError("p1 and p2 must be given together")
+        if (cfg.alpha, cfg.t1, cfg.t2) != (None, None, None):
+            raise ValueError("give p1 and p2 or alpha, t1 and t2, not both")
         return StreamConfig(cfg.p1, cfg.p2)
     if cfg.alpha is not None or cfg.t1 is not None or cfg.t2 is not None:
         if None in (cfg.alpha, cfg.t1, cfg.t2):

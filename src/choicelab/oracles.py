@@ -373,15 +373,24 @@ class ObservationBatch:
 
     A caller's records enter once, here: the constructor refuses ragged or
     nested input and passes the rest through _check_sets and a membership
-    check of each choice. Every id lies below id_bound, which readers
-    compare with their universe size instead of scanning ids.
+    check of each choice. sample_phase builds its batches with _trusted,
+    which checks nothing again. A batch is a plain record: every attribute
+    is set when it is built, and every array is read-only.
 
-    len() counts the records the phase drew. A batch that sample_phase drew
-    with anchors, which its anchors attribute names (None otherwise), drew
-    as rows only the sets that contain every anchor and the rest as a count.
-    A batch drawn counts-only (counts_only is True) holds no rows, only
-    choice_counts. Unless sets holds every record drawn, the batch is not
-    complete, and the readers of every record refuse it.
+    sets, choices: the (m, k) int64 rows held and the id chosen from each.
+    k: the set size, sets.shape[1].
+    id_bound: every id lies below it, which readers compare with their
+        universe size instead of scanning ids.
+    anchors: None, or the ids held by every row of a batch that
+        sample_phase drew with anchors; it drew as rows only the sets that
+        contain every anchor, and the rest as a count.
+    counts_only: True for a batch that holds no rows, only choice_counts.
+    complete: whether sets holds every record that the phase drew. The
+        readers of every record refuse a batch that is not complete.
+    choice_counts: how often each id below id_bound is chosen over every
+        record drawn; None when the batch holds only the rows with anchors.
+
+    len() counts the records the phase drew.
     """
 
     def __init__(self, sets, choices):
@@ -402,57 +411,27 @@ class ObservationBatch:
             member |= column == choices
         if not member.all():
             raise InvalidQueryError("every chosen alternative must be a member of its set")
-        self._freeze(sets, choices, int(sets.max()) + 1 if sets.size else 0, len(sets))
+        id_bound = int(sets.max()) + 1 if sets.size else 0
+        vars(self).update(vars(self._trusted(sets, choices, id_bound, len(sets))))
 
     @classmethod
-    def _answered(cls, sets, choices, universe_size: int, drawn: int, anchors=None):
-        """A batch of sets that passed an oracle's query_many over
-        [0, universe_size) and the oracle's answers to them: every row is
-        valid and every choice a member of its row, so nothing is re-checked.
-        drawn counts the records of the phase, anchors those every row holds."""
+    def _trusted(cls, sets, choices, id_bound: int, drawn: int, anchors=None, counts=None):
+        """A batch of records known to be valid, built with no check: rows
+        of ids below id_bound, each with a member chosen, out of drawn
+        records in all, with anchors in every row; given counts, a
+        counts-only batch whose sets has no rows."""
         batch = cls.__new__(cls)
-        batch._freeze(sets, choices, universe_size, drawn, anchors)
-        return batch
-
-    @classmethod
-    def _counted(cls, k: int, counts: np.ndarray):
-        """A counts-only batch of k-set records: counts[x] is how often id x
-        was chosen, over as many records as the counts sum to."""
-        batch = cls.__new__(cls)
-        empty = np.empty(0, dtype=np.int64)
-        batch._freeze(empty.reshape(0, k), empty, len(counts), int(counts.sum()), counts=counts)
-        return batch
-
-    def _freeze(self, sets, choices, id_bound: int, drawn: int, anchors=None, counts=None):
-        self.sets = sets
-        self.choices = choices
-        self.id_bound = id_bound
-        self.anchors = anchors
-        self.counts_only = counts is not None
-        self._drawn = drawn
-        self._counts = counts
+        batch.sets, batch.choices, batch.id_bound = sets, choices, id_bound
+        batch.k, batch.anchors, batch._drawn = int(sets.shape[1]), anchors, drawn
+        batch.counts_only = counts is not None
+        batch.complete = counts is None and drawn == sets.shape[0]
+        if batch.complete:
+            counts = np.bincount(choices, minlength=id_bound)
+        batch.choice_counts = counts
         for array in (sets, choices, counts):
             if array is not None:
                 array.setflags(write=False)
-
-    @property
-    def k(self) -> int:
-        return int(self.sets.shape[1])
-
-    @property
-    def complete(self) -> bool:
-        """Whether sets holds every record that the phase drew."""
-        return not self.counts_only and self._drawn == self.sets.shape[0]
-
-    @property
-    def choice_counts(self) -> np.ndarray | None:
-        """How often each id below id_bound is chosen over every record
-        drawn, or None when the batch holds only the rows with its anchors.
-        A complete batch counts its choices on first read."""
-        if self._counts is None and self.complete:
-            self._counts = np.bincount(self.choices, minlength=self.id_bound)
-            self._counts.setflags(write=False)
-        return self._counts
+        return batch
 
     def __len__(self) -> int:
         return int(self._drawn)
@@ -633,7 +612,10 @@ def sample_phase(
         counts = np.empty(universe_size, dtype=np.int64)
         revealing = revealing_counts(universe_size, k, oracle.selector.position)
         counts[oracle.order.ascending] = rng.binomial(revealing, p)
-        return ObservationBatch._counted(k, counts)
+        empty = np.empty(0, dtype=np.int64)
+        return ObservationBatch._trusted(
+            empty.reshape(0, k), empty, universe_size, int(counts.sum()), counts=counts
+        )
     if anchors is not None:
         anchors = _check_query(k - 2, universe_size, anchors)
         free = np.setdiff1d(np.arange(universe_size), anchors)
@@ -654,4 +636,4 @@ def sample_phase(
         idx = _sample_ranks(math.comb(universe_size, k), p, rng)
         sets = unrank_combinations(idx, universe_size, k)
         drawn = idx.size
-    return ObservationBatch._answered(sets, oracle.query_many(sets), universe_size, drawn, anchors)
+    return ObservationBatch._trusted(sets, oracle.query_many(sets), universe_size, drawn, anchors)

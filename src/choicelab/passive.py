@@ -34,6 +34,7 @@ from .core import (
     _check_position,
     _check_query,
     _check_sets,
+    _is_integer,
     _select_many,
     evaluate_many,
 )
@@ -167,18 +168,17 @@ def _transitive_closure(direct: np.ndarray) -> np.ndarray:
     v = direct.shape[0]
     indegree = direct.sum(axis=0)
     queue = [i for i in range(v) if indegree[i] == 0]
-    topo = []
+    topo = []  # (node, its children), in topological order
     while queue:  # Kahn's algorithm pops each node once
         node = queue.pop()
-        topo.append(node)
         children = np.nonzero(direct[node])[0]
+        topo.append((node, children))
         indegree[children] -= 1
         queue.extend(children[indegree[children] == 0].tolist())
     if len(topo) != v:
         raise InconsistentStreamError("orientation cycle in observed comparisons")
     reach = direct.copy()
-    for node in reversed(topo):
-        children = np.nonzero(direct[node])[0]
+    for node, children in reversed(topo):
         if children.size:
             reach[node] |= reach[children].any(axis=0)
     return reach
@@ -233,7 +233,7 @@ def build_partial_order(
     direct = np.zeros((universe_size, universe_size), dtype=bool)
     losers = np.where(winners == pairs[:, 0], pairs[:, 1], pairs[:, 0])
     direct[winners, losers] = True
-    if np.any(direct & direct.T):
+    if direct[losers, winners].any():  # an edge whose reverse is also an edge
         raise InconsistentStreamError("contradictory orientations for a pair")
     return InferredPartialOrder(_transitive_closure(direct), anchors, position)
 
@@ -347,17 +347,19 @@ def revealing_set_count(n: int, k: int, position: int, rank: int) -> int:
     A revealing set contains the element plus exactly position-1 members
     below it and k-position above it; rank counts elements below. One
     entry of oracles.revealing_counts, the count the phase-1 sampler draws.
-    A rank outside [0, n), or a position that is not an integer in [1, k],
-    raises ValueError.
+    A rank that is not an integer in [0, n), or a position that is not an
+    integer in [1, k], raises ValueError.
     """
-    if not 0 <= rank < n:
+    if not (_is_integer(rank) and 0 <= rank < n):
         raise ValueError(f"rank must lie in [0, {n}), got {rank}")
     return int(revealing_counts(n, k, position)[rank])
 
 
 def min_revealing_count(n: int, k: int, position: int) -> int:
     """Minimum revealing-set count over all eligible elements, those with
-    rank in [position-1, n-k+position-1]."""
+    rank in [position-1, n-k+position-1]. n < k raises ValueError."""
+    if n < k:
+        raise ValueError(f"need n >= k, got n={n}, k={k}")
     return int(revealing_counts(n, k, position)[position - 1 : n - k + position].min())
 
 

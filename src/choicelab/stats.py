@@ -8,7 +8,8 @@ importing choicelab needs no scipy.
 from __future__ import annotations
 
 import math
-import operator
+
+from .core import _is_integer
 
 _TINY = 1e-300  # Lentz's stand-in for a denominator that comes out zero
 _CF_EPS = 1e-15  # relative size of the last continued-fraction factor
@@ -115,11 +116,11 @@ def _beta_ppf(q: float, a: float, b: float) -> float:
 
 
 def clopper_pearson(successes: int, trials: int, alpha: float = 0.05):
-    """Exact (Clopper-Pearson) two-sided confidence interval for a binomial rate."""
-    try:
-        successes, trials = operator.index(successes), operator.index(trials)
-    except TypeError:
-        raise ValueError("successes and trials must be integers") from None
+    """Exact (Clopper-Pearson) two-sided confidence interval for a binomial
+    rate. Counts that are not integers, bools included, raise ValueError."""
+    if not (_is_integer(successes) and _is_integer(trials)):
+        raise ValueError("successes and trials must be integers")
+    successes, trials = int(successes), int(trials)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if trials <= 0:

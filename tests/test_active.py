@@ -404,6 +404,18 @@ class TestInconsistentOracle:
                            match=r"^position query answered outside its set$"):
             self.recover(self.position_query, outside)
 
+    @pytest.mark.parametrize("at, message", [
+        (0, r"^set \[0, 1, 2, 3\] answered with a non-member: 4$"),
+        (5, r"^set \[0, 6, 7, 8\] answered with a non-member: 1$"),
+    ], ids=["a-round", "the-final-set"])
+    def test_a_discard_answer_outside_its_set(self, at, message):
+        # queries 0 to N-K are the discard pass's rounds, N-K its final set
+        def outside(s, answer):
+            return next(x for x in range(self.N) if x not in s)
+
+        with pytest.raises(InconsistentOracleError, match=message):
+            self.recover(at, outside)
+
     def test_a_classification_answer_matching_neither_placement(self):
         # the query is [x] + low_block; at position_hat 3 an answer of
         # low_block[1] puts x below and low_block[2] above: low_block[0] is neither

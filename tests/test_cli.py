@@ -113,6 +113,12 @@ def test_mixture_precondition_usage_error(args, message):
          "need n >= 4 for the coverage formulas"),
         (["recover-passive", "--n", "30", "--k", "3", "--ell", "2", "--p1", "0.5"],
          "p1 and p2 must be given together"),
+        (["recover-passive", "--n", "30", "--k", "3", "--ell", "2", "--p1", "0.5",
+          "--p2", "0.5", "--alpha", "1"], "not both"),
+        (["recover-passive", "--n", "30", "--k", "3", "--ell", "2", "--p1", "0.5",
+          "--p2", "0.5", "--alpha", "1", "--t1", "1", "--t2", "1"], "not both"),
+        (["recover-passive", "--n", "30", "--k", "3", "--ell", "2", "--p1", "0.5",
+          "--p2", "0.5", "--t2", "1"], "not both"),
         (["feasibility", "--n", "2"], "need n >= 3"),
         (["recover-active", "--n", "9", "--k", "3", "--ell", "2", "--seed", "-1"],
          "seed must be >= 0"),
@@ -126,7 +132,8 @@ def test_mixture_precondition_usage_error(args, message):
         "active-too-few-eligibles", "passive-rank-overflow", "active-rank-overflow", "passive-table-overflow",
         "passive-enumeration-table-overflow",
         "classify-small-n", "passive-n-below-k", "passive-coverage-small-n",
-        "passive-p1-alone", "feasibility-small-n", "negative-seed", "median-dim-0",
+        "passive-p1-alone", "passive-probabilities-and-alpha", "passive-probabilities-and-rate",
+        "passive-probabilities-and-t2", "feasibility-small-n", "negative-seed", "median-dim-0",
         "passive-epsilon-2", "distance-sort-n-0",
     ],
 )

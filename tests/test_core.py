@@ -249,8 +249,8 @@ def random_rows(rng, n, k, m, layout):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_select_many_matches_argsort_reference(k, extra, m, layout, seed):
-    # k up to 9 covers the compare-exchange network and the partition it
-    # hands over to past three passes; F-ordered rows are what unranking gives
+    # k up to 9 runs the compare-exchange network at up to five passes;
+    # F-ordered rows are what unranking gives
     rng = np.random.default_rng(seed)
     n = k + extra
     order = LatentOrder.random(n, rng)

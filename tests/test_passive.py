@@ -766,13 +766,31 @@ class TestCountsOnlySample:
             sample_phase(stream, 1, n, k, oracle, np.random.default_rng(0), counts_only=True)
 
     def test_choice_counts_of_each_form(self):
-        batch = ObservationBatch(np.array([[0, 1, 4], [1, 2, 3], [0, 2, 4]]), np.array([1, 2, 2]))
-        assert batch.choice_counts.tolist() == [0, 1, 2, 0, 0]
+        # every attribute is set as the batch is built: none is computed on read
         oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(40))
-        stream = StreamConfig(0.3, 0.3)
-        anchored = sample_phase(stream, 2, 40, 3, oracle, np.random.default_rng(5), anchors=[0])
-        assert anchored.choice_counts is None
-        assert len(self.counted().choice_counts) == 40
+        stream, rng = StreamConfig(0.3, 0.3), np.random.default_rng
+        cases = {  # batch, then its k, complete, counts_only and choice_counts
+            "complete": (ObservationBatch(np.array([[0, 1, 4], [1, 2, 3], [0, 2, 4]]),
+                                          np.array([1, 2, 2])), 3, True, False, [0, 1, 2, 0, 0]),
+            "anchored": (sample_phase(stream, 2, 40, 3, oracle, rng(5), anchors=[0]),
+                         3, False, False, None),
+            "counts-only": (sample_phase(stream, 1, 40, 3, oracle, rng(5), counts_only=True),
+                            3, False, True, "drawn"),
+            "empty-anchored": (sample_phase(StreamConfig(1e-9, 1e-9), 2, 40, 3, oracle, rng(0),
+                                            anchors=[0]), 3, True, False, [0] * 40),
+        }
+        for name, (batch, k, complete, counts_only, counts) in cases.items():
+            assert {"k", "complete", "counts_only", "choice_counts"} <= vars(batch).keys(), name
+            assert (batch.k, batch.complete, batch.counts_only) == (k, complete, counts_only), name
+            if counts == "drawn":  # one binomial count per id, len() their sum
+                assert batch.choice_counts.shape == (40,), name
+                assert batch.choice_counts.sum() == len(batch) > 0, name
+            elif counts is None:
+                assert batch.choice_counts is None, name
+            else:
+                assert batch.choice_counts.tolist() == counts, name
+            for array in (batch.sets, batch.choices, batch.choice_counts):
+                assert array is None or not array.flags.writeable, name
 
 
 class TestRevealingCounts:
@@ -787,7 +805,7 @@ class TestRevealingCounts:
                     eligible = brute[position - 1 : n - k + position]
                     assert min_revealing_count(n, k, position) == min(eligible)
 
-    @pytest.mark.parametrize("rank", [-1, 9])
+    @pytest.mark.parametrize("rank", [-1, 9, True, 2.0])
     def test_rank_outside_the_universe_rejected(self, rank):
         with pytest.raises(ValueError, match=r"rank must lie in \[0, 9\)"):
             revealing_set_count(9, 3, 2, rank)
@@ -803,6 +821,10 @@ class TestRevealingCounts:
                         assert revealing_set_count(
                             n, k, position, rank
                         ) == count_revealing_brute_force(n, k, position, rank)
+
+    def test_minimum_below_k_ids_rejected(self):
+        with pytest.raises(ValueError, match="need n >= k, got n=2, k=3"):
+            min_revealing_count(2, 3, 2)
 
     def test_k3_minimum_is_exactly_n_minus_2(self):
         for n in range(5, 31):

@@ -44,7 +44,8 @@ def test_alpha_outside_unit_interval_rejected(alpha):
         clopper_pearson(3, 10, alpha=alpha)
 
 
-@pytest.mark.parametrize("successes, trials", [(2.5, 10), (2, 10.0), ("2", 10)])
+@pytest.mark.parametrize("successes, trials",
+                         [(2.5, 10), (2, 10.0), ("2", 10), (True, 2), (1, True)])
 def test_non_integer_counts_rejected(successes, trials):
     with pytest.raises(ValueError, match="integers"):
         clopper_pearson(successes, trials)
