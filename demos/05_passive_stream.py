@@ -45,23 +45,25 @@ rng = np.random.default_rng(31)
 hidden_order = LatentOrder.random(n, rng)
 oracle = DeterministicOracle(PositionSelector(k, position), hidden_order)
 
+# the sampler reads the universe size and k from the oracle, and each
+# batch carries that universe size to the readers below
 batch1 = sample_phase(
-    stream, 1, n, k, oracle, np.random.default_rng(rng.integers(2**63)), counts_only=True
+    stream, 1, oracle, np.random.default_rng(rng.integers(2**63)), counts_only=True
 )
 print(f"\nphase 1: {len(batch1)} records of {math.comb(n, k)} possible sets, "
       f"drawn as {n} choice counts ({oracle.query_count} sets answered)")
 
-never = find_ineligible_passive(batch1, n)
+never = find_ineligible_passive(batch1)
 print("never-chosen set found:", sorted(never),
       "| exact:", never == ineligible_set(oracle.selector, hidden_order))
 
 # phase 2 draws only the sets that hold the anchors, and counts the rest
 anchors = sorted(never)[: k - 2]
 batch2 = sample_phase(
-    stream, 2, n, k, oracle, np.random.default_rng(rng.integers(2**63)), anchors=anchors
+    stream, 2, oracle, np.random.default_rng(rng.integers(2**63)), anchors=anchors
 )
 print(f"phase 2: {len(batch2)} records, {len(batch2.sets)} of them with anchors {anchors}")
-po = build_partial_order(batch2, n, anchors, position)
+po = build_partial_order(batch2, anchors, position)
 # the closure is indexed by alternative id; an anchor is comparable to nothing
 print(f"closure over all {po.beats.shape[0]} ids; anchors comparable to none: "
       f"{not any(po.resolved(a, x) for a in anchors for x in range(n) if x != a)}")

@@ -50,7 +50,7 @@ rng = np.random.default_rng(41)
 n = 12
 pts = MetricPoints(rng.normal(size=(n, 3)))
 oracle = PairDistanceOracle(pts)
-ordered = crowd_median_sort(oracle, n)
+ordered = crowd_median_sort(oracle)  # every pair of the oracle's n points
 exact = ordered == sorted(ordered, key=pts.pair_distance)
 print(f"\nsorted all C({n},2) = {len(ordered)} pairwise distances "
       f"in {oracle.query_count} comparisons; exact: {exact}")

@@ -68,6 +68,14 @@ def _is_integer(x) -> bool:
     return x.__class__ is not bool and isinstance(x, numbers.Integral)
 
 
+def _check_id(n: int, x) -> int:
+    """x as an int in [0, n) for a scalar lookup; a bool, a float or a
+    negative x raises InvalidQueryError, never read as another id."""
+    if not (_is_integer(x) and 0 <= x < n):
+        raise InvalidQueryError(f"expected an integer in [0, {n}), got {x!r}")
+    return int(x)
+
+
 def _check_position(k: int, position, error: type = ValueError) -> None:
     """Raise error unless position is an integer in [1, k]."""
     if not (_is_integer(position) and 1 <= position <= k):
@@ -129,14 +137,18 @@ class LatentOrder:
         return self._ascending
 
     def rank_of(self, alternative: int) -> int:
-        return self._rank_list[alternative]
+        return self._rank_list[_check_id(self.n, alternative)]
 
     def ranks(self, ids) -> np.ndarray:
-        """Vectorized rank lookup."""
-        return self._rank[np.asarray(ids, dtype=np.int64)]
+        """Vectorized rank lookup over ids of any shape: integers in [0, n),
+        as _check_sets takes them, or InvalidQueryError."""
+        ids = np.asarray(ids)
+        if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= self.n):
+            raise InvalidQueryError(f"ids must be integers in [0, {self.n})")
+        return self._rank[ids.astype(np.int64, copy=False)]
 
     def id_at(self, rank: int) -> int:
-        return int(self._ascending[rank])
+        return int(self._ascending[_check_id(self.n, rank)])
 
     def reversed(self) -> "LatentOrder":
         return LatentOrder(self._ascending[::-1])

@@ -216,16 +216,12 @@ class PairDistanceOracle:
         return a if da > db else b
 
 
-def crowd_median_sort(pair_oracle: PairDistanceOracle, n: int):
-    """Sort all C(n,2) pairs ascending by distance through the pair oracle.
+def crowd_median_sort(pair_oracle: PairDistanceOracle):
+    """Sort all C(n,2) pairs of the oracle's n points ascending by distance.
 
-    Deterministic merge sort: O(N log N) oracle calls for N = C(n,2). An
-    n beyond the embedding's points raises InvalidQueryError before the
-    first comparison.
+    Deterministic merge sort: O(N log N) oracle calls for N = C(n,2).
     """
-    if n > pair_oracle.points.n:
-        raise InvalidQueryError(f"no coordinates for id {pair_oracle.points.n}")
-    pairs = [pair_id(*p) for p in itertools.combinations(range(n), 2)]
+    pairs = list(itertools.combinations(range(pair_oracle.points.n), 2))
 
     def less(a, b):
         return pair_oracle.larger(a, b) == b

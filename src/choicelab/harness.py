@@ -211,12 +211,13 @@ class TrialReport:
         return json.dumps({"rows": rows, "aggregate": self.aggregate}, indent=2)
 
 
-def _trial_seeds(master_seed: int, trials: int) -> list:
+def _trial_seeds(master_seed: int, trials: int):
+    """Each trial's (seed int, SeedSequence), spawned as the trial starts:
+    the children of one root.spawn(trials), with none built ahead."""
     root = np.random.SeedSequence(int(master_seed))
-    return [
-        (int(child.generate_state(1, dtype=np.uint64)[0]), child)
-        for child in root.spawn(trials)
-    ]
+    for _ in range(trials):
+        (child,) = root.spawn(1)
+        yield int(child.generate_state(1, dtype=np.uint64)[0]), child
 
 
 def _exhaustive_ksets(n: int, k: int) -> np.ndarray:
@@ -317,20 +318,20 @@ def _run_recover_passive(cfg, rng):
     stream = _stream_config(cfg)
     rng1, rng2, rng3 = [np.random.default_rng(s) for s in rng.integers(0, 2**63, 3)]
     # phase 1 is read only through its choice counts, so only they are drawn
-    batch1 = sample_phase(stream, 1, cfg.n, cfg.k, oracle, rng1, counts_only=True)
+    batch1 = sample_phase(stream, 1, oracle, rng1, counts_only=True)
     try:
-        never, covered = passive.find_ineligible_passive(batch1, cfg.n), True
+        never, covered = passive.find_ineligible_passive(batch1), True
     except passive.InsufficientCoverageError as exc:
         never, covered = exc.never_chosen, False
     # phase 2 is drawn, and its records counted, whether or not phase 1
     # covered; only the records that hold every anchor are built
     anchors = sorted(never)[: cfg.k - 2]
-    batch2 = sample_phase(stream, 2, cfg.n, cfg.k, oracle, rng2, anchors=anchors)
+    batch2 = sample_phase(stream, 2, oracle, rng2, anchors=anchors)
     observations = len(batch1) + len(batch2)
     if not covered:
         return observations, False, 0.0, 1.0
     threshold = 1.0 - (cfg.epsilon if cfg.epsilon is not None else PASSIVE_EPSILON)
-    po = passive.build_partial_order(batch2, cfg.n, anchors, cfg.position)
+    po = passive.build_partial_order(batch2, anchors, cfg.position)
     report = passive.coverage_report(po, selector, order, rng=rng3)
     ok = report.frac_correct >= threshold
     return observations, ok, report.frac_correct, report.frac_unresolved
@@ -377,7 +378,7 @@ def _run_distance_median(cfg, rng):
 def _run_distance_sort(cfg, rng):
     points = _random_points(cfg.n, cfg.dim, rng)
     oracle = distance.PairDistanceOracle(points)
-    ordered = distance.crowd_median_sort(oracle, cfg.n)
+    ordered = distance.crowd_median_sort(oracle)
     direct = sorted(ordered, key=points.pair_distance)
     total = len(ordered)
     bound = math.ceil(2 * total * math.log2(total)) if total > 1 else 1

@@ -62,6 +62,7 @@ from .core import (
     _check_position,
     _check_query,
     _check_sets,
+    _is_integer,
     _ranked,
     evaluate,
     evaluate_many,
@@ -372,35 +373,37 @@ class ObservationBatch:
     """The distinct (k-set, choice) records observed during one stream phase.
 
     A caller's records enter once, here: the constructor refuses ragged or
-    nested input and passes the rest through _check_sets and a membership
-    check of each choice. sample_phase builds its batches with _trusted,
-    which checks nothing again. A batch is a plain record: every attribute
+    nested input, checks the rest with _check_sets over [0, n) and each
+    choice for membership of its set, and freezes copies, never the
+    caller's arrays. sample_phase builds its batches with _trusted, which
+    checks and copies nothing. A batch is a plain record: every attribute
     is set when it is built, and every array is read-only.
 
     sets, choices: the (m, k) int64 rows held and the id chosen from each.
+    n: the universe size; every id lies in [0, n).
     k: the set size, sets.shape[1].
-    id_bound: every id lies below it, which readers compare with their
-        universe size instead of scanning ids.
     anchors: None, or the ids held by every row of a batch that
         sample_phase drew with anchors; it drew as rows only the sets that
         contain every anchor, and the rest as a count.
     counts_only: True for a batch that holds no rows, only choice_counts.
     complete: whether sets holds every record that the phase drew. The
         readers of every record refuse a batch that is not complete.
-    choice_counts: how often each id below id_bound is chosen over every
-        record drawn; None when the batch holds only the rows with anchors.
+    choice_counts: how often each id in [0, n) is chosen over every record
+        drawn; None when the batch holds only the rows with anchors.
 
     len() counts the records the phase drew.
     """
 
-    def __init__(self, sets, choices):
+    def __init__(self, sets, choices, n: int):
         try:
             sets, choices = np.asarray(sets), np.asarray(choices)
         except ValueError:  # ragged rows, or a list among the ids
             raise InvalidQueryError("sets must be (m, k), choices (m,), of integer ids") from None
         if sets.ndim != 2:
             raise InvalidQueryError("sets must be an (m, k) array")
-        sets = _check_sets(sets.shape[1], INT64_MAX, sets)
+        if not (_is_integer(n) and n >= 0):
+            raise InvalidQueryError(f"universe size must be a non-negative integer, got {n!r}")
+        sets = _check_sets(sets.shape[1], n, sets)
         if choices.size and choices.dtype.kind not in "iu":
             raise InvalidQueryError(f"choice must be an integer id, got dtype {choices.dtype}")
         choices = choices.astype(np.int64, copy=False)
@@ -411,22 +414,21 @@ class ObservationBatch:
             member |= column == choices
         if not member.all():
             raise InvalidQueryError("every chosen alternative must be a member of its set")
-        id_bound = int(sets.max()) + 1 if sets.size else 0
-        vars(self).update(vars(self._trusted(sets, choices, id_bound, len(sets))))
+        vars(self).update(vars(self._trusted(sets.copy(), choices.copy(), int(n), len(sets))))
 
     @classmethod
-    def _trusted(cls, sets, choices, id_bound: int, drawn: int, anchors=None, counts=None):
-        """A batch of records known to be valid, built with no check: rows
-        of ids below id_bound, each with a member chosen, out of drawn
-        records in all, with anchors in every row; given counts, a
-        counts-only batch whose sets has no rows."""
+    def _trusted(cls, sets, choices, n: int, drawn: int, anchors=None, counts=None):
+        """A batch of records known to be valid, built with no check or copy
+        from arrays it then owns: rows of ids in [0, n), each with a member
+        chosen, out of drawn records in all, with anchors in every row;
+        given counts, a counts-only batch whose sets has no rows."""
         batch = cls.__new__(cls)
-        batch.sets, batch.choices, batch.id_bound = sets, choices, id_bound
+        batch.sets, batch.choices, batch.n = sets, choices, n
         batch.k, batch.anchors, batch._drawn = int(sets.shape[1]), anchors, drawn
         batch.counts_only = counts is not None
         batch.complete = counts is None and drawn == sets.shape[0]
         if batch.complete:
-            counts = np.bincount(choices, minlength=id_bound)
+            counts = np.bincount(choices, minlength=n)
         batch.choice_counts = counts
         for array in (sets, choices, counts):
             if array is not None:
@@ -560,16 +562,14 @@ def _sample_ranks(total: int, p: float, rng: np.random.Generator) -> np.ndarray:
 def sample_phase(
     config: StreamConfig,
     phase: int,
-    universe_size: int,
-    k: int,
     oracle,
     rng: np.random.Generator,
     anchors=None,
     counts_only: bool = False,
 ) -> ObservationBatch:
-    """Realize one stream phase: each of the C(n,k) k-sets appears
-    independently with the phase's probability, and appearing sets come
-    back with their oracle answers.
+    """Realize one stream phase: each of the C(n,k) k-sets of the oracle's
+    n and k appears independently with the phase's probability, and
+    appearing sets come back with their oracle answers.
 
     No event times are materialized: the included ranks are running sums
     of Geometric(p) gaps (_sample_ranks), so they come out ascending. Pass
@@ -588,40 +588,36 @@ def sample_phase(
     batch's rows that hold every anchor, not the same draw. The oracle
     answers, and its query_count counts, only the rows.
 
-    With counts_only, for a position-selecting oracle over exactly
-    universe_size ids, no set is drawn: every drawn k-set reveals one
-    member, so the number of times id x is chosen is an independent
-    Binomial(R_x, p) over the R_x sets that select it (revealing_counts),
-    drawn as one vectorised binomial. The batch holds these choice_counts
-    and no rows, and its len() is their sum, which has the law of the full
-    batch's size; the oracle answers and counts nothing. Equal in law to
-    the bincount of a full batch's choices, not bit-identical to it.
-    Anchors and counts_only together raise ValueError.
+    With counts_only, for a position-selecting oracle, no set is drawn:
+    every drawn k-set reveals one member, so the number of times id x is
+    chosen is an independent Binomial(R_x, p) over the R_x sets that
+    select it (revealing_counts), drawn as one vectorised binomial. The
+    batch holds these choice_counts and no rows, and its len() is their
+    sum, which has the law of the full batch's size; the oracle answers
+    and counts nothing. Equal in law to the bincount of a full batch's
+    choices, not bit-identical to it. Anchors and counts_only together
+    raise ValueError.
     """
     if phase not in (1, 2):
         raise ValueError("phase must be 1 or 2")
     p = config.p1 if phase == 1 else config.p2
+    n, k = oracle.n, oracle.k
     if counts_only:
         if anchors is not None:
             raise ValueError("a counts-only phase draws no rows to hold anchors")
-        if (k, universe_size) != (oracle.k, oracle.n):
-            raise InvalidQueryError(
-                f"the oracle answers {oracle.k}-sets over {oracle.n} ids, "
-                f"not {k}-sets over {universe_size}"
-            )
-        counts = np.empty(universe_size, dtype=np.int64)
-        revealing = revealing_counts(universe_size, k, oracle.selector.position)
+        counts = np.empty(n, dtype=np.int64)
+        revealing = revealing_counts(n, k, oracle.selector.position)
         counts[oracle.order.ascending] = rng.binomial(revealing, p)
         empty = np.empty(0, dtype=np.int64)
         return ObservationBatch._trusted(
-            empty.reshape(0, k), empty, universe_size, int(counts.sum()), counts=counts
+            empty.reshape(0, k), empty, n, int(counts.sum()), counts=counts
         )
     if anchors is not None:
-        anchors = _check_query(k - 2, universe_size, anchors)
-        free = np.setdiff1d(np.arange(universe_size), anchors)
+        anchors = _check_query(k - 2, n, anchors)
+        free = np.setdiff1d(np.arange(n), anchors)
         pairs = math.comb(free.size, 2)
         picked = _sample_ranks(pairs, p, rng)
-        drawn = picked.size + int(rng.binomial(math.comb(universe_size, k) - pairs, p))
+        drawn = picked.size + int(rng.binomial(math.comb(n, k) - pairs, p))
         columns = np.empty((k, picked.size), dtype=np.int64)
         columns[: k - 2] = np.reshape(anchors, (-1, 1))
         columns[k - 2 :] = free[unrank_combinations(picked, free.size, 2).T]
@@ -633,7 +629,7 @@ def sample_phase(
                 columns[j - 1] = low
         sets = columns.T
     else:
-        idx = _sample_ranks(math.comb(universe_size, k), p, rng)
-        sets = unrank_combinations(idx, universe_size, k)
+        idx = _sample_ranks(math.comb(n, k), p, rng)
+        sets = unrank_combinations(idx, n, k)
         drawn = idx.size
-    return ObservationBatch._trusted(sets, oracle.query_many(sets), universe_size, drawn, anchors)
+    return ObservationBatch._trusted(sets, oracle.query_many(sets), n, drawn, anchors)

@@ -15,8 +15,8 @@ Resolved queries are answered from one order of the universe by closure
 win count, which agrees with the closure on every resolved set.
 
 Records are validated where they enter an ObservationBatch (sampled rows
-by query_many, others by the constructor); this module only compares a
-batch's id_bound with the universe size.
+by query_many, others by the constructor), and the batch carries the
+universe size n, so this module checks no record or id of a batch again.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .core import (
     InvalidQueryError,
     LatentOrder,
     PositionSelector,
+    _check_id,
     _check_position,
     _check_query,
     _check_sets,
@@ -90,24 +91,19 @@ _EXHAUSTIVE_SCORE_SETS = 1_000_000
 _SAMPLED_SCORE_SETS = 100_000
 
 
-def find_ineligible_passive(batch: ObservationBatch, universe_size: int) -> frozenset:
-    """Alternatives never appearing as a choice in the batch.
+def find_ineligible_passive(batch: ObservationBatch) -> frozenset:
+    """Ids in [0, batch.n) never appearing as a choice in the batch.
 
     The true ineligible set is always a subset of the result; when the
     result has exactly k-1 members it equals the ineligible set. Any other
     size raises InsufficientCoverageError (the algorithm terminates with
     no answer rather than guessing). Reads only the batch's choice_counts,
-    so a counts-only batch serves. A batch with ids outside
-    [0, universe_size) raises InvalidQueryError, and one sampled with
-    anchors, which counts only some choices, ValueError.
+    so a counts-only batch serves. A batch sampled with anchors, which
+    counts only some choices, raises ValueError.
     """
-    if batch.id_bound > universe_size:
-        raise InvalidQueryError(f"ids out of range [0, {universe_size})")
     if batch.choice_counts is None:
         raise ValueError(f"phase 1 is read in full, not sampled with anchors {batch.anchors}")
-    counts = np.zeros(universe_size, dtype=np.int64)
-    counts[: batch.id_bound] = batch.choice_counts
-    never = np.flatnonzero(counts == 0)
+    never = np.flatnonzero(batch.choice_counts == 0)
     if never.size != batch.k - 1:
         raise InsufficientCoverageError(int(x) for x in never)
     return frozenset(int(x) for x in never)
@@ -143,8 +139,8 @@ class InferredPartialOrder:
         return len(self.anchors) + 2
 
     def resolved(self, u: int, v: int) -> bool:
-        u, v = _check_sets(1, self.universe_size, [[u], [v]])[:, 0]
-        return bool(u == v or self._comparable[u * self.universe_size + v])
+        u, v = _check_id(self.universe_size, u), _check_id(self.universe_size, v)
+        return u == v or bool(self._comparable[u * self.universe_size + v])
 
     @property
     def unresolved_pair_count(self) -> int:
@@ -184,11 +180,9 @@ def _transitive_closure(direct: np.ndarray) -> np.ndarray:
     return reach
 
 
-def build_partial_order(
-    batch: ObservationBatch, universe_size: int, anchors, position: int
-) -> InferredPartialOrder:
-    """Extract anchored-pair orientations from a phase-2 batch over the ids
-    [0, universe_size) and close them.
+def build_partial_order(batch: ObservationBatch, anchors, position: int) -> InferredPartialOrder:
+    """Extract anchored-pair orientations from a phase-2 batch over its ids
+    [0, batch.n) and close them.
 
     Only records whose set is exactly {u, v} plus the anchors contribute;
     the record's choice is the pair's winner under the stream's fixed
@@ -196,25 +190,22 @@ def build_partial_order(
     and an anchor is comparable to none. Contradictory orientations for
     one pair, a choice falling on an anchor, or any cycle raise
     InconsistentStreamError (impossible for a noiseless
-    position-selecting source with correct anchors). A batch
-    with ids outside [0, universe_size) raises InvalidQueryError, as do
-    anchors that are not k-2 distinct ids in that range. A batch sampled
+    position-selecting source with correct anchors). Anchors that are not
+    k-2 distinct ids in [0, batch.n) raise InvalidQueryError. A batch sampled
     with other anchors raises ValueError, since it lacks the records these
     anchors read, and a counts-only batch, which holds no rows, ValueError.
     """
-    k = batch.k
+    n, k = batch.n, batch.k
     if not 2 <= position <= k - 1:
         raise ValueError(f"position must lie in [2, k-1], got {position}")
-    anchors = _check_query(k - 2, universe_size, anchors)
-    if batch.id_bound > universe_size:
-        raise InvalidQueryError(f"ids out of range [0, {universe_size})")
+    anchors = _check_query(k - 2, n, anchors)
     if batch.counts_only:
         raise ValueError("a counts-only batch holds no rows to orient pairs from")
     if not batch.complete and batch.anchors != anchors:
         raise ValueError(
             f"the batch holds only the records with anchors {batch.anchors}, not {anchors}"
         )
-    is_anchor = np.zeros(universe_size, dtype=bool)
+    is_anchor = np.zeros(n, dtype=bool)
     is_anchor[list(anchors)] = True
 
     columns = batch.sets.T
@@ -230,7 +221,7 @@ def build_partial_order(
     if pairs.size and not ((winners == pairs[:, 0]) | (winners == pairs[:, 1])).all():
         raise InconsistentStreamError("an anchored record chose an anchor")
 
-    direct = np.zeros((universe_size, universe_size), dtype=bool)
+    direct = np.zeros((n, n), dtype=bool)
     losers = np.where(winners == pairs[:, 0], pairs[:, 1], pairs[:, 0])
     direct[winners, losers] = True
     if direct[losers, winners].any():  # an edge whose reverse is also an edge

@@ -230,13 +230,13 @@ def test_criterion_07_passive_recovery():
         r1, r2, r3, r4 = [np.random.default_rng(s) for s in child.spawn(4)]
         order = LatentOrder.random(n, r4)
         oracle = DeterministicOracle(selector, order)
-        batch1 = sample_phase(stream, 1, n, k, oracle, r1)
-        never = find_ineligible_passive(batch1, n)
+        batch1 = sample_phase(stream, 1, oracle, r1)
+        never = find_ineligible_passive(batch1)
         anchors = sorted(never)[: k - 2]
         # phase 2 draws only the records that hold the anchors, the ones
         # build_partial_order reads, equal in law to those of the full phase
-        batch2 = sample_phase(stream, 2, n, k, oracle, r2, anchors=anchors)
-        po = build_partial_order(batch2, n, anchors, position)
+        batch2 = sample_phase(stream, 2, oracle, r2, anchors=anchors)
+        po = build_partial_order(batch2, anchors, position)
         if po.unresolved_pair_count / math.comb(n - k + 2, 2) <= 0.02:
             unresolved_ok += 1
         sets = unrank_combinations(
@@ -369,7 +369,7 @@ def test_criterion_09_distance_procedures():
             except AmbiguousDistancesError:
                 continue
         oracle = PairDistanceOracle(pts)
-        ordered = crowd_median_sort(oracle, n)
+        ordered = crowd_median_sort(oracle)
         total = math.comb(n, 2)
         if ordered != sorted(ordered, key=pts.pair_distance):
             sort_ok = False

@@ -27,6 +27,7 @@ from choicelab.core import (
     ineligible_set,
     kset,
 )
+from choicelab.distance import MetricPoints, median_choice
 from choicelab.harness import sorting_lower_bound
 from choicelab.oracles import DeterministicOracle, all_ksets
 
@@ -439,3 +440,35 @@ class TestInconsistentOracle:
         with pytest.raises(InconsistentOracleError,
                            match=r"^insertion query \(5, 3, 1, 7\) answered 7$"):
             self.recover(self.position_query + self.K, lambda s, answer: s[3])
+
+
+class MedianOracle:
+    """Answers each k-set with distance.median_choice on fixed points: a
+    distance chooser, not a DeterministicOracle, that counts its queries."""
+
+    def __init__(self, points, k):
+        self.points, self.n, self.k = points, points.n, k
+        self.query_count = 0
+
+    def query(self, s):
+        answer = median_choice(self.points, s)
+        self.query_count += 1
+        return answer
+
+
+class TestDistanceChooserOnALine:
+    """On a line the median rule picks the middle member of every odd k-set
+    by coordinate, a position selector on the points' order, so recovery is
+    exact; the judge is median_choice itself on every k-set."""
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("n", [12, 25])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_recovery_exact_on_every_kset(self, n, k, seed):
+        points = MetricPoints(np.random.default_rng(seed).normal(size=n))
+        assert points.dim == 1
+        model = recover_choice_function(MedianOracle(points, k))
+        assert model.position_hat == (k + 1) // 2
+        sets = all_ksets(n, k)
+        truth = [median_choice(points, s) for s in sets.tolist()]
+        assert predict_many(model, sets).tolist() == truth

@@ -188,6 +188,34 @@ class TestLatentOrder:
             for s in itertools.combinations(range(8), 3):
                 assert evaluate(selector, base, s) == evaluate(selector, warped, s)
 
+    BAD_IDS = [True, False, 1.0, np.float64(2), -1, -4, 4, "1", None]
+
+    @pytest.mark.parametrize("x", BAD_IDS)
+    def test_rank_of_refuses_what_is_not_an_id(self, x):
+        # never read as another id: a bool as 0 or 1, -1 as the last entry
+        with pytest.raises(InvalidQueryError, match=r"integer in \[0, 4\)"):
+            LatentOrder((3, 0, 2, 1)).rank_of(x)
+
+    @pytest.mark.parametrize("x", BAD_IDS)
+    def test_id_at_refuses_what_is_not_a_rank(self, x):
+        with pytest.raises(InvalidQueryError, match=r"integer in \[0, 4\)"):
+            LatentOrder((3, 0, 2, 1)).id_at(x)
+
+    @pytest.mark.parametrize(
+        "ids", [[0.9, True], [1.0, 2.0], [True, False], [0, -1], [[0, 1], [2, 4]]]
+    )
+    def test_ranks_refuses_what_is_not_an_id(self, ids):
+        with pytest.raises(InvalidQueryError, match=r"integers in \[0, 4\)"):
+            LatentOrder((3, 0, 2, 1)).ranks(ids)
+
+    def test_lookups_take_numpy_integers(self):
+        order = LatentOrder((3, 0, 2, 1))
+        assert order.id_at(np.uint8(0)) == 3 and type(order.id_at(np.int64(3))) is int
+        assert order.rank_of(np.int32(3)) == 0
+        ids = np.array([[3, 0], [2, 1]], dtype=np.uint16)
+        assert order.ranks(ids).tolist() == [[0, 1], [2, 3]]
+        assert order.ranks([]).size == 0
+
 
 class TestKSet:
     def test_sorts_and_validates(self):

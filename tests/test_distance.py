@@ -160,31 +160,25 @@ class TestCrowdMedianSort:
     def test_four_point_example(self):
         pts = line_points(0.0, 1.0, 3.0, 7.0)
         oracle = PairDistanceOracle(pts)
-        ordered = crowd_median_sort(oracle, 4)
+        ordered = crowd_median_sort(oracle)
         # distances: (0,1)=1, (1,2)=2, (0,2)=3, (2,3)=4, (1,3)=6, (0,3)=7
         assert ordered == [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3)]
 
     def test_three_points_at_most_three_comparisons(self):
         pts = line_points(0.0, 1.0, 5.0)
         oracle = PairDistanceOracle(pts)
-        crowd_median_sort(oracle, 3)
+        crowd_median_sort(oracle)
         assert oracle.query_count <= 3
 
     def test_n20_matches_direct_sort_within_budget(self):
         rng = np.random.default_rng(54)
         pts = random_points(20, 2, rng)
         oracle = PairDistanceOracle(pts)
-        ordered = crowd_median_sort(oracle, 20)
+        ordered = crowd_median_sort(oracle)
         assert ordered == sorted(ordered, key=pts.pair_distance)
         total = math.comb(20, 2)
         assert oracle.query_count <= 2 * total * math.log2(total)
         assert oracle.query_count <= merge_sort_comparison_bound(total)
-
-    def test_n_beyond_points_rejected(self):
-        oracle = PairDistanceOracle(line_points(0.0, 1.0, 3.0, 7.0, 15.0))
-        with pytest.raises(InvalidQueryError, match="no coordinates for id 5"):
-            crowd_median_sort(oracle, 7)
-        assert oracle.query_count == 0  # refused before the first comparison
 
 
 class TestPairOracle:

@@ -384,6 +384,19 @@ class TestDeterminism:
         seeds = [r.seed for r in report.rows]
         assert len(set(seeds)) == len(seeds)
 
+    def test_trial_seeds_spawned_as_each_trial_starts(self):
+        # the children of one bulk spawn, with none built before its trial
+        bulk = np.random.SeedSequence(7).spawn(5)
+        seeds = harness._trial_seeds(7, 1000)
+        got = [next(seeds) for _ in range(5)]
+        assert [child.spawn_key for _, child in got] == [c.spawn_key for c in bulk]
+        assert [seed for seed, _ in got] == [
+            int(c.generate_state(1, dtype=np.uint64)[0]) for c in bulk
+        ]
+        # past 2^63 trials, where one bulk spawn raises OverflowError
+        _, child = next(harness._trial_seeds(0, 2**64))
+        assert child.spawn_key == (0,)
+
 
 class TestQueryCurve:
     def test_active_curve_normalized_bounded(self):

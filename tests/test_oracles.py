@@ -484,7 +484,7 @@ class TestSamplePhase:
     def test_certain_inclusion_yields_all_sets(self):
         oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(6))
         cfg = StreamConfig(1.0, 0.5)
-        batch = sample_phase(cfg, 1, 6, 3, oracle, np.random.default_rng(0))
+        batch = sample_phase(cfg, 1, oracle, np.random.default_rng(0))
         assert len(batch) == 20
         assert set(map(tuple, batch.sets.tolist())) == set(itertools.combinations(range(6), 3))
 
@@ -492,14 +492,14 @@ class TestSamplePhase:
         oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(6))
         cfg = StreamConfig(0.5, 0.5)
         rng = np.random.default_rng(42)
-        sizes = [len(sample_phase(cfg, 1, 6, 3, oracle, rng)) for _ in range(10_000)]
+        sizes = [len(sample_phase(cfg, 1, oracle, rng)) for _ in range(10_000)]
         assert abs(np.mean(sizes) - 10.0) < 0.5
 
     def test_same_seed_identical_batches(self):
         oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(8))
         cfg = StreamConfig(0.4, 0.4)
-        b1 = sample_phase(cfg, 1, 8, 3, oracle, np.random.default_rng(5))
-        b2 = sample_phase(cfg, 1, 8, 3, oracle, np.random.default_rng(5))
+        b1 = sample_phase(cfg, 1, oracle, np.random.default_rng(5))
+        b2 = sample_phase(cfg, 1, oracle, np.random.default_rng(5))
         assert np.array_equal(b1.sets, b2.sets)
         assert np.array_equal(b1.choices, b2.choices)
 
@@ -513,8 +513,8 @@ class TestSamplePhase:
         x1 = np.zeros((trials, 20))
         x2 = np.zeros((trials, 20))
         for t in range(trials):
-            s1 = set(map(tuple, sample_phase(cfg, 1, 6, 3, oracle, rng).sets.tolist()))
-            s2 = set(map(tuple, sample_phase(cfg, 2, 6, 3, oracle, rng).sets.tolist()))
+            s1 = set(map(tuple, sample_phase(cfg, 1, oracle, rng).sets.tolist()))
+            s2 = set(map(tuple, sample_phase(cfg, 2, oracle, rng).sets.tolist()))
             x1[t] = [s in s1 for s in all_sets]
             x2[t] = [s in s2 for s in all_sets]
         corr = np.corrcoef(x1.ravel(), x2.ravel())[0, 1]
@@ -524,26 +524,40 @@ class TestSamplePhase:
 class TestObservationBatch:
     def test_choice_membership_enforced(self):
         with pytest.raises(ValueError):
-            ObservationBatch(np.array([[0, 1, 2]]), np.array([5]))
+            ObservationBatch(np.array([[0, 1, 2]]), np.array([5]), 6)
 
     def test_non_member_in_later_row_rejected(self):
         sets = np.array([[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5]])
         with pytest.raises(ValueError, match="member of its set"):
-            ObservationBatch(sets, np.array([1, 3, 5, 4]))  # row 3 of 4 is bad
+            ObservationBatch(sets, np.array([1, 3, 5, 4]), 6)  # row 3 of 4 is bad
 
     def test_empty_batch_accepted(self):
-        batch = ObservationBatch(np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64))
-        assert len(batch) == 0 and batch.k == 3
+        batch = ObservationBatch(np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64), 5)
+        assert len(batch) == 0 and batch.k == 3 and batch.choice_counts.tolist() == [0] * 5
 
-    def test_id_bound(self):
-        # one more than the largest id of a hand-built batch; the universe
-        # size of a sampled one, whose rows query_many has validated
-        assert ObservationBatch(np.array([[0, 1, 5], [2, 3, 4]]), np.array([1, 3])).id_bound == 6
-        assert ObservationBatch(np.empty((0, 3), dtype=np.int64), []).id_bound == 0
+    def test_universe_size(self):
+        # the universe given to a hand-built batch, counted to its end; the
+        # oracle's for a sampled one, whose rows query_many has validated
+        batch = ObservationBatch(np.array([[0, 1, 5], [2, 3, 4]]), np.array([1, 3]), 8)
+        assert batch.n == 8 and batch.choice_counts.tolist() == [0, 1, 0, 1, 0, 0, 0, 0]
         oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(9))
         cfg = StreamConfig(0.2, 0.2)
-        batch = sample_phase(cfg, 1, 9, 3, oracle, np.random.default_rng(3))
-        assert batch.id_bound == 9 and len(batch) == oracle.query_count
+        batch = sample_phase(cfg, 1, oracle, np.random.default_rng(3))
+        assert batch.n == 9 and len(batch) == oracle.query_count
+
+    @pytest.mark.parametrize("n", [-1, 6.0, True, None, "6"])
+    def test_universe_size_must_be_an_integer(self, n):
+        with pytest.raises(InvalidQueryError, match="universe size"):
+            ObservationBatch(np.array([[0, 1, 2]]), np.array([1]), n)
+
+    def test_caller_arrays_stay_writeable(self):
+        # the batch freezes copies, never the caller's own int64 arrays
+        sets, choices = np.array([[0, 1, 2], [1, 2, 3]]), np.array([1, 2])
+        batch = ObservationBatch(sets, choices, 4)
+        assert sets.flags.writeable and choices.flags.writeable
+        assert not batch.sets.flags.writeable and not batch.choices.flags.writeable
+        sets[0, 0], choices[0] = 3, 3
+        assert batch.sets.tolist() == [[0, 1, 2], [1, 2, 3]] and batch.choices.tolist() == [1, 2]
 
     @pytest.mark.parametrize(
         "form",
@@ -557,11 +571,11 @@ class TestObservationBatch:
     )
     def test_integer_input_forms_accepted(self, form):
         sets, choices = [[0, 1, 5], [2, 3, 4], [1, 3, 4]], [1, 3, 4]
-        batch = ObservationBatch(form(sets), form(choices))
+        batch = ObservationBatch(form(sets), form(choices), 6)
         assert batch.sets.dtype == np.int64 and batch.choices.dtype == np.int64
         assert batch.sets.tolist() == sets and batch.choices.tolist() == choices
         assert not batch.sets.flags.writeable and not batch.choices.flags.writeable
-        assert (len(batch), batch.k, batch.id_bound) == (3, 3, 6) and batch.complete
+        assert (len(batch), batch.k, batch.n) == (3, 3, 6) and batch.complete
 
     @pytest.mark.parametrize(
         "sets, choices, message",
@@ -581,7 +595,7 @@ class TestObservationBatch:
     )
     def test_malformed_records_rejected(self, sets, choices, message):
         with pytest.raises(InvalidQueryError, match=message):
-            ObservationBatch(sets, choices)
+            ObservationBatch(sets, choices, 6)
 
 
 def colex_rank(row) -> int:
@@ -653,7 +667,7 @@ class TestSamplePhaseReference:
         sizes = np.zeros((2, self.DRAWS))
         inclusions = np.zeros((2, total), dtype=np.int64)
         for t in range(self.DRAWS):
-            batch = sample_phase(cfg, 1, n, k, oracle, got_rng)
+            batch = sample_phase(cfg, 1, oracle, got_rng)
             assert np.array_equal(batch.choices, evaluate_many(oracle.selector, order, batch.sets))
             ranks = colex_ranks(batch.sets, n)
             assert (np.diff(ranks) > 0).all()  # distinct, in ascending colex rank

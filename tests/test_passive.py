@@ -53,7 +53,7 @@ def anchored_batch(order, k, position, anchors, pairs):
         s = tuple(sorted((u, v) + tuple(anchors)))
         sets.append(s)
         choices.append(evaluate(selector, order, s))
-    return ObservationBatch(np.array(sets), np.array(choices))
+    return ObservationBatch(np.array(sets), np.array(choices), order.n)
 
 
 class TestFindIneligible:
@@ -62,13 +62,14 @@ class TestFindIneligible:
         order = LatentOrder.identity(n)
         oracle = DeterministicOracle(PositionSelector(k, position), order)
         sets = np.array(list(itertools.combinations(range(n), k)))
-        batch = ObservationBatch(sets, oracle.query_many(sets))
-        assert find_ineligible_passive(batch, n) == ineligible_set(oracle.selector, order)
+        batch = ObservationBatch(sets, oracle.query_many(sets), n)
+        assert find_ineligible_passive(batch) == ineligible_set(oracle.selector, order)
 
     def test_empty_batch_insufficient(self):
-        batch = ObservationBatch(np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64))
+        empty = np.empty(0, dtype=np.int64)
+        batch = ObservationBatch(empty.reshape(0, 3), empty, 7)
         with pytest.raises(InsufficientCoverageError) as err:
-            find_ineligible_passive(batch, 7)
+            find_ineligible_passive(batch)
         assert err.value.never_chosen == frozenset(range(7))
 
     @pytest.mark.parametrize(
@@ -77,9 +78,10 @@ class TestFindIneligible:
         ids=["at-n", "negative", "among-valid"],
     )
     def test_out_of_range_choice_rejected(self, sets, choices):
-        # a negative id is refused when the batch is built, one >= n by the reader
-        with pytest.raises(InvalidQueryError, match="out of range"):
-            find_ineligible_passive(ObservationBatch(np.array(sets), np.array(choices)), 7)
+        # the batch owns its universe, so every id outside it is refused
+        # when the batch is built, before any reader sees it
+        with pytest.raises(InvalidQueryError, match=r"out of range \[0, 7\)"):
+            ObservationBatch(np.array(sets), np.array(choices), 7)
 
     def test_monte_carlo_n50(self):
         n, k, position, b = 50, 3, 2, 8
@@ -90,9 +92,9 @@ class TestFindIneligible:
         for t in range(trials):
             order = LatentOrder.random(n, rng)
             oracle = DeterministicOracle(PositionSelector(k, position), order)
-            batch = sample_phase(stream, 1, n, k, oracle, rng)
+            batch = sample_phase(stream, 1, oracle, rng)
             try:
-                found = find_ineligible_passive(batch, n)
+                found = find_ineligible_passive(batch)
             except InsufficientCoverageError:
                 continue
             if found == ineligible_set(oracle.selector, order):
@@ -107,7 +109,7 @@ class TestBuildPartialOrder:
         anchors = (0,)
         pairs = list(itertools.combinations(range(1, n), 2))
         batch = anchored_batch(order, k, position, anchors, pairs)
-        po = build_partial_order(batch, n, anchors, position)
+        po = build_partial_order(batch, anchors, position)
         assert po.unresolved_pair_count == 0
         assert po.resolved_pair_fraction == 1.0
 
@@ -116,7 +118,7 @@ class TestBuildPartialOrder:
         order = LatentOrder.identity(n)
         anchors = (0,)
         batch = anchored_batch(order, k, position, anchors, [(1, 2), (2, 3)])
-        po = build_partial_order(batch, n, anchors, position)
+        po = build_partial_order(batch, anchors, position)
         assert po.resolved(1, 3)  # transitivity
         assert not po.resolved(1, 4)
         assert not po.resolved(3, 4)
@@ -124,14 +126,14 @@ class TestBuildPartialOrder:
     def test_contradictory_pair_detected(self):
         sets = np.array([[0, 1, 2], [0, 1, 2]])
         choices = np.array([1, 2])
-        batch = ObservationBatch(sets, choices)
+        batch = ObservationBatch(sets, choices, 3)
         with pytest.raises(InconsistentStreamError):
-            build_partial_order(batch, 3, (0,), 2)
+            build_partial_order(batch, (0,), 2)
 
     def test_anchor_choice_detected(self):
-        batch = ObservationBatch(np.array([[0, 1, 2]]), np.array([0]))
+        batch = ObservationBatch(np.array([[0, 1, 2]]), np.array([0]), 3)
         with pytest.raises(InconsistentStreamError):
-            build_partial_order(batch, 3, (0,), 2)
+            build_partial_order(batch, (0,), 2)
 
     def test_monotone_coverage_under_superset_coupling(self):
         n, k, position = 12, 3, 2
@@ -146,7 +148,7 @@ class TestBuildPartialOrder:
                 fractions.append(0.0)
                 continue
             batch = anchored_batch(order, k, position, anchors, chosen)
-            po = build_partial_order(batch, n, anchors, position)
+            po = build_partial_order(batch, anchors, position)
             fractions.append(po.resolved_pair_fraction)
         assert all(a <= b for a, b in zip(fractions, fractions[1:]))
 
@@ -165,19 +167,20 @@ class TestBuildPartialOrder:
             np.concatenate([others[:2], anchored.sets, others[2:]]),
             np.concatenate([oracle.query_many(others[:2]), anchored.choices,
                             oracle.query_many(others[2:])]),
+            n,
         )
-        want = build_partial_order(anchored, n, anchors, position)
-        got = build_partial_order(mixed, n, anchors, position)
+        want = build_partial_order(anchored, anchors, position)
+        got = build_partial_order(mixed, anchors, position)
         assert np.array_equal(got.beats, want.beats)
 
 
     def test_three_cycle_detected(self):
         # 2 beats 1, 3 beats 2, 1 beats 3: no pair contradicts directly
         batch = ObservationBatch(
-            np.array([[0, 1, 2], [0, 2, 3], [0, 1, 3]]), np.array([2, 3, 1])
+            np.array([[0, 1, 2], [0, 2, 3], [0, 1, 3]]), np.array([2, 3, 1]), 4
         )
         with pytest.raises(InconsistentStreamError, match="cycle"):
-            build_partial_order(batch, 4, (0,), 2)
+            build_partial_order(batch, (0,), 2)
 
     def test_unobserved_id_counts_toward_universe(self):
         # id 7 appears in no record; its 6 pairs stay unresolved
@@ -185,7 +188,7 @@ class TestBuildPartialOrder:
         order = LatentOrder.identity(n)
         pairs = list(itertools.combinations(range(1, 7), 2))
         batch = anchored_batch(order, k, position, (0,), pairs)
-        po = build_partial_order(batch, n, (0,), position)
+        po = build_partial_order(batch, (0,), position)
         assert po.universe_size == n
         assert po.unresolved_pair_count == 6
         assert po.resolved_pair_fraction == pytest.approx(15 / 21)
@@ -193,25 +196,27 @@ class TestBuildPartialOrder:
 
     @pytest.mark.parametrize("row", [[0, 1, 5], [-1, 1, 2], [1, 2, 6]])
     def test_out_of_range_record_rejected(self, row):
-        # anchored or not, a record naming an id outside [0, n) is rejected
-        with pytest.raises(InvalidQueryError, match="out of range"):
-            batch = ObservationBatch(np.array([[0, 1, 2], row]), np.array([1, row[1]]))
-            build_partial_order(batch, 5, (0,), 2)
+        # anchored or not, a record naming an id outside [0, n) is refused
+        # when the batch is built, before any reader sees it
+        with pytest.raises(InvalidQueryError, match=r"out of range \[0, 5\)"):
+            ObservationBatch(np.array([[0, 1, 2], row]), np.array([1, row[1]]), 5)
 
     def test_resolved_rejects_ids_outside_universe(self):
         order = LatentOrder.identity(8)
         batch = anchored_batch(order, 3, 2, (0,), [(1, 2), (2, 3)])
-        po = build_partial_order(batch, 8, (0,), 2)
-        for u, v in ((99, 99), (-1, -1), (8, 8), (1, 99), (1.0, 2.0)):
+        po = build_partial_order(batch, (0,), 2)
+        for u, v in ((99, 99), (-1, -1), (8, 8), (1, 99), (1.0, 2.0), (-1, 2),
+                     (True, 1), (1, True), (False, 0), (np.float64(1), 2), ("1", 2)):
             with pytest.raises(InvalidQueryError):
                 po.resolved(u, v)
         assert po.resolved(3, 3) and po.resolved(0, 0)
+        assert po.resolved(np.int64(1), np.int32(3)) and not po.resolved(np.uint8(1), 4)
 
     def test_out_of_range_anchor_rejected(self):
-        batch = ObservationBatch(np.array([[0, 1, 2]]), np.array([1]))
+        batch = ObservationBatch(np.array([[0, 1, 2]]), np.array([1]), 3)
         for anchors in ((-1,), (3,)):
             with pytest.raises(InvalidQueryError):
-                build_partial_order(batch, 3, anchors, 2)
+                build_partial_order(batch, anchors, 2)
 
 
 class TestAnswerQuery:
@@ -222,7 +227,7 @@ class TestAnswerQuery:
         pairs = list(itertools.combinations(range(1, self.n), 2))
         pairs.remove((4, 5))  # leave one adjacent pair unobserved
         batch = anchored_batch(self.order, self.k, self.position, self.anchors, pairs)
-        self.po = build_partial_order(batch, self.n, self.anchors, self.position)
+        self.po = build_partial_order(batch, self.anchors, self.position)
 
     def test_resolved_median(self):
         assert answer_query(self.po, (1, 3, 7)) == 3
@@ -299,9 +304,9 @@ def closed_model(n, k, position, p, seed):
     order = LatentOrder.random(n, np.random.default_rng(seed))
     oracle = DeterministicOracle(selector, order)
     stream = StreamConfig(p, p)
-    batch = sample_phase(stream, 2, n, k, oracle, np.random.default_rng(seed + 1))
+    batch = sample_phase(stream, 2, oracle, np.random.default_rng(seed + 1))
     anchors = sorted(ineligible_set(selector, order))[: k - 2]
-    return build_partial_order(batch, n, anchors, position), selector, order
+    return build_partial_order(batch, anchors, position), selector, order
 
 
 def score_sets(monkeypatch, exhaustive, sampled):
@@ -371,7 +376,7 @@ class TestCoverage:
         anchors = (0,)
         pairs = list(itertools.combinations(range(1, n), 2))
         batch = anchored_batch(order, k, position, anchors, pairs)
-        po = build_partial_order(batch, n, anchors, position)
+        po = build_partial_order(batch, anchors, position)
         # anchor-containing sets stay unresolved; everything in range is exact
         rng = np.random.default_rng(0)
         report = coverage_report(po, PositionSelector(k, position), order, rng)
@@ -385,11 +390,11 @@ class TestCoverage:
         anchors = (0,)
         all_pairs = list(itertools.combinations(range(1, n), 2))
         full = build_partial_order(
-            anchored_batch(order, k, position, anchors, all_pairs), n, anchors, position
+            anchored_batch(order, k, position, anchors, all_pairs), anchors, position
         )
         missing = [p for p in all_pairs if p != (4, 5)]
         partial = build_partial_order(
-            anchored_batch(order, k, position, anchors, missing), n, anchors, position
+            anchored_batch(order, k, position, anchors, missing), anchors, position
         )
         sets = np.array(list(itertools.combinations(range(n), k)))
         truth = evaluate_many(PositionSelector(k, position), order, sets)
@@ -408,12 +413,12 @@ class TestCoverage:
         for t in range(5):
             order = LatentOrder.random(n, rng)
             oracle = DeterministicOracle(selector, order)
-            b1 = sample_phase(stream, 1, n, k, oracle, rng)
-            b2 = sample_phase(stream, 2, n, k, oracle, rng)
-            never = find_ineligible_passive(b1, n)
+            b1 = sample_phase(stream, 1, oracle, rng)
+            b2 = sample_phase(stream, 2, oracle, rng)
+            never = find_ineligible_passive(b1)
             assert never == ineligible_set(selector, order)
             anchors = sorted(never)[: k - 2]
-            po = build_partial_order(b2, n, anchors, position)
+            po = build_partial_order(b2, anchors, position)
             sets = np.array(list(itertools.combinations(range(n), k)))
             truth = evaluate_many(selector, order, sets)
             sound = []
@@ -436,9 +441,9 @@ class TestCoverage:
         order = LatentOrder.random(n, np.random.default_rng(seed))
         oracle = DeterministicOracle(selector, order)
         stream = StreamConfig(0.9, 0.9)
-        batch = sample_phase(stream, 2, n, k, oracle, np.random.default_rng(4))
+        batch = sample_phase(stream, 2, oracle, np.random.default_rng(4))
         anchors = sorted(ineligible_set(selector, order))[: k - 2]
-        po = build_partial_order(batch, n, anchors, position)
+        po = build_partial_order(batch, anchors, position)
         score_sets(monkeypatch, 10**6 if exhaustive else 10, 500)
         report = coverage_report(po, selector, order, np.random.default_rng(5))
         if exhaustive:
@@ -474,7 +479,7 @@ class TestCoverage:
     def test_report_rejects_a_model_of_other_sets(self):
         order = LatentOrder.identity(8)
         batch = anchored_batch(order, 3, 2, (0,), itertools.combinations(range(1, 8), 2))
-        po = build_partial_order(batch, 8, (0,), 2)
+        po = build_partial_order(batch, (0,), 2)
         for selector, n in ((PositionSelector(4, 2), 8), (PositionSelector(3, 2), 9)):
             with pytest.raises(InvalidQueryError):
                 coverage_report(po, selector, LatentOrder.identity(n), np.random.default_rng(0))
@@ -485,7 +490,7 @@ class TestCoverage:
         anchors = (0,)
         pairs = list(itertools.combinations(range(1, n), 2))
         po = build_partial_order(
-            anchored_batch(order, k, position, anchors, pairs), n, anchors, position
+            anchored_batch(order, k, position, anchors, pairs), anchors, position
         )
         rng = np.random.default_rng(0)
         report = coverage_report(po, PositionSelector(k, position), order, rng)
@@ -505,9 +510,9 @@ class TestCoverage:
         results = []
         for phase2_seed in (1, 2):
             oracle = DeterministicOracle(selector, order)
-            b1 = sample_phase(stream, 1, n, k, oracle, np.random.default_rng(77))
-            sample_phase(stream, 2, n, k, oracle, np.random.default_rng(phase2_seed))
-            results.append(find_ineligible_passive(b1, n))
+            b1 = sample_phase(stream, 1, oracle, np.random.default_rng(77))
+            sample_phase(stream, 2, oracle, np.random.default_rng(phase2_seed))
+            results.append(find_ineligible_passive(b1))
         assert results[0] == results[1]
 
 
@@ -550,21 +555,21 @@ class TestAnchoredSample:
         stream = StreamConfig(p, p)
         anchors = sorted(ineligible_set(selector, order))[: k - 2]
         full_oracle = DeterministicOracle(selector, order)
-        full = sample_phase(stream, 2, n, k, full_oracle, np.random.default_rng(seed))
+        full = sample_phase(stream, 2, full_oracle, np.random.default_rng(seed))
         oracle = DeterministicOracle(selector, order)
-        got = sample_phase(stream, 2, n, k, oracle, np.random.default_rng(seed), anchors=anchors)
+        got = sample_phase(stream, 2, oracle, np.random.default_rng(seed), anchors=anchors)
         rows = holds_every_anchor(full.sets, anchors)
-        want = ObservationBatch(full.sets[rows], full.choices[rows])
+        want = ObservationBatch(full.sets[rows], full.choices[rows], n)
         for batch in (got, want):
             assert holds_every_anchor(batch.sets, anchors).all()
             assert (np.diff(colex_ranks(batch.sets, n)) > 0).all()  # ascending, distinct
             assert np.array_equal(batch.choices, evaluate_many(selector, order, batch.sets))
-            assert build_partial_order(batch, n, anchors, position).anchors == tuple(anchors)
+            assert build_partial_order(batch, anchors, position).anchors == tuple(anchors)
         assert 0 < got.sets.shape[0] < len(got)
         assert len(full) == full_oracle.query_count
         assert oracle.query_count == got.sets.shape[0]
         assert not got.complete and got.anchors == tuple(anchors)
-        assert got.id_bound == full.id_bound == n and got.k == full.k
+        assert got.n == full.n == n and got.k == full.k
 
     DRAWS = 20_000
 
@@ -586,9 +591,9 @@ class TestAnchoredSample:
         every = all_ksets(n, k)
         wanted = np.sort(colex_ranks(every[holds_every_anchor(every, anchors)], n))
         for t in range(self.DRAWS):
-            got = sample_phase(stream, 2, n, k, oracle, np.random.default_rng([1, t]),
+            got = sample_phase(stream, 2, oracle, np.random.default_rng([1, t]),
                                anchors=anchors)
-            full = sample_phase(stream, 2, n, k, oracle, np.random.default_rng([2, t]))
+            full = sample_phase(stream, 2, oracle, np.random.default_rng([2, t]))
             held = full.sets[holds_every_anchor(full.sets, anchors)]
             for side, (batch, sets) in enumerate(((got, got.sets), (full, held))):
                 sizes[side, t], rows[side, t] = len(batch), len(sets)
@@ -619,8 +624,8 @@ class TestAnchoredSample:
         oracle = DeterministicOracle(selector, order)
         stream = StreamConfig(1.0, 1.0)
         anchors = sorted(ineligible_set(selector, order))[: k - 2]
-        full = sample_phase(stream, 2, n, k, oracle, np.random.default_rng(0))
-        got = sample_phase(stream, 2, n, k, oracle, np.random.default_rng(1), anchors=anchors)
+        full = sample_phase(stream, 2, oracle, np.random.default_rng(0))
+        got = sample_phase(stream, 2, oracle, np.random.default_rng(1), anchors=anchors)
         rows = holds_every_anchor(full.sets, anchors)
         assert np.array_equal(got.sets, full.sets[rows])
         assert np.array_equal(got.choices, full.choices[rows])
@@ -629,15 +634,15 @@ class TestAnchoredSample:
     def test_empty_draw(self):
         oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(40))
         stream = StreamConfig(1e-9, 1e-9)
-        batch = sample_phase(stream, 2, 40, 3, oracle, np.random.default_rng(0), anchors=[0])
+        batch = sample_phase(stream, 2, oracle, np.random.default_rng(0), anchors=[0])
         assert len(batch) == 0 and batch.sets.shape == (0, 3) and batch.complete
         assert oracle.query_count == 0
 
     def test_no_anchors_at_k2_builds_every_row(self):
         oracle = DeterministicOracle(PositionSelector(2, 1), LatentOrder.identity(30))
         stream = StreamConfig(0.5, 0.5)
-        full = sample_phase(stream, 1, 30, 2, oracle, np.random.default_rng(3))
-        got = sample_phase(stream, 1, 30, 2, oracle, np.random.default_rng(3), anchors=())
+        full = sample_phase(stream, 1, oracle, np.random.default_rng(3))
+        got = sample_phase(stream, 1, oracle, np.random.default_rng(3), anchors=())
         assert got.complete and len(got) == len(full)
         assert np.array_equal(got.sets, full.sets)
         assert np.array_equal(got.choices, full.choices)
@@ -649,7 +654,7 @@ class TestAnchoredSample:
         stream = StreamConfig(0.3, 0.3)
         rng = np.random.default_rng(0)
         with pytest.raises(InvalidQueryError):
-            sample_phase(stream, 2, 40, 3, oracle, rng, anchors=anchors)
+            sample_phase(stream, 2, oracle, rng, anchors=anchors)
         assert rng.random() == np.random.default_rng(0).random()
 
     def anchored(self):
@@ -657,17 +662,17 @@ class TestAnchoredSample:
         order = LatentOrder.identity(n)
         oracle = DeterministicOracle(PositionSelector(k, position), order)
         stream = StreamConfig(0.3, 0.3)
-        return sample_phase(stream, 2, n, k, oracle, np.random.default_rng(5), anchors=[0])
+        return sample_phase(stream, 2, oracle, np.random.default_rng(5), anchors=[0])
 
     def test_find_ineligible_refuses_a_partial_batch(self):
         with pytest.raises(ValueError, match="read in full"):
-            find_ineligible_passive(self.anchored(), 40)
+            find_ineligible_passive(self.anchored())
 
     def test_partial_order_refuses_other_anchors(self):
         batch = self.anchored()
         with pytest.raises(ValueError, match=r"anchors \(0,\), not \(39,\)"):
-            build_partial_order(batch, 40, [39], 2)
-        assert build_partial_order(batch, 40, [0], 2).anchors == (0,)
+            build_partial_order(batch, [39], 2)
+        assert build_partial_order(batch, [0], 2).anchors == (0,)
 
 
 def revealing_by_id(order, k, position):
@@ -693,10 +698,10 @@ class TestCountsOnlySample:
         got = np.empty((self.DRAWS, n), dtype=np.int64)
         want = np.empty((self.DRAWS, n), dtype=np.int64)
         for t in range(self.DRAWS):
-            batch = sample_phase(stream, 1, n, k, oracle, got_rng, counts_only=True)
+            batch = sample_phase(stream, 1, oracle, got_rng, counts_only=True)
             got[t] = batch.choice_counts
             assert len(batch) == got[t].sum() and batch.sets.shape == (0, k)
-            full = sample_phase(stream, 1, n, k, oracle, want_rng)
+            full = sample_phase(stream, 1, oracle, want_rng)
             want[t] = np.bincount(full.choices, minlength=n)
         assert oracle.query_count == want.sum()  # the counts-only draws asked nothing
 
@@ -731,39 +736,32 @@ class TestCountsOnlySample:
         order = LatentOrder.random(n, np.random.default_rng(n + k))
         oracle = DeterministicOracle(PositionSelector(k, position), order)
         stream = StreamConfig(1.0, 1.0)
-        batch = sample_phase(stream, 1, n, k, oracle, np.random.default_rng(0), counts_only=True)
-        full = sample_phase(stream, 1, n, k, oracle, np.random.default_rng(0))
+        batch = sample_phase(stream, 1, oracle, np.random.default_rng(0), counts_only=True)
+        full = sample_phase(stream, 1, oracle, np.random.default_rng(0))
         assert np.array_equal(batch.choice_counts, revealing_by_id(order, k, position))
         assert np.array_equal(batch.choice_counts, np.bincount(full.choices, minlength=n))
         assert len(batch) == len(full) == math.comb(n, k)
-        assert find_ineligible_passive(batch, n) == ineligible_set(oracle.selector, order)
+        assert find_ineligible_passive(batch) == ineligible_set(oracle.selector, order)
 
     def counted(self):
         oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(40))
         stream = StreamConfig(0.3, 0.3)
-        batch = sample_phase(stream, 1, 40, 3, oracle, np.random.default_rng(5), counts_only=True)
+        batch = sample_phase(stream, 1, oracle, np.random.default_rng(5), counts_only=True)
         assert oracle.query_count == 0 and len(batch) > 0
         assert batch.counts_only and not batch.complete and batch.anchors is None
         return batch
 
     def test_partial_order_refuses_a_counts_only_batch(self):
         with pytest.raises(ValueError, match="counts-only"):
-            build_partial_order(self.counted(), 40, [0], 2)
+            build_partial_order(self.counted(), [0], 2)
 
     def test_anchors_and_counts_only_rejected_before_drawing(self):
         oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(40))
         stream = StreamConfig(0.3, 0.3)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="counts-only"):
-            sample_phase(stream, 1, 40, 3, oracle, rng, anchors=[0], counts_only=True)
+            sample_phase(stream, 1, oracle, rng, anchors=[0], counts_only=True)
         assert rng.random() == np.random.default_rng(0).random()
-
-    @pytest.mark.parametrize("n, k", [(39, 3), (41, 3), (40, 4)])
-    def test_other_universe_rejected(self, n, k):
-        oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(40))
-        stream = StreamConfig(0.3, 0.3)
-        with pytest.raises(InvalidQueryError, match="3-sets over 40 ids"):
-            sample_phase(stream, 1, n, k, oracle, np.random.default_rng(0), counts_only=True)
 
     def test_choice_counts_of_each_form(self):
         # every attribute is set as the batch is built: none is computed on read
@@ -771,12 +769,13 @@ class TestCountsOnlySample:
         stream, rng = StreamConfig(0.3, 0.3), np.random.default_rng
         cases = {  # batch, then its k, complete, counts_only and choice_counts
             "complete": (ObservationBatch(np.array([[0, 1, 4], [1, 2, 3], [0, 2, 4]]),
-                                          np.array([1, 2, 2])), 3, True, False, [0, 1, 2, 0, 0]),
-            "anchored": (sample_phase(stream, 2, 40, 3, oracle, rng(5), anchors=[0]),
+                                          np.array([1, 2, 2]), 5),
+                         3, True, False, [0, 1, 2, 0, 0]),
+            "anchored": (sample_phase(stream, 2, oracle, rng(5), anchors=[0]),
                          3, False, False, None),
-            "counts-only": (sample_phase(stream, 1, 40, 3, oracle, rng(5), counts_only=True),
+            "counts-only": (sample_phase(stream, 1, oracle, rng(5), counts_only=True),
                             3, False, True, "drawn"),
-            "empty-anchored": (sample_phase(StreamConfig(1e-9, 1e-9), 2, 40, 3, oracle, rng(0),
+            "empty-anchored": (sample_phase(StreamConfig(1e-9, 1e-9), 2, oracle, rng(0),
                                             anchors=[0]), 3, True, False, [0] * 40),
         }
         for name, (batch, k, complete, counts_only, counts) in cases.items():
@@ -856,8 +855,8 @@ def anchored_streams(draw):
     free = [x for x in range(n) if x not in anchors]
     pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(free, 2))),
                           min_size=1, unique=True))
-    po = build_partial_order(anchored_batch(order, k, position, anchors, pairs),
-                             n, anchors, position)
+    batch = anchored_batch(order, k, position, anchors, pairs)
+    po = build_partial_order(batch, anchors, position)
     return order, PositionSelector(k, position), po
 
 
@@ -916,7 +915,7 @@ def reference_stream(n, k, anchors, rule, seed):
     sets = sets[rng.random(len(sets)) < 0.6]
     if rule == "oracle":
         return ObservationBatch(
-            sets, evaluate_many(PositionSelector(k, 2), LatentOrder.random(n, rng), sets)
+            sets, evaluate_many(PositionSelector(k, 2), LatentOrder.random(n, rng), sets), n
         )
     if rule == "repeated":
         sets = np.concatenate([sets, sets])
@@ -926,10 +925,10 @@ def reference_stream(n, k, anchors, rule, seed):
     else:
         score = rng.random(sets.shape)
     score[held] = -1
-    return ObservationBatch(sets, sets[np.arange(len(sets)), np.argmax(score, axis=1)])
+    return ObservationBatch(sets, sets[np.arange(len(sets)), np.argmax(score, axis=1)], n)
 
 
-# Each record holds one id the readers must refuse in a universe of 7.
+# Each record holds one id a batch over a universe of 7 must refuse.
 BAD_RECORDS = {
     "id-at-n": ([[0, 1, 2], [0, 3, 7]], [1, 3]),
     "negative-id": ([[0, 1, 2], [-1, 0, 3]], [1, 0]),
@@ -941,18 +940,13 @@ BAD_RECORDS = {
 @pytest.mark.parametrize("source", ["hand-built", "lists"])
 @pytest.mark.parametrize("bad", BAD_RECORDS)
 def test_invalid_records_rejected(source, bad):
-    # an id >= n passes the batch, which has no universe, and fails each reader;
-    # "lists" hands the constructor plain lists, as records parsed from a file
+    # the batch owns its universe, so it refuses the record before any reader
+    # sees it; "lists" hands the constructor plain lists, as records parsed from a file
     sets, choices = BAD_RECORDS[bad]
     if source == "hand-built":
         sets, choices = np.array(sets), np.array(choices)
-    readers = (
-        lambda batch: find_ineligible_passive(batch, 7),
-        lambda batch: build_partial_order(batch, 7, (0,), 2),
-    )
-    for read in readers:
-        with pytest.raises(InvalidQueryError):
-            read(ObservationBatch(sets, choices))
+    with pytest.raises(InvalidQueryError):
+        ObservationBatch(sets, choices, 7)
 
 
 REFERENCE_CASES = pytest.mark.parametrize(
@@ -972,9 +966,9 @@ class TestBuildPartialOrderReference:
         want = reference_partial_order(batch, self.N, anchors)
         if isinstance(want, str):
             with pytest.raises(InconsistentStreamError, match=want):
-                build_partial_order(batch, self.N, anchors, 2)
+                build_partial_order(batch, anchors, 2)
         else:
-            po = build_partial_order(batch, self.N, anchors, 2)
+            po = build_partial_order(batch, anchors, 2)
             assert np.array_equal(po.beats, want)
         if rule == "ranked":
             assert not isinstance(want, str)
@@ -996,7 +990,7 @@ class TestBuildPartialOrderReference:
         # empty. "ranked" streams close under any anchors
         batch = reference_stream(self.N, k, anchors, "ranked", seed)
         want = reference_partial_order(batch, self.N, anchors)
-        po = build_partial_order(batch, self.N, anchors, 2)
+        po = build_partial_order(batch, anchors, 2)
         assert po.beats.shape == (self.N, self.N)
         for anchor in anchors:
             assert not po.beats[anchor].any() and not po.beats[:, anchor].any()

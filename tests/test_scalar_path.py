@@ -296,7 +296,7 @@ def inferred():
     """A partial order over 6 ids, anchored at 0, with every free pair observed."""
     sets = np.array([(0, u, v) for u in range(1, 6) for v in range(u + 1, 6)])
     answers = evaluate_many(PositionSelector(3, 2), LatentOrder.identity(6), sets)
-    return build_partial_order(ObservationBatch(sets, answers), 6, (0,), 2)
+    return build_partial_order(ObservationBatch(sets, answers, 6), (0,), 2)
 
 
 VECTORIZED = {
@@ -305,7 +305,7 @@ VECTORIZED = {
     ),
     "query_many": lambda rows: deterministic().query_many(rows),
     "answer_many": lambda rows: answer_many(inferred(), rows, 2),
-    "ObservationBatch": lambda rows: ObservationBatch(rows, np.array([1])),
+    "ObservationBatch": lambda rows: ObservationBatch(rows, np.array([1]), 6),
 }
 
 
