@@ -15,7 +15,10 @@ Recovery issues its queries in five phases, in this order:
    a query of x and two placed eligibles p < q, padded so that the three
    fill the ranks around the selected one, returns their median, so each
    query splits the open gaps three ways; at an extreme position the
-   padded pair splits them two ways.
+   padded pair splits them two ways. The sort asks ``oracle.query``
+   itself with each padded pair or triple (a choice probe) and reads the
+   gap from the answer, so an insertion query costs two Python calls:
+   the oracle's query and the core ranking it makes.
 
 Nothing before the position query depends on the position. The sort costs
 at most sum ceil(log3(i+1)) insertion queries for a compromise rule, near
@@ -218,24 +221,12 @@ def recover_choice_function(oracle: DeterministicOracle) -> RecoveredModel:
     # selected one: the answer p, x or q puts x below, between or above
     middle_padding = tuple(bottom[: position_hat - 2]) + tuple(top[: k - position_hat - 1])
 
-    def locate(x, pivots):
-        if len(pivots) == 1:
-            return int(less(pivots[0], x))
-        p, q = pivots
-        winner = oracle.query((x, p, q) + middle_padding)
-        if winner == p:
-            return 0
-        if winner == x:
-            return 1
-        if winner == q:
-            return 2
-        raise InconsistentOracleError(
-            f"insertion query {(x, p, q) + middle_padding} answered {winner}"
-        )
-
     # a compromise rule answers three ways; an extreme one only pairs
     ways = 3 if 2 <= position_hat <= k - 1 else 2
-    eligible_order, insert_queries = insertion_sort(eligible[k:], locate, ways, seed)
+    eligible_order, insert_queries = insertion_sort(
+        eligible[k:], oracle.query, ways, seed, padding, middle_padding,
+        InconsistentOracleError,
+    )
 
     stats = RecoveryStats(
         discard_queries=n - k + 1,

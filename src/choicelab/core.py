@@ -142,10 +142,13 @@ class LatentOrder:
     def ranks(self, ids) -> np.ndarray:
         """Vectorized rank lookup over ids of any shape: integers in [0, n),
         as _check_sets takes them, or InvalidQueryError."""
-        ids = np.asarray(ids)
-        if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= self.n):
+        array = np.asarray(ids)
+        if array.size and (
+            array.dtype.kind not in "iu" or array.min() < 0 or array.max() >= self.n
+            or _holds_bool(ids)
+        ):
             raise InvalidQueryError(f"ids must be integers in [0, {self.n})")
-        return self._rank[ids.astype(np.int64, copy=False)]
+        return self._rank[array.astype(np.int64, copy=False)]
 
     def id_at(self, rank: int) -> int:
         return int(self._ascending[_check_id(self.n, rank)])
@@ -181,14 +184,28 @@ def _check_query(k: int, n: int, s) -> KSet:
     return s
 
 
+def _holds_bool(ids) -> bool:
+    """Whether non-array input holds a bool (Python or numpy) anywhere:
+    np.asarray reads [True, 2] as the integer ids [1, 2]. An ndarray is
+    judged by its dtype alone, so this costs it nothing."""
+    if isinstance(ids, np.ndarray):
+        return False
+    return any(
+        x.__class__ is bool or x.__class__ is np.bool_
+        for x in np.asarray(ids, dtype=object).flat
+    )
+
+
 def _check_sets(k: int, n: int, sets) -> np.ndarray:
     """The validation every vectorized query makes: sets as an (m, k) int64
     array of rows with k distinct ids in [0, n). Ids of any non-integer
-    dtype are rejected, never truncated."""
-    sets = np.asarray(sets)
-    if sets.size and sets.dtype.kind not in "iu":
-        raise InvalidQueryError(f"k-set ids must be integers, got dtype {sets.dtype}")
-    sets = sets.astype(np.int64, copy=False)
+    dtype are rejected, never truncated, and so is a bool inside list input."""
+    array = np.asarray(sets)
+    if array.size and array.dtype.kind not in "iu":
+        raise InvalidQueryError(f"k-set ids must be integers, got dtype {array.dtype}")
+    if _holds_bool(sets):
+        raise InvalidQueryError(f"k-set ids must be integers, not bool: {sets}")
+    sets = array.astype(np.int64, copy=False)
     if sets.ndim != 2 or sets.shape[1] != k:
         raise InvalidQueryError(f"expected (m, {k}) array of k-sets, got shape {sets.shape}")
     if sets.size and (sets.min() < 0 or sets.max() >= n):
@@ -216,16 +233,20 @@ def _ranked(k: int, order: LatentOrder, s) -> tuple:
     At k=3 a tuple, list or array of three distinct integer ids (Python or
     numpy, never bool) in [0, n) is ranked by at most three
     compare-exchanges (Knuth, TAOCP vol. 3, 5.3.3), with no sort, set or
-    list built. Anything else, any other k, a malformed query or an
-    iterator (which unpacking would spend), takes the general path, which
-    raises the same InvalidQueryError for every fault.
+    list built. An exact tuple skips the container type test, and three
+    exact ints skip the bool test and the operator.index conversion (an
+    exact int is never a bool). Anything else, any other k, a malformed
+    query or an iterator (which unpacking would spend), takes the general
+    path, which raises the same InvalidQueryError for every fault.
     """
     n, ranks = order.n, order._rank_list
-    if k == 3 and isinstance(s, (tuple, list, np.ndarray)):
+    if k == 3 and (s.__class__ is tuple or isinstance(s, (tuple, list, np.ndarray))):
         try:
             a, b, c = s
-            valid = a.__class__ is not bool and b.__class__ is not bool and c.__class__ is not bool
-            a, b, c = operator.index(a), operator.index(b), operator.index(c)
+            valid = True
+            if a.__class__ is not int or b.__class__ is not int or c.__class__ is not int:
+                valid = bool not in (a.__class__, b.__class__, c.__class__)
+                a, b, c = operator.index(a), operator.index(b), operator.index(c)
         except (TypeError, ValueError):
             valid = False
         if valid and a != b and b != c and a != c and 0 <= a < n and 0 <= b < n and 0 <= c < n:

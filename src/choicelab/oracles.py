@@ -2,8 +2,8 @@
 
 These are the only components with access to ground truth. Oracles own a
 seedable numpy PCG64 generator and a query counter; rejected queries are
-not counted. A scalar query is ranked by core._ranked, through
-core.evaluate for DeterministicOracle.query: it checks the set as
+not counted. A scalar query is ranked by core._ranked, which
+DeterministicOracle.query calls directly: it checks the set as
 core._check_query does, and at k=3 its kernel makes the same checks,
 raises the same errors and orders three ids in at most three
 compare-exchanges, with no sort. Batched entry points (query_many,
@@ -62,9 +62,9 @@ from .core import (
     _check_position,
     _check_query,
     _check_sets,
+    _holds_bool,
     _is_integer,
     _ranked,
-    evaluate,
     evaluate_many,
 )
 
@@ -83,14 +83,28 @@ __all__ = [
 
 
 class DeterministicOracle:
-    """Answers every k-set query with one fixed position selector over one fixed order."""
+    """Answers every k-set query with one fixed position selector over one fixed order.
+
+    A query is two Python calls: query itself and core._ranked, which
+    validates the set and ranks its members. query reads k and the 0-based
+    selected position from slots filled at construction, with no
+    core.evaluate hop in between; the selector is read-only, so they cannot
+    come to disagree with it. A rejected query is not counted.
+    """
+
+    __slots__ = ("_selector", "order", "_count", "_k", "_index")
 
     def __init__(self, selector: PositionSelector, order: LatentOrder):
         if order.n < selector.k:
             raise ValueError("universe smaller than k")
-        self.selector = selector
+        self._selector = selector
+        self._k, self._index = selector.k, selector.position - 1
         self.order = order
         self._count = 0
+
+    @property
+    def selector(self) -> PositionSelector:
+        return self._selector
 
     @property
     def n(self) -> int:
@@ -98,14 +112,14 @@ class DeterministicOracle:
 
     @property
     def k(self) -> int:
-        return self.selector.k
+        return self._k
 
     @property
     def query_count(self) -> int:
         return self._count
 
     def query(self, s) -> int:
-        answer = evaluate(self.selector, self.order, s)  # validates before counting
+        answer = _ranked(self._k, self.order, s)[self._index]  # validates before counting
         self._count += 1
         return answer
 
@@ -396,17 +410,19 @@ class ObservationBatch:
 
     def __init__(self, sets, choices, n: int):
         try:
-            sets, choices = np.asarray(sets), np.asarray(choices)
+            rows, chosen = np.asarray(sets), np.asarray(choices)
         except ValueError:  # ragged rows, or a list among the ids
             raise InvalidQueryError("sets must be (m, k), choices (m,), of integer ids") from None
-        if sets.ndim != 2:
+        if rows.ndim != 2:
             raise InvalidQueryError("sets must be an (m, k) array")
         if not (_is_integer(n) and n >= 0):
             raise InvalidQueryError(f"universe size must be a non-negative integer, got {n!r}")
-        sets = _check_sets(sets.shape[1], n, sets)
-        if choices.size and choices.dtype.kind not in "iu":
-            raise InvalidQueryError(f"choice must be an integer id, got dtype {choices.dtype}")
-        choices = choices.astype(np.int64, copy=False)
+        sets = _check_sets(rows.shape[1], n, sets)  # the caller's input: a bool in a list is refused
+        if chosen.size and chosen.dtype.kind not in "iu":
+            raise InvalidQueryError(f"choice must be an integer id, got dtype {chosen.dtype}")
+        if _holds_bool(choices):
+            raise InvalidQueryError(f"choice must be an integer id, not bool: {choices}")
+        choices = chosen.astype(np.int64, copy=False)
         if choices.shape != (sets.shape[0],):
             raise InvalidQueryError("one choice per set required")
         member = np.zeros(choices.shape, dtype=bool)

@@ -8,12 +8,14 @@ this package is checked against:
   noisy sequential-vote sort, the pairwise-distance sort and the small
   seed block of the active recovery.
 - ``insertion_sort``, which places items one at a time into a sorted list
-  through a comparator that names the gap an item falls in among one or
-  two pivots. With w-way answers (w = 2 or 3) an item placed among i
-  sorted items costs at most ceil(log_w(i+1)) calls: binary insertion
-  (Knuth, TAOCP vol. 3, 5.3.1) with w outcomes per call. It serves the
-  active recovery past its seed block: ternary median queries for
-  compromise rules, padded pairs at the extreme positions.
+  through choice probes: each probe asks a chooser for one member of a
+  pair, or of a triple of the item and two placed items, and reads from
+  the answer the gap the item falls in. With w-way answers (w = 2 or 3)
+  an item placed among i sorted items costs at most ceil(log_w(i+1))
+  probes: binary insertion (Knuth, TAOCP vol. 3, 5.3.1) with w outcomes
+  per probe. It serves the active recovery past its seed block: ternary
+  median queries for compromise rules, padded pairs at the extreme
+  positions, each probe one oracle query with no comparator in between.
 """
 
 from __future__ import annotations
@@ -64,19 +66,29 @@ def merge_sort_comparison_bound(m: int) -> int:
 
 def insertion_sort(
     items: Iterable[T],
-    locate: Callable[[T, tuple], int],
+    ask: Callable[[tuple], T],
     ways: int = 2,
     placed: Sequence[T] = (),
+    pair_pad: tuple = (),
+    triple_pad: tuple = (),
+    error: type = ValueError,
 ):
     """Insert ``items``, in order, into the ascending list ``placed``;
-    returns (sorted_list, comparison_count).
+    returns (sorted_list, probe_count).
 
-    ``locate(x, pivots)`` gets a tuple of one or, when ways is 3, two
-    placed items in ascending order and returns the gap x falls in: 0
-    below pivots[0], 1 above it or between the two, 2 above the second.
-    Each call cuts the gaps still open into ``ways`` runs of near-equal
-    size, the longest first, so no run exceeds ceil(open/ways); with ways
-    3 and two gaps open, locate gets a single pivot.
+    Each probe is one call of ``ask`` on a tuple, answered with one of its
+    members:
+
+    - a pair probe ``ask((p, x) + pair_pad)``, p a placed item, answers x
+      when x lies above p and p when it lies below;
+    - with ways 3, a triple probe ``ask((x, p, q) + triple_pad)``, placed
+      items p < q, answers p, x or q when x falls below p, between the two
+      or above q: gap 0, 1 or 2.
+
+    Any other answer raises ``error``. Each probe cuts the gaps still open
+    into ``ways`` runs of near-equal size, the longest first, so no run
+    exceeds ceil(open/ways); with ways 3 and two gaps open, the probe is a
+    pair probe.
     """
     if ways not in (2, 3):
         raise ValueError(f"ways must be 2 or 3, got {ways}")
@@ -90,19 +102,28 @@ def insertion_sort(
             # a run of gaps starting at gap c has the item out[c-1] just below
             if ways == 2 or span == 2:
                 cut = lo + (span + 1) // 2
-                if locate(x, (out[cut - 1],)):
+                p = out[cut - 1]
+                winner = ask((p, x) + pair_pad)
+                if winner == x:
                     lo = cut
-                else:
+                elif winner == p:
                     hi = cut - 1
+                else:
+                    raise error(
+                        f"padded comparison {(p, x) + pair_pad} answered with an anchor: {winner}"
+                    )
                 continue
             cut1, cut2 = lo + (span + 2) // 3, lo + (2 * span + 2) // 3
-            gap = locate(x, (out[cut1 - 1], out[cut2 - 1]))
-            if gap == 0:
+            p, q = out[cut1 - 1], out[cut2 - 1]
+            winner = ask((x, p, q) + triple_pad)
+            if winner == p:
                 hi = cut1 - 1
-            elif gap == 1:
+            elif winner == x:
                 lo, hi = cut1, cut2 - 1
-            else:
+            elif winner == q:
                 lo = cut2
+            else:
+                raise error(f"insertion query {(x, p, q) + triple_pad} answered {winner}")
         out.insert(lo, x)
     return out, count
 
@@ -111,6 +132,10 @@ def insertion_sort_comparison_bound(m: int, ways: int = 2, placed: int = 0) -> i
     """Worst-case comparison count of insertion_sort inserting m items into
     a list of ``placed``: the sum of ceil(log_ways(i+1)) over the list
     lengths i met."""
+    if ways not in (2, 3):
+        raise ValueError(f"ways must be 2 or 3, got {ways}")
+    if m < 0 or placed < 0:
+        raise ValueError(f"item counts must be non-negative, got m={m}, placed={placed}")
     total = 0
     for i in range(placed, placed + m):
         calls, reach = 0, 1

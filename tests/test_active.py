@@ -198,6 +198,83 @@ class TestRecover:
             assert m1.eligible_order == m2.eligible_order
 
 
+def reference_insertion_sort(items, locate, ways=2, placed=()):
+    """The insertion sort that read each gap from a locate(x, pivots)
+    comparator, kept as the reference for the choice-probe sort: locate
+    gets one or two placed pivots in ascending order and returns the gap x
+    falls in."""
+    out = list(placed)
+    count = 0
+    for x in items:
+        lo, hi = 0, len(out)
+        while lo < hi:
+            span = hi - lo + 1
+            count += 1
+            if ways == 2 or span == 2:
+                cut = lo + (span + 1) // 2
+                if locate(x, (out[cut - 1],)):
+                    lo = cut
+                else:
+                    hi = cut - 1
+                continue
+            cut1, cut2 = lo + (span + 2) // 3, lo + (2 * span + 2) // 3
+            gap = locate(x, (out[cut1 - 1], out[cut2 - 1]))
+            if gap == 0:
+                hi = cut1 - 1
+            elif gap == 1:
+                lo, hi = cut1, cut2 - 1
+            else:
+                lo = cut2
+        out.insert(lo, x)
+    return out, count
+
+
+def reference_recovery_insertion(items, ask, ways, placed, pair_pad, triple_pad, error):
+    """Recovery's insertion as it ran through a locate closure over the
+    padded-pair comparator; takes the probe sort's arguments, so it can
+    stand in for active.insertion_sort."""
+    def less(u, v):
+        winner = ask((u, v) + pair_pad)
+        if winner not in (u, v):
+            raise error(f"padded comparison {(u, v) + pair_pad} answered with an anchor: {winner}")
+        return winner == v
+
+    def locate(x, pivots):
+        if len(pivots) == 1:
+            return int(less(pivots[0], x))
+        p, q = pivots
+        winner = ask((x, p, q) + triple_pad)
+        if winner == p:
+            return 0
+        if winner == x:
+            return 1
+        if winner == q:
+            return 2
+        raise error(f"insertion query {(x, p, q) + triple_pad} answered {winner}")
+
+    return reference_insertion_sort(items, locate, ways, placed)
+
+
+class TestQueryLogMatchesLocateReference:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_same_queries_in_the_same_order(self, k, monkeypatch):
+        rng = np.random.default_rng(36 + k)
+        for n in (2 * k - 1, 12, 40, 300):
+            for position in range(1, k + 1):
+                for _ in range(3):
+                    order = LatentOrder.random(n, rng)
+                    got = RecordingOracle(PositionSelector(k, position), order)
+                    model = recover_choice_function(got)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(active, "insertion_sort", reference_recovery_insertion)
+                        want = RecordingOracle(PositionSelector(k, position), order)
+                        reference = recover_choice_function(want)
+                    assert got.log == want.log
+                    assert model.stats == reference.stats
+                    assert model == reference
+                    assert got.query_count == want.query_count == len(got.log)
+
+
 class RankOracle:
     """Position-selector oracle over ranks given as a plain tuple; answers
     as DeterministicOracle does, without building a LatentOrder, so that

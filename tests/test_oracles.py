@@ -56,6 +56,32 @@ class TestDeterministicOracle:
         assert oracle.query_many([[0, 1, 2], [1, 2, 3]]).tolist() == [1, 2]
         assert oracle.query_count == 2
 
+    def test_selector_cannot_be_rebound(self):
+        # query reads k and the position cached at construction
+        oracle = DeterministicOracle(PositionSelector(3, 2), LatentOrder.identity(4))
+        with pytest.raises(AttributeError):
+            oracle.selector = PositionSelector(3, 1)
+        assert oracle.selector == PositionSelector(3, 2)
+        assert oracle.query((0, 1, 2)) == 1
+
+    def test_subclass_sets_its_own_attributes(self):
+        # __slots__ on the base leaves a subclass its own instance dict
+        class Logging(DeterministicOracle):
+            def __init__(self, selector, order):
+                super().__init__(selector, order)
+                self.log, self.asked = [], 0
+
+            def query(self, s):
+                self.log.append(tuple(s))
+                self.asked += 1
+                return super().query(s)
+
+        oracle = Logging(PositionSelector(3, 3), LatentOrder.identity(5).reversed())
+        assert [oracle.query(s) for s in [(0, 1, 2), (2, 3, 4)]] == [0, 2]
+        assert oracle.log == [(0, 1, 2), (2, 3, 4)]
+        assert oracle.asked == oracle.query_count == 2
+        assert (oracle.n, oracle.k) == (5, 3)
+
 
 class TestMixtureDistribution:
     def test_normalizes_within_tolerance(self):

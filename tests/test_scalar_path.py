@@ -1,7 +1,9 @@
 """The scalar query path (kset, evaluate, oracle.query, predict) against the
 vectorized evaluate_many, and its rejection of malformed queries."""
 
+import enum
 import itertools
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -124,6 +126,18 @@ def reference_ranked3(order: LatentOrder, s) -> list:
     return sorted(_check_query(3, order.n, s), key=order._rank_list.__getitem__)
 
 
+class Id(enum.IntEnum):
+    """Integer ids as enum members: integers, but not of exact type int."""
+
+    ZERO, ONE, TWO, THREE, FOUR, FIVE, SIX, SEVEN, EIGHT, NINE = range(10)
+
+
+class SubInt(int):
+    """A user int subclass: an integer, but not of exact type int."""
+
+
+Triple = namedtuple("Triple", "a b c")
+
 # Fresh objects each call: an iterator is spent by the first path to read it.
 KERNEL_FORMS = {
     "tuple": tuple,
@@ -132,7 +146,41 @@ KERNEL_FORMS = {
     "int64": lambda s: np.asarray(s, dtype=np.int64),
     "int32": lambda s: np.asarray(s, dtype=np.int32),
     "uint16": lambda s: np.asarray(s, dtype=np.uint16),
+    "namedtuple": lambda s: Triple(*s),
+    "intenum-tuple": lambda s: tuple(map(Id, s)),
+    "intenum-list": lambda s: list(map(Id, s)),
+    "int-subclass-tuple": lambda s: tuple(map(SubInt, s)),
+    "numpy-int-tuple": lambda s: tuple(map(np.int64, s)),
+    "int-and-numpy-tuple": lambda s: (s[0], np.int32(s[1]), np.uint8(s[2])),
+    "intenum-and-int-namedtuple": lambda s: Triple(Id(s[0]), s[1], SubInt(s[2])),
 }
+
+MIXTURE = MixtureDistribution((0.5, 0.3, 0.2), 0.09)
+
+
+def entry_outcomes(order, make, pair):
+    """What the four oracle entry points give for the query make(), with
+    their query counts: DeterministicOracle.query at each position, and
+    MixedOracle.query, query_repeated and query_until from one seed."""
+    out = []
+    for position in (1, 2, 3):
+        oracle = DeterministicOracle(PositionSelector(3, position), order)
+        out.append((oracle.query(make()), oracle.query_count))
+    oracle = MixedOracle(order, MIXTURE, 36)
+    out.append((oracle.query(make()), oracle.query_count))
+    oracle = MixedOracle(order, MIXTURE, 36)
+    answers = oracle.query_repeated(make(), 5)
+    out.append((answers.members, answers.counts, oracle.query_count))
+    oracle = MixedOracle(order, MIXTURE, 36)
+    answers, raw = oracle.query_until(make(), pair, 5)
+    out.append((answers.members, answers.counts, raw, oracle.query_count))
+    return out
+
+
+def all_ints(value) -> bool:
+    if isinstance(value, tuple):
+        return all(map(all_ints, value))
+    return type(value) is int
 
 
 @pytest.mark.parametrize("form", KERNEL_FORMS)
@@ -152,6 +200,11 @@ def test_kernel_answers_match_general_path(form):
                 answer = evaluate(PositionSelector(3, position), order, make(s))
                 assert answer == want[position - 1]
                 assert type(answer) is int
+            # an iterator takes the general path at every entry point
+            outcomes = entry_outcomes(order, lambda: make(s), s[:2])
+            assert outcomes == entry_outcomes(order, lambda: iter(s), s[:2])
+            assert [answer for answer, _ in outcomes[:3]] == want
+            assert all(map(all_ints, outcomes))
 
 
 MALFORMED_3SETS = {
@@ -175,6 +228,20 @@ MALFORMED_3SETS = {
     "float-and-out-of-range": lambda: (0.5, 1, 9),
     "huge-id": lambda: (0, 1, 2**70),
     "negative-numpy": lambda: np.array([-1, 2, 3]),
+    "bool-last-with-ints": lambda: (0, 1, True),
+    "bool-middle-list": lambda: [0, False, 2],
+    "bool-with-numpy-ints": lambda: (np.int64(0), True, np.int32(2)),
+    "numpy-bool-with-ints": lambda: [0, 1, np.False_],
+    "numpy-ints-out-of-range": lambda: (np.int64(0), np.int32(1), np.uint8(6)),
+    "numpy-ints-duplicate": lambda: (np.int64(1), 1, np.uint8(2)),
+    "intenum-out-of-range": lambda: (Id.ZERO, Id.ONE, Id.NINE),
+    "intenum-duplicate": lambda: [Id.ONE, Id.ONE, Id.TWO],
+    "int-subclass-negative": lambda: (SubInt(-1), SubInt(1), SubInt(2)),
+    "int-subclass-out-of-range": lambda: (SubInt(0), 1, SubInt(6)),
+    "namedtuple-duplicate": lambda: Triple(1, 1, 2),
+    "namedtuple-out-of-range": lambda: Triple(0, 1, 6),
+    "namedtuple-bool": lambda: Triple(True, 2, 3),
+    "namedtuple-float": lambda: Triple(0, 1.0, 2),
 }
 
 
@@ -319,3 +386,44 @@ def test_vectorized_float_ids_rejected(entry, rows):
         deterministic().query(tuple(rows[0]))
     with pytest.raises(InvalidQueryError, match="ids must be integers"):
         VECTORIZED[entry](np.array(rows))
+
+
+# np.asarray reads a bool among integer ids as 0 or 1; the scalar path
+# refuses these ids, and so must every vectorized path given a list
+BOOL_ROWS = {
+    "python-bool": [[True, 2, 3]],
+    "python-bool-among-valid": [[0, 1, 2], [3, False, 5]],
+    "numpy-bool": [[np.True_, 2, 3]],
+    "tuple-rows": [(0, 1, 2), (True, 2, 3)],
+}
+
+
+@pytest.mark.parametrize("entry", VECTORIZED)
+@pytest.mark.parametrize("rows", BOOL_ROWS)
+def test_vectorized_bool_ids_in_lists_rejected(entry, rows):
+    with pytest.raises(InvalidQueryError, match="ids must be integers"):
+        deterministic().query(BOOL_ROWS[rows][-1])
+    with pytest.raises(InvalidQueryError, match="ids must be integers, not bool"):
+        VECTORIZED[entry](BOOL_ROWS[rows])
+
+
+def test_vectorized_bool_rows_rejected_uncounted():
+    oracle = deterministic()
+    oracle.query_many([[0, 1, 2], [3, 4, 5]])
+    with pytest.raises(InvalidQueryError):
+        oracle.query_many([[0, 1, 2], [True, 2, 3]])
+    assert oracle.query_count == 2
+
+
+@pytest.mark.parametrize("ids", [[True, 2], [np.True_, 2], [[1, False]], (0, True)])
+def test_rank_lookup_refuses_bool_ids_in_lists(ids):
+    order = LatentOrder((3, 0, 2, 1))
+    with pytest.raises(InvalidQueryError):
+        order.ranks(ids)
+    assert order.ranks([1, 2]).tolist() == [3, 2]
+
+
+def test_observation_batch_refuses_a_bool_choice_in_a_list():
+    with pytest.raises(InvalidQueryError, match="not bool"):
+        ObservationBatch([[0, 1, 2], [1, 2, 3]], [True, 2], 5)
+    assert ObservationBatch([[0, 1, 2], [1, 2, 3]], [1, 2], 5).choices.tolist() == [1, 2]

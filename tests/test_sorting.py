@@ -79,9 +79,10 @@ def test_merge_sort_keeps_no_reference_to_less():
         gc.enable()
 
 
-def gap_of(x, pivots):
-    """Exact comparator: the gap x falls in among ascending pivots."""
-    return sum(p < x for p in pivots)
+def exact_choice(s):
+    """Exact chooser for unpadded probes: the larger of a pair, the median
+    of a triple."""
+    return sorted(s)[len(s) // 2]
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -92,17 +93,17 @@ def gap_of(x, pivots):
 )
 def test_insertion_sorted_within_bound(items, seed_size, ways):
     placed, rest = sorted(items[:seed_size]), items[seed_size:]
-    calls = []
+    probes = []
 
-    def locate(x, pivots):
-        assert 1 <= len(pivots) <= ways - 1
-        assert list(pivots) == sorted(pivots)
-        calls.append(pivots)
-        return gap_of(x, pivots)
+    def ask(s):
+        # a pair (p, x) or, with ways 3, a triple (x, p, q) with p < q placed
+        assert len(s) == 2 or (ways == 3 and len(s) == 3 and s[1] < s[2])
+        probes.append(s)
+        return exact_choice(s)
 
-    got, count = insertion_sort(rest, locate, ways, placed)
+    got, count = insertion_sort(rest, ask, ways, placed)
     assert got == sorted(items)
-    assert count == len(calls)
+    assert count == len(probes)
     assert count <= insertion_sort_comparison_bound(len(rest), ways, len(placed))
 
 
@@ -116,16 +117,48 @@ def test_insertion_bound_is_sum_of_ceil_logs():
     assert insertion_sort_comparison_bound(2, 2, placed=3) == 2 + 3
 
 
+@pytest.mark.parametrize("m, ways, placed", [
+    (3, 4, 0), (3, 1, 0), (3, 0, 0), (-3, 2, 0), (2, 3, -1), (-1, 3, -1),
+])
+def test_insertion_bound_refuses_what_no_sort_runs(m, ways, placed):
+    with pytest.raises(ValueError):
+        insertion_sort_comparison_bound(m, ways, placed)
+
+
 def test_insertion_worst_case_meets_bound():
-    # the first run is a longest one, so answering 0 every time leaves
-    # ceil(open/ways) gaps per call and forces every call the bound allows
+    # the first run is a longest one, so an item below everything placed
+    # leaves ceil(open/ways) gaps per probe and takes every probe the bound allows
     for ways in (2, 3):
         for m in (1, 2, 5, 27, 28, 50):
-            # each item lands below everything placed, in the first run
-            _, count = insertion_sort(range(m), lambda x, pivots: 0, ways)
+            got, count = insertion_sort(range(m - 1, -1, -1), exact_choice, ways)
+            assert got == list(range(m))
             assert count == insertion_sort_comparison_bound(m, ways)
 
 
 def test_insertion_rejects_unsupported_ways():
     with pytest.raises(ValueError):
-        insertion_sort([1, 2], gap_of, ways=4)
+        insertion_sort([1, 2], exact_choice, ways=4)
+
+
+class ProbeError(RuntimeError):
+    pass
+
+
+def test_pair_probe_answered_with_a_pad_raises_the_callers_error():
+    # each probe is (p, x) + pair_pad; answering the pad is neither placement
+    with pytest.raises(ProbeError,
+                       match=r"^padded comparison \(5, 7, 100\) answered with an anchor: 100$"):
+        insertion_sort([7], lambda s: s[-1], 2, [5], pair_pad=(100,), error=ProbeError)
+
+
+def test_triple_probe_answered_outside_x_p_q_raises_the_callers_error():
+    # three gaps open, so the first probe is (x, p, q) + triple_pad
+    with pytest.raises(ProbeError, match=r"^insertion query \(7, 5, 9, 100\) answered 100$"):
+        insertion_sort([7], lambda s: s[-1], 3, [5, 9], triple_pad=(100,), error=ProbeError)
+
+
+def test_probe_errors_default_to_value_error():
+    with pytest.raises(ValueError, match="answered with an anchor: 3"):
+        insertion_sort([1], lambda s: 3, 2, [0])
+    with pytest.raises(ValueError, match="answered 3"):
+        insertion_sort([1], lambda s: 3, 3, [0, 2])
