@@ -120,7 +120,7 @@ class RecoveredModel:
 
     @cached_property
     def _full_order(self) -> LatentOrder:
-        return LatentOrder(
+        return LatentOrder._trusted(
             list(self.bottom_ineligible)
             + list(self.eligible_order)
             + list(self.top_ineligible)

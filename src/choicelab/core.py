@@ -89,6 +89,12 @@ class LatentOrder:
     (rank 0 = minimum). Safe to share across threads. Scalar queries read
     ``n`` as a plain attribute (never reassign it) and index the rank
     lookup as a list, both faster than going through numpy.
+
+    The constructor checks that ascending is a permutation of [0, n) and
+    builds through _trusted, the one place the fields are filled. Orders
+    that are permutations by construction (random, reversed, a recovered
+    model's full order, recover_mixed's assembled order, the passive score
+    order) are built with _trusted directly and skip the check.
     """
 
     __slots__ = ("_ascending", "_rank", "_rank_list", "n")
@@ -104,14 +110,25 @@ class LatentOrder:
         counts = np.bincount(order, minlength=n) if order.min(initial=0) >= 0 else None
         if counts is None or counts.size != n or not (counts == 1).all():
             raise ValueError("ascending must be a permutation of [0, n)")
+        built = self._trusted(order)
+        self._ascending, self._rank, self._rank_list, self.n = (
+            built._ascending, built._rank, built._rank_list, built.n
+        )
+
+    @classmethod
+    def _trusted(cls, ascending) -> "LatentOrder":
+        """An order over ascending, ids known to be a permutation of [0, n),
+        built with no check: a list of ints, or an int64 array that the
+        order then owns and marks read-only."""
+        ascending = np.asarray(ascending, dtype=np.int64)
+        n = len(ascending)
         rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        self._ascending = order
-        self._ascending.setflags(write=False)
-        self._rank = rank
-        self._rank.setflags(write=False)
-        self._rank_list = rank.tolist()
-        self.n = n
+        rank[ascending] = np.arange(n)
+        ascending.setflags(write=False)
+        rank.setflags(write=False)
+        order = cls.__new__(cls)
+        order._ascending, order._rank, order._rank_list, order.n = ascending, rank, rank.tolist(), n
+        return order
 
     @classmethod
     def identity(cls, n: int) -> "LatentOrder":
@@ -119,7 +136,11 @@ class LatentOrder:
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "LatentOrder":
-        return cls(rng.permutation(n))
+        """A uniformly random order of [0, n). A positive int n gives a
+        permutation by construction; any other n is checked as the
+        constructor checks it."""
+        ascending = rng.permutation(n)
+        return cls._trusted(ascending) if n.__class__ is int and n > 0 else cls(ascending)
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "LatentOrder":
@@ -154,7 +175,7 @@ class LatentOrder:
         return int(self._ascending[_check_id(self.n, rank)])
 
     def reversed(self) -> "LatentOrder":
-        return LatentOrder(self._ascending[::-1])
+        return LatentOrder._trusted(self._ascending[::-1])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LatentOrder) and np.array_equal(
@@ -173,8 +194,9 @@ class LatentOrder:
 def _check_query(k: int, n: int, s) -> KSet:
     """The validation every scalar query makes: s as a k-set over [0, n).
 
-    A query ranked by _ranked at k=3 takes its kernel, which makes the same
-    checks on a well-formed tuple, list or array and sends everything else
+    A query ranked by _ranked takes one of its kernels when well formed
+    (at k=3 a tuple, list or array; at any other k a tuple or list of
+    exact ints), which makes the same checks and sends everything else
     here."""
     s = kset(s)
     if len(s) != k:
@@ -226,17 +248,25 @@ def evaluate(selector: PositionSelector, order: LatentOrder, s) -> Alternative:
     return _ranked(selector.k, order, s)[selector.position - 1]
 
 
+# The classes of a well-formed id collection at _ranked's any-k kernel.
+_INT_ONLY = {int}
+
+
 def _ranked(k: int, order: LatentOrder, s) -> tuple:
     """The members of s in ascending rank order, checked as
     _check_query(k, order.n, s) checks them: the one scalar ranking path.
 
-    At k=3 a tuple, list or array of three distinct integer ids (Python or
-    numpy, never bool) in [0, n) is ranked by at most three
-    compare-exchanges (Knuth, TAOCP vol. 3, 5.3.3), with no sort, set or
-    list built. An exact tuple skips the container type test, and three
-    exact ints skip the bool test and the operator.index conversion (an
-    exact int is never a bool). Anything else, any other k, a malformed
-    query or an iterator (which unpacking would spend), takes the general
+    Two kernels take well-formed queries. At k=3 a tuple, list or array of
+    three distinct integer ids (Python or numpy, never bool) in [0, n) is
+    ranked by at most three compare-exchanges (Knuth, TAOCP vol. 3, 5.3.3),
+    with no sort, set or list built. An exact tuple skips the container
+    type test, and three exact ints skip the bool test and the
+    operator.index conversion (an exact int is never a bool). At any
+    other k an exact tuple or list of k exact ints is checked with
+    builtins (its length, the class of every id, min and max against
+    [0, n), distinctness through a set) and ranked by one rank-keyed sort.
+    Anything else (numpy ids or an int subclass at k != 3, a malformed
+    query, or an iterator, which unpacking would spend) takes the general
     path, which raises the same InvalidQueryError for every fault.
     """
     n, ranks = order.n, order._rank_list
@@ -258,6 +288,13 @@ def _ranked(k: int, order: LatentOrder, s) -> tuple:
                 if ra > rb:
                     a, b = b, a
             return a, b, c
+    elif s.__class__ is tuple or s.__class__ is list:
+        # the class test comes first: min and max may compare only ints
+        if (
+            len(s) == k and set(map(type, s)) == _INT_ONLY
+            and 0 <= min(s) and max(s) < n and len(set(s)) == k
+        ):
+            return tuple(sorted(s, key=ranks.__getitem__))
     return tuple(sorted(_check_query(k, n, s), key=ranks.__getitem__))
 
 

@@ -53,6 +53,8 @@ class InvalidArityError(ValueError):
 
 
 def pair_id(i: int, j: int) -> PairId:
+    """The canonical pair (min, max) of two distinct integer ids; a bool,
+    a non-integer or a repeated id raises InvalidQueryError."""
     if i.__class__ is bool or j.__class__ is bool:  # as core.kset: never read as 0 and 1
         raise InvalidQueryError(f"pair ids must be integers, not bool: ({i}, {j})")
     try:
@@ -125,7 +127,18 @@ class MetricPoints:
         raise InvalidQueryError(f"ids must be integers in [0, {n}), got ({i!r}, {j!r})")
 
     def pair_distance(self, pair: PairId) -> float:
-        return self.distance(pair[0], pair[1])
+        """The distance a pair stands for: pair must be two distinct ids,
+        in either order, each an integer in [0, n); anything else raises
+        InvalidQueryError. The distance-sort check calls it once per pair,
+        so it checks the ids through distance alone."""
+        try:
+            i, j = pair
+        except (TypeError, ValueError):
+            raise InvalidQueryError(f"a pair must be two distinct ids, got {pair!r}") from None
+        dist = self.distance(i, j)  # checks both ids, so they compare as integers
+        if i == j:
+            raise InvalidQueryError(f"a pair needs two distinct ids, got ({i}, {j})")
+        return dist
 
 
 def _check_members(points: MetricPoints, s) -> tuple:
@@ -210,10 +223,33 @@ class PairDistanceOracle:
         return self._count
 
     def larger(self, a: PairId, b: PairId) -> PairId:
-        a, b = pair_id(*a), pair_id(*b)
-        da, db = self.points.pair_distance(a), self.points.pair_distance(b)  # checks ids
+        """Whichever of the pairs a and b stands for the larger distance, as
+        a canonical PairId. Each pair must be two distinct ids in [0, n),
+        and the two pairs must differ.
+
+        Two canonical pairs of exact ints (i < j, as crowd_median_sort
+        passes them) are answered with two row lookups and no further call.
+        Any other pair is made canonical by pair_id and range-checked by
+        distance, which raise the InvalidQueryError for each fault.
+        """
+        try:
+            (i, j), (u, v) = a, b
+        except (TypeError, ValueError):
+            raise InvalidQueryError(f"a pair must be two distinct ids, got {a!r}, {b!r}") from None
+        points = self.points
+        n = points.n
+        if not (
+            i.__class__ is int and j.__class__ is int and u.__class__ is int
+            and v.__class__ is int and 0 <= i < j < n and 0 <= u < v < n
+        ):
+            (i, j), (u, v) = pair_id(i, j), pair_id(u, v)
+            points.distance(i, j)  # each raises for an id outside [0, n)
+            points.distance(u, v)
+        if i == u and j == v:
+            raise InvalidQueryError(f"a pair is compared with itself: {(i, j)}")
+        rows = points._rows
         self._count += 1
-        return a if da > db else b
+        return (i, j) if rows[i][j] > rows[u][v] else (u, v)
 
 
 def crowd_median_sort(pair_oracle: PairDistanceOracle):

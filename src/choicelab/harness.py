@@ -212,11 +212,15 @@ class TrialReport:
 
 
 def _trial_seeds(master_seed: int, trials: int):
-    """Each trial's (seed int, SeedSequence), spawned as the trial starts:
-    the children of one root.spawn(trials), with none built ahead."""
-    root = np.random.SeedSequence(int(master_seed))
-    for _ in range(trials):
-        (child,) = root.spawn(1)
+    """Each trial's (seed int, SeedSequence), built as the trial starts.
+
+    Trial i's child is SeedSequence(master_seed, spawn_key=(i,)), which is
+    exactly the i-th child of SeedSequence(master_seed).spawn(trials): the
+    same entropy and spawn key, so the same seed int and states. It is
+    built directly, with no root, no spawn counter and none built ahead."""
+    master = int(master_seed)
+    for i in range(trials):
+        child = np.random.SeedSequence(master, spawn_key=(i,))
         yield int(child.generate_state(1, dtype=np.uint64)[0]), child
 
 

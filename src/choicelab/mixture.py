@@ -547,7 +547,7 @@ def recover_mixed(oracle: MixedOracle, gamma: float, epsilon: float):
         scrap_sorted = scrap_sorted[::-1]
 
     full = [x for x in scrap_sorted if x != known] + list(order_eligible)
-    return LatentOrder(full), estimate
+    return LatentOrder._trusted(full), estimate
 
 
 def best_reflection_error(probs_hat, probs_true) -> float:

@@ -4,9 +4,10 @@ These are the only components with access to ground truth. Oracles own a
 seedable numpy PCG64 generator and a query counter; rejected queries are
 not counted. A scalar query is ranked by core._ranked, which
 DeterministicOracle.query calls directly: it checks the set as
-core._check_query does, and at k=3 its kernel makes the same checks,
-raises the same errors and orders three ids in at most three
-compare-exchanges, with no sort. Batched entry points (query_many,
+core._check_query does, and its kernels make the same checks and raise
+the same errors, ordering three ids in at most three compare-exchanges
+at k=3 and an exact tuple or list of ints by one keyed sort at any other
+k. Batched entry points (query_many,
 query_repeated, query_until) draw the same distributions as the
 equivalent sequential query() loops with exact query accounting, which
 keeps the Monte Carlo acceptance runs in the minutes range.

@@ -126,7 +126,7 @@ class InferredPartialOrder:
         self.position = int(position)
         self._comparable = (beats | beats.T).ravel()  # at u * n + v
         # each id outscores all it beats; anchors, in no resolved row, score 0
-        self._score_order = LatentOrder(np.argsort(beats.sum(axis=1), kind="stable"))
+        self._score_order = LatentOrder._trusted(np.argsort(beats.sum(axis=1), kind="stable"))
         for array in (self.beats, self._comparable):
             array.setflags(write=False)
 

@@ -350,14 +350,17 @@ class TestPredict:
 
     def test_repeated_predict_builds_order_once(self, monkeypatch):
         built = []
+        trusted = LatentOrder._trusted
 
-        def counting_order(ascending):
+        def counting_order(cls, ascending):
             built.append(ascending)
-            return LatentOrder(ascending)
+            return trusted(ascending)
 
-        monkeypatch.setattr(active, "LatentOrder", counting_order)
         rng = np.random.default_rng(6)
         oracle, _ = make_oracle(11, 4, 3, LatentOrder.random(11, rng))
+        # the model's full order is a permutation by construction, built
+        # with the trusted constructor; count those builds from here on
+        monkeypatch.setattr(LatentOrder, "_trusted", classmethod(counting_order))
         model = recover_choice_function(oracle)
         sets = all_ksets(11, 4)
         scalar = [predict(model, s) for s in sets]

@@ -19,6 +19,15 @@ from choicelab.core import (
     ineligible_set,
     kset,
 )
+from choicelab.active import recover_choice_function
+from choicelab.mixture import recover_mixed
+from choicelab.oracles import (
+    DeterministicOracle,
+    MixedOracle,
+    MixtureDistribution,
+    ObservationBatch,
+)
+from choicelab.passive import build_partial_order
 
 
 def brute_force_ineligible(selector, order):
@@ -215,6 +224,91 @@ class TestLatentOrder:
         ids = np.array([[3, 0], [2, 1]], dtype=np.uint16)
         assert order.ranks(ids).tolist() == [[0, 1], [2, 3]]
         assert order.ranks([]).size == 0
+
+
+def assert_same_order(got: LatentOrder, want: LatentOrder):
+    """got and want agree field by field, as the checked constructor fills them."""
+    assert type(got) is LatentOrder
+    assert got.ascending.tolist() == want.ascending.tolist()
+    assert got.ascending.dtype == want.ascending.dtype == np.int64
+    assert got._rank.tolist() == want._rank.tolist()
+    assert got._rank.dtype == want._rank.dtype == np.int64
+    assert got._rank_list == want._rank_list
+    assert all(type(r) is int for r in got._rank_list)
+    assert got.n == want.n and type(got.n) is int
+    assert not got.ascending.flags.writeable and not want.ascending.flags.writeable
+    assert not got._rank.flags.writeable and not want._rank.flags.writeable
+    assert got == want and hash(got) == hash(want)
+
+
+class TestTrustedOrders:
+    """Every order the package builds as a permutation by construction
+    skips the constructor's check and equals the checked build of its ids."""
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 257])
+    def test_random(self, n):
+        got = LatentOrder.random(n, np.random.default_rng(n))
+        assert_same_order(got, LatentOrder(np.random.default_rng(n).permutation(n)))
+
+    @pytest.mark.parametrize("n", [np.int64(5), np.uint8(3)])
+    def test_random_takes_numpy_sizes_through_the_check(self, n):
+        got = LatentOrder.random(n, np.random.default_rng(1))
+        assert_same_order(got, LatentOrder(np.random.default_rng(1).permutation(int(n))))
+
+    @pytest.mark.parametrize("n", [0, -1, np.int64(0)])
+    def test_random_refuses_an_empty_universe(self, n):
+        with pytest.raises(ValueError, match="non-empty"):
+            LatentOrder.random(n, np.random.default_rng(1))
+
+    def test_reversed(self):
+        order = LatentOrder.random(9, np.random.default_rng(3))
+        assert_same_order(order.reversed(), LatentOrder(order.ascending.tolist()[::-1]))
+        assert_same_order(order.reversed().reversed(), order)
+
+    @pytest.mark.parametrize("k, position", [(2, 1), (3, 2), (4, 3), (5, 5)])
+    def test_recovered_full_order(self, k, position):
+        truth = LatentOrder.random(12, np.random.default_rng(k))
+        model = recover_choice_function(DeterministicOracle(PositionSelector(k, position), truth))
+        ids = list(model.bottom_ineligible) + list(model.eligible_order) + list(model.top_ineligible)
+        assert_same_order(model.full_order(), LatentOrder(ids))
+
+    def test_recover_mixed_order(self):
+        truth = LatentOrder.random(10, np.random.default_rng(4))
+        oracle = MixedOracle(truth, MixtureDistribution((0.2, 0.3, 0.5), 0.09), 4)
+        recovered, _ = recover_mixed(oracle, 0.09, 0.1)
+        assert_same_order(recovered, LatentOrder(recovered.ascending.tolist()))
+
+    def test_passive_score_order(self):
+        # anchored at the minimum, 4, with every free pair observed
+        free = (0, 1, 2, 3, 5, 6)
+        sets = np.array([(4, u, v) for u, v in itertools.combinations(free, 2)])
+        answers = evaluate_many(PositionSelector(3, 2), LatentOrder((4, 0, 2, 6, 1, 5, 3)), sets)
+        po = build_partial_order(ObservationBatch(sets, answers, 7), (4,), 2)
+        scores = po.beats.sum(axis=1)
+        assert_same_order(po._score_order, LatentOrder(np.argsort(scores, kind="stable")))
+
+    # what the checked constructor refuses, with the reason it gives
+    NON_PERMUTATIONS = {
+        "empty": ([], "non-empty"),
+        "empty-array": (np.array([], dtype=np.int64), "non-empty"),
+        "repeat": ((0, 0, 1), "permutation"),
+        "gap": ((1, 2, 3), "permutation"),
+        "too-large": ((0, 1, 3), "permutation"),
+        "negative": ((-1, 0, 1), "permutation"),
+        "negative-array": (np.array([0, -2, 1]), "permutation"),
+        "floats": ([0.0, 1.0], "integers"),
+        "bools": ([True, False], "integers"),
+        "strings": (["0", "1"], "integers"),
+        "objects": (np.array([0, 1], dtype=object), "integers"),
+        "square": (np.array([[0, 1], [1, 0]]), None),
+        "column": ([[0], [1]], None),
+    }
+
+    @pytest.mark.parametrize("case", NON_PERMUTATIONS)
+    def test_constructor_refuses_every_non_permutation(self, case):
+        ids, reason = self.NON_PERMUTATIONS[case]
+        with pytest.raises(ValueError, match=reason):
+            LatentOrder(ids)
 
 
 class TestKSet:

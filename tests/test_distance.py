@@ -181,6 +181,22 @@ class TestCrowdMedianSort:
         assert oracle.query_count <= merge_sort_comparison_bound(total)
 
 
+# Pairs that are not two distinct ids; each must be refused, never read
+# as a shorter or longer pair.
+MALFORMED_PAIRS = {
+    "three-ids": (0, 1, 2),
+    "one-id": (0,),
+    "empty": (),
+    "not-iterable": 5,
+    "none": None,
+    "same-id": (1, 1),
+    "same-id-list": [4, 4],
+    "three-id-list": [0, 1, 2],
+    "three-id-array": np.arange(3),
+    "string-pair": "01",
+}
+
+
 class TestPairOracle:
     @pytest.mark.parametrize("a", [(0, 99), (-1, 2), (1.5, 2), (2.0, 3)])
     def test_rejected_query_not_counted(self, a):
@@ -198,6 +214,39 @@ class TestPairOracle:
         assert pair_id(5, 2) == (2, 5)
         with pytest.raises(InvalidQueryError):
             pair_id(3, 3)
+
+    @pytest.mark.parametrize("pair", MALFORMED_PAIRS)
+    def test_malformed_pair_refused_uncounted(self, pair):
+        oracle = PairDistanceOracle(line_points(0.0, 1.0, 3.0, 7.0, 15.0))
+        assert oracle.larger((0, 1), (2, 3)) == (2, 3)
+        for a, b in ((MALFORMED_PAIRS[pair], (2, 3)), ((2, 3), MALFORMED_PAIRS[pair])):
+            with pytest.raises(InvalidQueryError):
+                oracle.larger(a, b)
+        assert oracle.query_count == 1
+
+    @pytest.mark.parametrize("a, b", [((0, 1), (0, 1)), ((0, 1), (1, 0)), ([3, 2], (2, 3))])
+    def test_pair_compared_with_itself_refused_uncounted(self, a, b):
+        oracle = PairDistanceOracle(line_points(0.0, 1.0, 3.0, 7.0, 15.0))
+        with pytest.raises(InvalidQueryError, match="itself"):
+            oracle.larger(a, b)
+        assert oracle.query_count == 0
+
+    def test_every_pair_form_answers_alike(self):
+        # canonical tuples of ints take the two-lookup path; reversed,
+        # list and numpy forms take pair_id's, and must answer the same
+        points = random_points(6, 2, np.random.default_rng(12))
+        oracle = PairDistanceOracle(points)
+        forms = (
+            tuple, lambda p: p[::-1], list,
+            lambda p: tuple(map(np.int64, p)), lambda p: np.asarray(p, dtype=np.int32),
+        )
+        pairs = list(itertools.combinations(range(6), 2))
+        for a, b in itertools.permutations(pairs, 2):
+            want = a if points.pair_distance(a) > points.pair_distance(b) else b
+            for form in forms:
+                got = oracle.larger(form(a), form(b))
+                assert got == want and type(got) is tuple and all(type(x) is int for x in got)
+        assert oracle.query_count == len(forms) * len(pairs) * (len(pairs) - 1)
 
 
 # Each set ends in one id that five points on a line cannot answer for.
@@ -232,6 +281,15 @@ class TestBadIds:
     def test_rules_refuse(self, bad, rule):
         with pytest.raises(InvalidQueryError):
             rule(self.points, BAD_IDS[bad])
+
+    @pytest.mark.parametrize("pair", MALFORMED_PAIRS)
+    def test_pair_distance_refuses_malformed_pairs(self, pair):
+        with pytest.raises(InvalidQueryError):
+            self.points.pair_distance(MALFORMED_PAIRS[pair])
+
+    @pytest.mark.parametrize("pair", [(1, 3), (3, 1), [1, 3], (np.int64(3), np.uint8(1))])
+    def test_pair_distance_reads_either_order(self, pair):
+        assert self.points.pair_distance(pair) == self.points.distance(1, 3) == 6.0
 
     @pytest.mark.parametrize("bad", BAD_IDS)
     def test_larger_refuses_uncounted(self, bad):

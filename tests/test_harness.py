@@ -397,6 +397,22 @@ class TestDeterminism:
         _, child = next(harness._trial_seeds(0, 2**64))
         assert child.spawn_key == (0,)
 
+    @pytest.mark.parametrize("master", [0, 2**32 + 1, 2**63 - 1])
+    def test_trial_seeds_are_the_bulk_spawn_children(self, master):
+        # built directly, each child has the same entropy, key and states
+        bulk = np.random.SeedSequence(master).spawn(5)
+        got = list(harness._trial_seeds(master, 5))
+        assert [seed for seed, _ in got] == [
+            int(c.generate_state(1, dtype=np.uint64)[0]) for c in bulk
+        ]
+        for (_, child), want in zip(got, bulk, strict=True):
+            assert (child.entropy, child.spawn_key) == (want.entropy, want.spawn_key)
+            assert child.generate_state(8).tolist() == want.generate_state(8).tolist()
+            assert (
+                child.generate_state(4, dtype=np.uint64).tolist()
+                == want.generate_state(4, dtype=np.uint64).tolist()
+            )
+
 
 class TestQueryCurve:
     def test_active_curve_normalized_bounded(self):

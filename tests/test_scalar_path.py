@@ -121,9 +121,9 @@ def test_malformed_query_rejected_uncounted(entry, bad):
     assert oracle.query_count == 3
 
 
-def reference_ranked3(order: LatentOrder, s) -> list:
-    """The general path for a 3-set query, the reference for the k=3 kernel."""
-    return sorted(_check_query(3, order.n, s), key=order._rank_list.__getitem__)
+def reference_ranked(k: int, order: LatentOrder, s) -> list:
+    """The general path for a k-set query, the reference for both kernels."""
+    return sorted(_check_query(k, order.n, s), key=order._rank_list.__getitem__)
 
 
 class Id(enum.IntEnum):
@@ -192,7 +192,7 @@ def test_kernel_answers_match_general_path(form):
     ]:
         # every 3-subset, in each of its six input orders
         for s in itertools.permutations(range(7), 3):
-            want = reference_ranked3(order, make(s))
+            want = reference_ranked(3, order, make(s))
             got = _ranked(3, order, make(s))
             assert list(got) == want
             assert all(type(x) is int for x in got)
@@ -250,7 +250,7 @@ def test_kernel_rejects_as_general_path(bad):
     make = MALFORMED_3SETS[bad]
     order = LatentOrder.identity(6)
     with pytest.raises(InvalidQueryError) as want:
-        reference_ranked3(order, make())
+        reference_ranked(3, order, make())
     with pytest.raises(InvalidQueryError) as got:
         _ranked(3, order, make())
     assert str(got.value) == str(want.value)
@@ -260,6 +260,143 @@ def test_kernel_rejects_as_general_path(bad):
         oracle.query((0, 1, 2))
         with pytest.raises(InvalidQueryError) as raised:
             call(oracle, make())
+        assert str(raised.value) == str(want.value)
+        assert oracle.query_count == 1
+
+
+# The any-k kernel takes an exact tuple or list of exact ints; every other
+# form takes the general path. Fresh objects each call, as above.
+ANY_K = (2, 4, 5, 6)
+
+ANY_K_FORMS = {
+    "tuple": tuple,
+    "list": list,
+    "iterator": iter,
+    "int64": lambda s: np.asarray(s, dtype=np.int64),
+    "uint16": lambda s: np.asarray(s, dtype=np.uint16),
+    "numpy-int-tuple": lambda s: tuple(map(np.int64, s)),
+    "numpy-int-last-list": lambda s: list(s[:-1]) + [np.int32(s[-1])],
+    "intenum-tuple": lambda s: tuple(map(Id, s)),
+    "intenum-first-list": lambda s: [Id(s[0])] + list(s[1:]),
+    "int-subclass-list": lambda s: list(map(SubInt, s)),
+    "int-subclass-last-tuple": lambda s: tuple(s[:-1]) + (SubInt(s[-1]),),
+}
+
+
+def any_k_mixture(k: int) -> MixtureDistribution:
+    """Position probabilities 1..k over their sum: distinct by 1/C(k+1, 2)."""
+    total = k * (k + 1) / 2
+    return MixtureDistribution(tuple(p / total for p in range(1, k + 1)), 0.01)
+
+
+def any_k_outcomes(order, k, sets, make):
+    """What the four scalar entry points give for make(s) over the sets,
+    with their final query counts: DeterministicOracle.query at every
+    position, and MixedOracle.query, query_repeated and query_until from
+    one seed each, asked in turn."""
+    out = []
+    for position in range(1, k + 1):
+        oracle = DeterministicOracle(PositionSelector(k, position), order)
+        out.append(([oracle.query(make(s)) for s in sets], oracle.query_count))
+    mixture = any_k_mixture(k)
+    oracle = MixedOracle(order, mixture, 37)
+    out.append(([oracle.query(make(s)) for s in sets], oracle.query_count))
+    oracle = MixedOracle(order, mixture, 37)
+    repeated = [oracle.query_repeated(make(s), 5) for s in sets]
+    out.append(([(a.members, a.counts) for a in repeated], oracle.query_count))
+    oracle = MixedOracle(order, mixture, 37)
+    until = [oracle.query_until(make(s), s[:2], 5) for s in sets]
+    out.append(([(a.members, a.counts, raw) for a, raw in until], oracle.query_count))
+    return out
+
+
+def any_k_case(k: int):
+    """Orders over n ids and every ordered k-subset of them: up to k=4 a
+    random order and its reverse over n = k+2 ids, above it one random
+    order over k+1, so k=6 asks 5,040 queries per entry point."""
+    n = k + 2 if k <= 4 else k + 1
+    order = LatentOrder.random(n, np.random.default_rng(40 + k))
+    orders = [order, order.reversed()] if k <= 4 else [order]
+    return orders, list(itertools.permutations(range(n), k))
+
+
+@pytest.mark.parametrize("form", ANY_K_FORMS)
+@pytest.mark.parametrize("k", ANY_K)
+def test_any_k_kernel_answers_match_general_path(k, form):
+    make = ANY_K_FORMS[form]
+    orders, sets = any_k_case(k)
+    for order in orders:
+        want = [reference_ranked(k, order, s) for s in sets]
+        got = [_ranked(k, order, make(s)) for s in sets]
+        assert [list(members) for members in got] == want
+        assert all(type(members) is tuple and all_ints(members) for members in got)
+        outcomes = any_k_outcomes(order, k, sets, make)
+        for position in range(1, k + 1):
+            answers, count = outcomes[position - 1]
+            assert answers == [members[position - 1] for members in want]
+            assert count == len(sets)
+        assert outcomes[k][1] == len(sets) and outcomes[k + 1][1] == 5 * len(sets)
+        assert all(map(all_ints, (tuple(answers) for answers, _ in outcomes)))
+        # the general path, which an iterator always takes, agrees draw for draw
+        assert outcomes == any_k_outcomes(order, k, sets, iter)
+
+
+# Malformed k-sets for any k, as functions of (k, n): the ids 0..k-1 with
+# one fault each.
+MALFORMED_KSETS = {
+    "duplicate": lambda k, n: tuple(range(k - 1)) + (0,),
+    "duplicate-list": lambda k, n: [k - 1] + list(range(k - 2)) + [k - 1],
+    "negative": lambda k, n: (-1,) + tuple(range(1, k)),
+    "negative-list": lambda k, n: list(range(k - 1)) + [-n],
+    "out-of-range": lambda k, n: tuple(range(k - 1)) + (n,),
+    "out-of-range-list": lambda k, n: [n + 3] + list(range(k - 1)),
+    "huge-id": lambda k, n: tuple(range(k - 1)) + (2**70,),
+    "too-short": lambda k, n: tuple(range(k - 1)),
+    "too-long": lambda k, n: list(range(k + 1)),
+    "empty": lambda k, n: (),
+    "bool-first": lambda k, n: (True,) + tuple(range(2, k + 1)),
+    "bool-last-list": lambda k, n: list(range(1, k)) + [False],
+    "numpy-bool": lambda k, n: tuple(range(2, k + 1)) + (np.True_,),
+    "bool-array": lambda k, n: np.ones(k, dtype=bool),
+    "float": lambda k, n: tuple(range(k - 1)) + (k - 0.5,),
+    "integral-float-list": lambda k, n: [float(x) for x in range(k)],
+    "string-id": lambda k, n: list(range(k - 1)) + [str(k - 1)],
+    "none-id": lambda k, n: tuple(range(k - 1)) + (None,),
+    "string": lambda k, n: "0123456"[:k],
+    "not-iterable": lambda k, n: 5,
+    "none": lambda k, n: None,
+    "numpy-negative": lambda k, n: np.array((-1,) + tuple(range(1, k))),
+    "numpy-ints-out-of-range": lambda k, n: tuple(map(np.int64, range(k - 1))) + (np.uint8(n),),
+    "intenum-duplicate": lambda k, n: [Id.ONE] * 2 + list(map(Id, range(2, k))),
+    "int-subclass-out-of-range": lambda k, n: tuple(map(SubInt, range(k - 1))) + (SubInt(n),),
+    "duplicate-iterator": lambda k, n: iter((0,) + tuple(range(k - 1))),
+    "short-generator": lambda k, n: (x for x in range(k - 1)),
+    "duplicate-and-out-of-range": lambda k, n: (1, 1) + tuple(range(n, n + k - 2)),
+}
+
+
+@pytest.mark.parametrize("bad", MALFORMED_KSETS)
+@pytest.mark.parametrize("k", ANY_K)
+def test_any_k_kernel_rejects_as_general_path(k, bad):
+    n = k + 2
+    order = LatentOrder.identity(n)
+    make = lambda: MALFORMED_KSETS[bad](k, n)  # noqa: E731
+    with pytest.raises(InvalidQueryError) as want:
+        reference_ranked(k, order, make())
+    with pytest.raises(InvalidQueryError) as got:
+        _ranked(k, order, make())
+    assert str(got.value) == str(want.value)
+    mixture = any_k_mixture(k)
+    oracles = {
+        "DeterministicOracle.query": DeterministicOracle(PositionSelector(k, k), order),
+        "MixedOracle.query": MixedOracle(order, mixture, 0),
+        "MixedOracle.query_repeated": MixedOracle(order, mixture, 0),
+        "MixedOracle.query_until": MixedOracle(order, mixture, 0),
+    }
+    for entry, oracle in oracles.items():
+        oracle.query(tuple(range(k)))
+        with pytest.raises(InvalidQueryError) as raised:
+            ENTRY_POINTS[entry][1](oracle, make())
         assert str(raised.value) == str(want.value)
         assert oracle.query_count == 1
 
