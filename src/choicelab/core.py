@@ -91,7 +91,8 @@ class LatentOrder:
     lookup as a list, both faster than going through numpy.
 
     The constructor checks that ascending is a permutation of [0, n) and
-    builds through _trusted, the one place the fields are filled. Orders
+    builds through _trusted, the one place the fields are filled, from a
+    copy, so the caller's array stays its own and writable. Orders
     that are permutations by construction (random, reversed, a recovered
     model's full order, recover_mixed's assembled order, the passive score
     order) are built with _trusted directly and skip the check.
@@ -100,7 +101,7 @@ class LatentOrder:
     __slots__ = ("_ascending", "_rank", "_rank_list", "n")
 
     def __init__(self, ascending: Sequence[int]):
-        order = np.asarray(ascending)
+        order = np.array(ascending)  # a copy: _trusted freezes what it is given
         n = order.size
         if n == 0:
             raise ValueError("universe must be non-empty")

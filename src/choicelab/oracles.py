@@ -40,7 +40,8 @@ counting a full phase's choices, not the same draw.
 
 Every k-set row in the package comes from one decoder, unrank_combinations,
 which maps colex ranks to sets through the combinatorial number system
-(Knuth, TAOCP 4A, 7.2.1.3) with one search per level and row. all_ksets
+(Knuth, TAOCP 4A, 7.2.1.3): one search per row at each level above the
+pairs, and a closed form at the pair level, where every k >= 2 ends. all_ksets
 unranks the whole rank range, so it enumerates in colex order. The decoder
 builds its rows column by column and returns them as a column-major (m, k)
 view, so every per-column pass downstream reads contiguous memory.
@@ -507,14 +508,20 @@ def unrank_combinations(indices: np.ndarray, n: int, k: int) -> np.ndarray:
     """Map colex ranks in [0, C(n,k)) to sorted k-subsets of [0, n), vectorized.
 
     Row i is the subset of rank indices[i], so ascending ranks give rows in
-    colex order. Pass ranks sorted when the order is free: one searchsorted
-    per level and row is about 3x faster when the keys ascend, because
-    numpy narrows each search with the previous key's result. A rank
-    outside [0, C(n,k)), or ranks of a non-integer dtype, raise ValueError.
+    colex order. Levels j >= 3 take one searchsorted per row in row j of
+    the binomial table; pass ranks sorted when the order is free, which is
+    about 3x faster because numpy narrows each search with the previous
+    key's result. The pair level, where every k >= 2 ends, needs no search:
+    the largest c with C(c, 2) <= r is floor((1 + sqrt(8r + 1)) / 2), which
+    float64 gets right or off by one, and one exact comparison against the
+    table each way corrects it. A rank outside [0, C(n,k)), ranks of a
+    non-integer dtype, or a bool inside list input raise ValueError.
 
     The result is a column-major view: column j is one contiguous row of a
     (k, m) buffer.
     """
+    if _holds_bool(indices):
+        raise ValueError(f"colex ranks must be integers, not bool: {indices}")
     indices = np.asarray(indices)
     if indices.size and indices.dtype.kind not in "iu":
         raise ValueError(f"colex ranks must be integers, got dtype {indices.dtype}")
@@ -526,14 +533,33 @@ def unrank_combinations(indices: np.ndarray, n: int, k: int) -> np.ndarray:
     if k == 0:
         return out.T  # the empty set, once per rank
     # The running remainder lives in column 0 and ends there as the lowest
-    # member; each level writes its column in place.
+    # member; each level writes its column in place. Every gather's indices
+    # lie in [0, n], so take runs unchecked ("clip"), which, unlike "raise",
+    # writes to out without a buffer.
     remaining = out[0]
     remaining[:] = indices
-    for j in range(k, 1, -1):
+    for j in range(k, 2, -1):
         # largest c with C(c, j) <= remaining
         c = np.searchsorted(table[j], remaining, side="right")
         np.subtract(c, 1, out=out[j - 1])
-        remaining -= np.take(table[j], out[j - 1], out=c)
+        remaining -= np.take(table[j], out[j - 1], out=c, mode="clip")
+    if k >= 2:
+        # largest c with C(c, 2) <= remaining, from the float estimate, which
+        # is the true c or one off either way, and at most n
+        pairs, c = table[2], out[1]
+        estimate = np.multiply(remaining, 8.0)
+        estimate += 1.0
+        np.sqrt(estimate, out=estimate)
+        estimate += 1.0
+        estimate *= 0.5
+        c[:] = estimate  # truncation floors a positive float
+        gathered = estimate.view(np.int64)  # the float buffer, reused
+        np.take(pairs, c, out=gathered, mode="clip")
+        c -= gathered > remaining  # now c <= the true c <= n - 1
+        c += 1
+        np.take(pairs, c, out=gathered, mode="clip")
+        c -= gathered > remaining  # now c is the true c
+        remaining -= np.take(pairs, c, out=gathered, mode="clip")
     # C(c, 1) = c, so what remains is the lowest member, already in out[0]
     return out.T
 

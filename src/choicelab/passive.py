@@ -21,6 +21,7 @@ universe size n, so this module checks no record or id of a batch again.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -155,11 +156,17 @@ class InferredPartialOrder:
 
 
 def _transitive_closure(direct: np.ndarray) -> np.ndarray:
-    """Reachability of a DAG given as a boolean adjacency matrix.
+    """Reachability of a DAG given as a boolean adjacency matrix, as a new
+    bool matrix; direct itself is not written.
 
-    Processes vertices in reverse topological order, accumulating each
-    vertex's reachable set as the union of its children's; O(V*E) bit
-    operations.
+    Kahn's algorithm orders the vertices and keeps each one's children.
+    Then, in reverse topological order, each vertex's row becomes the OR of
+    its own and its children's (Purdom 1970), over rows packed 64 ids to a
+    uint64 word: an eighth of the bool matrix, and one bitwise_or.reduce
+    per vertex. The function drops direct once it is packed, so a caller
+    that passes its only reference lets the bool matrix be freed before
+    the packed rows are unpacked, once, into the result. A cycle raises
+    InconsistentStreamError.
     """
     v = direct.shape[0]
     indegree = direct.sum(axis=0)
@@ -173,41 +180,28 @@ def _transitive_closure(direct: np.ndarray) -> np.ndarray:
         queue.extend(children[indegree[children] == 0].tolist())
     if len(topo) != v:
         raise InconsistentStreamError("orientation cycle in observed comparisons")
-    reach = direct.copy()
+    # bit u of row w, little bit order, is direct[w, u]; rows padded to whole words
+    packed = np.zeros((v, -(-v // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-v // 8)] = np.packbits(direct, axis=1, bitorder="little")
+    del direct
+    reach = packed.view(np.uint64)
     for node, children in reversed(topo):
         if children.size:
-            reach[node] |= reach[children].any(axis=0)
-    return reach
+            reach[node] |= np.bitwise_or.reduce(reach[children], axis=0)
+    return np.unpackbits(packed, axis=1, count=v, bitorder="little").view(bool)
 
 
-def build_partial_order(batch: ObservationBatch, anchors, position: int) -> InferredPartialOrder:
-    """Extract anchored-pair orientations from a phase-2 batch over its ids
-    [0, batch.n) and close them.
+def _orientations(batch: ObservationBatch, anchors: tuple) -> np.ndarray:
+    """The batch.n-by-batch.n bool matrix of direct orientations, winner ->
+    loser, from the records whose set is a free pair plus every anchor.
 
-    Only records whose set is exactly {u, v} plus the anchors contribute;
-    the record's choice is the pair's winner under the stream's fixed
-    convention. Every id is an element of the result, observed or not,
-    and an anchor is comparable to none. Contradictory orientations for
-    one pair, a choice falling on an anchor, or any cycle raise
-    InconsistentStreamError (impossible for a noiseless
-    position-selecting source with correct anchors). Anchors that are not
-    k-2 distinct ids in [0, batch.n) raise InvalidQueryError. A batch sampled
-    with other anchors raises ValueError, since it lacks the records these
-    anchors read, and a counts-only batch, which holds no rows, ValueError.
+    A choice on an anchor, or an edge whose reverse is also an edge, raises
+    InconsistentStreamError. The edge list lives only in this call, so none
+    of it is held while the closure runs.
     """
     n, k = batch.n, batch.k
-    if not 2 <= position <= k - 1:
-        raise ValueError(f"position must lie in [2, k-1], got {position}")
-    anchors = _check_query(k - 2, n, anchors)
-    if batch.counts_only:
-        raise ValueError("a counts-only batch holds no rows to orient pairs from")
-    if not batch.complete and batch.anchors != anchors:
-        raise ValueError(
-            f"the batch holds only the records with anchors {batch.anchors}, not {anchors}"
-        )
     is_anchor = np.zeros(n, dtype=bool)
     is_anchor[list(anchors)] = True
-
     columns = batch.sets.T
     # k column gathers, no (m, k) temporary. int32 halves int64's time; uint8
     # and int16 counts were faster still but raised peak RSS over many trials
@@ -226,7 +220,40 @@ def build_partial_order(batch: ObservationBatch, anchors, position: int) -> Infe
     direct[winners, losers] = True
     if direct[losers, winners].any():  # an edge whose reverse is also an edge
         raise InconsistentStreamError("contradictory orientations for a pair")
-    return InferredPartialOrder(_transitive_closure(direct), anchors, position)
+    return direct
+
+
+def build_partial_order(batch: ObservationBatch, anchors, position: int) -> InferredPartialOrder:
+    """Extract anchored-pair orientations from a phase-2 batch over its ids
+    [0, batch.n) and close them.
+
+    Only records whose set is exactly {u, v} plus the anchors contribute;
+    the record's choice is the pair's winner under the stream's fixed
+    convention. Every id is an element of the result, observed or not,
+    and an anchor is comparable to none. Contradictory orientations for
+    one pair, a choice falling on an anchor, or any cycle raise
+    InconsistentStreamError (impossible for a noiseless
+    position-selecting source with correct anchors). A position that is
+    not an integer in [2, k-1], a bool or a float such as 2.0 included,
+    raises ValueError. Anchors that are not
+    k-2 distinct ids in [0, batch.n) raise InvalidQueryError. A batch sampled
+    with other anchors raises ValueError, since it lacks the records these
+    anchors read, and a counts-only batch, which holds no rows, ValueError.
+    """
+    n, k = batch.n, batch.k
+    if not (_is_integer(position) and 2 <= position <= k - 1):
+        raise ValueError(f"position must lie in [2, k-1], got {position!r}")
+    anchors = _check_query(k - 2, n, anchors)
+    if batch.counts_only:
+        raise ValueError("a counts-only batch holds no rows to orient pairs from")
+    if not batch.complete and batch.anchors != anchors:
+        raise ValueError(
+            f"the batch holds only the records with anchors {batch.anchors}, not {anchors}"
+        )
+    # no local here holds the edge list or the bool matrix, so the closure
+    # can free the matrix before it unpacks its result
+    beats = _transitive_closure(_orientations(batch, anchors))
+    return InferredPartialOrder(beats, anchors, position)
 
 
 def answer_query(po: InferredPartialOrder, s, position: int | None = None):
@@ -264,7 +291,15 @@ def answer_many(po: InferredPartialOrder, sets: np.ndarray, position: int) -> np
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Scoring of a recovered passive model against ground truth."""
+    """Scoring of a recovered passive model against ground truth.
+
+    hits of the sample_size scored sets were answered correctly, so
+    frac_correct is hits / sample_size. ci_low and ci_high, the 95%
+    Clopper-Pearson interval on that fraction, are computed from hits and
+    sample_size on first read and cached: no report row reads them, and
+    the exact interval took about 0.5 ms, against a 20 ms passive trial at
+    n=200 on a 2-core host.
+    """
 
     n: int
     k: int
@@ -274,8 +309,19 @@ class CoverageReport:
     reading: str  # "stored" or "reflected" orientation reading
     sample_size: int
     exhaustive: bool
-    ci_low: float
-    ci_high: float
+    hits: int
+
+    @functools.cached_property
+    def _interval(self) -> tuple[float, float]:
+        return clopper_pearson(self.hits, self.sample_size)
+
+    @property
+    def ci_low(self) -> float:
+        return self._interval[0]
+
+    @property
+    def ci_high(self) -> float:
+        return self._interval[1]
 
 
 def coverage_report(
@@ -287,11 +333,11 @@ def coverage_report(
     """Fraction of k-sets answered correctly, UNRESOLVED counted as incorrect.
 
     Exhaustive when C(n,k) is at most _EXHAUSTIVE_SCORE_SETS, otherwise a
-    uniform sample of _SAMPLED_SCORE_SETS sets drawn from rng, with a 95%
-    Clopper-Pearson interval. Both readings of the stored orientation
-    (position and its reflection) are scored globally by answer_many, once
-    when they coincide at an odd k's middle, and the consistent one is
-    reported.
+    uniform sample of _SAMPLED_SCORE_SETS sets drawn from rng. Both
+    readings of the stored orientation (position and its reflection) are
+    scored globally by answer_many, once when they coincide at an odd k's
+    middle, and the consistent one is reported with its hit count; the
+    report computes its 95% Clopper-Pearson interval only when read.
     """
     n, k = order.n, selector.k
     if po.k != k or po.universe_size < n:
@@ -305,7 +351,8 @@ def coverage_report(
         sets = all_ksets(n, k)
     else:
         # ascending ranks unrank faster; scoring is a mean, so row order is free
-        idx = np.sort(rng.integers(0, total, size=_SAMPLED_SCORE_SETS))
+        idx = rng.integers(0, total, size=_SAMPLED_SCORE_SETS)
+        idx.sort()
         sets = unrank_combinations(idx, n, k)
     truth = evaluate_many(selector, order, sets)
     position, reflection = po.position, k - po.position + 1
@@ -317,7 +364,6 @@ def coverage_report(
         if reflected_hits > hits:
             reading, answers, hits = "reflected", reflected, reflected_hits
     count = len(sets)
-    lo, hi = clopper_pearson(hits, count)
     return CoverageReport(
         n=n,
         k=k,
@@ -327,8 +373,7 @@ def coverage_report(
         reading=reading,
         sample_size=count,
         exhaustive=exhaustive,
-        ci_low=lo,
-        ci_high=hi,
+        hits=hits,
     )
 
 

@@ -217,6 +217,15 @@ class TestLatentOrder:
         with pytest.raises(InvalidQueryError, match=r"integers in \[0, 4\)"):
             LatentOrder((3, 0, 2, 1)).ranks(ids)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_constructor_copies_the_callers_array(self, dtype):
+        ids = np.array([3, 0, 2, 1], dtype=dtype)
+        order = LatentOrder(ids)
+        assert ids.flags.writeable  # still the caller's to write
+        ids[:] = [0, 1, 2, 3]
+        assert order.ascending.tolist() == [3, 0, 2, 1] and order.rank_of(3) == 0
+        assert not order.ascending.flags.writeable
+
     def test_lookups_take_numpy_integers(self):
         order = LatentOrder((3, 0, 2, 1))
         assert order.id_at(np.uint8(0)) == 3 and type(order.id_at(np.int64(3))) is int

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from choicelab import active, harness, mixture
+from choicelab import active, harness, mixture, passive
 from choicelab.core import LatentOrder, PositionSelector
 from choicelab.harness import (
     CSV_HEADER,
@@ -342,6 +342,20 @@ class TestDeterminism:
         report = run(cfg(mode="recover-passive", n=60, k=3, position=2, b=b, trials=3, seed=0))
         header = b"trial,seed,queries,success,frac_correct,frac_unresolved\n"
         assert report.canonical_bytes() == header + want
+
+    @pytest.mark.parametrize("n", [60, 200], ids=["exhaustive", "sampled"])
+    def test_recover_passive_computes_no_interval(self, monkeypatch, n):
+        # a coverage report's interval is computed only when read, and no row reads it
+        config = cfg(mode="recover-passive", n=n, k=3, position=2, b=8.0, trials=2, seed=3)
+        want = run(config).canonical_bytes()
+
+        def refuse(hits, trials):
+            raise AssertionError("the run computed a coverage interval")
+
+        monkeypatch.setattr(passive, "clopper_pearson", refuse)
+        report = run(config)
+        assert report.canonical_bytes() == want
+        assert all(row.frac_correct is not None for row in report.rows)
 
     def test_recover_active_rows_pinned(self):
         # recorded when recovery began inserting eligibles by ternary

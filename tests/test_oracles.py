@@ -847,10 +847,13 @@ class TestSampleRanks:
 class TestUnranking:
     @pytest.mark.parametrize(
         "n, k",
-        [(6, 1), (7, 1), (7, 2), (7, 3), (9, 4), (12, 6), (10, 10), (5, 5), (5, 0), (3, 4)],
+        [(6, 1), (7, 1), (7, 2), (7, 3), (9, 4), (12, 6), (10, 10), (5, 5), (5, 0), (3, 4),
+         (2, 2), (3, 2), (13, 2), (3, 3), (4, 3), (12, 3), (4, 4), (5, 4), (14, 4), (6, 5),
+         (12, 5)],
     )
     def test_all_ksets_colex(self, n, k):
-        # every rank unranked: colex order, one (0, k) array when k > n
+        # every rank unranked: colex order, one (0, k) array when k > n; every
+        # k >= 2 ends at the closed-form pair level
         rows = all_ksets(n, k)
         assert rows.dtype == np.int64 and rows.shape == (math.comb(n, k), k)
         colex = sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
@@ -983,6 +986,48 @@ class TestUnranking:
     def test_non_integer_ranks_rejected(self, ranks):
         with pytest.raises(ValueError, match="colex ranks must be integers"):
             unrank_combinations(np.array(ranks), 5, 3)
+
+    @pytest.mark.parametrize(
+        "ranks", [[True, 0], [0, np.True_], [[1], [False]]], ids=["bool", "numpy-bool", "nested"]
+    )
+    def test_bool_inside_list_rejected(self, ranks):
+        # np.asarray reads [True, 0] as the ranks [1, 0]; a bool array is refused by dtype
+        with pytest.raises(ValueError, match="colex ranks must be integers"):
+            unrank_combinations(ranks, 4, 2)
+        assert unrank_combinations([1, 0], 4, 2).tolist() == [[0, 2], [0, 1]]
+
+    def test_pair_level_at_every_binomial_edge(self):
+        # the largest k=2 table kept small enough for a test (25 MB); the
+        # closed form must land on each side of C(c, 2) exactly
+        n = 1 << 20
+        rng = np.random.default_rng(20)
+        cs = np.unique(np.concatenate([[2, 3, n - 2, n - 1], rng.integers(2, n, 2000)]))
+        ranks = np.stack([cs * (cs - 1) // 2 + d for d in (-1, 0, 1)], axis=1).ravel()
+        assert ranks.max() < math.comb(n, 2)
+        rows = unrank_combinations(ranks, n, 2)
+        assert [colex_rank(row) for row in rows.tolist()] == ranks.tolist()
+        got = rows.reshape(-1, 3, 2).tolist()
+        # C(c, 2) - 1 = C(c-1, 2) + c - 2, then C(c, 2) + 0 and C(c, 2) + 1
+        assert got == [[[c - 2, c - 1], [0, c], [1, c]] for c in cs.tolist()]
+
+    @pytest.mark.parametrize("shift", [-1.9, 1.9])
+    def test_pair_level_corrects_an_estimate_one_off(self, monkeypatch, shift):
+        # float64 is exact at any n a test can build, so the correction is
+        # exercised by moving every square root by almost two, which moves
+        # the estimate of c by one (or not at all) in the given direction
+        sqrt = np.sqrt
+
+        def shifted(x, out):
+            sqrt(x, out=out)
+            out += shift
+            return out
+
+        n, k = 40, 3
+        want = all_ksets(n, k)
+        monkeypatch.setattr(oracles.np, "sqrt", shifted)
+        assert np.array_equal(all_ksets(n, k), want)
+        assert np.array_equal(unrank_combinations(np.arange(math.comb(n, 2)), n, 2),
+                              reference_unrank(np.arange(math.comb(n, 2)), n, 2))
 
     def test_empty_ranks_of_any_dtype(self):
         assert unrank_combinations(np.array([]), 5, 3).shape == (0, 3)

@@ -4,6 +4,8 @@ import dataclasses
 import functools
 import itertools
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from choicelab.passive import (
     revealing_set_count,
 )
 from choicelab import passive
+from choicelab.stats import clopper_pearson
 
 
 def anchored_batch(order, k, position, anchors, pairs):
@@ -218,6 +221,82 @@ class TestBuildPartialOrder:
             with pytest.raises(InvalidQueryError):
                 build_partial_order(batch, anchors, 2)
 
+    @pytest.mark.parametrize(
+        "position", [2.0, np.float64(2.0), True, np.True_, "2", None],
+        ids=["float", "numpy-float", "bool", "numpy-bool", "string", "none"],
+    )
+    def test_non_integer_position_rejected(self, position):
+        # 2.0 lies in [2, k-1] but is no integer; answer_many refuses it too
+        batch = anchored_batch(LatentOrder.identity(5), 3, 2, (0,), [(1, 2), (2, 3)])
+        with pytest.raises(ValueError, match=r"position must lie in \[2, k-1\]"):
+            build_partial_order(batch, (0,), position)
+        assert build_partial_order(batch, (0,), np.int64(2)).position == 2
+
+
+def random_dag(n, density, seed):
+    """An n-by-n bool adjacency matrix: each pair ordered by a random
+    permutation is an edge with probability density."""
+    rng = np.random.default_rng(seed)
+    rank = rng.permutation(n)
+    return (rank[:, None] < rank[None, :]) & (rng.random((n, n)) < density)
+
+
+def warshall(direct):
+    """Boolean Floyd-Warshall reachability, the brute-force reference."""
+    reach = direct.copy()
+    for via in range(len(reach)):
+        reach |= reach[:, via : via + 1] & reach[via]
+    return reach
+
+
+class TestPackedClosure:
+    """_transitive_closure ORs rows packed into uint64 words; the word
+    edges at 63, 64, 65 and 127, 128, 129 ids are where packing can slip."""
+
+    SIZES = [1, 2, 63, 64, 65, 127, 128, 129, 200]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("density", [0.0, 0.02, 0.1, 0.5, 1.0])
+    def test_matches_warshall(self, n, density):
+        direct = random_dag(n, density, n + int(100 * density))
+        given_direct = direct.copy()
+        reach = passive._transitive_closure(direct)
+        assert reach.dtype == bool and reach.shape == (n, n) and reach.flags.c_contiguous
+        assert np.array_equal(reach, warshall(given_direct))
+        assert np.array_equal(direct, given_direct)  # the input is not written
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_cycle_raises(self, n):
+        direct = random_dag(n, 0.1, n)
+        ids = np.arange(n)
+        direct[ids, (ids + 1) % n] = True  # one cycle through every id; a self-loop at n=1
+        with pytest.raises(InconsistentStreamError, match="cycle"):
+            passive._transitive_closure(direct)
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="before 3.11 a caller's stack keeps its call arguments"
+    )
+    def test_bool_matrix_freed_before_unpacking(self, monkeypatch):
+        # build_partial_order holds no reference to the bool matrix and the
+        # closure drops its own once packed, so the matrix is gone before
+        # the closure's n-by-n result exists
+        matrices, seen = [], []
+        orientations, unpack = passive._orientations, np.unpackbits
+
+        def watched_orientations(*args):
+            direct = orientations(*args)
+            matrices.append(weakref.ref(direct))
+            return direct
+
+        def watched_unpack(*args, **kwargs):
+            seen.append(matrices[-1]())
+            return unpack(*args, **kwargs)
+
+        monkeypatch.setattr(passive, "_orientations", watched_orientations)
+        monkeypatch.setattr(passive.np, "unpackbits", watched_unpack)
+        po, _, _ = closed_model(130, 3, 2, 0.5, 1)
+        assert seen == [None] and po.resolved_pair_fraction > 0
+
 
 class TestAnswerQuery:
     def setup_method(self):
@@ -365,8 +444,9 @@ class TestAnswerRowsReference:
         assert report == CoverageReport(
             n=n, k=k, position=position, frac_correct=frac_correct,
             frac_unresolved=frac_unresolved, reading=reading, sample_size=size,
-            exhaustive=not sampled, ci_low=lo, ci_high=hi,
+            exhaustive=not sampled, hits=round(frac_correct * size),
         )
+        assert (report.ci_low, report.ci_high) == (lo, hi)
 
 
 class TestCoverage:
@@ -496,11 +576,30 @@ class TestCoverage:
         report = coverage_report(po, PositionSelector(k, position), order, rng)
         assert [f.name for f in dataclasses.fields(report)] == [
             "n", "k", "position", "frac_correct", "frac_unresolved", "reading",
-            "sample_size", "exhaustive", "ci_low", "ci_high",
+            "sample_size", "exhaustive", "hits",
         ]
         assert (report.n, report.k, report.position) == (n, k, position)
         assert report.exhaustive and report.sample_size == math.comb(n, k)
         assert report.ci_low <= report.frac_correct <= report.ci_high
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
+    def test_interval_computed_on_first_read(self, monkeypatch, sampled):
+        po, selector, order = closed_model(16, 3, 2, 0.5, 6)
+        score_sets(monkeypatch, 100 if sampled else 10**6, 3000)
+        calls = []
+
+        def counted(hits, trials):
+            calls.append((hits, trials))
+            return clopper_pearson(hits, trials)
+
+        monkeypatch.setattr(passive, "clopper_pearson", counted)
+        report = coverage_report(po, selector, order, np.random.default_rng(2))
+        assert calls == []  # scoring computes no interval
+        assert report.frac_correct == report.hits / report.sample_size
+        interval = clopper_pearson(report.hits, report.sample_size)
+        for _ in range(2):
+            assert (report.ci_low, report.ci_high) == interval
+        assert calls == [(report.hits, report.sample_size)]  # once, then cached
 
     def test_phase_one_unaffected_by_phase_two_seed(self):
         n, k = 30, 3
