@@ -6,13 +6,20 @@ embedding is kept only as a ranking (all choice rules in this package are
 comparison-based, so real coordinates would carry no extra information),
 and a choice rule is a (k, position) pair selecting the position-th
 smallest member of each k-set.
+
+One rule decides what counts as an integer, for every scalar id, position
+and count in the package: _is_integer, any numbers.Integral that is not a
+bool. Python and numpy ints and IntEnum members pass; a bool, a float
+(even 2.0), a string, a 0-d array and an object that defines only
+__index__ are refused, never read as the integer they stand for. Hot
+paths test for an exact int first and call the rule only for other
+classes.
 """
 
 from __future__ import annotations
 
 import itertools
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,15 +35,15 @@ class InvalidQueryError(ValueError):
 
 def kset(members: Iterable[int]) -> KSet:
     """Normalize an iterable of integer ids (Python or numpy) into a sorted,
-    duplicate-free k-set. Non-integer ids, bools included, are rejected,
-    never truncated or read as 0 and 1."""
+    duplicate-free k-set of ints. An id that _is_integer refuses, a bool
+    included, raises InvalidQueryError, never truncated or read as 0 and 1."""
     try:
         members = list(members)
-        ids = sorted(map(operator.index, members))
     except TypeError as exc:
         raise InvalidQueryError(f"k-set ids must be integers: {exc}") from None
-    if bool in map(type, members):
-        raise InvalidQueryError(f"k-set ids must be integers, not bool: {members}")
+    if not all(map(_is_integer, members)):
+        raise InvalidQueryError(f"k-set ids must be integers, got {members}")
+    ids = sorted(map(int, members))
     if len(set(ids)) != len(ids):
         raise InvalidQueryError(f"duplicate ids in k-set: {ids}")
     return tuple(ids)
@@ -64,8 +71,15 @@ class PositionSelector:
 
 def _is_integer(x) -> bool:
     """Whether x is an integer of any integer type (Python or numpy); a
-    bool is not one, and no float is read as the integer it equals."""
-    return x.__class__ is not bool and isinstance(x, numbers.Integral)
+    bool is not one, and no float is read as the integer it equals. An
+    exact int skips the numbers.Integral test, which costs tens of times more."""
+    return x.__class__ is int or x.__class__ is not bool and isinstance(x, numbers.Integral)
+
+
+def _is_real(x) -> bool:
+    """Whether x is a real number (Python or numpy): an integer by
+    _is_integer, so never a bool, or a real of no integer type."""
+    return _is_integer(x) if isinstance(x, numbers.Integral) else isinstance(x, numbers.Real)
 
 
 def _check_id(n: int, x) -> int:
@@ -102,6 +116,8 @@ class LatentOrder:
 
     def __init__(self, ascending: Sequence[int]):
         order = np.array(ascending)  # a copy: _trusted freezes what it is given
+        if order.ndim != 1:
+            raise ValueError(f"ascending must be one-dimensional, got shape {order.shape}")
         n = order.size
         if n == 0:
             raise ValueError("universe must be non-empty")
@@ -261,8 +277,8 @@ def _ranked(k: int, order: LatentOrder, s) -> tuple:
     three distinct integer ids (Python or numpy, never bool) in [0, n) is
     ranked by at most three compare-exchanges (Knuth, TAOCP vol. 3, 5.3.3),
     with no sort, set or list built. An exact tuple skips the container
-    type test, and three exact ints skip the bool test and the
-    operator.index conversion (an exact int is never a bool). At any
+    type test, and three exact ints skip _is_integer and the int()
+    conversion that other integer classes take. At any
     other k an exact tuple or list of k exact ints is checked with
     builtins (its length, the class of every id, min and max against
     [0, n), distinctness through a set) and ranked by one rank-keyed sort.
@@ -276,8 +292,9 @@ def _ranked(k: int, order: LatentOrder, s) -> tuple:
             a, b, c = s
             valid = True
             if a.__class__ is not int or b.__class__ is not int or c.__class__ is not int:
-                valid = bool not in (a.__class__, b.__class__, c.__class__)
-                a, b, c = operator.index(a), operator.index(b), operator.index(c)
+                valid = _is_integer(a) and _is_integer(b) and _is_integer(c)
+                if valid:
+                    a, b, c = int(a), int(b), int(c)
         except (TypeError, ValueError):
             valid = False
         if valid and a != b and b != c and a != c and 0 <= a < n and 0 <= b < n and 0 <= c < n:

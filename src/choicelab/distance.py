@@ -19,11 +19,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 
 import numpy as np
 
-from .core import InvalidQueryError, kset
+from .core import InvalidQueryError, _is_integer, kset
 from .sorting import merge_sort
 
 __all__ = [
@@ -53,17 +52,9 @@ class InvalidArityError(ValueError):
 
 
 def pair_id(i: int, j: int) -> PairId:
-    """The canonical pair (min, max) of two distinct integer ids; a bool,
-    a non-integer or a repeated id raises InvalidQueryError."""
-    if i.__class__ is bool or j.__class__ is bool:  # as core.kset: never read as 0 and 1
-        raise InvalidQueryError(f"pair ids must be integers, not bool: ({i}, {j})")
-    try:
-        i, j = operator.index(i), operator.index(j)
-    except TypeError as exc:
-        raise InvalidQueryError(f"pair ids must be integers: {exc}") from None
-    if i == j:
-        raise InvalidQueryError(f"a pair needs two distinct ids, got ({i}, {j})")
-    return (i, j) if i < j else (j, i)
+    """The canonical pair (min, max) of two distinct integer ids, checked
+    as core.kset checks a k-set: InvalidQueryError otherwise."""
+    return kset((i, j))
 
 
 @functools.lru_cache(maxsize=16)
@@ -117,13 +108,12 @@ class MetricPoints:
 
     def distance(self, i: int, j: int) -> float:
         """The distance between alternatives i and j; an id that is not an
-        integer in [0, n), bools included, raises InvalidQueryError."""
+        integer in [0, n), bools included, raises InvalidQueryError. Two
+        exact ints skip _is_integer."""
         n = self.n
-        try:  # a float passes the range check and fails the list index
-            if 0 <= i < n and 0 <= j < n and i.__class__ is not bool and j.__class__ is not bool:
-                return self._rows[i][j]
-        except TypeError:
-            pass
+        integers = i.__class__ is int and j.__class__ is int or _is_integer(i) and _is_integer(j)
+        if integers and 0 <= i < n and 0 <= j < n:
+            return self._rows[i][j]
         raise InvalidQueryError(f"ids must be integers in [0, {n}), got ({i!r}, {j!r})")
 
     def pair_distance(self, pair: PairId) -> float:
@@ -204,8 +194,7 @@ def triplet_distance_correspondence(s, chosen: int) -> PairId:
         raise InvalidQueryError(f"correspondence is defined on triplets, got {len(s)}")
     if chosen not in s:
         raise InvalidQueryError(f"chosen element {chosen} not in {s}")
-    rest = tuple(x for x in s if x != chosen)
-    return pair_id(*rest)
+    return tuple(x for x in s if x != chosen)  # canonical: s is sorted
 
 
 class PairDistanceOracle:
@@ -275,8 +264,8 @@ def feasibility_check(n: int) -> bool:
     The sides differ by 0.415 bit at n = 3 and by more at every larger n,
     far above the float rounding of either form.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
+    if not (_is_integer(n) and n >= 3):
+        raise ValueError(f"feasibility needs an integer n >= 3, got {n!r}")
     lhs = 2 * math.comb(n, 3)
     rhs = math.lgamma(math.comb(n, 2) + 1) / math.log(2) - 1
     return lhs < rhs

@@ -21,6 +21,7 @@ from .core import (
     LatentOrder,
     PositionSelector,
     _check_sets,
+    _is_integer,
     _select_many,
     canonical_position,
     evaluate_many,
@@ -85,6 +86,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
+        for name in ("trials", "seed", "dim", "n", "k", "position"):
+            value = getattr(self, name)
+            # an unset n, k or position is left to the mode's check below
+            if not (_is_integer(value) or value is None and name in ("n", "k", "position")):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
@@ -425,7 +431,10 @@ def run(config: ExperimentConfig) -> TrialReport:
 
 def emit(report: TrialReport, fmt: str, path: str | None = None) -> None:
     """Write the report to path, or to stdout when no path is given;
-    deterministic column order, CSV header row fixed."""
+    deterministic column order, CSV header row fixed. A format other than
+    csv or json raises ValueError before anything is written."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {fmt!r}")
     text = report.to_csv() if fmt == "csv" else report.to_json()
     if not path:
         sys.stdout.write(text)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .active import discard_pass
-from .core import LatentOrder, _check_query, kset
+from .core import LatentOrder, _check_query, _is_integer, kset
 from .oracles import INT64_MAX, MixedOracle
 from .sorting import merge_sort
 
@@ -95,6 +95,8 @@ def repetition_count(delta: float, epsilon: float, k: int) -> int:
     limit of the oracle's draws raises ValueError."""
     if delta <= 0 or epsilon <= 0 or epsilon >= 1:
         raise ValueError("need delta > 0 and epsilon in (0, 1)")
+    if not (_is_integer(k) and k >= 2):
+        raise ValueError(f"set size k must be an integer >= 2, got {k!r}")
     return _int64_count(2 + delta, "delta", delta, math.log(2 * k * (k + 1) / epsilon))
 
 
@@ -378,8 +380,8 @@ def discard_round_repetitions(gamma: float, epsilon: float, n: int, k: int = 3) 
         raise ValueError(f"gamma must be positive, got {gamma}")
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if n < k:
-        raise ValueError(f"need n >= k for a discard round, got n={n}, k={k}")
+    if not (_is_integer(n) and _is_integer(k) and n >= k):
+        raise ValueError(f"need integers n >= k for a discard round, got n={n!r}, k={k!r}")
     return _int64_count(
         8 + 2 * gamma, "gamma", gamma, math.log(2 / _discard_budget(n, k, epsilon))
     )

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -66,6 +65,7 @@ from .core import (
     _check_sets,
     _holds_bool,
     _is_integer,
+    _is_real,
     _ranked,
     evaluate_many,
 )
@@ -299,9 +299,9 @@ class MixedOracle:
         try:
             u, v = pair
             if u.__class__ is not int or v.__class__ is not int:
-                if bool in (type(u), type(v)):  # operator.index would read True as 1
+                if not (_is_integer(u) and _is_integer(v)):
                     raise TypeError
-                u, v = operator.index(u), operator.index(v)
+                u, v = int(u), int(v)
         except (TypeError, ValueError):
             raise InvalidQueryError(f"pair {pair!r} must be two integer ids") from None
         try:
@@ -329,14 +329,12 @@ class MixedOracle:
 
 def _check_count(count) -> int:
     """A repeat count as an int in [0, INT64_MAX], the range of numpy's
-    draws; floats and bools are rejected, never truncated or read as 0
-    and 1."""
-    if isinstance(count, bool):
-        raise InvalidQueryError(f"count must be an integer, got {count!r}")
-    try:
-        count = operator.index(count)
-    except TypeError:
-        raise InvalidQueryError(f"count must be an integer, got {count!r}") from None
+    draws; a count that _is_integer refuses, a float or a bool, is never
+    truncated or read as 0 and 1."""
+    if count.__class__ is not int:
+        if not _is_integer(count):
+            raise InvalidQueryError(f"count must be an integer, got {count!r}")
+        count = int(count)
     if not 0 <= count <= INT64_MAX:
         raise InvalidQueryError(f"count must lie in [0, {INT64_MAX}], got {count}")
     return count
@@ -358,21 +356,21 @@ class StreamConfig:
 
     def __post_init__(self):
         for name, p in (("p1", self.p1), ("p2", self.p2)):
-            if not 0 < p <= 1:
-                raise ValueError(f"{name} must lie in (0, 1], got {p}")
+            if not (_is_real(p) and 0 < p <= 1):
+                raise ValueError(f"{name} must be a number in (0, 1], got {p!r}")
 
     @classmethod
     def from_rate(cls, alpha: float, t1: float, t2: float) -> "StreamConfig":
-        if alpha <= 0 or t1 <= 0 or t2 <= 0:
-            raise ValueError("alpha, t1, t2 must all be positive")
+        if not all(_is_real(x) and x > 0 for x in (alpha, t1, t2)):
+            raise ValueError(f"alpha, t1, t2 must all be positive, got {(alpha, t1, t2)!r}")
         return cls(p1=1.0 - math.exp(-alpha * t1), p2=1.0 - math.exp(-alpha * t2))
 
     @classmethod
     def from_coverage(cls, b: float, n: int) -> "StreamConfig":
-        if not b > 0:  # NaN fails this too
-            raise ValueError(f"coverage parameter b must be positive, got {b}")
-        if n < 4:
-            raise ValueError("need n >= 4 for the coverage formulas")
+        if not (_is_real(b) and b > 0):  # NaN fails this too
+            raise ValueError(f"coverage parameter b must be positive, got {b!r}")
+        if not (_is_integer(n) and n >= 4):
+            raise ValueError(f"need n >= 4 for the coverage formulas, got {n!r}")
         lg = math.log2(n)
         return cls(
             p1=min(1.0, b * lg / n),

@@ -358,3 +358,9 @@ class TestFeasibility:
     def test_precondition(self):
         with pytest.raises(ValueError):
             feasibility_check(2)
+
+    @pytest.mark.parametrize("n", [3.5, 5.0, True, np.float64(5), "5"])
+    def test_non_integer_n_refused(self, n):
+        with pytest.raises(ValueError, match="integer n >= 3"):
+            feasibility_check(n)
+        assert feasibility_check(np.int64(5))

@@ -37,6 +37,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="requires parameters"):
             cfg(mode="recover-active", n=10).validate()
 
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 1.5), ("seed", np.float64(1)), ("trials", True), ("trials", 2.5),
+        ("n", 20.0), ("k", np.True_), ("position", "2"), ("dim", None),
+    ])
+    def test_integer_parameters_refuse_non_integers(self, name, value):
+        base = dict(mode="recover-active", n=20, k=3, position=2, dim=2)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            cfg(**{**base, name: value}).validate()
+        cfg(**{**base, name: np.int64(base.get(name, 1))}).validate()
+
     def test_gamma_separation_reported(self):
         bad = cfg(
             mode="estimate-mixture", pi=(0.2, 0.3, 0.5), gamma=0.1,
@@ -298,6 +308,13 @@ class TestReports:
         out = tmp_path / "r.csv"
         emit(report, "csv", str(out))
         assert out.read_text() == report.to_csv()
+
+    @pytest.mark.parametrize("fmt", ["xml", "CSV", ""])
+    def test_emit_refuses_other_formats(self, fmt, tmp_path):
+        out = tmp_path / "r.txt"
+        with pytest.raises(ValueError, match="format must be csv or json"):
+            emit(self.make_report(), fmt, str(out))
+        assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_emit_without_a_path_writes_stdout(self, fmt, capsys):

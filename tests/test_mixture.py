@@ -76,6 +76,12 @@ class TestRepetitionCount:
         with pytest.raises(ValueError, match="int64 limit"):
             repetition_count(1e-9, 0.1, 3)
 
+    @pytest.mark.parametrize("k", [True, 3.0, 2.5, "3", 1])
+    def test_rejects_a_set_size_that_is_no_integer_of_at_least_2(self, k):
+        with pytest.raises(ValueError, match="set size k"):
+            repetition_count(0.01, 0.1, k)
+        assert repetition_count(0.01, 0.1, np.int64(3)) == repetition_count(0.01, 0.1, 3)
+
     @pytest.mark.parametrize("delta", [1e-155, 1e-200])
     def test_a_delta_whose_square_leaves_float_range_is_refused(self, delta):
         # 1e-155: the count overflowed to inf and math.ceil raised
@@ -1141,3 +1147,11 @@ class TestRecoverMixed:
         # n = k - 1 used to end in ZeroDivisionError, smaller n in a math domain error
         with pytest.raises(ValueError, match="n >= k"):
             discard_round_repetitions(0.09, 0.1, n, k)
+
+    @pytest.mark.parametrize("n, k", [(10.5, 3), (12.0, 3), (True, 1), (12, 3.0), (12, "3")])
+    def test_round_repetitions_reject_non_integer_sizes(self, n, k):
+        with pytest.raises(ValueError, match="need integers n >= k"):
+            discard_round_repetitions(0.09, 0.1, n, k)
+        assert discard_round_repetitions(0.09, 0.1, np.int64(12)) == (
+            discard_round_repetitions(0.09, 0.1, 12)
+        )

@@ -297,13 +297,12 @@ class TestMixedOracle:
 
     @pytest.mark.parametrize(
         "pair",
-        [(True, 2), (2, False), (np.int64(1), True), (1.0, 2), (1,), (0, 1, 2), 5],
-        ids=["bool-first", "bool-second", "numpy-and-bool", "float", "one-id", "three-ids",
-             "not-a-pair"],
+        [(2, False), (np.int64(1), True), (1,), (0, 1, 2), 5],
+        ids=["bool-second", "numpy-and-bool", "one-id", "three-ids", "not-a-pair"],
     )
     def test_query_until_rejects_non_integer_pair_ids(self, pair):
         # the set refuses a bool id through kset; the pair refuses it too,
-        # where operator.index alone would read True as id 1
+        # never reading True as id 1
         mix = MixtureDistribution((0.2, 0.3, 0.5), 0.05)
         oracle = MixedOracle(LatentOrder.identity(5), mix, 0)
         with pytest.raises(InvalidQueryError, match="must be two integer ids"):
@@ -483,6 +482,28 @@ class TestStreamConfig:
             StreamConfig(0.0, 0.5)
         with pytest.raises(ValueError):
             StreamConfig(0.5, 1.2)
+
+    @pytest.mark.parametrize("p", [True, np.True_, "0.5", None, 0.5j, float("nan")])
+    def test_probability_that_is_no_real_number_refused(self, p):
+        for p1, p2 in ((p, 0.5), (0.5, p)):
+            with pytest.raises(ValueError, match="must be a number in"):
+                StreamConfig(p1, p2)
+        assert StreamConfig(np.float64(0.5), 1).p2 == 1
+
+    @pytest.mark.parametrize("alpha, t1, t2", [(True, 1.0, 1.0), (0.5, "2", 3.0),
+                                               (0.5, 2.0, np.True_), (float("nan"), 1.0, 1.0)])
+    def test_rate_refuses_what_is_no_positive_real(self, alpha, t1, t2):
+        with pytest.raises(ValueError, match="must all be positive"):
+            StreamConfig.from_rate(alpha, t1, t2)
+
+    @pytest.mark.parametrize("b, n", [(True, 40), (np.True_, 40), ("8", 40), (8, 4.5),
+                                      (8, 40.0), (8, True), (8, None)])
+    def test_coverage_refuses_bool_b_and_non_integer_n(self, b, n):
+        with pytest.raises(ValueError):
+            StreamConfig.from_coverage(b, n)
+        assert StreamConfig.from_coverage(np.float64(8), np.int64(40)) == (
+            StreamConfig.from_coverage(8, 40)
+        )
 
     def test_coverage_values_and_monotone_decrease(self):
         # expected batch fraction is the p2 formula value, clamped to 1;

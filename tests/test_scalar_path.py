@@ -19,14 +19,17 @@ from choicelab.core import (
     _ranked,
     evaluate,
     evaluate_many,
+    kset,
 )
+from choicelab.distance import MetricPoints, PairDistanceOracle, pair_id
 from choicelab.oracles import (
     DeterministicOracle,
     MixedOracle,
     MixtureDistribution,
     ObservationBatch,
 )
-from choicelab.passive import answer_many, build_partial_order
+from choicelab.passive import answer_many, build_partial_order, revealing_set_count
+from choicelab.stats import clopper_pearson
 
 # How a caller may hand over a k-set: Python containers or numpy-int arrays.
 FORMS = (tuple, list, np.int64, np.int32, np.uint16)
@@ -401,16 +404,13 @@ def test_any_k_kernel_rejects_as_general_path(k, bad):
         assert oracle.query_count == 1
 
 
+# test_scalar_entry_point_refuses_what_is_not_an_integer covers the count
+# given as a bool, a float, a string and the like
 BAD_COUNTS = {
     "float": 2.7,
-    "integral-float": 2.0,
-    "numpy-float": np.float64(3.0),
-    "string": "3",
     "negative": -1,
     "negative-numpy": np.int64(-5),
-    "bool": True,
     "bool-false": False,
-    "numpy-bool": np.True_,
 }
 
 COUNT_ENTRY_POINTS = {
@@ -441,10 +441,7 @@ def test_integer_count_accepted(entry, count):
 
 
 BAD_PAIRS = {
-    "floats": (1.0, 2.0),
-    "numpy-floats": (np.float64(1), np.float64(2)),
     "one-float": (1, 2.0),
-    "strings": ("1", "2"),
     "one-id": (1,),
     "three-ids": (0, 1, 2),
     "not-a-pair": 1,
@@ -564,3 +561,112 @@ def test_observation_batch_refuses_a_bool_choice_in_a_list():
     with pytest.raises(InvalidQueryError, match="not bool"):
         ObservationBatch([[0, 1, 2], [1, 2, 3]], [True, 2], 5)
     assert ObservationBatch([[0, 1, 2], [1, 2, 3]], [1, 2], 5).choices.tolist() == [1, 2]
+
+
+class IndexOnly:
+    """An object that defines only __index__: operator.index reads it as
+    an integer, but it is no numbers.Integral."""
+
+    def __init__(self, value):
+        self._value = value
+
+    def __index__(self):
+        return self._value
+
+    def __repr__(self):
+        return f"IndexOnly({self._value})"
+
+
+def line():
+    return MetricPoints([0.0, 1.0, 3.0, 7.0])
+
+
+def one_record_batch():
+    return ObservationBatch([[0, 1, 2]], [1], 3)
+
+
+# Every scalar entry point that takes an integer id, position or count:
+# (what it is called on, the call with x in the integer's place, the
+# integer x stands for, the error class a refused x raises). Each call on
+# an oracle is made on a fresh one.
+SCALAR_ENTRY_POINTS = {
+    "kset": (None, lambda _, x: kset((x, 2, 3)), 1, InvalidQueryError),
+    "evaluate-k3": (
+        None, lambda _, x: evaluate(PositionSelector(3, 2), LatentOrder.identity(6), (x, 2, 3)),
+        1, InvalidQueryError,
+    ),
+    "evaluate-k4": (
+        None, lambda _, x: evaluate(PositionSelector(4, 2), LatentOrder.identity(6), [x, 2, 3, 4]),
+        1, InvalidQueryError,
+    ),
+    "DeterministicOracle.query": (deterministic, lambda o, x: o.query((x, 2, 3)), 1, InvalidQueryError),
+    "MixedOracle.query": (mixed, lambda o, x: o.query((x, 2, 3)), 1, InvalidQueryError),
+    "MixedOracle.query_repeated-count": (
+        mixed, lambda o, x: o.query_repeated((0, 1, 2), x), 1, InvalidQueryError,
+    ),
+    "MixedOracle.query_until-pair": (
+        mixed, lambda o, x: o.query_until((0, 1, 2), (x, 2), 5), 1, InvalidQueryError,
+    ),
+    "MixedOracle.query_until-count": (
+        mixed, lambda o, x: o.query_until((0, 1, 2), (1, 2), x), 1, InvalidQueryError,
+    ),
+    "pair_id": (None, lambda _, x: pair_id(x, 2), 1, InvalidQueryError),
+    "LatentOrder.rank_of": (None, lambda _, x: LatentOrder((3, 0, 2, 1)).rank_of(x), 1, InvalidQueryError),
+    "LatentOrder.id_at": (None, lambda _, x: LatentOrder((3, 0, 2, 1)).id_at(x), 1, InvalidQueryError),
+    "PositionSelector": (None, lambda _, x: PositionSelector(3, x), 1, ValueError),
+    "ObservationBatch-n": (
+        None, lambda _, x: ObservationBatch(np.zeros((0, 3), dtype=np.int64), [], x),
+        1, InvalidQueryError,
+    ),
+    "build_partial_order-position": (
+        None, lambda _, x: build_partial_order(one_record_batch(), (0,), x), 2, ValueError,
+    ),
+    "revealing_set_count-rank": (None, lambda _, x: revealing_set_count(5, 3, 2, x), 1, ValueError),
+    "clopper_pearson": (None, lambda _, x: clopper_pearson(x, 2), 1, ValueError),
+    "MetricPoints.distance": (None, lambda _, x: line().distance(x, 2), 1, InvalidQueryError),
+    "MetricPoints.pair_distance": (None, lambda _, x: line().pair_distance((x, 2)), 1, InvalidQueryError),
+    "PairDistanceOracle.larger": (
+        lambda: PairDistanceOracle(line()), lambda o, x: o.larger((x, 2), (0, 3)),
+        1, InvalidQueryError,
+    ),
+}
+
+# The integer as each accepted class, and the refused stand-ins for it.
+INTEGER_FORMS = {"int": int, "numpy-int64": np.int64, "intenum": Id}
+NOT_INTEGER_FORMS = {
+    "bool": lambda v: True,
+    "numpy-bool": lambda v: np.True_,
+    "float": float,
+    "numpy-float": np.float64,
+    "string": str,
+    "none": lambda v: None,
+    "0d-array": np.array,
+    "index-only": IndexOnly,
+}
+
+
+@pytest.mark.parametrize("form", INTEGER_FORMS)
+@pytest.mark.parametrize("entry", SCALAR_ENTRY_POINTS)
+def test_scalar_entry_point_accepts_every_integer_class(entry, form):
+    make, call, value, _ = SCALAR_ENTRY_POINTS[entry]
+    want = call(make and make(), value)
+    got = call(make and make(), INTEGER_FORMS[form](value))
+    if entry not in ("ObservationBatch-n", "build_partial_order-position"):  # no value equality
+        assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("form", NOT_INTEGER_FORMS)
+@pytest.mark.parametrize("entry", SCALAR_ENTRY_POINTS)
+def test_scalar_entry_point_refuses_what_is_not_an_integer(entry, form):
+    # one rule, core._is_integer, at every entry point: a refused value
+    # raises the entry point's own error class, uncounted and undrawn
+    make, call, value, error = SCALAR_ENTRY_POINTS[entry]
+    target = make and make()
+    count = getattr(target, "query_count", None)
+    rng = getattr(target, "_rng", None)
+    state = rng and rng.bit_generator.state
+    with pytest.raises(error) as raised:
+        call(target, NOT_INTEGER_FORMS[form](value))
+    assert raised.type is error
+    assert getattr(target, "query_count", None) == count
+    assert (rng and rng.bit_generator.state) == state
