@@ -13,7 +13,9 @@ bool. Python and numpy ints and IntEnum members pass; a bool, a float
 (even 2.0), a string, a 0-d array and an object that defines only
 __index__ are refused, never read as the integer they stand for. Hot
 paths test for an exact int first and call the rule only for other
-classes.
+classes. Its array half, _check_ids, judges every array a caller hands
+in: an ndarray by its dtype, any other input, such as a list, element by
+element with _is_integer, so a bool in a list is refused as it is alone.
 """
 
 from __future__ import annotations
@@ -104,28 +106,26 @@ class LatentOrder:
     ``n`` as a plain attribute (never reassign it) and index the rank
     lookup as a list, both faster than going through numpy.
 
-    The constructor checks that ascending is a permutation of [0, n) and
-    builds through _trusted, the one place the fields are filled, from a
-    copy, so the caller's array stays its own and writable. Orders
-    that are permutations by construction (random, reversed, a recovered
-    model's full order, recover_mixed's assembled order, the passive score
-    order) are built with _trusted directly and skip the check.
+    The constructor checks its ids with _check_ids and that they make a
+    permutation of [0, n) (or ValueError), and builds through _trusted,
+    the one place the fields are filled, from a copy, so the caller's
+    array stays its own and writable. Orders that are permutations by
+    construction (random, reversed, a recovered model's full order,
+    recover_mixed's assembled order, the passive score order) are built
+    with _trusted directly and skip the check.
     """
 
     __slots__ = ("_ascending", "_rank", "_rank_list", "n")
 
     def __init__(self, ascending: Sequence[int]):
-        order = np.array(ascending)  # a copy: _trusted freezes what it is given
-        if order.ndim != 1:
-            raise ValueError(f"ascending must be one-dimensional, got shape {order.shape}")
-        n = order.size
+        shape = np.shape(ascending)
+        if len(shape) != 1:
+            raise ValueError(f"ascending must be one-dimensional, got shape {shape}")
+        n = shape[0]
         if n == 0:
             raise ValueError("universe must be non-empty")
-        if order.dtype.kind not in "iu":
-            raise ValueError(f"ids must be integers, got dtype {order.dtype}")
-        order = order.astype(np.int64, copy=False)
-        counts = np.bincount(order, minlength=n) if order.min(initial=0) >= 0 else None
-        if counts is None or counts.size != n or not (counts == 1).all():
+        order = np.array(_check_ids(ascending, n))  # a copy: _trusted freezes what it is given
+        if not (np.bincount(order, minlength=n) == 1).all():
             raise ValueError("ascending must be a permutation of [0, n)")
         built = self._trusted(order)
         self._ascending, self._rank, self._rank_list, self.n = (
@@ -178,15 +178,9 @@ class LatentOrder:
         return self._rank_list[_check_id(self.n, alternative)]
 
     def ranks(self, ids) -> np.ndarray:
-        """Vectorized rank lookup over ids of any shape: integers in [0, n),
-        as _check_sets takes them, or InvalidQueryError."""
-        array = np.asarray(ids)
-        if array.size and (
-            array.dtype.kind not in "iu" or array.min() < 0 or array.max() >= self.n
-            or _holds_bool(ids)
-        ):
-            raise InvalidQueryError(f"ids must be integers in [0, {self.n})")
-        return self._rank[array.astype(np.int64, copy=False)]
+        """Vectorized rank lookup over ids of any shape, judged by _check_ids:
+        integers in [0, n), or InvalidQueryError."""
+        return self._rank[_check_ids(ids, self.n)]
 
     def id_at(self, rank: int) -> int:
         return int(self._ascending[_check_id(self.n, rank)])
@@ -223,32 +217,32 @@ def _check_query(k: int, n: int, s) -> KSet:
     return s
 
 
-def _holds_bool(ids) -> bool:
-    """Whether non-array input holds a bool (Python or numpy) anywhere:
-    np.asarray reads [True, 2] as the integer ids [1, 2]. An ndarray is
-    judged by its dtype alone, so this costs it nothing."""
-    if isinstance(ids, np.ndarray):
-        return False
-    return any(
-        x.__class__ is bool or x.__class__ is np.bool_
-        for x in np.asarray(ids, dtype=object).flat
-    )
+def _check_ids(values, high: int, what: str = "ids") -> np.ndarray:
+    """values as an int64 array of its own shape, the caller's own if it is
+    one, whose entries are integers in [0, high), or InvalidQueryError.
+    An ndarray is judged by its dtype, and an empty one holds nothing to
+    refuse; other input, element by element with _is_integer, so a bool,
+    a 0-d array or a ragged row in a list is never read as an id."""
+    if isinstance(values, np.ndarray):
+        array = values
+        valid = not array.size or (
+            array.dtype.kind in "iu" and array.min() >= 0 and array.max() < high
+        )
+    else:
+        array = np.asarray(values, dtype=object)
+        valid = all(_is_integer(x) and 0 <= x < high for x in array.flat)
+    if not valid:
+        raise InvalidQueryError(f"{what} must be integers in [0, {high})")
+    return array.astype(np.int64, copy=False)
 
 
 def _check_sets(k: int, n: int, sets) -> np.ndarray:
     """The validation every vectorized query makes: sets as an (m, k) int64
-    array of rows with k distinct ids in [0, n). Ids of any non-integer
-    dtype are rejected, never truncated, and so is a bool inside list input."""
-    array = np.asarray(sets)
-    if array.size and array.dtype.kind not in "iu":
-        raise InvalidQueryError(f"k-set ids must be integers, got dtype {array.dtype}")
-    if _holds_bool(sets):
-        raise InvalidQueryError(f"k-set ids must be integers, not bool: {sets}")
-    sets = array.astype(np.int64, copy=False)
+    array of rows with k distinct ids in [0, n), the ids judged by
+    _check_ids."""
+    sets = _check_ids(sets, n, "k-set ids")
     if sets.ndim != 2 or sets.shape[1] != k:
         raise InvalidQueryError(f"expected (m, {k}) array of k-sets, got shape {sets.shape}")
-    if sets.size and (sets.min() < 0 or sets.max() >= n):
-        raise InvalidQueryError(f"ids out of range [0, {n})")
     # one column pair at a time: no sort, which passive scoring's 1.6M rows would pay
     for left, right in itertools.combinations([sets[:, a] for a in range(k)], 2):
         same = left == right

@@ -20,7 +20,6 @@ from . import active, distance, mixture, passive
 from .core import (
     LatentOrder,
     PositionSelector,
-    _check_sets,
     _is_integer,
     _select_many,
     canonical_position,
@@ -231,14 +230,14 @@ def _trial_seeds(master_seed: int, trials: int):
 
 
 def _exhaustive_ksets(n: int, k: int) -> np.ndarray:
-    """all_ksets(n, k), validated and read-only: the first C(n, k) rows of
-    the colex enumeration kept for k, which lists every k-subset of [0, n)
-    before any set with an id >= n. It is rebuilt, and passed through
-    _check_sets, only when a check needs more rows than it holds."""
+    """all_ksets(n, k), read-only: the first C(n, k) rows of the colex
+    enumeration kept for k, which lists every k-subset of [0, n) before
+    any set with an id >= n. It is rebuilt, unchecked since its rows are
+    k-sets by construction, only when a check needs more rows."""
     total = math.comb(n, k)
     sets = _CHECK_KSETS.get(k)
     if sets is None or len(sets) < total:
-        sets = _check_sets(k, n, all_ksets(n, k))
+        sets = all_ksets(n, k)
         sets.setflags(write=False)
         _CHECK_KSETS[k] = sets
     return sets[:total]
@@ -447,8 +446,11 @@ def sorting_lower_bound(n: int, k: int) -> float:
     """Information-theoretic floor on query counts: log_k((n-k)!/2).
 
     Each query can cut the feasible orderings of the n-k+1 eligible
-    alternatives by at most a factor of k.
+    alternatives by at most a factor of k. n and k must be integers with
+    2 <= k <= n, or ValueError.
     """
+    if not (_is_integer(n) and _is_integer(k) and 2 <= k <= n):
+        raise ValueError(f"need integers 2 <= k <= n, got n={n!r}, k={k!r}")
     return (math.lgamma(n - k + 1) - math.log(2)) / math.log(k)
 
 

@@ -62,8 +62,8 @@ from .core import (
     PositionSelector,
     _check_position,
     _check_query,
+    _check_ids,
     _check_sets,
-    _holds_bool,
     _is_integer,
     _is_real,
     _ranked,
@@ -386,8 +386,8 @@ class StreamConfig:
 class ObservationBatch:
     """The distinct (k-set, choice) records observed during one stream phase.
 
-    A caller's records enter once, here: the constructor refuses ragged or
-    nested input, checks the rest with _check_sets over [0, n) and each
+    A caller's records enter once, here: the constructor checks the rows
+    with _check_sets over [0, n), the choices with _check_ids, and each
     choice for membership of its set, and freezes copies, never the
     caller's arrays. sample_phase builds its batches with _trusted, which
     checks and copies nothing. A batch is a plain record: every attribute
@@ -409,20 +409,13 @@ class ObservationBatch:
     """
 
     def __init__(self, sets, choices, n: int):
-        try:
-            rows, chosen = np.asarray(sets), np.asarray(choices)
-        except ValueError:  # ragged rows, or a list among the ids
-            raise InvalidQueryError("sets must be (m, k), choices (m,), of integer ids") from None
-        if rows.ndim != 2:
-            raise InvalidQueryError("sets must be an (m, k) array")
         if not (_is_integer(n) and n >= 0):
             raise InvalidQueryError(f"universe size must be a non-negative integer, got {n!r}")
-        sets = _check_sets(rows.shape[1], n, sets)  # the caller's input: a bool in a list is refused
-        if chosen.size and chosen.dtype.kind not in "iu":
-            raise InvalidQueryError(f"choice must be an integer id, got dtype {chosen.dtype}")
-        if _holds_bool(choices):
-            raise InvalidQueryError(f"choice must be an integer id, not bool: {choices}")
-        choices = chosen.astype(np.int64, copy=False)
+        rows = _check_ids(sets, n, "k-set ids")
+        if rows.ndim != 2:
+            raise InvalidQueryError("sets must be an (m, k) array")
+        sets = _check_sets(rows.shape[1], n, rows)
+        choices = _check_ids(choices, n, "choices")
         if choices.shape != (sets.shape[0],):
             raise InvalidQueryError("one choice per set required")
         member = np.zeros(choices.shape, dtype=bool)
@@ -468,15 +461,24 @@ def largest_binomial(n: int, k: int) -> int:
     return math.comb(n, min(k, n // 2))
 
 
-@functools.lru_cache(maxsize=32)
 def _binomial_table(n: int, k: int) -> np.ndarray:
     """table[j, c] = C(c, j) for j in [0, k], c in [0, n], read-only.
 
     Built once per (n, k) and shared by every later call, so no caller may
-    write to it. Raises OverflowError when the largest entry,
+    write to it. An n or k that _is_integer refuses, or a negative one,
+    raises ValueError before the cache is read, since the cache would take
+    5.0 for 5. Raises OverflowError when the largest entry,
     C(n, min(k, n//2)), does not fit in int64; for k > n/2 that can happen
     while C(n, k) fits.
     """
+    if not (_is_integer(n) and _is_integer(k) and n >= 0 and k >= 0):
+        raise ValueError(f"n and k must be non-negative integers, got n={n!r}, k={k!r}")
+    return _cached_binomial_table(int(n), int(k))
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_binomial_table(n: int, k: int) -> np.ndarray:
+    """_binomial_table for an n and k it has checked."""
     if largest_binomial(n, k) > INT64_MAX:
         raise OverflowError(f"C({n}, j) for j <= {k} exceeds the int64 limit {INT64_MAX}")
     table = np.zeros((k + 1, n + 1), dtype=np.int64)
@@ -494,10 +496,10 @@ def revealing_counts(n: int, k: int, position: int) -> np.ndarray:
     position, the member of rank r, which has r members below it. Each
     k-set selects one member, so the counts sum to C(n, k); ineligible
     ranks count 0. A position that is not an integer in [1, k], a bool
-    included, raises ValueError, and an (n, k) whose C(n, k) passes the
-    int64 limit OverflowError, as _binomial_table(n, k) does."""
-    _check_position(k, position)
+    included, raises ValueError, and an n or k as _binomial_table(n, k)
+    does."""
     table = _binomial_table(n, k)
+    _check_position(k, position)
     ranks = np.arange(n)
     return table[position - 1, ranks] * table[k - position, n - 1 - ranks]
 
@@ -512,21 +514,14 @@ def unrank_combinations(indices: np.ndarray, n: int, k: int) -> np.ndarray:
     key's result. The pair level, where every k >= 2 ends, needs no search:
     the largest c with C(c, 2) <= r is floor((1 + sqrt(8r + 1)) / 2), which
     float64 gets right or off by one, and one exact comparison against the
-    table each way corrects it. A rank outside [0, C(n,k)), ranks of a
-    non-integer dtype, or a bool inside list input raise ValueError.
+    table each way corrects it. Ranks are judged by _check_ids over
+    [0, C(n,k)), and n and k as _binomial_table(n, k) judges them.
 
     The result is a column-major view: column j is one contiguous row of a
     (k, m) buffer.
     """
-    if _holds_bool(indices):
-        raise ValueError(f"colex ranks must be integers, not bool: {indices}")
-    indices = np.asarray(indices)
-    if indices.size and indices.dtype.kind not in "iu":
-        raise ValueError(f"colex ranks must be integers, got dtype {indices.dtype}")
-    indices = indices.astype(np.int64, copy=False)
     table = _binomial_table(n, k)
-    if indices.size and (indices.min() < 0 or indices.max() >= table[k, n]):
-        raise ValueError(f"colex ranks must lie in [0, C({n}, {k})) = [0, {table[k, n]})")
+    indices = _check_ids(indices, int(table[k, n]), "colex ranks")
     out = np.empty((k, indices.size), dtype=np.int64)  # column j of the result is out[j]
     if k == 0:
         return out.T  # the empty set, once per rank
@@ -564,9 +559,9 @@ def unrank_combinations(indices: np.ndarray, n: int, k: int) -> np.ndarray:
 
 def all_ksets(n: int, k: int) -> np.ndarray:
     """Every k-subset of [0, n) as a (C(n,k), k) array of sorted rows, in
-    colex order: the unranking of every rank. Raises OverflowError as
-    _binomial_table(n, k) does."""
-    return unrank_combinations(np.arange(math.comb(n, k)), n, k)
+    colex order: the unranking of every rank. Raises as _binomial_table(n, k)
+    does."""
+    return unrank_combinations(np.arange(_binomial_table(n, k)[k, n]), n, k)
 
 
 def _sample_ranks(total: int, p: float, rng: np.random.Generator) -> np.ndarray:

@@ -386,17 +386,19 @@ def revealing_set_count(n: int, k: int, position: int, rank: int) -> int:
     A rank that is not an integer in [0, n), or a position that is not an
     integer in [1, k], raises ValueError.
     """
+    counts = revealing_counts(n, k, position)
     if not (_is_integer(rank) and 0 <= rank < n):
         raise ValueError(f"rank must lie in [0, {n}), got {rank}")
-    return int(revealing_counts(n, k, position)[rank])
+    return int(counts[rank])
 
 
 def min_revealing_count(n: int, k: int, position: int) -> int:
     """Minimum revealing-set count over all eligible elements, those with
     rank in [position-1, n-k+position-1]. n < k raises ValueError."""
+    counts = revealing_counts(n, k, position)
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
-    return int(revealing_counts(n, k, position)[position - 1 : n - k + position].min())
+    return int(counts[position - 1 : n - k + position].min())
 
 
 def count_revealing_brute_force(n: int, k: int, position: int, rank: int) -> int:

@@ -168,7 +168,7 @@ class TestLatentOrder:
 
     @pytest.mark.parametrize("ids", [[0.0, 1.7, 2.2], [0.0, 1.0, 2.0], np.array([2.0, 0.0, 1.0])])
     def test_rejects_float_ids(self, ids):
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(InvalidQueryError, match=r"ids must be integers in \[0, 3\)"):
             LatentOrder(ids)
 
     @pytest.mark.parametrize("values", [[0.1, np.nan, 0.3], [np.nan], [np.nan, np.nan]])
@@ -302,14 +302,14 @@ class TestTrustedOrders:
         "empty": ([], "non-empty"),
         "empty-array": (np.array([], dtype=np.int64), "non-empty"),
         "repeat": ((0, 0, 1), "permutation"),
-        "gap": ((1, 2, 3), "permutation"),
-        "too-large": ((0, 1, 3), "permutation"),
-        "negative": ((-1, 0, 1), "permutation"),
-        "negative-array": (np.array([0, -2, 1]), "permutation"),
-        "floats": ([0.0, 1.0], "integers"),
-        "bools": ([True, False], "integers"),
-        "strings": (["0", "1"], "integers"),
-        "objects": (np.array([0, 1], dtype=object), "integers"),
+        "gap": ((1, 2, 3), r"ids must be integers in \[0, 3\)"),
+        "too-large": ((0, 1, 3), r"ids must be integers in \[0, 3\)"),
+        "negative": ((-1, 0, 1), r"ids must be integers in \[0, 3\)"),
+        "negative-array": (np.array([0, -2, 1]), r"ids must be integers in \[0, 3\)"),
+        "floats": ([0.0, 1.0], r"ids must be integers in \[0, 2\)"),
+        "bools": ([True, False], r"ids must be integers in \[0, 2\)"),
+        "strings": (["0", "1"], r"ids must be integers in \[0, 2\)"),
+        "objects": (np.array([0, 1], dtype=object), r"ids must be integers in \[0, 2\)"),
         "square": (np.array([[0, 1], [1, 0]]), "one-dimensional"),
         "column": ([[0], [1]], "one-dimensional"),
         "row": ([[0, 1]], "one-dimensional"),

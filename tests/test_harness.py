@@ -183,8 +183,7 @@ def test_alignment_failure_fails_one_trial_only(monkeypatch, mode, entry, extra)
 
 class TestExhaustiveCheckSets:
     """An exhaustive check reads the first C(n, k) rows of the one colex
-    enumeration harness keeps for k, validated when it is built and
-    read-only."""
+    enumeration harness keeps for k, built by all_ksets and read-only."""
 
     @pytest.fixture(autouse=True)
     def fresh_enumerations(self, monkeypatch):
@@ -207,14 +206,14 @@ class TestExhaustiveCheckSets:
             with pytest.raises(ValueError, match="read-only"):
                 sets[0, 0] = sets[0, 1]
 
-    def test_sets_are_validated_once_per_growth(self, monkeypatch):
-        calls, real = [], harness._check_sets
+    def test_sets_are_built_once_per_growth(self, monkeypatch):
+        calls, real = [], harness.all_ksets
 
-        def counted(k, n, sets):
+        def counted(n, k):
             calls.append((n, k))
-            return real(k, n, sets)
+            return real(n, k)
 
-        monkeypatch.setattr(harness, "_check_sets", counted)
+        monkeypatch.setattr(harness, "all_ksets", counted)
         for n, k in [(6, 3), (5, 3), (9, 3), (6, 4), (7, 3), (9, 3), (12, 3), (4, 3), (8, 4)]:
             harness._exhaustive_ksets(n, k)
         assert calls == [(6, 3), (9, 3), (6, 4), (12, 3), (8, 4)]
@@ -459,3 +458,11 @@ class TestQueryCurve:
         n, k = 20, 3
         want = (math.log(math.factorial(n - k)) - math.log(2)) / math.log(k)
         assert sorting_lower_bound(n, k) == pytest.approx(want)
+        assert sorting_lower_bound(np.int64(n), np.uint8(k)) == sorting_lower_bound(n, k)
+
+    @pytest.mark.parametrize(
+        "n, k", [(5.5, 3), (5, 3.0), (True, 2), (5, True), ("5", 3), (5, None), (5, 1), (2, 3)]
+    )
+    def test_lower_bound_refuses_what_is_not_a_size(self, n, k):
+        with pytest.raises(ValueError, match="need integers 2 <= k <= n"):
+            sorting_lower_bound(n, k)

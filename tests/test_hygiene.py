@@ -1,7 +1,7 @@
 """Source hygiene: every exported name exists, no module imports what it
 never reads, every private module-level name is read somewhere else, only
-the report writer and the CLI import json, and only the CLI reads the
-environment."""
+the report writer and the CLI import json, only the CLI reads the
+environment, and the integer rule is written once."""
 
 import ast
 import importlib
@@ -149,3 +149,58 @@ def test_scanner_flags_an_unreferenced_helper():
         "b": ast.parse("from .a import _used\n\ndef f():\n    return _used() + a._LIMIT\n"),
     }
     assert _unreferenced_helpers(trees) == ["a._UNREAD", "a._dead"]
+
+
+def _sites(trees: dict, flagged) -> set:
+    """module.function for the innermost function around every node that
+    flagged(node) is true of, across the modules' trees; a node outside
+    any function counts as module.<module>."""
+    sites = set()
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if flagged(node):
+            sites.add(f"{module}.{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for module, tree in trees.items():
+        visit(tree, module, "<module>")
+    return sites
+
+
+def _reads_dtype_kind(node) -> bool:
+    return (
+        isinstance(node, ast.Attribute) and node.attr == "kind"
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"
+    )
+
+
+def _names_integral(node) -> bool:
+    return (
+        isinstance(node, ast.Attribute) and node.attr == "Integral"
+        or isinstance(node, ast.Name) and node.id == "Integral"
+        or isinstance(node, ast.alias) and node.name.split(".")[-1] == "Integral"
+    )
+
+
+def test_the_integer_rule_is_written_once():
+    # core._is_integer judges a scalar and core._check_ids an array; a
+    # second dtype test or Integral test would be a second rule
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in PACKAGE_DIR.glob("*.py")}
+    assert _sites(trees, _reads_dtype_kind) == {"core._check_ids"}
+    assert _sites(trees, _names_integral) == {"core._is_integer", "core._is_real"}
+
+
+def test_scanner_finds_each_integer_test():
+    trees = {
+        "a": ast.parse("import numbers\ndef f(x):\n    return x.dtype.kind\n"
+                       "class C:\n    def g(self, y):\n"
+                       "        return isinstance(y, numbers.Integral)\n"
+                       "KIND = z.dtype.kind\n"),
+        "b": ast.parse("from numbers import Integral\nkind = x.kind\n"),
+    }
+    assert _sites(trees, _reads_dtype_kind) == {"a.f", "a.<module>"}
+    assert _sites(trees, _names_integral) == {"a.g", "b.<module>"}

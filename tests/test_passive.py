@@ -83,7 +83,7 @@ class TestFindIneligible:
     def test_out_of_range_choice_rejected(self, sets, choices):
         # the batch owns its universe, so every id outside it is refused
         # when the batch is built, before any reader sees it
-        with pytest.raises(InvalidQueryError, match=r"out of range \[0, 7\)"):
+        with pytest.raises(InvalidQueryError, match=r"k-set ids must be integers in \[0, 7\)"):
             ObservationBatch(np.array(sets), np.array(choices), 7)
 
     def test_monte_carlo_n50(self):
@@ -201,7 +201,7 @@ class TestBuildPartialOrder:
     def test_out_of_range_record_rejected(self, row):
         # anchored or not, a record naming an id outside [0, n) is refused
         # when the batch is built, before any reader sees it
-        with pytest.raises(InvalidQueryError, match=r"out of range \[0, 5\)"):
+        with pytest.raises(InvalidQueryError, match=r"k-set ids must be integers in \[0, 5\)"):
             ObservationBatch(np.array([[0, 1, 2], row]), np.array([1, row[1]]), 5)
 
     def test_resolved_rejects_ids_outside_universe(self):
@@ -908,6 +908,34 @@ class TestRevealingCounts:
                         assert revealing_set_count(
                             n, k, position, rank
                         ) == count_revealing_brute_force(n, k, position, rank)
+
+    # every function of (n, k) that reads the cached binomial table
+    SIZE_CALLS = {
+        "revealing_counts": lambda n, k: revealing_counts(n, k, 2),
+        "unrank_combinations": lambda n, k: unrank_combinations(np.array([0, 1]), n, k),
+        "all_ksets": all_ksets,
+        "min_revealing_count": lambda n, k: min_revealing_count(n, k, 2),
+        "revealing_set_count": lambda n, k: revealing_set_count(n, k, 2, 1),
+    }
+    NOT_SIZES = {
+        "integral-float": 5.0, "numpy-float": np.float64(5), "bool": True,
+        "numpy-bool": np.True_, "string": "5", "none": None, "negative": -1,
+    }
+
+    @pytest.mark.parametrize("bad", NOT_SIZES)
+    @pytest.mark.parametrize("which", ["n", "k"])
+    @pytest.mark.parametrize("call", SIZE_CALLS)
+    def test_size_that_is_not_a_non_negative_integer_rejected(self, call, which, bad):
+        sizes = {"n": 5, "k": 3}
+        self.SIZE_CALLS[call](**sizes)  # a warm (5, 3) table must not answer for 5.0
+        sizes[which] = self.NOT_SIZES[bad]
+        with pytest.raises(ValueError, match="n and k must be non-negative integers"):
+            self.SIZE_CALLS[call](**sizes)
+
+    @pytest.mark.parametrize("call", SIZE_CALLS)
+    def test_numpy_integer_sizes_accepted(self, call):
+        want = self.SIZE_CALLS[call](5, 3)
+        assert np.array_equal(self.SIZE_CALLS[call](np.int64(5), np.uint8(3)), want)
 
     def test_minimum_below_k_ids_rejected(self):
         with pytest.raises(ValueError, match="need n >= k, got n=2, k=3"):
