@@ -6,7 +6,8 @@ value is joined by commas (``{"pi": [0.2, 0.3, 0.5]}``) and a null value
 leaves the flag unset. The file is parsed as those flags, ahead of the
 command line, so flags given on the command line override it. The master
 seed falls back to the CHOICELAB_SEED environment variable. Flags must be
-spelled in full. Exit codes: 0 success, 2 usage error, 3 I/O error.
+spelled in full. Exit codes: 0 success, 2 usage error (a run too large
+for the machine's memory included), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -113,6 +114,8 @@ def main(argv=None) -> int:
         report = run(config)
     except AmbiguousDistancesError as exc:  # no draw of the points was in general position
         parser.error(str(exc))
+    except MemoryError as exc:  # a size validate admits may still not fit this machine
+        parser.error(f"not enough memory for this run: {exc}")
 
     try:
         emit(report, config.fmt, config.out)

@@ -30,6 +30,12 @@ import numpy as np
 Alternative = int
 KSet = tuple  # sorted tuple of distinct alternative ids
 
+# The most ids a universe holds. numpy's permutation sizes its range
+# through a float64, which holds every integer only up to 2^53, so a
+# permutation of 2^53 + 1 has 2^53 entries; an int64 array of 2^53 ids
+# also fills the 64 PiB a 64-bit process can address.
+MAX_IDS = 2**53
+
 
 class InvalidQueryError(ValueError):
     """A query violating a size, membership, or arity contract."""
@@ -153,11 +159,16 @@ class LatentOrder:
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "LatentOrder":
-        """A uniformly random order of [0, n). A positive int n gives a
-        permutation by construction; any other n is checked as the
-        constructor checks it."""
-        ascending = rng.permutation(n)
-        return cls._trusted(ascending) if n.__class__ is int and n > 0 else cls(ascending)
+        """A uniformly random order of [0, n). A positive int n up to
+        MAX_IDS gives a permutation by construction; an integer n past it
+        raises ValueError, since numpy would draw a permutation of another
+        size (empty past 2^63); any other n is checked as the constructor
+        checks it."""
+        if n.__class__ is int and 0 < n <= MAX_IDS:
+            return cls._trusted(rng.permutation(n))
+        if _is_integer(n) and n > MAX_IDS:
+            raise ValueError(f"universe size {n} exceeds the {MAX_IDS} ids of a universe")
+        return cls(rng.permutation(n))
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "LatentOrder":

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import active, distance, mixture, passive
 from .core import (
+    MAX_IDS,
     LatentOrder,
     PositionSelector,
     _is_integer,
@@ -58,6 +59,9 @@ _EXHAUSTIVE_CHECK_SETS = 200_000
 _SAMPLED_CHECK_SETS = 10_000
 # k -> all_ksets(n, k) at the largest n an exhaustive check has read
 _CHECK_KSETS: dict = {}
+# a distance mode's general-position check builds an m-by-m-by-dim float64
+# array of coordinate differences for its m points; 512 MiB at most
+_MAX_POINT_DIFFERENCES = 2**26
 
 
 @dataclass
@@ -90,6 +94,10 @@ class ExperimentConfig:
             # an unset n, k or position is left to the mode's check below
             if not (_is_integer(value) or value is None and name in ("n", "k", "position")):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("n", "k"):  # classify's default universe has k + 1 ids
+            value = getattr(self, name)
+            if value is not None and value >= MAX_IDS:
+                raise ValueError(f"{name} must be below 2^53 = {MAX_IDS}, got {value}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
@@ -130,6 +138,13 @@ class ExperimentConfig:
             raise ValueError(f"distance-median needs odd k >= 1, got k={self.k}")
         if self.mode == "distance-sort" and self.n < 1:
             raise ValueError(f"distance-sort needs n >= 1 points, got n={self.n}")
+        if self.mode in ("distance-median", "distance-sort"):
+            points = self.k if self.mode == "distance-median" else self.n
+            if points * points * self.dim > _MAX_POINT_DIFFERENCES:
+                raise ValueError(
+                    f"{points} points in dim {self.dim} need {points}*{points}*{self.dim} "
+                    f"coordinate differences, more than the {_MAX_POINT_DIFFERENCES} allowed"
+                )
         if self.mode == "feasibility" and self.n < 3:
             raise ValueError("need n >= 3")
         if self.pi is not None:

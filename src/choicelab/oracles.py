@@ -455,9 +455,19 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 _POISSON_LAM_MAX = INT64_MAX - 10 * math.sqrt(INT64_MAX)
 
 
+def _check_sizes(n, k) -> tuple:
+    """n and k as ints; an n or k that _is_integer refuses, or a negative
+    one, raises ValueError."""
+    if not (_is_integer(n) and _is_integer(k) and n >= 0 and k >= 0):
+        raise ValueError(f"n and k must be non-negative integers, got n={n!r}, k={k!r}")
+    return int(n), int(k)
+
+
 def largest_binomial(n: int, k: int) -> int:
     """max C(c, j) over c <= n, j <= k: the largest unranking table entry,
-    and a bound on every colex rank of a k-subset of [0, n)."""
+    and a bound on every colex rank of a k-subset of [0, n). n and k are
+    judged by _check_sizes."""
+    n, k = _check_sizes(n, k)
     return math.comb(n, min(k, n // 2))
 
 
@@ -471,9 +481,7 @@ def _binomial_table(n: int, k: int) -> np.ndarray:
     C(n, min(k, n//2)), does not fit in int64; for k > n/2 that can happen
     while C(n, k) fits.
     """
-    if not (_is_integer(n) and _is_integer(k) and n >= 0 and k >= 0):
-        raise ValueError(f"n and k must be non-negative integers, got n={n!r}, k={k!r}")
-    return _cached_binomial_table(int(n), int(k))
+    return _cached_binomial_table(*_check_sizes(n, k))
 
 
 @functools.lru_cache(maxsize=32)

@@ -40,7 +40,13 @@ from .core import (
     _select_many,
     evaluate_many,
 )
-from .oracles import ObservationBatch, all_ksets, revealing_counts, unrank_combinations
+from .oracles import (
+    ObservationBatch,
+    _check_sizes,
+    all_ksets,
+    revealing_counts,
+    unrank_combinations,
+)
 from .stats import clopper_pearson
 
 __all__ = [
@@ -157,38 +163,71 @@ class InferredPartialOrder:
 
 def _transitive_closure(direct: np.ndarray) -> np.ndarray:
     """Reachability of a DAG given as a boolean adjacency matrix, as a new
-    bool matrix; direct itself is not written.
+    C-contiguous bool matrix; direct itself is not written.
 
-    Kahn's algorithm orders the vertices and keeps each one's children.
-    Then, in reverse topological order, each vertex's row becomes the OR of
-    its own and its children's (Purdom 1970), over rows packed 64 ids to a
-    uint64 word: an eighth of the bool matrix, and one bitwise_or.reduce
-    per vertex. The function drops direct once it is packed, so a caller
-    that passes its only reference lets the bool matrix be freed before
-    the packed rows are unpacked, once, into the result. A cycle raises
-    InconsistentStreamError.
+    Each row is packed once into a Python int, bit u of row w set when
+    direct[w, u] is; the function then drops direct, so a caller that
+    passes its only reference lets the bool matrix be freed before the
+    result exists. One iterative depth-first search, with an explicit
+    stack so a chain of any length closes, gives each node its reach: the
+    OR of its children's reaches, each child included. A node takes one
+    child still missing from the reach it has gathered, descends into it
+    if that child's reach is unknown, ORs it in, and clears every child
+    the gathered reach now covers, which is never visited from this node
+    (Goralčíková & Koubek, "A reduct-and-closure algorithm for graphs",
+    MFCS 1979). The child taken alternates between the highest and the
+    lowest missing id. The highest alone is slow when ids follow the
+    order: every edge then points away from the nearest child, whose
+    reach covers the others, and alternating takes that child second.
+    The lowest alone is slower on shuffled ids. Meeting a child that is
+    still on the stack means a cycle, which raises
+    InconsistentStreamError. The reaches are unpacked once into the
+    result.
     """
     v = direct.shape[0]
-    indegree = direct.sum(axis=0)
-    queue = [i for i in range(v) if indegree[i] == 0]
-    topo = []  # (node, its children), in topological order
-    while queue:  # Kahn's algorithm pops each node once
-        node = queue.pop()
-        children = np.nonzero(direct[node])[0]
-        topo.append((node, children))
-        indegree[children] -= 1
-        queue.extend(children[indegree[children] == 0].tolist())
-    if len(topo) != v:
-        raise InconsistentStreamError("orientation cycle in observed comparisons")
-    # bit u of row w, little bit order, is direct[w, u]; rows padded to whole words
-    packed = np.zeros((v, -(-v // 64) * 8), dtype=np.uint8)
-    packed[:, : -(-v // 8)] = np.packbits(direct, axis=1, bitorder="little")
+    width = -(-v // 8)  # bytes per packed row
+    data = np.packbits(direct, axis=1, bitorder="little").tobytes()
     del direct
-    reach = packed.view(np.uint64)
-    for node, children in reversed(topo):
-        if children.size:
-            reach[node] |= np.bitwise_or.reduce(reach[children], axis=0)
-    return np.unpackbits(packed, axis=1, count=v, bitorder="little").view(bool)
+    children = [int.from_bytes(data[i : i + width], "little") for i in range(0, v * width, width)]
+    del data
+    # reach[w] is None until w is entered, 0 while w is on the stack, and
+    # then w's reach with bit w set (never 0), so a parent ORs it in whole
+    reach = [None] * v
+    for root in range(v):
+        if reach[root] is not None:
+            continue
+        stack = []  # the suspended (node, missing, gathered, high) frames
+        node, missing, gathered, high = root, children[root], 0, True
+        reach[root] = 0
+        while True:
+            if missing:
+                if high:
+                    child = missing.bit_length() - 1
+                else:
+                    child = (missing & -missing).bit_length() - 1
+                high = not high
+                below = reach[child]
+                if below is None:
+                    stack.append((node, missing, gathered, high))
+                    node, missing, gathered, high = child, children[child], 0, True
+                    reach[child] = 0
+                    continue
+                if not below:
+                    raise InconsistentStreamError("orientation cycle in observed comparisons")
+            else:  # node is closed: hand its reach to the suspended parent
+                below = reach[node] = gathered | 1 << node
+                if not stack:
+                    break
+                node, missing, gathered, high = stack.pop()
+            gathered |= below
+            missing &= ~gathered
+    packed = b"".join(row.to_bytes(width, "little") for row in reach)
+    del children, reach
+    closure = np.unpackbits(
+        np.frombuffer(packed, dtype=np.uint8).reshape(v, width), axis=1, count=v, bitorder="little"
+    ).view(bool)
+    np.fill_diagonal(closure, False)  # each stored reach held its own node
+    return closure
 
 
 def _orientations(batch: ObservationBatch, anchors: tuple) -> np.ndarray:
@@ -387,9 +426,14 @@ def revealing_set_count(n: int, k: int, position: int, rank: int) -> int:
     integer in [1, k], raises ValueError.
     """
     counts = revealing_counts(n, k, position)
+    _check_rank(n, rank)
+    return int(counts[rank])
+
+
+def _check_rank(n: int, rank) -> None:
+    """Raise ValueError unless rank is an integer in [0, n)."""
     if not (_is_integer(rank) and 0 <= rank < n):
         raise ValueError(f"rank must lie in [0, {n}), got {rank}")
-    return int(counts[rank])
 
 
 def min_revealing_count(n: int, k: int, position: int) -> int:
@@ -403,9 +447,13 @@ def min_revealing_count(n: int, k: int, position: int) -> int:
 
 def count_revealing_brute_force(n: int, k: int, position: int, rank: int) -> int:
     """Independent oracle: enumerate every k-set containing the rank-th
-    element and count those whose selected member is that element. A
-    position that is not an integer in [1, k] raises ValueError."""
+    element and count those whose selected member is that element. n, k,
+    position and rank are judged as revealing_set_count judges them:
+    ValueError unless n and k are non-negative integers, position an
+    integer in [1, k] and rank an integer in [0, n)."""
+    n, k = _check_sizes(n, k)
     _check_position(k, position)
+    _check_rank(n, rank)
     element = rank
     others = [x for x in range(n) if x != element]
     count = 0

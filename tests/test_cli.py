@@ -187,6 +187,40 @@ def test_distance_sort_past_general_position_exits_two():
     assert "1e-09" in proc.stderr
 
 
+BIG = str(2**63)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["classify", "--k", BIG, "--ell", "1"], "k must be below 2^53"),
+        (["classify", "--k", "3", "--ell", "2", "--n", BIG], "n must be below 2^53"),
+        (["distance-median", "--k", "3", "--dim", BIG], f"3*3*{BIG} coordinate differences"),
+        (["distance-sort", "--n", BIG], "n must be below 2^53"),
+        (["distance-sort", "--n", "3", "--dim", BIG], f"3*3*{BIG} coordinate differences"),
+        (["distance-median", "--k", "100000001", "--dim", "2"],
+         "100000001*100000001*2 coordinate differences, more than the 67108864 allowed"),
+    ],
+    ids=["classify-k", "classify-n", "median-dim", "sort-n", "sort-dim", "median-k"],
+)
+def test_huge_size_exits_two_before_any_array(args, message, capsys):
+    # each ended in a traceback: an empty order for 2^63 + 1 ids, numpy's
+    # "Maximum allowed dimension exceeded", or a 142 PiB allocation
+    with pytest.raises(SystemExit) as exit_:
+        main([*args, "--trials", "1"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("choicelab: error: ") and message in err
+
+
+def test_size_too_large_for_memory_exits_two():
+    # 2^53 ids pass validate, but their order would take 64 PiB
+    proc = run_cli("classify", "--k", str(2**53 - 1), "--ell", "1", "--trials", "1",
+                   base=[sys.executable, "-c", _CAPPED_CLI, str(1 << 30)])
+    assert_usage_error(proc, "not enough memory for this run")
+
+
 def test_feasibility_at_large_n_runs_in_time():
     # the exact factorial of C(n, 2) took minutes from n = 3000
     proc = run_cli("feasibility", "--n", "100000", "--trials", "1", timeout=60)

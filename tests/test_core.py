@@ -270,6 +270,19 @@ class TestTrustedOrders:
         with pytest.raises(ValueError, match="non-empty"):
             LatentOrder.random(n, np.random.default_rng(1))
 
+    @pytest.mark.parametrize(
+        "n", [1, 9, np.int64(9), 2**53 + 1, 2**63, 2**63 + 4, 2**64 + 3, np.uint64(2**63 + 4)]
+    )
+    def test_random_never_returns_another_size(self, n):
+        # numpy draws a permutation of 2^53 for 2^53 + 1 and an empty one
+        # for 2^63 + 4, which the trusted path took as a universe of n
+        try:
+            order = LatentOrder.random(n, np.random.default_rng(1))
+        except ValueError as exc:
+            assert n > 2**53 and "exceeds" in str(exc)
+        else:
+            assert order.n == n and len(order.ascending) == n
+
     def test_reversed(self):
         order = LatentOrder.random(9, np.random.default_rng(3))
         assert_same_order(order.reversed(), LatentOrder(order.ascending.tolist()[::-1]))

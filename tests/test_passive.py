@@ -26,6 +26,7 @@ from choicelab.oracles import (
     ObservationBatch,
     StreamConfig,
     all_ksets,
+    largest_binomial,
     revealing_counts,
     sample_phase,
     unrank_combinations,
@@ -238,9 +239,18 @@ def warshall(direct):
     return reach
 
 
+def relabeled(matrix, labels):
+    """matrix over the ids labels[i] in place of i: entry [labels[i],
+    labels[j]] of the result is matrix[i, j]."""
+    out = np.empty_like(matrix)
+    out[np.ix_(labels, labels)] = matrix
+    return out
+
+
 class TestPackedClosure:
-    """_transitive_closure ORs rows packed into uint64 words; the word
-    edges at 63, 64, 65 and 127, 128, 129 ids are where packing can slip."""
+    """_transitive_closure ORs rows packed byte by byte into Python ints,
+    one depth-first search closing them; rows of 63, 64, 65 and 127, 128,
+    129 ids straddle whole bytes and words, where packing can slip."""
 
     SIZES = [1, 2, 63, 64, 65, 127, 128, 129, 200]
 
@@ -261,6 +271,50 @@ class TestPackedClosure:
         direct[ids, (ids + 1) % n] = True  # one cycle through every id; a self-loop at n=1
         with pytest.raises(InconsistentStreamError, match="cycle"):
             passive._transitive_closure(direct)
+
+    def test_path_deeper_than_the_recursion_limit(self):
+        n = 3000
+        assert n > sys.getrecursionlimit()
+        ids = np.arange(n - 1)
+        direct = np.zeros((n, n), dtype=bool)
+        direct[ids, ids + 1] = True  # the path 0 -> 1 -> ... -> n-1
+        reach = passive._transitive_closure(direct)
+        assert np.array_equal(reach, np.triu(np.ones((n, n), dtype=bool), 1))
+
+    @pytest.mark.parametrize("n", [64, 65, 200])
+    @pytest.mark.parametrize("labeling", ["identity", "reversed", "random"])
+    @pytest.mark.parametrize("density", [0.05, 0.5])
+    def test_labeling_independent(self, n, labeling, density):
+        # ids along the order, against it and shuffled: the child each node
+        # takes first differs, the closure must not
+        rng = np.random.default_rng(n)
+        ordered = np.triu(rng.random((n, n)) < density, 1)  # i -> j only for i < j
+        labels = {
+            "identity": np.arange(n), "reversed": np.arange(n)[::-1], "random": rng.permutation(n),
+        }[labeling]
+        want = relabeled(warshall(ordered), labels)
+        assert np.array_equal(passive._transitive_closure(relabeled(ordered, labels)), want)
+
+    @pytest.mark.parametrize("labels", list(itertools.permutations(range(4))))
+    def test_cycle_behind_a_covered_child_raises(self, labels):
+        # root 0 reaches 1 directly and through 3, so once 3 is taken 1 is
+        # covered and never taken from 0; the back edge 2 -> 0 sits behind 1.
+        # Every labeling of the four nodes changes which child comes first
+        direct = np.zeros((4, 4), dtype=bool)
+        for u, v in [(0, 3), (0, 1), (3, 1), (1, 2), (2, 0)]:
+            direct[u, v] = True
+        with pytest.raises(InconsistentStreamError, match="cycle"):
+            passive._transitive_closure(relabeled(direct, list(labels)))
+
+    def test_cycle_behind_covered_children_of_a_large_graph_raises(self):
+        # a dense order-following DAG in which every node's nearest child
+        # covers the rest, closed into a cycle from its last node back to 1
+        n = 200
+        direct = np.triu(np.ones((n, n), dtype=bool), 1)
+        direct[n - 1, 1] = True
+        for labels in (np.arange(n), np.arange(n)[::-1], np.random.default_rng(5).permutation(n)):
+            with pytest.raises(InconsistentStreamError, match="cycle"):
+                passive._transitive_closure(relabeled(direct, labels))
 
     @pytest.mark.skipif(
         sys.version_info < (3, 11), reason="before 3.11 a caller's stack keeps its call arguments"
@@ -893,9 +947,11 @@ class TestRevealingCounts:
                     assert min_revealing_count(n, k, position) == min(eligible)
 
     @pytest.mark.parametrize("rank", [-1, 9, True, 2.0])
-    def test_rank_outside_the_universe_rejected(self, rank):
+    @pytest.mark.parametrize("count", [revealing_set_count, count_revealing_brute_force])
+    def test_rank_outside_the_universe_rejected(self, count, rank):
+        # the brute force returned 0 for a rank past either end
         with pytest.raises(ValueError, match=r"rank must lie in \[0, 9\)"):
-            revealing_set_count(9, 3, 2, rank)
+            count(9, 3, 2, rank)
 
     def test_formula_matches_enumeration(self):
         for n in range(6, 13):
@@ -909,13 +965,16 @@ class TestRevealingCounts:
                             n, k, position, rank
                         ) == count_revealing_brute_force(n, k, position, rank)
 
-    # every function of (n, k) that reads the cached binomial table
+    # every function of (n, k) that reads the cached binomial table, and
+    # the two that size it or judge it without reading it
     SIZE_CALLS = {
         "revealing_counts": lambda n, k: revealing_counts(n, k, 2),
         "unrank_combinations": lambda n, k: unrank_combinations(np.array([0, 1]), n, k),
         "all_ksets": all_ksets,
         "min_revealing_count": lambda n, k: min_revealing_count(n, k, 2),
         "revealing_set_count": lambda n, k: revealing_set_count(n, k, 2, 1),
+        "largest_binomial": largest_binomial,
+        "brute_force": lambda n, k: count_revealing_brute_force(n, k, 2, 1),
     }
     NOT_SIZES = {
         "integral-float": 5.0, "numpy-float": np.float64(5), "bool": True,
