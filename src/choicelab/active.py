@@ -254,19 +254,19 @@ def predict_many(model: RecoveredModel, sets: np.ndarray) -> np.ndarray:
     return evaluate_many(selector, model.full_order(), sets)
 
 
-def classify_type(oracle: DeterministicOracle, witness=None) -> int:
+def classify_type(oracle: DeterministicOracle) -> int:
     """Recover the selected position, up to reflection, in exactly k+1 queries.
 
-    Queries every k-subset of a (k+1)-set. Exactly two alternatives can
+    Queries every k-subset of the witness, the (k+1)-set of ids 0..k, each
+    leaving out one id in ascending order. Exactly two alternatives can
     ever be returned, with frequencies position and k-position+1; the
     smaller frequency is the canonical (reflection-free) position. For odd
     k with a centered selector both frequencies coincide and that shared
-    value is returned.
+    value is returned. An oracle over fewer than k+1 ids raises
+    InvalidQueryError before any query.
     """
     k = oracle.k
-    if witness is None:
-        witness = tuple(range(k + 1))
-    witness = _check_query(k + 1, oracle.n, witness)
+    witness = _check_query(k + 1, oracle.n, range(k + 1))
     answers = Counter()
     for excluded in witness:
         answers[oracle.query([x for x in witness if x != excluded])] += 1

@@ -170,16 +170,6 @@ class LatentOrder:
             raise ValueError(f"universe size {n} exceeds the {MAX_IDS} ids of a universe")
         return cls(rng.permutation(n))
 
-    @classmethod
-    def from_values(cls, values: Sequence[float]) -> "LatentOrder":
-        """Order induced by real-valued embedding coordinates (distinct, none NaN)."""
-        vals = np.asarray(values, dtype=float)
-        if np.isnan(vals).any():
-            raise ValueError("embedding values must not be NaN")
-        if np.unique(vals).size != vals.size:
-            raise ValueError("embedding values must be distinct")
-        return cls(np.argsort(vals))
-
     @property
     def ascending(self) -> np.ndarray:
         """Ids in ascending embedding order (read-only view)."""
@@ -254,12 +244,18 @@ def _check_sets(k: int, n: int, sets) -> np.ndarray:
     sets = _check_ids(sets, n, "k-set ids")
     if sets.ndim != 2 or sets.shape[1] != k:
         raise InvalidQueryError(f"expected (m, {k}) array of k-sets, got shape {sets.shape}")
+    _check_distinct(sets)
+    return sets
+
+
+def _check_distinct(sets: np.ndarray) -> None:
+    """InvalidQueryError unless every row of the 2-d array sets holds
+    distinct ids."""
     # one column pair at a time: no sort, which passive scoring's 1.6M rows would pay
-    for left, right in itertools.combinations([sets[:, a] for a in range(k)], 2):
+    for left, right in itertools.combinations(sets.T, 2):
         same = left == right
         if np.count_nonzero(same):
             raise InvalidQueryError(f"duplicate ids in k-set: {sets[same.argmax()].tolist()}")
-    return sets
 
 
 def evaluate(selector: PositionSelector, order: LatentOrder, s) -> Alternative:

@@ -44,7 +44,6 @@ __all__ = [
     "noisy_sort",
     "discard_round_repetitions",
     "recovery_split",
-    "pick_round_winner",
     "discard_round",
     "recover_mixed",
     "best_reflection_error",
@@ -371,7 +370,7 @@ def discard_round_repetitions(gamma: float, epsilon: float, n: int, k: int = 3) 
     epsilon): the count is the two-sided Chernoff bound (2 + d)/d^2 ln(2/b)
     at d = gamma/2, over four times Hoeffding's count for one member at
     that radius, which covers all k members for any k <= 8/b^3. That
-    bounds the round's own error only; see pick_round_winner for what a
+    bounds the round's own error only; see discard_round for what a
     round decided at the cap needs besides. gamma must be positive,
     epsilon lie in (0, 1), n be at least k and the cap within the int64
     limit, else ValueError.
@@ -385,21 +384,6 @@ def discard_round_repetitions(gamma: float, epsilon: float, n: int, k: int = 3) 
     return _int64_count(
         8 + 2 * gamma, "gamma", gamma, math.log(2 / _discard_budget(n, k, epsilon))
     )
-
-
-def pick_round_winner(freqs: dict, target: float) -> int:
-    """Discard-round decision rule: the element whose observed frequency is
-    nearest the estimated probability of the tracked end position, ties
-    toward the higher observed frequency.
-
-    Deterministic guarantee: let gamma be the least gap between the true
-    frequencies of the round's positions. If the round's frequency error
-    plus the target's own error totals less than gamma/2, the winner is
-    the element truly at the tracked position. Each error at most gamma/2
-    is not enough: together they reach gamma, where a wrong member can lie
-    nearer the target.
-    """
-    return min(freqs, key=lambda e: (abs(freqs[e] - target), -freqs[e], e))
 
 
 @functools.lru_cache(maxsize=32, typed=True)
@@ -423,8 +407,9 @@ def _round_schedule(size: int, gap: float, cap: int, budget: float) -> tuple:
 def discard_round(
     oracle: MixedOracle, members, tracked: float, gap: float, cap: int, budget: float
 ) -> int:
-    """One discard round: pick_round_winner of the members' answer
-    frequencies, read until they certify it.
+    """One discard round: the member whose answer frequency is nearest
+    tracked, ties toward the higher frequency and then the lower id, with
+    the frequencies read until they certify it.
 
     The round reads answers in batches, one oracle.query_repeated call
     each. After the t-th batch, with N answers read, every member
@@ -436,13 +421,17 @@ def discard_round(
     frequency, where gamma is the least gap between positions, that
     member is the one at the tracked position. At the cap the round
     decides on the frequencies read, exactly as a fixed-count round of cap
-    answers, with only pick_round_winner's guarantee.
+    answers, with only that round's guarantee: if the frequency error plus
+    tracked's own error totals less than gamma/2, the winner is the member
+    truly at the tracked position. Each error at most gamma/2 is not
+    enough: together they reach gamma, where a wrong member can lie
+    nearer tracked.
 
     gap is the expected distance from the nearest member's to the next
     member's frequency: the round's _round_schedule opens from it. That
     schedule reads none of the round's own answers, so the bound holds;
-    each check ranks the members once by pick_round_winner's key, with the
-    count standing in for the frequency it divides. A cap outside [1,
+    each check ranks the members once by that rule's key, with the count
+    standing in for the frequency it divides. A cap outside [1,
     INT64_MAX], or a budget that is NaN or outside (0, 1), raises
     ValueError before any query.
     """

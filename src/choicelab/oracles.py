@@ -62,8 +62,8 @@ from .core import (
     PositionSelector,
     _check_position,
     _check_query,
+    _check_distinct,
     _check_ids,
-    _check_sets,
     _is_integer,
     _is_real,
     _ranked,
@@ -387,7 +387,8 @@ class ObservationBatch:
     """The distinct (k-set, choice) records observed during one stream phase.
 
     A caller's records enter once, here: the constructor checks the rows
-    with _check_sets over [0, n), the choices with _check_ids, and each
+    once (their ids with _check_ids over [0, n), then each row's ids for
+    distinctness with _check_distinct), the choices with _check_ids, and each
     choice for membership of its set, and freezes copies, never the
     caller's arrays. sample_phase builds its batches with _trusted, which
     checks and copies nothing. A batch is a plain record: every attribute
@@ -411,10 +412,10 @@ class ObservationBatch:
     def __init__(self, sets, choices, n: int):
         if not (_is_integer(n) and n >= 0):
             raise InvalidQueryError(f"universe size must be a non-negative integer, got {n!r}")
-        rows = _check_ids(sets, n, "k-set ids")
-        if rows.ndim != 2:
+        sets = _check_ids(sets, n, "k-set ids")
+        if sets.ndim != 2:
             raise InvalidQueryError("sets must be an (m, k) array")
-        sets = _check_sets(rows.shape[1], n, rows)
+        _check_distinct(sets)
         choices = _check_ids(choices, n, "choices")
         if choices.shape != (sets.shape[0],):
             raise InvalidQueryError("one choice per set required")

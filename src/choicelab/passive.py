@@ -42,9 +42,7 @@ from .core import (
 )
 from .oracles import (
     ObservationBatch,
-    _check_sizes,
     all_ksets,
-    revealing_counts,
     unrank_combinations,
 )
 from .stats import clopper_pearson
@@ -60,9 +58,6 @@ __all__ = [
     "answer_many",
     "CoverageReport",
     "coverage_report",
-    "revealing_set_count",
-    "min_revealing_count",
-    "count_revealing_brute_force",
 ]
 
 
@@ -295,11 +290,11 @@ def build_partial_order(batch: ObservationBatch, anchors, position: int) -> Infe
     return InferredPartialOrder(beats, anchors, position)
 
 
-def answer_query(po: InferredPartialOrder, s, position: int | None = None):
+def answer_query(po: InferredPartialOrder, s):
     """The inferred choice for one k-set, or UNRESOLVED: answer_many on the
-    single row of a valid scalar query."""
+    single row of a valid scalar query, at the model's own position."""
     s = _check_query(po.k, po.universe_size, s)
-    answer = int(answer_many(po, [s], po.position if position is None else position)[0])
+    answer = int(answer_many(po, [s], po.position)[0])
     return UNRESOLVED if answer == -1 else answer
 
 
@@ -414,51 +409,3 @@ def coverage_report(
         exhaustive=exhaustive,
         hits=hits,
     )
-
-
-def revealing_set_count(n: int, k: int, position: int, rank: int) -> int:
-    """Number of k-sets that reveal the rank-th lowest element as eligible.
-
-    A revealing set contains the element plus exactly position-1 members
-    below it and k-position above it; rank counts elements below. One
-    entry of oracles.revealing_counts, the count the phase-1 sampler draws.
-    A rank that is not an integer in [0, n), or a position that is not an
-    integer in [1, k], raises ValueError.
-    """
-    counts = revealing_counts(n, k, position)
-    _check_rank(n, rank)
-    return int(counts[rank])
-
-
-def _check_rank(n: int, rank) -> None:
-    """Raise ValueError unless rank is an integer in [0, n)."""
-    if not (_is_integer(rank) and 0 <= rank < n):
-        raise ValueError(f"rank must lie in [0, {n}), got {rank}")
-
-
-def min_revealing_count(n: int, k: int, position: int) -> int:
-    """Minimum revealing-set count over all eligible elements, those with
-    rank in [position-1, n-k+position-1]. n < k raises ValueError."""
-    counts = revealing_counts(n, k, position)
-    if n < k:
-        raise ValueError(f"need n >= k, got n={n}, k={k}")
-    return int(counts[position - 1 : n - k + position].min())
-
-
-def count_revealing_brute_force(n: int, k: int, position: int, rank: int) -> int:
-    """Independent oracle: enumerate every k-set containing the rank-th
-    element and count those whose selected member is that element. n, k,
-    position and rank are judged as revealing_set_count judges them:
-    ValueError unless n and k are non-negative integers, position an
-    integer in [1, k] and rank an integer in [0, n)."""
-    n, k = _check_sizes(n, k)
-    _check_position(k, position)
-    _check_rank(n, rank)
-    element = rank
-    others = [x for x in range(n) if x != element]
-    count = 0
-    for combo in itertools.combinations(others, k - 1):
-        members = sorted(combo + (element,))
-        if members[position - 1] == element:
-            count += 1
-    return count

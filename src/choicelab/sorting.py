@@ -1,7 +1,6 @@
 """Deterministic comparison sorts with exact comparison counting.
 
-Two sorts, each with its worst-case count, which every query budget in
-this package is checked against:
+Two sorts, each with its worst-case count:
 
 - ``merge_sort``, a top-down merge sort over a binary ``less``, at most
   m*ceil(log2 m) - 2^ceil(log2 m) + 1 comparisons. It serves the
@@ -54,14 +53,6 @@ def merge_sort(items: Sequence[T], less: Callable[[T, T], bool]):
     out.extend(left[i:])
     out.extend(right[j:])
     return out, count
-
-
-def merge_sort_comparison_bound(m: int) -> int:
-    """Worst-case comparison count of merge_sort on m items."""
-    if m <= 1:
-        return 0
-    ceil_lg = (m - 1).bit_length()
-    return m * ceil_lg - 2**ceil_lg + 1
 
 
 def insertion_sort(
@@ -126,20 +117,3 @@ def insertion_sort(
                 raise error(f"insertion query {(x, p, q) + triple_pad} answered {winner}")
         out.insert(lo, x)
     return out, count
-
-
-def insertion_sort_comparison_bound(m: int, ways: int = 2, placed: int = 0) -> int:
-    """Worst-case comparison count of insertion_sort inserting m items into
-    a list of ``placed``: the sum of ceil(log_ways(i+1)) over the list
-    lengths i met."""
-    if ways not in (2, 3):
-        raise ValueError(f"ways must be 2 or 3, got {ways}")
-    if m < 0 or placed < 0:
-        raise ValueError(f"item counts must be non-negative, got m={m}, placed={placed}")
-    total = 0
-    for i in range(placed, placed + m):
-        calls, reach = 0, 1
-        while reach < i + 1:
-            calls, reach = calls + 1, reach * ways
-        total += calls
-    return total

@@ -115,18 +115,17 @@ def _beta_ppf(q: float, a: float, b: float) -> float:
     raise ArithmeticError(f"beta quantile did not converge: q={q}, a={a}, b={b}")
 
 
-def clopper_pearson(successes: int, trials: int, alpha: float = 0.05):
-    """Exact (Clopper-Pearson) two-sided confidence interval for a binomial
-    rate. Counts that are not integers, bools included, raise ValueError."""
+def clopper_pearson(successes: int, trials: int):
+    """Exact (Clopper-Pearson) two-sided 95% confidence interval for a
+    binomial rate, each tail 2.5%. Counts that are not integers, bools
+    included, raise ValueError."""
     if not (_is_integer(successes) and _is_integer(trials)):
         raise ValueError("successes and trials must be integers")
     successes, trials = int(successes), int(trials)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    lo = 0.0 if successes == 0 else _beta_ppf(alpha / 2, successes, trials - successes + 1)
-    hi = 1.0 if successes == trials else _beta_ppf(1 - alpha / 2, successes + 1, trials - successes)
+    lo = 0.0 if successes == 0 else _beta_ppf(0.025, successes, trials - successes + 1)
+    hi = 1.0 if successes == trials else _beta_ppf(0.975, successes + 1, trials - successes)
     return lo, hi

@@ -56,15 +56,10 @@ from choicelab.oracles import (
     all_ksets,
     sample_phase,
 )
-from choicelab.passive import (
-    answer_many,
-    build_partial_order,
-    count_revealing_brute_force,
-    find_ineligible_passive,
-    min_revealing_count,
-)
+from choicelab.passive import answer_many, build_partial_order, find_ineligible_passive
 from choicelab.oracles import unrank_combinations
 from choicelab.stats import clopper_pearson
+from judges import count_revealing_brute_force, min_revealing_count
 
 
 def _report(num, label, ok, detail=""):

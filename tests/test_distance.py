@@ -22,7 +22,7 @@ from choicelab.distance import (
     triplet_distance_correspondence,
 )
 from choicelab.core import InvalidQueryError
-from choicelab.sorting import merge_sort_comparison_bound
+from judges import merge_sort_comparison_bound
 
 
 def line_points(*coords):

@@ -1,11 +1,13 @@
 """Source hygiene: every exported name exists, no module imports what it
-never reads, every private module-level name is read somewhere else, only
-the report writer and the CLI import json, only the CLI reads the
+never reads, every private module-level name is read somewhere else, every
+public function, class and method is run by the program or listed as API,
+only the report writer and the CLI import json, only the CLI reads the
 environment, and the integer rule is written once."""
 
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -149,6 +151,88 @@ def test_scanner_flags_an_unreferenced_helper():
         "b": ast.parse("from .a import _used\n\ndef f():\n    return _used() + a._LIMIT\n"),
     }
     assert _unreferenced_helpers(trees) == ["a._UNREAD", "a._dead"]
+
+
+# Public names that nothing in src/, demos/ or bench/ runs, kept for
+# callers: the scalar and batch twins of an API the program runs.
+API = {
+    "active.predict_many",  # predict over an (m, k) array
+    "passive.answer_query",  # answer_many on one k-set
+    "core.LatentOrder.rank_of",  # ranks for one id
+    "core.LatentOrder.id_at",  # ascending for one rank
+}
+REPO = Path(__file__).resolve().parents[1]
+# the program outside the package; tests do not count as running a name
+PROGRAM = sorted(
+    path for folder in ("demos", "bench") for path in (REPO / folder).glob("*.py")
+    if not path.name.startswith("test_")
+)
+
+
+def _loads(node) -> Counter:
+    """How often each name is read under node: a loaded bare name, or an
+    attribute of that name on anything. An import, an __all__ string or a
+    docstring mention reads nothing."""
+    return Counter(
+        child.id if isinstance(child, ast.Name) else child.attr
+        for child in ast.walk(node)
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
+        or isinstance(child, ast.Attribute)
+    )
+
+
+def _unreached_public(package: dict, program: dict) -> list:
+    """module.name for each public (no leading underscore) module-level
+    function or class of the package's modules, and module.Class.name for
+    each public method of such a class, that no code of the package or the
+    program reads outside the definition itself. Reads are matched by name
+    alone, so a read of a name reaches every definition of it: a method
+    name read once is reached in every class."""
+    loads = sum((_loads(tree) for tree in [*package.values(), *program.values()]), Counter())
+    unreached = []
+    for module, tree in package.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            found = [(f"{module}.{stmt.name}", stmt)]
+            if isinstance(stmt, ast.ClassDef):
+                found += [(f"{module}.{stmt.name}.{item.name}", item) for item in stmt.body
+                          if isinstance(item, ast.FunctionDef)]
+            for qualified, node in found:
+                if not node.name.startswith("_") and loads[node.name] == _loads(node)[node.name]:
+                    unreached.append(qualified)
+    return sorted(unreached)
+
+
+def test_every_public_name_runs_or_is_listed_api():
+    package = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in PACKAGE_DIR.glob("*.py")}
+    program = {f"{path.parent.name}/{path.stem}": ast.parse(path.read_text(), filename=str(path))
+               for path in PROGRAM}
+    assert {"demos/07_query_curves", "bench/tracer"} <= set(program)
+    unreached = set(_unreached_public(package, program))
+    assert not unreached - API, f"public names only tests reach: {sorted(unreached - API)}"
+    assert not API - unreached, f"API names the program runs, or gone: {sorted(API - unreached)}"
+
+
+def test_scanner_flags_an_unreached_public_function_and_method():
+    package = {
+        "a": ast.parse(
+            '__all__ = ["run", "judge", "Order"]\n'
+            "def run(m):\n    return 0 if m < 1 else run(m - 1)\n"
+            "def judge(m):\n    return judge(m - 1)\n"
+            "class Order:\n"
+            '    """A judge() in a docstring reads nothing."""\n'
+            "    def rank(self):\n        return self.rank()\n"
+            "    def size(self):\n        return 1\n"
+            "    def _cache(self):\n        return self.size()\n"
+        ),
+        "b": ast.parse("from .a import judge, run\ndef main():\n    return run(3)\n"),
+    }
+    program = {"demo": ast.parse("import a\nprint(a.Order()._cache(), a.main())\n")}
+    assert _unreached_public(package, program) == ["a.Order.rank", "a.judge"]
+    # what only the program reads is reached, and is not without it
+    assert _unreached_public(package, {}) == ["a.Order", "a.Order.rank", "a.judge", "b.main"]
 
 
 def _sites(trees: dict, flagged) -> set:

@@ -26,7 +26,6 @@ from choicelab.mixture import (
     majority_repetitions,
     noisy_sort,
     orders_match_up_to_reflection,
-    pick_round_winner,
     recover_mixed,
     recovery_split,
     repetition_count,
@@ -179,6 +178,13 @@ class _AnswerArrayOracle(MixedOracle):
 
     def query_repeated(self, s, count):
         return expand(super().query_repeated(s, count))
+
+
+def pick_round_winner(freqs: dict, target: float):
+    """Reference: the discard round's decision rule, the element whose
+    frequency is nearest target, ties toward the higher frequency and then
+    the lower element. discard_round ranks its members by this key."""
+    return min(freqs, key=lambda e: (abs(freqs[e] - target), -freqs[e], e))
 
 
 def counter_table(answers, s):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy import stats as st
 
-from choicelab import oracles
+from choicelab import core, oracles
 from choicelab.core import InvalidQueryError, LatentOrder, PositionSelector, evaluate_many
 from choicelab.oracles import (
     INT64_MAX,
@@ -642,6 +642,21 @@ class TestObservationBatch:
     def test_malformed_records_rejected(self, sets, choices, message):
         with pytest.raises(InvalidQueryError, match=message):
             ObservationBatch(sets, choices, 6)
+
+    @pytest.mark.parametrize("form", [list, np.array], ids=["lists", "array"])
+    def test_rows_range_checked_once(self, monkeypatch, form):
+        # every id check, wherever it is called from, is counted by what it judges
+        judged, check_ids = [], core._check_ids
+
+        def counted(values, high, what="ids"):
+            judged.append(what)
+            return check_ids(values, high, what)
+
+        monkeypatch.setattr(core, "_check_ids", counted)
+        monkeypatch.setattr(oracles, "_check_ids", counted)
+        batch = ObservationBatch(form([[0, 1, 5], [2, 3, 4]]), form([1, 3]), 6)
+        assert batch.sets.tolist() == [[0, 1, 5], [2, 3, 4]]
+        assert judged == ["k-set ids", "choices"]
 
 
 def colex_rank(row) -> int:

@@ -29,7 +29,7 @@ from choicelab.oracles import (
     ObservationBatch,
     unrank_combinations,
 )
-from choicelab.passive import answer_many, build_partial_order, revealing_set_count
+from choicelab.passive import answer_many, build_partial_order
 from choicelab.stats import clopper_pearson
 
 # How a caller may hand over a k-set: Python containers or numpy-int arrays.
@@ -652,7 +652,6 @@ SCALAR_ENTRY_POINTS = {
     "build_partial_order-position": (
         None, lambda _, x: build_partial_order(one_record_batch(), (0,), x), 2, ValueError,
     ),
-    "revealing_set_count-rank": (None, lambda _, x: revealing_set_count(5, 3, 2, x), 1, ValueError),
     "clopper_pearson": (None, lambda _, x: clopper_pearson(x, 2), 1, ValueError),
     "MetricPoints.distance": (None, lambda _, x: line().distance(x, 2), 1, InvalidQueryError),
     "MetricPoints.pair_distance": (None, lambda _, x: line().pair_distance((x, 2)), 1, InvalidQueryError),

@@ -1,5 +1,5 @@
-"""The exact binomial interval: agreement with scipy's beta quantiles, input
-checks, and an import of choicelab that loads no scipy."""
+"""The exact 95% binomial interval: agreement with scipy's beta quantiles,
+input checks, and an import of choicelab that loads no scipy."""
 
 import os
 import subprocess
@@ -10,16 +10,17 @@ import pytest
 from scipy.stats import beta
 
 import choicelab
-from choicelab.stats import clopper_pearson
+from choicelab.stats import _beta_ppf, clopper_pearson
 
 SRC = os.path.dirname(os.path.dirname(choicelab.__file__))
 
+# the interval's own alpha, 0.05, and two more the quantile solver must meet
 ALPHAS = (0.01, 0.05, 0.2)
 
 
-def reference_interval(successes, trials, alpha):
-    lo = 0.0 if successes == 0 else beta.ppf(alpha / 2, successes, trials - successes + 1)
-    hi = 1.0 if successes == trials else beta.ppf(1 - alpha / 2, successes + 1, trials - successes)
+def reference_interval(successes, trials):
+    lo = 0.0 if successes == 0 else beta.ppf(0.025, successes, trials - successes + 1)
+    hi = 1.0 if successes == trials else beta.ppf(0.975, successes + 1, trials - successes)
     return float(lo), float(hi)
 
 
@@ -30,18 +31,17 @@ def reference_interval(successes, trials, alpha):
 def test_matches_scipy_beta_quantiles(n):
     counts = sorted({s for s in (0, 1, 2, n // 3, n // 2, n - 2, n - 1, n) if 0 <= s <= n})
     for s in counts:
+        lo, hi = clopper_pearson(s, n)
+        want_lo, want_hi = reference_interval(s, n)
+        assert abs(lo - want_lo) <= 1e-12, (s, n, lo, want_lo)
+        assert abs(hi - want_hi) <= 1e-12, (s, n, hi, want_hi)
+        assert 0.0 <= lo < hi <= 1.0
+        # each quantile an interval at any alpha would take
         for alpha in ALPHAS:
-            lo, hi = clopper_pearson(s, n, alpha)
-            want_lo, want_hi = reference_interval(s, n, alpha)
-            assert abs(lo - want_lo) <= 1e-12, (s, n, alpha, lo, want_lo)
-            assert abs(hi - want_hi) <= 1e-12, (s, n, alpha, hi, want_hi)
-            assert 0.0 <= lo < hi <= 1.0
-
-
-@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan")])
-def test_alpha_outside_unit_interval_rejected(alpha):
-    with pytest.raises(ValueError, match="alpha"):
-        clopper_pearson(3, 10, alpha=alpha)
+            for q, a, b in ((alpha / 2, s, n - s + 1), (1 - alpha / 2, s + 1, n - s)):
+                if a and b:
+                    got, want = _beta_ppf(q, a, b), beta.ppf(q, a, b)
+                    assert abs(got - want) <= 1e-12, (q, a, b, got, want)
 
 
 @pytest.mark.parametrize("successes, trials",
