@@ -21,12 +21,18 @@ from choicelab.core import (
     evaluate_many,
     kset,
 )
-from choicelab.distance import MetricPoints, PairDistanceOracle, pair_id
+from choicelab.distance import MetricPoints, PairDistanceOracle, feasibility_check, pair_id
+from choicelab.harness import sorting_lower_bound
+from choicelab.mixture import discard_round_repetitions, repetition_count
 from choicelab.oracles import (
     DeterministicOracle,
     MixedOracle,
     MixtureDistribution,
     ObservationBatch,
+    StreamConfig,
+    all_ksets,
+    largest_binomial,
+    revealing_counts,
     unrank_combinations,
 )
 from choicelab.passive import answer_many, build_partial_order
@@ -616,7 +622,7 @@ def one_record_batch():
     return ObservationBatch([[0, 1, 2]], [1], 3)
 
 
-# Every scalar entry point that takes an integer id, position or count:
+# Every scalar entry point that takes an integer id, position, count or size:
 # (what it is called on, the call with x in the integer's place, the
 # integer x stands for, the error class a refused x raises). Each call on
 # an oracle is made on a fresh one.
@@ -653,6 +659,18 @@ SCALAR_ENTRY_POINTS = {
         None, lambda _, x: build_partial_order(one_record_batch(), (0,), x), 2, ValueError,
     ),
     "clopper_pearson": (None, lambda _, x: clopper_pearson(x, 2), 1, ValueError),
+    "revealing_counts-position": (None, lambda _, x: revealing_counts(5, 3, x), 2, ValueError),
+    "revealing_counts-n": (None, lambda _, x: revealing_counts(x, 3, 2), 5, ValueError),
+    "all_ksets-k": (None, lambda _, x: all_ksets(5, x), 3, ValueError),
+    "largest_binomial-n": (None, lambda _, x: largest_binomial(x, 3), 5, ValueError),
+    "PositionSelector-k": (None, lambda _, x: PositionSelector(x, 2), 3, ValueError),
+    "StreamConfig.from_coverage-n": (None, lambda _, x: StreamConfig.from_coverage(2.0, x), 5, ValueError),
+    "repetition_count-k": (None, lambda _, x: repetition_count(0.1, 0.1, x), 3, ValueError),
+    "discard_round_repetitions-n": (
+        None, lambda _, x: discard_round_repetitions(0.2, 0.1, x), 5, ValueError,
+    ),
+    "sorting_lower_bound-n": (None, lambda _, x: sorting_lower_bound(x, 3), 5, ValueError),
+    "feasibility_check": (None, lambda _, x: feasibility_check(x), 5, ValueError),
     "MetricPoints.distance": (None, lambda _, x: line().distance(x, 2), 1, InvalidQueryError),
     "MetricPoints.pair_distance": (None, lambda _, x: line().pair_distance((x, 2)), 1, InvalidQueryError),
     "PairDistanceOracle.larger": (
@@ -681,7 +699,9 @@ def test_scalar_entry_point_accepts_every_integer_class(entry, form):
     make, call, value, _ = SCALAR_ENTRY_POINTS[entry]
     want = call(make and make(), value)
     got = call(make and make(), INTEGER_FORMS[form](value))
-    if entry not in ("ObservationBatch-n", "build_partial_order-position"):  # no value equality
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+    elif entry not in ("ObservationBatch-n", "build_partial_order-position"):  # no value equality
         assert got == want and type(got) is type(want)
 
 
